@@ -2,7 +2,6 @@
 
 from .core import (
     ContiguousSequence,
-    ForecastPair,
     GlucoseReading,
     PatientRecord,
     mgdl_to_mmoll,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContiguousSequence",
-    "ForecastPair",
     "GlucoseReading",
     "PatientRecord",
     "mgdl_to_mmoll",

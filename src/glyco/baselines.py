@@ -1,7 +1,8 @@
 """Heuristic forecasters: copy-last and ordinary-least-squares line extrapolation.
 
 Both produce forecasts whose second-order differences vanish identically, so
-their curvature-energy ratio against any reference is 0 (or undefined).
+their curvature-energy ratio against any reference is 0 (or undefined). Both
+work along the last axis, on one window (T,) or on a batch of windows (n, T).
 """
 
 from __future__ import annotations
@@ -15,20 +16,21 @@ from .errors import DataError
 
 @runtime_checkable
 class Forecaster(Protocol):
-    """Contract shared by every model: a name and a horizon-length forecast."""
+    """Contract shared by every model: a name, a horizon, and ``predict``, which
+    maps input windows (n, input_len) to forecasts (n, horizon) in mg/dL."""
 
     name: str
     horizon: int
 
-    def forecast(self, values: np.ndarray) -> np.ndarray: ...
+    def predict(self, inputs: np.ndarray) -> np.ndarray: ...
 
 
 def copy_last(values: np.ndarray | list[float], horizon: int = 12) -> np.ndarray:
     """Repeat the final observed value across the whole horizon."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    if values.ndim == 0 or values.shape[-1] == 0:
         raise DataError("copy_last needs a non-empty input")
-    return np.full(horizon, values[-1])
+    return np.repeat(values[..., -1:], horizon, axis=-1)
 
 
 def linreg_forecast(
@@ -39,20 +41,21 @@ def linreg_forecast(
     fit_window defaults to the full input. Closed-form slope/intercept; for
     an exactly linear input the extrapolation continues the line exactly.
     """
-    values = np.asarray(values, dtype=float)
-    n = values.size
+    # row-major, so each row reduces in the same order as a single window
+    values = np.ascontiguousarray(values, dtype=float)
+    n = values.shape[-1] if values.ndim else 0
     if fit_window is None:
         fit_window = n
     if fit_window < 2 or fit_window > n:
         raise DataError(f"fit_window must be in [2, {n}], got {fit_window}")
-    y = values[n - fit_window :]
+    y = values[..., n - fit_window :]
     t = np.arange(n - fit_window, n, dtype=float)
     t_mean = t.mean()
-    y_mean = y.mean()
+    y_mean = y.mean(axis=-1, keepdims=True)
     denom = np.sum((t - t_mean) ** 2)
     if denom == 0.0:  # unreachable with >= 2 distinct indices, guarded anyway
         raise DataError("degenerate regression: no index spread")
-    slope = np.sum((t - t_mean) * (y - y_mean)) / denom
+    slope = np.sum((t - t_mean) * (y - y_mean), axis=-1, keepdims=True) / denom
     intercept = y_mean - slope * t_mean
     future = np.arange(n, n + horizon, dtype=float)
     return intercept + slope * future
@@ -64,16 +67,15 @@ class CopyLastForecaster:
     def __init__(self, horizon: int = 12):
         self.horizon = horizon
 
-    def forecast(self, values: np.ndarray) -> np.ndarray:
-        return copy_last(values, self.horizon)
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        return copy_last(inputs, self.horizon)
 
 
 class LinearRegressionForecaster:
     name = "linreg"
 
-    def __init__(self, horizon: int = 12, fit_window: int | None = None):
+    def __init__(self, horizon: int = 12):
         self.horizon = horizon
-        self.fit_window = fit_window
 
-    def forecast(self, values: np.ndarray) -> np.ndarray:
-        return linreg_forecast(values, self.horizon, self.fit_window)
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        return linreg_forecast(inputs, self.horizon)

@@ -92,8 +92,9 @@ class PatientRecord:
     """Static per-patient features. Missing fields are None and are excluded
     from statistics, never imputed.
 
-    bmi is derived from weight and height when both are present. hba1c keeps
-    an explicit unit label; statistics treat the value as dimensionless.
+    bmi is derived from weight and height when both are present, which needs
+    a positive height. hba1c keeps an explicit unit label; statistics treat
+    the value as dimensionless.
     """
 
     patient_id: str
@@ -109,6 +110,8 @@ class PatientRecord:
 
     def __post_init__(self) -> None:
         if self.weight_kg is not None and self.height_cm is not None:
+            if not self.height_cm > 0:
+                raise InvalidValueError(f"height_cm must be positive, got {self.height_cm!r}")
             derived = self.weight_kg / (self.height_cm / 100.0) ** 2
             if self.bmi is None:
                 object.__setattr__(self, "bmi", derived)
@@ -123,25 +126,3 @@ class PatientRecord:
         if value is None:
             return None
         return float(value)
-
-
-@dataclass(frozen=True)
-class ForecastPair:
-    """A predicted horizon paired with its reference readings, both mg/dL."""
-
-    predicted: tuple[float, ...]
-    reference: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.predicted) != len(self.reference):
-            raise InvalidValueError(
-                f"predicted ({len(self.predicted)}) and reference "
-                f"({len(self.reference)}) lengths differ"
-            )
-        if len(self.predicted) == 0:
-            raise InvalidValueError("forecast pair must not be empty")
-        object.__setattr__(self, "predicted", tuple(float(v) for v in self.predicted))
-        object.__setattr__(self, "reference", tuple(float(v) for v in self.reference))
-
-    def __len__(self) -> int:
-        return len(self.predicted)

@@ -292,8 +292,12 @@ class HmmForecaster:
         self.quantizer = quantizer
         self.horizon = horizon
 
-    def forecast(self, values: np.ndarray) -> np.ndarray:
-        return hmm_forecast(self.model, self.quantizer, values, self.horizon)
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        """One ``hmm_forecast`` per input window (row)."""
+        out = np.empty((len(inputs), self.horizon))
+        for i, row in enumerate(inputs):
+            out[i] = hmm_forecast(self.model, self.quantizer, row, self.horizon)
+        return out
 
 
 def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
@@ -321,20 +325,23 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
         raise FormatError(f"{path}: not an HMM model file")
     if doc.get("version") != 1:
         raise FormatError(f"{path}: unsupported version {doc.get('version')!r}")
-    initial = np.asarray(doc["initial"], dtype=float)
-    transition = np.asarray(doc["transition"], dtype=float)
-    emission = np.asarray(doc["emission"], dtype=float)
-    if initial.shape != (doc["n_states"],) or emission.shape != (
-        doc["n_states"],
-        doc["n_symbols"],
-    ):
+    try:
+        initial = np.asarray(doc["initial"], dtype=float)
+        transition = np.asarray(doc["transition"], dtype=float)
+        emission = np.asarray(doc["emission"], dtype=float)
+        n_states, n_symbols = doc["n_states"], doc["n_symbols"]
+        iterations, final_ll = doc["trained_iterations"], doc["final_log_likelihood"]
+        q = doc["quantizer"]
+        quantizer = Quantizer(q["n_symbols"], q["lo"], q["hi"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: HMM file lacks key {exc}") from exc
+    if initial.shape != (n_states,) or emission.shape != (n_states, n_symbols):
         raise FormatError(f"{path}: matrix shapes inconsistent with header")
     model = HmmModel(
         log_initial=np.log(initial),
         log_transition=np.log(transition),
         log_emission=np.log(emission),
-        trained_iterations=doc["trained_iterations"],
-        final_log_likelihood=doc["final_log_likelihood"],
+        trained_iterations=iterations,
+        final_log_likelihood=final_ll,
     )
-    q = doc["quantizer"]
-    return model, Quantizer(q["n_symbols"], q["lo"], q["hi"])
+    return model, quantizer

@@ -128,7 +128,7 @@ def parse_cgm_csv(
             try:
                 ts = int(float(row[1]))
                 value = float(row[2])
-            except ValueError:
+            except (ValueError, OverflowError):  # int(inf) overflows
                 report.rejected.append((row_number, f"non-numeric field in {row!r}"))
                 continue
             if ts <= 0:

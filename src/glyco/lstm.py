@@ -616,11 +616,7 @@ class LstmForecaster:
         self.net = net
         self.horizon = horizon
 
-    def forecast(self, values: np.ndarray) -> np.ndarray:
-        preds, _ = rollout(self.net, values, self.horizon)
-        return preds
-
-    def forecast_batch(self, inputs: np.ndarray) -> np.ndarray:
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
         return rollout_batch(self.net, inputs, self.horizon)
 
 
@@ -662,13 +658,17 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt header: {exc}") from exc
 
-    net = new_network(
-        hidden_size=header["hidden_size"],
-        n_layers=header["n_layers"],
-        seed=header["seed"],
-        input_size=header["input_size"],
-        scaler=Scaler(header["scaler_lo"], header["scaler_hi"]),
-    )
+    try:
+        net = new_network(
+            hidden_size=header["hidden_size"],
+            n_layers=header["n_layers"],
+            seed=header["seed"],
+            input_size=header["input_size"],
+            scaler=Scaler(header["scaler_lo"], header["scaler_hi"]),
+        )
+        provenance = header["provenance"]
+    except KeyError as exc:
+        raise FormatError(f"{path}: header lacks key {exc}") from exc
     expected = param_count(net) * 8
     payload = raw[header_end:]
     if len(payload) != expected:
@@ -676,4 +676,4 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
             f"{path}: parameter payload is {len(payload)} bytes, expected {expected}"
         )
     set_flat_params(net, np.frombuffer(payload, dtype="<f8").copy())
-    return net, header["provenance"]
+    return net, provenance

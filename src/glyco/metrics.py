@@ -4,8 +4,11 @@ Classification thresholds put boundary values in the Normal class; the
 positive class for precision/recall is "abnormal" (hypo or hyper). Curvature
 fidelity is the ratio of second-difference energies between prediction and
 reference: 1 matches the reference's curvature, 0 means a curvature-free
-forecast, and a zero-curvature reference makes the ratio undefined (returned
-as None, never NaN).
+forecast, and a zero-curvature reference makes the ratio undefined: NaN in
+the per-row ratios of ``esod_n``, None (never NaN) in reports.
+
+Every metric takes ``(predicted, reference)`` arrays of shape (n, horizon),
+one row per forecast window, with finite values.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ForecastPair
 from .errors import DataError, InvalidValueError
 
 HYPO_MGDL = 70.0
@@ -29,39 +31,59 @@ class GlycemicClass(enum.Enum):
     HYPER = "hyper"
 
 
-def rmse(pairs: list[ForecastPair]) -> float:
-    """Root mean squared error pooled over every point of every pair."""
-    if not pairs:
-        raise DataError("rmse needs at least one forecast pair")
-    total = 0.0
-    count = 0
-    for pair in pairs:
-        p = np.asarray(pair.predicted)
-        r = np.asarray(pair.reference)
-        total += float(np.sum((p - r) ** 2))
-        count += len(pair)
-    return math.sqrt(total / count)
+def _check_pairs(predicted, reference) -> tuple[np.ndarray, np.ndarray]:
+    """Both arrays as row-major float (n, h) of one shape, non-empty and finite.
+
+    Row-major layout makes every per-row sum reduce in the same order as a
+    sum over that row alone (a column-major batch would not).
+    """
+    p = np.ascontiguousarray(predicted, dtype=float)
+    r = np.ascontiguousarray(reference, dtype=float)
+    if p.ndim != 2 or p.shape != r.shape:
+        raise InvalidValueError(
+            f"predicted {p.shape} and reference {r.shape} must be (n, horizon) arrays of one shape"
+        )
+    if p.size == 0:
+        raise DataError("metrics need at least one forecast point")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):
+        raise InvalidValueError("metrics need finite forecasts and references")
+    return p, r
 
 
-def second_difference_energy(values: np.ndarray) -> float:
-    """Sum of squared second-order differences."""
+def rmse(predicted: np.ndarray, reference: np.ndarray) -> float:
+    """Root mean squared error pooled over every point of every row.
+
+    Row sums of squares are accumulated left to right, so the result does not
+    depend on how the rows were batched.
+    """
+    p, r = _check_pairs(predicted, reference)
+    row_sums = np.sum((p - r) ** 2, axis=1)
+    total = float(np.add.accumulate(row_sums)[-1])
+    return math.sqrt(total / p.size)
+
+
+def second_difference_energy(values: np.ndarray) -> np.ndarray | float:
+    """Sum of squared second-order differences along the last axis."""
     v = np.asarray(values, dtype=float)
-    dd = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    return float(np.sum(dd * dd))
+    dd = v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
+    return np.sum(dd * dd, axis=-1)
 
 
-def esod_n(pair: ForecastPair) -> float | None:
-    """Second-difference energy of the prediction over that of the reference.
+def esod_n(predicted: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per-row second-difference energy of the prediction over that of the reference.
 
-    None signals an undefined ratio (flat reference); horizons shorter than 3
+    NaN marks an undefined ratio (flat reference); horizons shorter than 3
     have no second differences at all and are rejected.
     """
-    if len(pair) < 3:
-        raise DataError(f"curvature ratio needs horizon >= 3, got {len(pair)}")
-    denominator = second_difference_energy(np.asarray(pair.reference))
-    if denominator == 0.0:
-        return None
-    return second_difference_energy(np.asarray(pair.predicted)) / denominator
+    p, r = _check_pairs(predicted, reference)
+    if p.shape[1] < 3:
+        raise DataError(f"curvature ratio needs horizon >= 3, got {p.shape[1]}")
+    numerator = second_difference_energy(p)
+    denominator = second_difference_energy(r)
+    defined = denominator != 0.0
+    ratios = np.full(p.shape[0], np.nan)
+    ratios[defined] = numerator[defined] / denominator[defined]
+    return ratios
 
 
 def classify(
@@ -77,84 +99,61 @@ def classify(
     return GlycemicClass.NORMAL
 
 
-@dataclass
-class BinaryScores:
-    """Precision/recall/F1 with explicit None for zero-denominator cases."""
+def _classes(values: np.ndarray, hypo: float, hyper: float) -> np.ndarray:
+    """Array form of ``classify``: 0 hypo, 1 normal, 2 hyper."""
+    return np.where(values < hypo, 0, np.where(values > hyper, 2, 1))
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
 
-    @property
-    def precision(self) -> float | None:
-        d = self.tp + self.fp
-        return self.tp / d if d else None
-
-    @property
-    def recall(self) -> float | None:
-        d = self.tp + self.fn
-        return self.tp / d if d else None
-
-    @property
-    def f1(self) -> float | None:
-        p, r = self.precision, self.recall
-        if p is None or r is None or p + r == 0.0:
-            return None
-        return 2.0 * p * r / (p + r)
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+def _binary_scores(predicted_positive: np.ndarray, reference_positive: np.ndarray) -> dict:
+    """Confusion counts and precision/recall/F1, None where a denominator is 0."""
+    tp = int(np.count_nonzero(predicted_positive & reference_positive))
+    fp = int(np.count_nonzero(predicted_positive)) - tp
+    fn = int(np.count_nonzero(reference_positive)) - tp
+    precision = tp / (tp + fp) if tp + fp else None
+    recall = tp / (tp + fn) if tp + fn else None
+    f1 = None
+    if precision is not None and recall is not None and precision + recall != 0.0:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return {
+        "tp": tp,
+        "fp": fp,
+        "fn": fn,
+        "tn": predicted_positive.size - tp - fp - fn,
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+    }
 
 
 def prf1(
-    pairs: list[ForecastPair], hypo: float = HYPO_MGDL, hyper: float = HYPER_MGDL
+    predicted: np.ndarray,
+    reference: np.ndarray,
+    hypo: float = HYPO_MGDL,
+    hyper: float = HYPER_MGDL,
 ) -> dict:
     """Per-point precision/recall/F1 with positive = abnormal (hypo or hyper).
 
     Also emits a per-class breakdown where the positive class is hypo alone
     and hyper alone.
     """
-    if not pairs:
-        raise DataError("prf1 needs at least one forecast pair")
-    overall = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-    per_class = {c: {"tp": 0, "fp": 0, "fn": 0, "tn": 0} for c in (GlycemicClass.HYPO, GlycemicClass.HYPER)}
-    for pair in pairs:
-        for p_value, r_value in zip(pair.predicted, pair.reference):
-            p_class = classify(p_value, hypo, hyper)
-            r_class = classify(r_value, hypo, hyper)
-            p_abnormal = p_class is not GlycemicClass.NORMAL
-            r_abnormal = r_class is not GlycemicClass.NORMAL
-            key = (
-                "tp" if p_abnormal and r_abnormal
-                else "fp" if p_abnormal
-                else "fn" if r_abnormal
-                else "tn"
-            )
-            overall[key] += 1
-            for cls, counts in per_class.items():
-                pc, rc = p_class is cls, r_class is cls
-                counts["tp" if pc and rc else "fp" if pc else "fn" if rc else "tn"] += 1
-    scores = BinaryScores(**overall)
+    p, r = _check_pairs(predicted, reference)
+    p_class = _classes(p, hypo, hyper)
+    r_class = _classes(r, hypo, hyper)
     return {
-        "abnormal": scores.to_dict(),
-        "hypo": BinaryScores(**per_class[GlycemicClass.HYPO]).to_dict(),
-        "hyper": BinaryScores(**per_class[GlycemicClass.HYPER]).to_dict(),
+        "abnormal": _binary_scores(p_class != 1, r_class != 1),
+        "hypo": _binary_scores(p_class == 0, r_class == 0),
+        "hyper": _binary_scores(p_class == 2, r_class == 2),
     }
 
 
 def clarke_zone(reference: float, predicted: float) -> str:
-    """Zone A-E of one (reference, predicted) point, standard grid rules, mg/dL."""
-    if reference <= 0 or predicted <= 0:
-        raise InvalidValueError("error-grid values must be positive")
+    """Zone A-E of one (reference, predicted) point, standard grid rules, mg/dL.
+
+    The reference must be positive. Any finite prediction is zoned: one at or
+    below 0 falls under the grid's ``p <= 70`` rules as written.
+    """
+    if not (math.isfinite(reference) and math.isfinite(predicted)) or reference <= 0:
+        raise InvalidValueError("error-grid values must be finite with a positive reference")
     r, p = reference, predicted
     if abs(r - p) <= 0.2 * r or (r <= 70 and p <= 70):
         return "A"
@@ -169,22 +168,28 @@ def clarke_zone(reference: float, predicted: float) -> str:
     return "B"
 
 
-def clarke_zones(pairs: list[ForecastPair]) -> dict:
-    """Per-point zone labels and their proportions (sum to 1)."""
-    if not pairs:
-        raise DataError("clarke_zones needs at least one forecast pair")
-    counts = {z: 0 for z in "ABCDE"}
-    labels = []
-    for pair in pairs:
-        for p_value, r_value in zip(pair.predicted, pair.reference):
-            zone = clarke_zone(r_value, p_value)
-            counts[zone] += 1
-            labels.append(zone)
-    total = len(labels)
+def clarke_zones(predicted: np.ndarray, reference: np.ndarray) -> dict:
+    """Zone counts and proportions (summing to 1) over every point.
+
+    The rules of ``clarke_zone`` applied to whole arrays; the first rule that
+    matches a point decides its zone.
+    """
+    p, r = _check_pairs(predicted, reference)
+    if np.any(r <= 0):
+        raise InvalidValueError("error-grid reference values must be positive")
+    rules = [
+        (np.abs(r - p) <= 0.2 * r) | ((r <= 70) & (p <= 70)),
+        ((r >= 180) & (p <= 70)) | ((r <= 70) & (p >= 180)),
+        ((70 <= r) & (r <= 290) & (p >= r + 110)) | ((130 <= r) & (r <= 180) & (p <= 1.4 * r - 182)),
+        ((r >= 240) & (70 <= p) & (p <= 180))
+        | ((r <= 175 / 3) & (70 <= p) & (p <= 180))
+        | ((175 / 3 <= r) & (r <= 70) & (p >= 1.2 * r)),
+    ]
+    zone = np.select(rules, [0, 4, 2, 3], default=1)
+    counts = {z: int(c) for z, c in zip("ABCDE", np.bincount(zone.ravel(), minlength=5))}
     return {
-        "labels": labels,
         "counts": counts,
-        "proportions": {z: counts[z] / total for z in "ABCDE"},
+        "proportions": {z: counts[z] / p.size for z in "ABCDE"},
     }
 
 
@@ -247,60 +252,23 @@ class EvalReport:
         }
 
 
-def predict_all(forecaster, inputs: np.ndarray) -> np.ndarray:
-    """Forecast every row of ``inputs``, using the batched path when offered."""
-    if hasattr(forecaster, "forecast_batch"):
-        return forecaster.forecast_batch(inputs)
-    return np.stack([forecaster.forecast(row) for row in inputs])
-
-
 def score_pairs(
-    pairs: list[ForecastPair], fold: int, hypo: float = HYPO_MGDL, hyper: float = HYPER_MGDL
+    predicted: np.ndarray,
+    reference: np.ndarray,
+    fold: int,
+    hypo: float = HYPO_MGDL,
+    hyper: float = HYPER_MGDL,
 ) -> FoldMetrics:
-    """Every metric for one fold's (prediction, reference) pairs."""
-    if not pairs:
-        raise DataError(f"fold {fold} has no test examples")
-    esods = [esod_n(p) for p in pairs]
-    defined = [e for e in esods if e is not None]
-    zones = clarke_zones(pairs)
+    """Every metric for one fold's (n, horizon) predictions and references."""
+    ratios = esod_n(predicted, reference)
+    defined = ratios[~np.isnan(ratios)]
     return FoldMetrics(
         fold=fold,
-        n_examples=len(pairs),
-        rmse=rmse(pairs),
-        esod_mean=float(np.mean(defined)) if defined else None,
-        esod_defined=len(defined),
-        esod_undefined=len(esods) - len(defined),
-        classification=prf1(pairs, hypo, hyper),
-        zone_proportions=zones["proportions"],
+        n_examples=len(ratios),
+        rmse=rmse(predicted, reference),
+        esod_mean=float(np.mean(defined)) if defined.size else None,
+        esod_defined=int(defined.size),
+        esod_undefined=len(ratios) - int(defined.size),
+        classification=prf1(predicted, reference, hypo, hyper),
+        zone_proportions=clarke_zones(predicted, reference)["proportions"],
     )
-
-
-def pairs_from_arrays(predictions: np.ndarray, targets: np.ndarray) -> list[ForecastPair]:
-    return [
-        ForecastPair(tuple(predictions[i]), tuple(targets[i]))
-        for i in range(predictions.shape[0])
-    ]
-
-
-def evaluate_fold(forecaster, inputs: np.ndarray, targets: np.ndarray, fold: int) -> FoldMetrics:
-    """Run one forecaster over a fold's test arrays and score every metric."""
-    if inputs.shape[0] == 0:
-        raise DataError(f"fold {fold} has no test examples")
-    return score_pairs(pairs_from_arrays(predict_all(forecaster, inputs), targets), fold)
-
-
-def evaluate(model_name: str, fold_forecasters: list, fold_sets: list, protocol: dict | None = None) -> EvalReport:
-    """Score one forecaster per fold on that fold's test examples.
-
-    fold_forecasters[i] must have been built (trained) from fold i's training
-    data only; fold_sets are the matching PreparedSet objects.
-    """
-    if len(fold_forecasters) != len(fold_sets):
-        raise DataError(
-            f"{len(fold_forecasters)} forecasters for {len(fold_sets)} folds"
-        )
-    folds = [
-        evaluate_fold(fc, ps.test_inputs, ps.test_targets, ps.provenance.get("fold", i))
-        for i, (fc, ps) in enumerate(zip(fold_forecasters, fold_sets))
-    ]
-    return EvalReport(model_name=model_name, folds=folds, protocol=protocol or {})

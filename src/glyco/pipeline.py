@@ -22,22 +22,11 @@ from .errors import DataError, FormatError
 PREPARED_MAGIC = b"GLYFPREP"
 PREPARED_VERSION = 1
 
+# Per-row source sequence ids and window offsets, stored in the JSON metadata.
+INDEX_KEYS = ("train_seq_ids", "train_offsets", "test_seq_ids", "test_offsets")
+
 DEFAULT_TOTAL = 144
 DEFAULT_INPUT_LEN = 132
-
-
-@dataclass(frozen=True)
-class Example:
-    """One training/test window: input readings and the target horizon."""
-
-    input: tuple[float, ...]
-    target: tuple[float, ...]
-    source_sequence_id: int
-    offset: int
-
-    def __post_init__(self) -> None:
-        if len(self.input) == 0 or len(self.target) == 0:
-            raise DataError("example input and target must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -96,38 +85,8 @@ def segment(
     return sequences
 
 
-def window(
-    sequence: ContiguousSequence,
-    total: int = DEFAULT_TOTAL,
-    input_len: int = DEFAULT_INPUT_LEN,
-    step: int = 1,
-) -> list[Example]:
-    """Sliding windows of ``total`` readings starting at offsets 0, step, 2*step, ...
-
-    Yields floor((L - total)/step) + 1 windows when L >= total, else none;
-    trailing readings that do not fill a window are discarded.
-    """
-    if step < 1:
-        raise DataError(f"window step must be >= 1, got {step}")
-    if not (0 < input_len < total):
-        raise DataError(f"need 0 < input_len ({input_len}) < total ({total})")
-    values = sequence.values
-    out = []
-    for offset in range(0, len(values) - total + 1, step):
-        chunk = values[offset : offset + total]
-        out.append(
-            Example(
-                input=chunk[:input_len],
-                target=chunk[input_len:],
-                source_sequence_id=sequence.sequence_id,
-                offset=offset,
-            )
-        )
-    return out
-
-
 def window_count(length: int, total: int, step: int) -> int:
-    """Closed-form number of windows produced by ``window``."""
+    """Closed-form number of windows ``prepare`` cuts from one sequence."""
     if length < total:
         return 0
     return (length - total) // step + 1
@@ -196,22 +155,6 @@ class PreparedSet:
     def n_test(self) -> int:
         return int(self.test_inputs.shape[0])
 
-    def train_example(self, i: int) -> Example:
-        return Example(
-            input=tuple(self.train_inputs[i]),
-            target=tuple(self.train_targets[i]),
-            source_sequence_id=int(self.train_seq_ids[i]),
-            offset=int(self.train_offsets[i]),
-        )
-
-    def test_example(self, i: int) -> Example:
-        return Example(
-            input=tuple(self.test_inputs[i]),
-            target=tuple(self.test_targets[i]),
-            source_sequence_id=int(self.test_seq_ids[i]),
-            offset=int(self.test_offsets[i]),
-        )
-
     def equals(self, other: "PreparedSet") -> bool:
         arrays = (
             "train_inputs",
@@ -269,11 +212,19 @@ def prepare(
 ) -> PreparedSet:
     """Window a fold into train/test arrays.
 
+    Each eligible sequence of length L yields the windows of ``total``
+    readings at offsets 0, step, 2*step, ... (``window_count`` of them);
+    trailing readings that do not fill a window are discarded.
+
     cohort_filter keeps only sequences whose patient is in the given set; all
     of a patient's sequences stay on one side because filtering happens at the
     patient level and the fold split is by sequence id. The fold must have
     been built from the same (filtered) sequence list.
     """
+    if train_step < 1 or test_step < 1:
+        raise DataError(f"window steps must be >= 1, got {train_step} and {test_step}")
+    if not (0 < input_len < total):
+        raise DataError(f"need 0 < input_len ({input_len}) < total ({total})")
     if cohort_filter is not None:
         sequences = [s for s in sequences if s.patient_id in cohort_filter]
         if not sequences:
@@ -309,10 +260,7 @@ def save_prepared(prepared: PreparedSet, path: str | Path) -> None:
         "n_test": prepared.n_test,
         "input_len": prepared.input_len,
         "horizon": prepared.horizon,
-        "train_seq_ids": prepared.train_seq_ids.tolist(),
-        "train_offsets": prepared.train_offsets.tolist(),
-        "test_seq_ids": prepared.test_seq_ids.tolist(),
-        "test_offsets": prepared.test_offsets.tolist(),
+        **{key: getattr(prepared, key).tolist() for key in INDEX_KEYS},
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     buffer = io.BytesIO()
@@ -346,8 +294,13 @@ def load_prepared(path: str | Path) -> PreparedSet:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt metadata block: {exc}") from exc
 
-    n_train, n_test = meta["n_train"], meta["n_test"]
-    input_len, horizon = meta["input_len"], meta["horizon"]
+    try:
+        n_train, n_test = meta["n_train"], meta["n_test"]
+        input_len, horizon = meta["input_len"], meta["horizon"]
+        ids = {key: np.asarray(meta[key], dtype=np.int64) for key in INDEX_KEYS}
+        provenance = meta["provenance"]
+    except KeyError as exc:
+        raise FormatError(f"{path}: metadata lacks key {exc}") from exc
     sizes = [
         (n_train, input_len),
         (n_train, horizon),
@@ -370,11 +323,8 @@ def load_prepared(path: str | Path) -> PreparedSet:
     return PreparedSet(
         train_inputs=arrays[0],
         train_targets=arrays[1],
-        train_seq_ids=np.asarray(meta["train_seq_ids"], dtype=np.int64),
-        train_offsets=np.asarray(meta["train_offsets"], dtype=np.int64),
         test_inputs=arrays[2],
         test_targets=arrays[3],
-        test_seq_ids=np.asarray(meta["test_seq_ids"], dtype=np.int64),
-        test_offsets=np.asarray(meta["test_offsets"], dtype=np.int64),
-        provenance=meta["provenance"],
+        provenance=provenance,
+        **ids,
     )

@@ -232,6 +232,26 @@ def prepared_path(out_dir: str | Path, fold_index: int) -> Path:
     return Path(out_dir) / f"fold{fold_index}.gprep"
 
 
+def _prepare_fold(
+    config: RunConfig,
+    sequences: list,
+    fold: pipeline.FoldSplit,
+    keep: set[str] | None,
+    label: str,
+) -> pipeline.PreparedSet:
+    """One fold's windows with the configured window lengths and steps."""
+    return pipeline.prepare(
+        sequences,
+        fold,
+        total=config.window_total,
+        input_len=config.window_input,
+        train_step=config.train_step,
+        test_step=config.test_step,
+        cohort_filter=keep,
+        cohort_label=label,
+    )
+
+
 def run_prepare(
     tracker: OutputTracker,
     config: RunConfig,
@@ -251,16 +271,7 @@ def run_prepare(
     )
     fold_summaries = []
     for fold in folds:
-        prepared = pipeline.prepare(
-            sequences,
-            fold,
-            total=config.window_total,
-            input_len=config.window_input,
-            train_step=config.train_step,
-            test_step=config.test_step,
-            cohort_filter=keep,
-            cohort_label=label,
-        )
+        prepared = _prepare_fold(config, sequences, fold, keep, label)
         pipeline.save_prepared(prepared, tracker.register(prepared_path(out_dir, fold.fold_index)))
         fold_summaries.append(
             {
@@ -299,12 +310,13 @@ def model_path(out_dir: str | Path, model: str, fold_index: int) -> Path:
     return Path(out_dir) / f"{model}_fold{fold_index}.{suffix}"
 
 
-def _train_lstm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int, out: Path):
+def _fit_lstm(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int) -> lstm_mod.TrainResult:
+    """A fresh network trained on one fold with the configured LSTM settings."""
     seed = fold_seed(config, fold_index)
     net = lstm_mod.new_network(
         hidden_size=config.lstm_hidden, n_layers=config.lstm_layers, seed=seed
     )
-    result = lstm_mod.train(
+    return lstm_mod.train(
         net,
         prepared,
         epochs=config.lstm_epochs,
@@ -315,11 +327,15 @@ def _train_lstm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_ind
         clip_norm=config.lstm_clip_norm,
         feedback=config.lstm_feedback,
     )
+
+
+def _train_lstm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int, out: Path):
+    result = _fit_lstm(config, prepared, fold_index)
     best = result.best
     provenance = {
         "model": "lstm",
         "fold": fold_index,
-        "seed": seed,
+        "seed": fold_seed(config, fold_index),
         "epochs": config.lstm_epochs,
         "feedback": config.lstm_feedback,
         "best_epoch": result.best_epoch,
@@ -463,15 +479,16 @@ def run_evaluate(
         for prepared in fold_sets:
             fold_index = prepared.provenance.get("fold", 0)
             forecaster = build_forecaster(model, fold_index, horizon, models_dir, config)
-            predictions = metrics.predict_all(forecaster, prepared.test_inputs)
-            pairs = metrics.pairs_from_arrays(predictions, prepared.test_targets)
+            predictions = forecaster.predict(prepared.test_inputs)
             fold_metrics.append(
-                metrics.score_pairs(pairs, fold_index, config.hypo_mgdl, config.hyper_mgdl)
+                metrics.score_pairs(
+                    predictions, prepared.test_targets, fold_index,
+                    config.hypo_mgdl, config.hyper_mgdl,
+                )
             )
             if scatter_rows is not None:
-                for pair in pairs:
-                    for ref, pred in zip(pair.reference, pair.predicted):
-                        scatter_rows.append([repr(ref), repr(pred)])
+                points = zip(prepared.test_targets.ravel().tolist(), predictions.ravel().tolist())
+                scatter_rows.extend([repr(ref), repr(pred)] for ref, pred in points)
         report = metrics.EvalReport(model_name=model, folds=fold_metrics, protocol=protocol)
         reports.append(report)
         for fm in fold_metrics:
@@ -526,38 +543,15 @@ def run_cohort_compare(
         if not pool:
             raise DataError(f"cohort {label!r} has no sequences")
         folds = pipeline.kfold_split(pool, k=config.k_folds, seed=config.seed, total=config.window_total)
-        return pipeline.prepare(
-            sequences,
-            folds[fold_index],
-            total=config.window_total,
-            input_len=config.window_input,
-            train_step=config.train_step,
-            test_step=config.test_step,
-            cohort_filter=keep,
-            cohort_label=label,
-        )
+        return _prepare_fold(config, sequences, folds[fold_index], keep, label)
 
     def trained_forecaster(prepared: pipeline.PreparedSet, tag: str):
         horizon = prepared.horizon
-        if model == "copy_last":
-            return baselines.CopyLastForecaster(horizon)
-        if model == "linreg":
-            return baselines.LinearRegressionForecaster(horizon)
+        if model in BASELINE_MODELS:
+            return build_forecaster(model, fold_index, horizon, None, config)
         if model == "lstm":
-            seed = fold_seed(config, fold_index)
-            net = lstm_mod.new_network(config.lstm_hidden, config.lstm_layers, seed=seed)
-            result = lstm_mod.train(
-                net,
-                prepared,
-                epochs=config.lstm_epochs,
-                batch=config.lstm_batch,
-                lr=config.lstm_lr,
-                heuristic_test_n=config.lstm_heuristic_n,
-                seed=seed,
-                clip_norm=config.lstm_clip_norm,
-                feedback=config.lstm_feedback,
-            )
-            return lstm_mod.LstmForecaster(result.best.network, horizon)
+            network = _fit_lstm(config, prepared, fold_index).best.network
+            return lstm_mod.LstmForecaster(network, horizon)
         out = Path(out_dir) / f"hmm_{tag}.json"
         _train_hmm_fold(config, prepared, fold_index, tracker.register(out))
         hmodel, quantizer = hmm_mod.load_hmm(out)
@@ -574,8 +568,7 @@ def run_cohort_compare(
         cohort_models[label] = trained_forecaster(prepared, label)
 
     def rmse_on(forecaster, prepared: pipeline.PreparedSet) -> float:
-        predictions = metrics.predict_all(forecaster, prepared.test_inputs)
-        return metrics.rmse(metrics.pairs_from_arrays(predictions, prepared.test_targets))
+        return metrics.rmse(forecaster.predict(prepared.test_inputs), prepared.test_targets)
 
     pooled_rows = {"all": rmse_on(pooled, pooled_prepared)}
     comparison = []

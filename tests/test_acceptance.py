@@ -20,7 +20,6 @@ from glyco.baselines import CopyLastForecaster, copy_last, linreg_forecast
 from glyco.cli import main as cli_main
 from glyco.clinical import BolusInputs, bolus
 from glyco.config import RunConfig
-from glyco.core import ForecastPair
 from glyco.hmm import HmmModel, _floor_normalize, baum_welch, viterbi
 from glyco.ingest import synth_corpus
 from glyco.lstm import (
@@ -33,7 +32,7 @@ from glyco.lstm import (
     set_flat_params,
     train,
 )
-from glyco.metrics import esod_n, predict_all, pairs_from_arrays, prf1, rmse
+from glyco.metrics import esod_n, prf1, rmse
 from glyco.pipeline import kfold_split, prepare, segment, window_count
 from glyco.stats import FeatureMatrix, gmm_assign, gmm_fit
 
@@ -172,25 +171,19 @@ def test_c05_gmm_em_purity():
 def test_c06_metric_identities_and_bolus():
     with criterion(6, "metric identities and the bolus worked example", 5.0):
         rng = np.random.default_rng(7)
-        reference = rng.uniform(60, 350, 12)
-        identical = ForecastPair(tuple(reference), tuple(reference))
-        assert rmse([identical]) == 0.0
-        offset = ForecastPair(tuple(reference + 7.5), tuple(reference))
-        assert rmse([offset]) == pytest.approx(7.5, abs=1e-12)
-        assert esod_n(identical) == pytest.approx(1.0, abs=1e-12)
+        reference = rng.uniform(60, 350, (1, 12))
+        assert rmse(reference, reference) == 0.0
+        assert rmse(reference + 7.5, reference) == pytest.approx(7.5, abs=1e-12)
+        assert esod_n(reference, reference)[0] == pytest.approx(1.0, abs=1e-12)
 
         for _ in range(25):
             window_values = rng.uniform(60, 350, 132)
-            curved_target = rng.uniform(60, 350, 12)
+            curved_target = rng.uniform(60, 350, (1, 12))
             for forecast in (copy_last(window_values), linreg_forecast(window_values)):
-                ratio = esod_n(ForecastPair(tuple(forecast), tuple(curved_target)))
-                assert ratio is None or ratio < 1e-12
+                ratio = esod_n(forecast[None], curved_target)[0]
+                assert np.isnan(ratio) or ratio < 1e-12
 
-        pairs = [
-            ForecastPair(tuple(rng.uniform(40, 400, 12)), tuple(rng.uniform(40, 400, 12)))
-            for _ in range(60)
-        ]
-        scores = prf1(pairs)["abnormal"]
+        scores = prf1(rng.uniform(40, 400, (60, 12)), rng.uniform(40, 400, (60, 12)))["abnormal"]
         p, r, f1 = scores["precision"], scores["recall"], scores["f1"]
         assert f1 == pytest.approx(2 * p * r / (p + r), abs=1e-12)
 
@@ -238,7 +231,7 @@ def test_c08_end_to_end_learning_signal():
         sequences = segment(corpus.readings)
         folds = kfold_split(sequences, k=5, seed=7)
 
-        lstm_pairs, copy_pairs = [], []
+        lstm_preds, copy_preds, targets = [], [], []
         best_net = None
         for fold in folds:
             prepared = prepare(sequences, fold, train_step=8, test_step=144)
@@ -248,13 +241,12 @@ def test_c08_end_to_end_learning_signal():
                 net, prepared, epochs=5, batch=128, lr=0.01, heuristic_test_n=1000, seed=seed
             )
             best_net = result.best.network
-            lstm_pred = predict_all(LstmForecaster(best_net), prepared.test_inputs)
-            copy_pred = predict_all(CopyLastForecaster(), prepared.test_inputs)
-            lstm_pairs += pairs_from_arrays(lstm_pred, prepared.test_targets)
-            copy_pairs += pairs_from_arrays(copy_pred, prepared.test_targets)
+            lstm_preds.append(LstmForecaster(best_net).predict(prepared.test_inputs))
+            copy_preds.append(CopyLastForecaster().predict(prepared.test_inputs))
+            targets.append(prepared.test_targets)
 
-        lstm_rmse = rmse(lstm_pairs)
-        copy_rmse = rmse(copy_pairs)
+        lstm_rmse = rmse(np.concatenate(lstm_preds), np.concatenate(targets))
+        copy_rmse = rmse(np.concatenate(copy_preds), np.concatenate(targets))
         assert lstm_rmse < copy_rmse, f"{lstm_rmse:.2f} not below copy-last {copy_rmse:.2f}"
 
         probe = synth_corpus(1, 2, seed=9).values()[:132]

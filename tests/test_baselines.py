@@ -83,8 +83,24 @@ def test_both_forecasts_have_zero_curvature():
 
 
 def test_forecaster_protocol():
-    for forecaster in (CopyLastForecaster(), LinearRegressionForecaster()):
+    inputs = np.stack([np.linspace(100, 140, 132), np.linspace(200, 90, 132)])
+    for forecaster, per_row in (
+        (CopyLastForecaster(), copy_last),
+        (LinearRegressionForecaster(), linreg_forecast),
+    ):
         assert isinstance(forecaster, Forecaster)
-        out = forecaster.forecast(np.linspace(100, 140, 132))
-        assert out.shape == (12,)
+        out = forecaster.predict(inputs)
+        assert out.shape == (2, 12)
         assert np.all(np.isfinite(out))
+        for row, forecast in zip(inputs, out):
+            np.testing.assert_array_equal(forecast, per_row(row))
+
+
+def test_linreg_batch_bit_identical_to_rows():
+    rng = np.random.default_rng(8)
+    inputs = rng.uniform(40, 400, (500, 132))
+    for fit_window in (None, 2, 37, 132):
+        batch = linreg_forecast(inputs, fit_window=fit_window)
+        rows = np.stack([linreg_forecast(row, fit_window=fit_window) for row in inputs])
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(linreg_forecast(np.asfortranarray(inputs), fit_window=fit_window), rows)

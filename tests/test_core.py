@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from glyco.core import (
     ContiguousSequence,
-    ForecastPair,
     GlucoseReading,
     PatientRecord,
     mgdl_to_mmoll,
@@ -83,6 +82,10 @@ class TestPatientRecord:
         p = PatientRecord("p1", weight_kg=74.26, height_cm=169.0)
         assert p.bmi == pytest.approx(74.26 / 1.69**2, abs=1e-9)
 
+    def test_zero_height_rejected(self):
+        with pytest.raises(InvalidValueError):
+            PatientRecord("p1", weight_kg=70.0, height_cm=0.0)
+
     def test_bmi_conflict_rejected(self):
         with pytest.raises(InvalidValueError):
             PatientRecord("p1", weight_kg=70.0, height_cm=170.0, bmi=30.0)
@@ -94,16 +97,3 @@ class TestPatientRecord:
         assert p.feature("hba1c") == 8.5
         assert p.feature("annual_income_usd") is None
 
-
-class TestForecastPair:
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(InvalidValueError):
-            ForecastPair((1.0, 2.0), (1.0,))
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidValueError):
-            ForecastPair((), ())
-
-    def test_length(self):
-        pair = ForecastPair(tuple(range(1, 13)), tuple(range(2, 14)))
-        assert len(pair) == 12

@@ -267,6 +267,15 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="version"):
             load_hmm(path)
 
+    def test_missing_key_is_format_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
+        doc = json.loads(path.read_text())
+        del doc["initial"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="initial"):
+            load_hmm(path)
+
     def test_sequence_log_likelihood_finite(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 3, 4)

@@ -44,6 +44,16 @@ class TestParseCgm:
         assert report.kept == 1
         assert report.rejected == [(3, "non-numeric field in ['p1', '1300', 'abc']")]
 
+    def test_infinite_timestamp_is_malformed(self, tmp_path):
+        path = write(
+            tmp_path,
+            "a.csv",
+            "patient_id,timestamp,glucose_mgdl\np1,1000,180.0\np1,inf,190.0\n",
+        )
+        readings, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
+        assert report.kept == 1
+        assert [row for row, _ in report.rejected] == [3]
+
     def test_malformed_fraction_hard_error(self, tmp_path):
         path = write(
             tmp_path,

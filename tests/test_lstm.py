@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -361,10 +364,24 @@ class TestSaveLoad:
             load_model(path)
 
 
+def test_missing_header_key_is_format_error(tmp_path):
+    net = new_network(hidden_size=3, n_layers=1, seed=17)
+    path = tmp_path / "model.glstm"
+    save_model(net, path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16 : 16 + header_len])
+    del header["n_layers"]
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+    with pytest.raises(FormatError, match="n_layers"):
+        load_model(path)
+
+
 def test_forecaster_interface():
     net = new_network(hidden_size=4, n_layers=1, seed=15)
     forecaster = LstmForecaster(net, horizon=12)
-    out = forecaster.forecast(np.linspace(100, 200, 132))
-    assert out.shape == (12,)
-    batch = forecaster.forecast_batch(np.tile(np.linspace(100, 200, 132), (3, 1)))
+    out, _ = rollout(net, np.linspace(100, 200, 132), horizon=12)
+    batch = forecaster.predict(np.tile(np.linspace(100, 200, 132), (3, 1)))
+    assert batch.shape == (3, 12)
     np.testing.assert_allclose(batch[0], out, atol=1e-12)

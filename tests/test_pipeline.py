@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,6 @@ from glyco.pipeline import (
     prepare,
     save_prepared,
     segment,
-    window,
     window_count,
 )
 
@@ -73,28 +75,41 @@ class TestSegment:
         ]
 
 
+def cut_windows(sequence, step=1, **lengths):
+    """The test-side windows ``prepare`` cuts from one sequence."""
+    fold = FoldSplit(0, frozenset(), frozenset({sequence.sequence_id}), seed=0)
+    return prepare([sequence], fold, test_step=step, **lengths)
+
+
 class TestWindow:
     def test_exact_fit(self):
-        assert len(window(constant_sequence(144))) == 1
+        assert cut_windows(constant_sequence(144)).n_test == 1
 
     def test_150_gives_7(self):
-        examples = window(constant_sequence(150))
-        assert len(examples) == 7
-        assert [e.offset for e in examples[:3]] == [0, 1, 2]
+        prepared = cut_windows(constant_sequence(150))
+        assert prepared.n_test == 7
+        assert prepared.test_offsets[:3].tolist() == [0, 1, 2]
 
     def test_step_144(self):
-        examples = window(constant_sequence(300), step=144)
-        assert [e.offset for e in examples] == [0, 144]
+        prepared = cut_windows(constant_sequence(300), step=144)
+        assert prepared.test_offsets.tolist() == [0, 144]
 
     def test_too_short_gives_none(self):
-        assert window(constant_sequence(143)) == []
+        assert cut_windows(constant_sequence(143)).n_test == 0
 
     def test_window_contents_are_consecutive(self):
         seq = ContiguousSequence("p", 1, tuple(float(i + 1) for i in range(150)), sequence_id=3)
-        e = window(seq, total=144, input_len=132)[4]
-        assert e.input == tuple(float(i + 1) for i in range(4, 136))
-        assert e.target == tuple(float(i + 1) for i in range(136, 148))
-        assert e.source_sequence_id == 3
+        prepared = cut_windows(seq, total=144, input_len=132)
+        assert tuple(prepared.test_inputs[4]) == tuple(float(i + 1) for i in range(4, 136))
+        assert tuple(prepared.test_targets[4]) == tuple(float(i + 1) for i in range(136, 148))
+        assert prepared.test_seq_ids[4] == 3
+
+    @pytest.mark.parametrize(
+        "lengths", [dict(step=0), dict(input_len=144), dict(input_len=0), dict(total=10, input_len=12)]
+    )
+    def test_invalid_step_or_lengths_rejected(self, lengths):
+        with pytest.raises(DataError):
+            cut_windows(constant_sequence(150), **lengths)
 
     @settings(max_examples=200)
     @given(
@@ -210,6 +225,18 @@ class TestPreparedRoundTrip:
         raw[8] = 99  # version field follows the 8-byte magic
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
+            load_prepared(path)
+
+    def test_missing_metadata_key(self, tmp_path, small_sequences):
+        path = tmp_path / "fold.gprep"
+        save_prepared(self.build(small_sequences), path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 12)
+        meta = json.loads(raw[16 : 16 + meta_len])
+        del meta["test_offsets"]
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :])
+        with pytest.raises(FormatError, match="test_offsets"):
             load_prepared(path)
 
     def test_truncated(self, tmp_path, small_sequences):

@@ -5,9 +5,11 @@ import pytest
 
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError
+from glyco.pipeline import PreparedSet, save_prepared
 from glyco.workflows import (
     OutputTracker,
     build_forecaster,
+    prepared_path,
     read_cohorts,
     run_cluster,
     run_cohort_compare,
@@ -122,6 +124,29 @@ def test_jobs_parallelism_is_bit_identical(workspace, tmp_path):
         a = (tmp_path / "serial" / f"lstm_fold{fold_index}.glstm").read_bytes()
         b = (tmp_path / "parallel" / f"lstm_fold{fold_index}.glstm").read_bytes()
         assert a == b
+
+
+def test_evaluate_linreg_with_non_positive_forecast(tmp_path):
+    # a steep fall extrapolates below 0 mg/dL; the error grid still zones it
+    falling = np.linspace(400.0, 20.0, 132)
+    inputs = np.stack([falling, np.full(132, 120.0)])
+    targets = np.stack([np.full(12, 40.0), np.linspace(110.0, 140.0, 12)])
+    config = RunConfig(**{**SMALL, "k_folds": 2})
+    (tmp_path / "prep").mkdir()
+    for fold in range(2):
+        prepared = PreparedSet(
+            np.empty((0, 132)), np.empty((0, 12)), np.empty(0, np.int64), np.empty(0, np.int64),
+            inputs, targets, np.arange(2), np.zeros(2, np.int64),
+            provenance={"fold": fold, "train_step": 1, "test_step": 1},
+        )
+        save_prepared(prepared, prepared_path(tmp_path / "prep", fold))
+    document = run_evaluate(
+        OutputTracker(), config, tmp_path / "prep", ["linreg"], None, tmp_path / "eval", scatter=True
+    )
+    scatter = np.loadtxt(tmp_path / "eval" / "scatter_linreg.csv", delimiter=",", skiprows=1)
+    assert scatter[:, 1].min() <= 0.0
+    for fold in document["models"][0]["folds"]:
+        assert sum(fold["zone_proportions"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cohort_compare_baseline(workspace, tmp_path):
