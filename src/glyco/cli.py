@@ -2,7 +2,8 @@
 
 Configuration precedence (lowest first): defaults, GLYCO_SEED, --config JSON
 file, command-line flags. Failures print one machine-parsable JSON line on
-stderr, remove partial outputs, and exit 2 (config), 3 (data), or 4 (numeric).
+stderr, remove partial outputs, and exit 2 (config), 3 (data, including a file
+that cannot be read or written), or 4 (numeric).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import ConfigError, DataError, GlycoError, InvalidValueError, Numer
 from .workflows import ALL_MODELS, OutputTracker
 
 
-def _exit_code(error: GlycoError) -> int:
+def _exit_code(error: GlycoError | OSError) -> int:
     if isinstance(error, (ConfigError, InvalidValueError)):
         return 2
     if isinstance(error, NumericError):
@@ -34,13 +35,13 @@ def _exit_code(error: GlycoError) -> int:
 def _execute(config_path, overrides, step):
     try:
         config = resolve_config(config_path, overrides)
-    except GlycoError as error:
+    except (GlycoError, OSError) as error:
         click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
         sys.exit(_exit_code(error))
     tracker = OutputTracker()
     try:
         summary = step(tracker, config)
-    except GlycoError as error:
+    except (GlycoError, OSError) as error:
         tracker.cleanup()
         click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
         sys.exit(_exit_code(error))

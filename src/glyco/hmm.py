@@ -321,6 +321,8 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: not an HMM model file (JSON is not an object)")
     if doc.get("format") != "glyco-hmm":
         raise FormatError(f"{path}: not an HMM model file")
     if doc.get("version") != 1:

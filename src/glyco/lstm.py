@@ -38,13 +38,15 @@ SCALE_LO_MGDL = 20.0
 SCALE_HI_MGDL = 600.0
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|x|.
+
+    ``minimum(x, -x)`` rather than ``-abs(x)`` keeps the sign of a NaN input,
+    so every output bit equals ``1/(1+exp(-x))`` for x >= 0 and
+    ``exp(x)/(1+exp(x))`` otherwise.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 @dataclass
@@ -211,22 +213,30 @@ def cell_forward(
         )
     if c_prev.shape != (layer.hidden_size,):
         raise InvalidValueError(f"c_prev shape {c_prev.shape} != ({layer.hidden_size},)")
-    i, f, g, o, c, _tc, h = _cell_step(layer, x[:, None], h_prev[:, None], c_prev[:, None])
-    gates = {"i": i[:, 0], "f": f[:, 0], "g": g[:, 0], "o": o[:, 0]}
-    return h[:, 0], c[:, 0], gates
+    h_size = layer.hidden_size
+    gates = np.empty((4 * h_size, 1))
+    c, tc, h = np.empty((3, h_size, 1))
+    bias = (layer.b_input + layer.b_hidden)[:, None]
+    _cell_step(layer, bias, x[:, None], h_prev[:, None], c_prev[:, None], gates, c, tc, h)
+    named = {key: gates[k * h_size : (k + 1) * h_size, 0] for k, key in enumerate("ifgo")}
+    return h[:, 0], c[:, 0], named
 
 
-def _cell_step(layer: LstmLayerParams, x, h_prev, c_prev):
-    """Batched cell step; every array carries a trailing batch axis."""
-    h = layer.hidden_size
-    a = layer.w_input @ x + layer.w_hidden @ h_prev + (layer.b_input + layer.b_hidden)[:, None]
-    i = _sigmoid(a[:h])
-    f = _sigmoid(a[h : 2 * h])
-    g = np.tanh(a[2 * h : 3 * h])
-    o = _sigmoid(a[3 * h :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return i, f, g, o, c, tc, o * tc
+def _cell_step(layer: LstmLayerParams, bias, x, h_prev, c_prev, gates, c, tc, h) -> None:
+    """Batched cell step; every array carries a trailing batch axis.
+
+    Writes the activated gates (i, f, g, o stacked as (4h, B)), the cell
+    state c, tanh(c) and h = o * tanh(c) into the given arrays. ``bias`` is
+    (b_input + b_hidden) as a (4h, 1) column.
+    """
+    n = layer.hidden_size
+    a = layer.w_input @ x + layer.w_hidden @ h_prev + bias
+    _sigmoid(a, out=gates)
+    np.tanh(a[2 * n : 3 * n], out=gates[2 * n : 3 * n])
+    i, f, g, o = gates[:n], gates[n : 2 * n], gates[2 * n : 3 * n], gates[3 * n :]
+    np.add(f * c_prev, i * g, out=c)
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
 
 
 @dataclass
@@ -247,19 +257,26 @@ class ForgetTrace:
 class _Unroll:
     """Forward pass over observed steps plus recursive feedback steps.
 
-    Records per-step intermediates when a backward pass will follow, and the
-    forget gate activations when tracing.
+    With keep_steps, every step's states and gates stay in arrays for a
+    backward pass or a forget-gate trace: ``hs`` and ``cs`` are (T+1, L, h, B)
+    with the zero state at index 0, ``gates`` is (T, L, 4h, B) and ``tcs``
+    (tanh of the cell state) is (T, L, h, B). Without it, two state slots are
+    used in turn and one gate slot is overwritten, so memory does not grow
+    with the window length.
     """
 
-    def __init__(
-        self, net: LstmNetwork, keep_cache: bool, keep_trace: bool, check_steps: bool = False
-    ):
+    def __init__(self, net: LstmNetwork, keep_steps: bool, check_steps: bool = False):
         self.net = net
-        self.keep_cache = keep_cache
-        self.keep_trace = keep_trace
+        self.keep_steps = keep_steps
         self.check_steps = check_steps
-        self.cache: list[list[tuple]] = []
-        self.forget: list[np.ndarray] = []
+
+    def input_at(self, t: int) -> np.ndarray:
+        """Layer-0 input of step t as a (1, B) row."""
+        if t < self.t_in:
+            return self.x_scaled[:, t][None, :]
+        if self.feedback_inputs is not None:
+            return self.feedback_inputs[:, t - self.t_in][None, :]
+        return self.preds[t - self.t_in][None, :]
 
     def run(self, x_scaled: np.ndarray, horizon: int, feedback_inputs: np.ndarray | None):
         """x_scaled is (B, T_in); returns scaled predictions of shape (horizon, B).
@@ -270,48 +287,47 @@ class _Unroll:
         net = self.net
         n_batch, t_in = x_scaled.shape
         t_total = t_in + horizon - 1
-        h_size = net.hidden_size
-        hs = [np.zeros((h_size, n_batch)) for _ in net.layers]
-        cs = [np.zeros((h_size, n_batch)) for _ in net.layers]
-        preds = np.empty((horizon, n_batch))
+        n_layers, h_size = net.n_layers, net.hidden_size
+        self.x_scaled, self.feedback_inputs, self.t_in = x_scaled, feedback_inputs, t_in
+        self.preds = preds = np.empty((horizon, n_batch))
+        depth = t_total if self.keep_steps else 1
+        self.hs = hs = np.empty((depth + 1, n_layers, h_size, n_batch))
+        self.cs = cs = np.empty((depth + 1, n_layers, h_size, n_batch))
+        hs[0] = cs[0] = 0.0
+        self.gates = gates = np.empty((depth, n_layers, 4 * h_size, n_batch))
+        self.tcs = tcs = np.empty((depth, n_layers, h_size, n_batch))
+        biases = [(p.b_input + p.b_hidden)[:, None] for p in net.layers]
 
         for t in range(t_total):
-            if t < t_in:
-                x = x_scaled[:, t][None, :]
-            elif feedback_inputs is not None:
-                x = feedback_inputs[:, t - t_in][None, :]
+            if self.keep_steps:
+                s, prev, cur = t, t, t + 1
             else:
-                x = preds[t - t_in][None, :]
-            step_cache = []
-            step_forget = []
+                s, prev, cur = 0, t % 2, 1 - t % 2
+            x = self.input_at(t)
             for l, layer in enumerate(net.layers):
-                i, f, g, o, c, tc, h = _cell_step(layer, x, hs[l], cs[l])
-                if self.keep_cache:
-                    step_cache.append((x, hs[l], cs[l], i, f, g, o, c, tc))
-                if self.keep_trace:
-                    step_forget.append(f)
-                hs[l], cs[l] = h, c
-                x = h
-            if self.check_steps and not (np.all(np.isfinite(x)) and np.all(np.isfinite(cs[-1]))):
+                _cell_step(
+                    layer, biases[l], x, hs[prev, l], cs[prev, l],
+                    gates[s, l], cs[cur, l], tcs[s, l], hs[cur, l],
+                )
+                x = hs[cur, l]
+            if self.check_steps and not (
+                np.all(np.isfinite(x)) and np.all(np.isfinite(cs[cur, -1]))
+            ):
                 raise NumericError(f"non-finite network state at step {t}")
-            if self.keep_cache:
-                self.cache.append(step_cache)
-            if self.keep_trace:
-                self.forget.append(np.stack(step_forget))  # (L, h, B)
             if t >= t_in - 1:
                 k = t - (t_in - 1)
-                preds[k] = net.head_weights @ hs[-1] + net.head_bias
+                preds[k] = net.head_weights @ hs[cur, -1] + net.head_bias
                 if self.check_steps and not np.all(np.isfinite(preds[k])):
                     raise NumericError(f"non-finite prediction at step {t}")
         return preds
 
-    def trace(self, t_in: int, horizon: int) -> ForgetTrace:
-        stacked = np.stack(self.forget)  # (T, L, h, B); inference batch is 1
-        values = np.transpose(stacked[:, :, :, 0], (1, 0, 2))  # (L, T, h)
+    def trace(self) -> ForgetTrace:
+        h_size = self.net.hidden_size
+        forget = self.gates[:, :, h_size : 2 * h_size, 0]  # (T, L, h); inference batch is 1
         phases = tuple(
-            "observed" if t < t_in else "recursive" for t in range(t_in + horizon - 1)
+            "observed" if t < self.t_in else "recursive" for t in range(forget.shape[0])
         )
-        return ForgetTrace(values=values, phases=phases)
+        return ForgetTrace(values=np.transpose(forget, (1, 0, 2)), phases=phases)
 
 
 def rollout(
@@ -331,20 +347,20 @@ def rollout(
         raise DataError("rollout needs a 1-D, non-empty input window")
     if not net.layers:
         raise DataError("network has no layers")
-    unroll = _Unroll(net, keep_cache=False, keep_trace=trace, check_steps=True)
+    unroll = _Unroll(net, keep_steps=trace, check_steps=True)
     preds = unroll.run(net.scaler.scale(values)[None, :], horizon, None)
     with np.errstate(over="ignore"):
         out = net.scaler.inverse(preds[:, 0])
     for k in range(horizon):
         if not np.isfinite(out[k]):
             raise NumericError(f"non-finite forecast value at step {values.size - 1 + k}")
-    return out, (unroll.trace(values.size, horizon) if trace else None)
+    return out, (unroll.trace() if trace else None)
 
 
 def rollout_batch(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> np.ndarray:
     """Vectorized rollout over rows of ``inputs`` (n, T); returns (n, horizon) mg/dL."""
     inputs = np.asarray(inputs, dtype=float)
-    unroll = _Unroll(net, keep_cache=False, keep_trace=False)
+    unroll = _Unroll(net, keep_steps=False)
     preds = unroll.run(net.scaler.scale(inputs), horizon, None)
     if not np.all(np.isfinite(preds)):
         raise NumericError("non-finite prediction in batched rollout")
@@ -390,7 +406,7 @@ def _loss_and_gradients_batch(
     n_layers = len(net.layers)
     h_size = net.hidden_size
 
-    unroll = _Unroll(net, keep_cache=True, keep_trace=False)
+    unroll = _Unroll(net, keep_steps=True)
     feed = targets_scaled if feedback == "teacher" else None
     preds = unroll.run(inputs_scaled, horizon, feed)
     residual = preds - targets_scaled.T  # (horizon, B)
@@ -415,47 +431,46 @@ def _loss_and_gradients_batch(
     d_pred = 2.0 * residual / (horizon * n_batch)
     dh_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
     dc_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
+    hs, cs, gates, tcs = unroll.hs, unroll.cs, unroll.gates, unroll.tcs
+    da = np.empty((4 * h_size, n_batch))
+    da_i, da_f, da_g, da_o = (da[k * h_size : (k + 1) * h_size] for k in range(4))
 
     for t in range(t_total - 1, -1, -1):
+        routes_input = feedback == "recursive" and t >= t_in
         d_from_above: np.ndarray | None = None
         if t >= t_in - 1:
             gp = d_pred[t - (t_in - 1)]  # (B,)
-            top_h = unroll.cache[t][n_layers - 1][6] * unroll.cache[t][n_layers - 1][8]
-            # top_h = o * tanh(c) of the top layer at step t
-            d_head_w += top_h @ gp
+            d_head_w += hs[t + 1, -1] @ gp
             d_head_b += float(gp.sum())
             d_from_above = net.head_weights[:, None] * gp[None, :]
 
         for l in range(n_layers - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, c, tc = unroll.cache[t][l]
-            dh = dh_next[l].copy()
-            if d_from_above is not None:
-                dh += d_from_above
+            layer = net.layers[l]
+            step_gates = gates[t, l]
+            i, f = step_gates[:h_size], step_gates[h_size : 2 * h_size]
+            g, o = step_gates[2 * h_size : 3 * h_size], step_gates[3 * h_size :]
+            tc = tcs[t, l]
+            dh = dh_next[l] if d_from_above is None else dh_next[l] + d_from_above
             dc = dc_next[l] + dh * o * (1.0 - tc * tc)
-            do = dh * tc
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ]
-            )
+            # Each product keeps its association, e.g. ((dc * g) * i) * (1 - i):
+            # regrouping changes the last bits of the gradients and every model.
+            np.multiply(dc * g * i, 1.0 - i, out=da_i)
+            np.multiply(dc * cs[t, l] * f, 1.0 - f, out=da_f)
+            np.multiply(dc * i, 1.0 - g * g, out=da_g)
+            np.multiply(dh * tc * o, 1.0 - o, out=da_o)
+            x = unroll.input_at(t) if l == 0 else hs[t + 1, l - 1]
             gw_i, gw_h, gb_i, gb_h = grads[l]
             gw_i += da @ x.T
-            gw_h += da @ h_prev.T
+            gw_h += da @ hs[t, l].T
             db = da.sum(axis=1)
             gb_i += db
             gb_h += db
-            layer = net.layers[l]
-            d_from_above = layer.w_input.T @ da  # gradient w.r.t. this layer's input
+            if l > 0 or routes_input:
+                d_from_above = layer.w_input.T @ da  # gradient w.r.t. this layer's input
             dh_next[l] = layer.w_hidden.T @ da
             dc_next[l] = dc * f
 
-        if feedback == "recursive" and t >= t_in:
+        if routes_input:
             d_pred[t - t_in] += d_from_above[0]  # route into the fed-back prediction
 
     arrays: list[np.ndarray] = []
@@ -657,6 +672,8 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
         header = json.loads(raw[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
 
     try:
         net = new_network(

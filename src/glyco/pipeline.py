@@ -293,6 +293,8 @@ def load_prepared(path: str | Path) -> PreparedSet:
         meta = json.loads(raw[16:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt metadata block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata block is not a JSON object")
 
     try:
         n_train, n_test = meta["n_train"], meta["n_test"]

@@ -219,6 +219,29 @@ class TestErrors:
         assert not (out / "daily_profile.csv").exists()
         assert not (out / "stats.json").exists()
 
+    def test_os_error_is_reported_and_cleaned_up(self, runner, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        cgm = tmp_path / "cgm.csv"
+        result = runner.invoke(
+            main,
+            ["synth", "--patients", "1", "--days", "1", "--out-cgm", str(cgm),
+             "--out-patients", str(blocker / "patients.csv")],
+        )
+        assert result.exit_code == 3
+        parsed = json.loads(result.output.strip().splitlines()[-1])
+        assert parsed["error"] == "FileExistsError"
+        assert not cgm.exists()  # written before the failure, then removed
+
+    def test_unreadable_config_is_reported(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["synth", "--patients", "1", "--days", "1", "--config", str(tmp_path),
+                   "--out-cgm", str(tmp_path / "c.csv")]
+        )
+        assert result.exit_code == 3
+        parsed = json.loads(result.output.strip().splitlines()[-1])
+        assert parsed["error"] == "IsADirectoryError"
+
 
 class TestBolusCommand:
     def test_worked_example(self, runner):

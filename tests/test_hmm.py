@@ -276,6 +276,13 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="initial"):
             load_hmm(path)
 
+    @pytest.mark.parametrize("payload", ["[1, 2]", "7", "null", "\"glyco-hmm\""])
+    def test_non_object_json_is_format_error(self, tmp_path, payload):
+        path = tmp_path / "m.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(FormatError, match="not an HMM model file"):
+            load_hmm(path)
+
     def test_sequence_log_likelihood_finite(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 3, 4)

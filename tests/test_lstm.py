@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -7,6 +8,7 @@ import pytest
 from glyco.errors import DataError, FormatError, NumericError
 from glyco.lstm import (
     AdamOptimizer,
+    ForgetTrace,
     Gradients,
     LstmForecaster,
     cell_forward,
@@ -21,6 +23,8 @@ from glyco.lstm import (
     save_model,
     set_flat_params,
     train,
+    _loss_and_gradients_batch,
+    _sigmoid,
 )
 from glyco.pipeline import PreparedSet
 
@@ -378,6 +382,17 @@ def test_missing_header_key_is_format_error(tmp_path):
         load_model(path)
 
 
+def test_non_object_header_is_format_error(tmp_path):
+    net = new_network(hidden_size=3, n_layers=1, seed=17)
+    path = tmp_path / "model.glstm"
+    save_model(net, path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    path.write_bytes(raw[:12] + struct.pack("<I", 3) + b"[1]" + raw[16 + header_len :])
+    with pytest.raises(FormatError, match="not a JSON object"):
+        load_model(path)
+
+
 def test_forecaster_interface():
     net = new_network(hidden_size=4, n_layers=1, seed=15)
     forecaster = LstmForecaster(net, horizon=12)
@@ -385,3 +400,181 @@ def test_forecaster_interface():
     batch = forecaster.predict(np.tile(np.linspace(100, 200, 132), (3, 1)))
     assert batch.shape == (3, 12)
     np.testing.assert_allclose(batch[0], out, atol=1e-12)
+
+
+# Frozen reference kernel: the masked sigmoid, per-step tuple cache, copy and
+# concatenate formulation that the array kernel in glyco.lstm replaced. The
+# kernel must reproduce it bit for bit, since every model, curve, report and
+# trace file is compared byte for byte across versions.
+
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_cell_step(layer, x, h_prev, c_prev):
+    h = layer.hidden_size
+    a = layer.w_input @ x + layer.w_hidden @ h_prev + (layer.b_input + layer.b_hidden)[:, None]
+    i = ref_sigmoid(a[:h])
+    f = ref_sigmoid(a[h : 2 * h])
+    g = np.tanh(a[2 * h : 3 * h])
+    o = ref_sigmoid(a[3 * h :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return i, f, g, o, c, tc, o * tc
+
+
+def ref_unroll(net, x_scaled, horizon, feedback_inputs):
+    """Returns (preds (horizon, B), per-step list of per-layer tuples, forget list)."""
+    n_batch, t_in = x_scaled.shape
+    hs = [np.zeros((net.hidden_size, n_batch)) for _ in net.layers]
+    cs = [np.zeros((net.hidden_size, n_batch)) for _ in net.layers]
+    preds = np.empty((horizon, n_batch))
+    cache, forget = [], []
+    for t in range(t_in + horizon - 1):
+        if t < t_in:
+            x = x_scaled[:, t][None, :]
+        elif feedback_inputs is not None:
+            x = feedback_inputs[:, t - t_in][None, :]
+        else:
+            x = preds[t - t_in][None, :]
+        step_cache, step_forget = [], []
+        for l, layer in enumerate(net.layers):
+            i, f, g, o, c, tc, h = ref_cell_step(layer, x, hs[l], cs[l])
+            step_cache.append((x, hs[l], cs[l], i, f, g, o, c, tc))
+            step_forget.append(f)
+            hs[l], cs[l] = h, c
+            x = h
+        cache.append(step_cache)
+        forget.append(np.stack(step_forget))
+        if t >= t_in - 1:
+            preds[t - (t_in - 1)] = net.head_weights @ hs[-1] + net.head_bias
+    return preds, cache, forget
+
+
+def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
+    n_batch, t_in = inputs_scaled.shape
+    horizon = targets_scaled.shape[1]
+    n_layers, h_size = len(net.layers), net.hidden_size
+    feed = targets_scaled if feedback == "teacher" else None
+    preds, cache, _ = ref_unroll(net, inputs_scaled, horizon, feed)
+    residual = preds - targets_scaled.T
+    loss = float(np.mean(residual**2))
+    grads = [
+        (np.zeros_like(p.w_input), np.zeros_like(p.w_hidden),
+         np.zeros_like(p.b_input), np.zeros_like(p.b_hidden))
+        for p in net.layers
+    ]
+    d_head_w = np.zeros(h_size)
+    d_head_b = 0.0
+    d_pred = 2.0 * residual / (horizon * n_batch)
+    dh_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
+    dc_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
+    for t in range(t_in + horizon - 2, -1, -1):
+        d_from_above = None
+        if t >= t_in - 1:
+            gp = d_pred[t - (t_in - 1)]
+            top_h = cache[t][n_layers - 1][6] * cache[t][n_layers - 1][8]
+            d_head_w += top_h @ gp
+            d_head_b += float(gp.sum())
+            d_from_above = net.head_weights[:, None] * gp[None, :]
+        for l in range(n_layers - 1, -1, -1):
+            x, h_prev, c_prev, i, f, g, o, c, tc = cache[t][l]
+            dh = dh_next[l].copy()
+            if d_from_above is not None:
+                dh += d_from_above
+            dc = dc_next[l] + dh * o * (1.0 - tc * tc)
+            do = dh * tc
+            di = dc * g
+            df = dc * c_prev
+            dg = dc * i
+            da = np.concatenate(
+                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)]
+            )
+            gw_i, gw_h, gb_i, gb_h = grads[l]
+            gw_i += da @ x.T
+            gw_h += da @ h_prev.T
+            db = da.sum(axis=1)
+            gb_i += db
+            gb_h += db
+            d_from_above = net.layers[l].w_input.T @ da
+            dh_next[l] = net.layers[l].w_hidden.T @ da
+            dc_next[l] = dc * f
+        if feedback == "recursive" and t >= t_in:
+            d_pred[t - t_in] += d_from_above[0]
+    arrays = [a for layer_grads in grads for a in layer_grads] + [d_head_w]
+    return loss, arrays, d_head_b
+
+
+def ref_rollout_batch(net, inputs, horizon):
+    preds, _, _ = ref_unroll(net, net.scaler.scale(inputs), horizon, None)
+    return net.scaler.inverse(preds.T)
+
+
+def ref_rollout_trace(net, values, horizon):
+    preds, _, forget = ref_unroll(net, net.scaler.scale(values)[None, :], horizon, None)
+    values_lth = np.transpose(np.stack(forget)[:, :, :, 0], (1, 0, 2))
+    return net.scaler.inverse(preds[:, 0]), values_lth
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 746.0, -746.0,
+                1e-300, -1e-300]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([specials, rng.normal(scale=20.0, size=4000), rng.normal(size=4000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(_sigmoid(x), ref_sigmoid(x))
+        block = x[: 32 * 125].reshape(32, 125)
+        assert same_bits(_sigmoid(block), np.vstack([ref_sigmoid(r) for r in np.split(block, 4)]))
+
+
+# Each case takes one of the seeds 0-3 in turn.
+KERNEL_GRID = [
+    (k % 4, *case)
+    for k, case in enumerate(
+        itertools.product((1, 37, 128), (1, 3), (3, 8), (1, 12), (2, 132), ("recursive", "teacher"))
+    )
+]
+
+
+@pytest.mark.parametrize("seed,n_batch,n_layers,hidden,horizon,t_in,feedback", KERNEL_GRID)
+def test_kernel_bit_identical_to_reference(
+    seed, n_batch, n_layers, hidden, horizon, t_in, feedback
+):
+    """Loss, gradients, batched and traced rollouts equal the frozen kernel's bits."""
+    rng = np.random.default_rng(seed)
+    net = new_network(hidden_size=hidden, n_layers=n_layers, seed=seed)
+    # Larger weights on some seeds drive gates into saturation.
+    set_flat_params(net, get_flat_params(net) * (1 + seed))
+    inputs = rng.uniform(40, 400, (n_batch, t_in))
+    targets = rng.uniform(40, 400, (n_batch, horizon))
+    inputs_scaled, targets_scaled = net.scaler.scale(inputs), net.scaler.scale(targets)
+
+    loss, grads = _loss_and_gradients_batch(net, inputs_scaled, targets_scaled, feedback)
+    ref_loss, ref_arrays, ref_head_b = ref_loss_and_gradients(
+        net, inputs_scaled, targets_scaled, feedback
+    )
+    assert same_bits(loss, ref_loss)
+    assert len(grads.arrays) == len(ref_arrays)
+    for got, want in zip(grads.arrays, ref_arrays):
+        assert same_bits(got, want)
+    assert same_bits(grads.head_bias, ref_head_b)
+
+    assert same_bits(rollout_batch(net, inputs, horizon), ref_rollout_batch(net, inputs, horizon))
+    predictions, trace = rollout(net, inputs[-1], horizon=horizon, trace=True)
+    ref_predictions, ref_forget = ref_rollout_trace(net, inputs[-1], horizon)
+    assert same_bits(predictions, ref_predictions)
+    assert same_bits(trace.values, ref_forget)
+    assert list(trace.to_csv_rows())[1:] == list(
+        ForgetTrace(values=ref_forget, phases=trace.phases).to_csv_rows()
+    )[1:]

@@ -239,6 +239,15 @@ class TestPreparedRoundTrip:
         with pytest.raises(FormatError, match="test_offsets"):
             load_prepared(path)
 
+    def test_non_object_metadata_is_format_error(self, tmp_path, small_sequences):
+        path = tmp_path / "fold.gprep"
+        save_prepared(self.build(small_sequences), path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 12)
+        path.write_bytes(raw[:12] + struct.pack("<I", 3) + b"[1]" + raw[16 + meta_len :])
+        with pytest.raises(FormatError, match="not a JSON object"):
+            load_prepared(path)
+
     def test_truncated(self, tmp_path, small_sequences):
         prepared = self.build(small_sequences)
         path = tmp_path / "fold.gprep"
