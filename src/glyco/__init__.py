@@ -1,7 +1,6 @@
 """CGM glucose forecasting: ingestion, clustering, forecasters, and metrics."""
 
 from .core import (
-    ContiguousSequence,
     GlucoseReading,
     PatientRecord,
     mgdl_to_mmoll,
@@ -19,7 +18,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContiguousSequence",
     "GlucoseReading",
     "PatientRecord",
     "mgdl_to_mmoll",

@@ -2,8 +2,8 @@
 
 Configuration precedence (lowest first): defaults, GLYCO_SEED, --config JSON
 file, command-line flags. Failures print one machine-parsable JSON line on
-stderr, remove partial outputs, and exit 2 (config), 3 (data, including a file
-that cannot be read or written), or 4 (numeric).
+stderr, remove the files the failed run created, and exit 2 (config), 3 (data,
+including a file that cannot be read or written), or 4 (numeric).
 """
 
 from __future__ import annotations

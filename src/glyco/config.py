@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .core import is_int, is_real
 from .errors import ConfigError
 
 
@@ -66,6 +67,16 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+# Accepted JSON values per RunConfig field annotation: a bool is not an int,
+# an int is fine where a float is expected.
+_TYPE_CHECKS = {
+    "int": is_int,
+    "float": is_real,
+    "float | None": lambda v: v is None or is_real(v),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
     """Merge sources into a validated RunConfig; unknown keys are errors."""
     values: dict = {}
@@ -88,10 +99,13 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
 
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(values) - known
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    unknown = set(values) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for name, value in values.items():
+        if not _TYPE_CHECKS[types[name]](value):
+            raise ConfigError(f"config key {name} must be {types[name]}, got {value!r}")
     config = RunConfig(**values)
     config.validate()
     return config

@@ -20,8 +20,15 @@ GLUCOSE_MAX_MGDL = 1000.0  # inclusive
 # Consecutive readings further apart than this start a new sequence.
 MAX_GAP_SECONDS = 900
 
-# Nominal spacing of CGM readings, seconds.
-NOMINAL_STEP_SECONDS = 300
+
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true/false)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for an int or a float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def mgdl_to_mmoll(v: float) -> float:
@@ -58,33 +65,6 @@ class GlucoseReading:
                 f"glucose value {self.value!r} outside ({GLUCOSE_MIN_MGDL}, "
                 f"{GLUCOSE_MAX_MGDL}] mg/dL"
             )
-
-
-@dataclass(frozen=True)
-class ContiguousSequence:
-    """A gap-free run of readings for one patient, treated as uniform 5-minute steps.
-
-    Construction enforces that the run was built from readings whose raw
-    consecutive gaps were at most 900 s; within the sequence the actual gaps
-    are discarded and every step counts as one nominal 300 s interval.
-    """
-
-    patient_id: str
-    start_timestamp: int
-    values: tuple[float, ...]
-    sequence_id: int = -1
-    nominal_step: int = NOMINAL_STEP_SECONDS
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise InvalidValueError("sequence must contain at least one reading")
-        for v in self.values:
-            if not math.isfinite(v) or not (GLUCOSE_MIN_MGDL < v <= GLUCOSE_MAX_MGDL):
-                raise InvalidValueError(f"sequence value {v!r} outside glucose range")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_int, is_real
 from .errors import DataError, FormatError, InvalidValueError
 
 PROB_FLOOR = 1e-10
@@ -319,8 +320,8 @@ def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
 def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: not an HMM model file (JSON is not an object)")
     if doc.get("format") != "glyco-hmm":
@@ -328,15 +329,22 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
     if doc.get("version") != 1:
         raise FormatError(f"{path}: unsupported version {doc.get('version')!r}")
     try:
-        initial = np.asarray(doc["initial"], dtype=float)
-        transition = np.asarray(doc["transition"], dtype=float)
-        emission = np.asarray(doc["emission"], dtype=float)
+        matrices = [doc[key] for key in ("initial", "transition", "emission")]
         n_states, n_symbols = doc["n_states"], doc["n_symbols"]
         iterations, final_ll = doc["trained_iterations"], doc["final_log_likelihood"]
         q = doc["quantizer"]
-        quantizer = Quantizer(q["n_symbols"], q["lo"], q["hi"])
+        if not isinstance(q, dict):
+            raise FormatError(f"{path}: quantizer is not a JSON object")
+        q_symbols, lo, hi = q["n_symbols"], q["lo"], q["hi"]
     except KeyError as exc:
         raise FormatError(f"{path}: HMM file lacks key {exc}") from exc
+    integers = (n_states, n_symbols, iterations, q_symbols)
+    if not (all(is_int(v) for v in integers) and all(is_real(v) for v in (final_ll, lo, hi))):
+        raise FormatError(f"{path}: HMM field of the wrong type")
+    try:
+        initial, transition, emission = (np.asarray(m, dtype=float) for m in matrices)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: HMM matrix is not numeric: {exc}") from exc
     if initial.shape != (n_states,) or emission.shape != (n_states, n_symbols):
         raise FormatError(f"{path}: matrix shapes inconsistent with header")
     model = HmmModel(
@@ -346,4 +354,4 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
         trained_iterations=iterations,
         final_log_likelihood=final_ll,
     )
-    return model, quantizer
+    return model, Quantizer(q_symbols, lo, hi)

@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    GLUCOSE_MAX_MGDL,
-    GLUCOSE_MIN_MGDL,
-    ContiguousSequence,
-    GlucoseReading,
-    PatientRecord,
-)
+from .core import GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, GlucoseReading, PatientRecord
 from .errors import DataError, FormatError
 
 CGM_HEADER = ["patient_id", "timestamp", "glucose_mgdl"]
@@ -41,20 +35,38 @@ SLOTS_PER_DAY = 86400 // 300  # 288 five-minute slots
 
 @dataclass(frozen=True)
 class Corpus:
-    """All readings sorted by (patient_id, timestamp), plus patient records."""
+    """All readings sorted by (patient_id, timestamp), plus patient records.
+
+    Construction builds the read-only columns the data path uses: one
+    ``patient_ids`` str per reading (an object array), int64 ``timestamps``
+    and float64 ``values``.
+    """
 
     readings: tuple[GlucoseReading, ...]
     patients: tuple[PatientRecord, ...] = ()
+    patient_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    timestamps: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        keys = [(r.patient_id, r.timestamp) for r in self.readings]
-        if keys != sorted(keys):
-            raise DataError("corpus readings must be sorted by (patient_id, timestamp)")
-        if len(set(keys)) != len(keys):
-            raise DataError("corpus readings contain duplicate (patient_id, timestamp)")
+        n = len(self.readings)
+        try:
+            stamps = np.fromiter((r.timestamp for r in self.readings), np.int64, n)
+        except OverflowError as exc:
+            raise DataError(f"corpus timestamp outside the int64 range: {exc}") from exc
+        pids = np.array([r.patient_id for r in self.readings], dtype=object)
+        values = np.fromiter((r.value for r in self.readings), float, n)
+        for name, column in (("patient_ids", pids), ("timestamps", stamps), ("values", values)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        increasing = np.where(pids[1:] == pids[:-1], np.diff(stamps) > 0, pids[1:] > pids[:-1])
+        if not increasing.all():
+            raise DataError(
+                "corpus readings must be strictly increasing in (patient_id, timestamp)"
+            )
 
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.readings], dtype=float)
+    def __len__(self) -> int:
+        return len(self.readings)
 
 
 @dataclass
@@ -133,6 +145,9 @@ def parse_cgm_csv(
                 continue
             if ts <= 0:
                 report.rejected.append((row_number, f"non-positive timestamp {ts}"))
+                continue
+            if ts >= 2**63:
+                report.rejected.append((row_number, f"timestamp {ts} beyond the int64 range"))
                 continue
             if not math.isfinite(value) or not (GLUCOSE_MIN_MGDL < value <= GLUCOSE_MAX_MGDL):
                 report.rejected.append((row_number, f"glucose {value!r} out of range"))
@@ -242,7 +257,7 @@ def write_patient_csv(patients, path: str | Path) -> None:
 
 def corpus_stats(corpus: Corpus) -> dict:
     """Mean, population s.d., min, max, and count of all readings."""
-    values = corpus.values()
+    values = corpus.values
     if values.size < 2:
         raise DataError(f"corpus statistics need at least 2 readings, got {values.size}")
     return {
@@ -277,21 +292,17 @@ class DailyProfile:
 
 def daily_profile(corpus: Corpus) -> DailyProfile:
     """Group readings by five-minute slot of day; per-slot mean and population s.d."""
-    buckets: list[list[float]] = [[] for _ in range(SLOTS_PER_DAY)]
-    for r in corpus.readings:
-        buckets[(r.timestamp % 86400) // 300].append(r.value)
+    slots = (corpus.timestamps % 86400) // 300
+    by_slot = corpus.values[np.argsort(slots, kind="stable")]
+    counts = np.bincount(slots, minlength=SLOTS_PER_DAY).tolist()
     means: list[float | None] = []
     sds: list[float | None] = []
-    counts: list[int] = []
-    for bucket in buckets:
-        counts.append(len(bucket))
-        if bucket:
-            arr = np.array(bucket)
-            means.append(float(arr.mean()))
-            sds.append(float(arr.std()))
-        else:
-            means.append(None)
-            sds.append(None)
+    lo = 0
+    for count in counts:
+        bucket = by_slot[lo : lo + count]
+        lo += count
+        means.append(float(bucket.mean()) if count else None)
+        sds.append(float(bucket.std()) if count else None)
     return DailyProfile(tuple(means), tuple(sds), tuple(counts))
 
 
@@ -318,17 +329,13 @@ class LengthHistogram:
         }
 
 
-def sequence_length_histogram(
-    sequences: list[ContiguousSequence], threshold: int = 144
-) -> LengthHistogram:
-    counts: dict[int, int] = {}
-    eligible = 0
-    for seq in sequences:
-        n = len(seq)
-        counts[n] = counts.get(n, 0) + 1
-        if n >= threshold:
-            eligible += 1
-    return LengthHistogram(counts, threshold, eligible, len(sequences))
+def sequence_length_histogram(lengths, threshold: int = 144) -> LengthHistogram:
+    """Histogram of sequence lengths, e.g. ``SequenceStore.lengths``."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    sizes, counts = np.unique(lengths, return_counts=True)
+    eligible = int(np.count_nonzero(lengths >= threshold))
+    counts_by_length = dict(zip(sizes.tolist(), counts.tolist()))
+    return LengthHistogram(counts_by_length, threshold, eligible, len(lengths))
 
 
 # Synthetic corpus generator. A test fixture calibrated to the real corpus

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_int, is_real
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 from .pipeline import PreparedSet
 
@@ -676,16 +677,16 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
         raise FormatError(f"{path}: header is not a JSON object")
 
     try:
-        net = new_network(
-            hidden_size=header["hidden_size"],
-            n_layers=header["n_layers"],
-            seed=header["seed"],
-            input_size=header["input_size"],
-            scaler=Scaler(header["scaler_lo"], header["scaler_hi"]),
-        )
+        sizes = [header[key] for key in ("hidden_size", "n_layers", "input_size")]
+        seed, lo, hi = header["seed"], header["scaler_lo"], header["scaler_hi"]
         provenance = header["provenance"]
     except KeyError as exc:
         raise FormatError(f"{path}: header lacks key {exc}") from exc
+    typed = all(is_int(v) and v >= 1 for v in sizes) and is_int(seed) and seed >= 0
+    if not (typed and is_real(lo) and is_real(hi) and isinstance(provenance, dict)):
+        raise FormatError(f"{path}: header field of the wrong type or out of range")
+    hidden_size, n_layers, input_size = sizes
+    net = new_network(hidden_size, n_layers, seed, input_size, Scaler(lo, hi))
     expected = param_count(net) * 8
     payload = raw[header_end:]
     if len(payload) != expected:

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContiguousSequence, GlucoseReading, MAX_GAP_SECONDS
+from .core import MAX_GAP_SECONDS, is_int
 from .errors import DataError, FormatError
+from .ingest import Corpus
 
 PREPARED_MAGIC = b"GLYFPREP"
 PREPARED_VERSION = 1
@@ -43,46 +44,40 @@ class FoldSplit:
             raise DataError("fold train and test sequence ids overlap")
 
 
-def segment(
-    readings: list[GlucoseReading] | tuple[GlucoseReading, ...],
-    max_gap: int = MAX_GAP_SECONDS,
-) -> list[ContiguousSequence]:
-    """Split readings into contiguous sequences at gaps > max_gap or patient change.
+@dataclass(frozen=True, eq=False)
+class SequenceStore:
+    """Gap-free sequences as slices of one reading array.
+
+    Sequence i is ``values[starts[i]:starts[i + 1]]`` of patient
+    ``patient_ids[i]``; its id is its position i. Within a sequence the raw
+    gaps (each at most the gap rule's limit) are discarded and every step
+    counts as one nominal 300 s interval.
+    """
+
+    values: np.ndarray  # float64, every reading of the corpus in order
+    starts: np.ndarray  # int64, n_sequences + 1 boundaries
+    patient_ids: np.ndarray  # object (str), one per sequence
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+
+def segment(corpus: Corpus, max_gap: int = MAX_GAP_SECONDS) -> SequenceStore:
+    """Split a corpus into contiguous sequences at gaps > max_gap or patient change.
 
     The gap boundary is inclusive: a gap of exactly max_gap seconds does not
-    split. Input must be sorted by (patient_id, timestamp).
+    split. ``Corpus`` has already checked the (patient_id, timestamp) order.
     """
-    sequences: list[ContiguousSequence] = []
-    current: list[GlucoseReading] = []
-
-    def flush() -> None:
-        if current:
-            sequences.append(
-                ContiguousSequence(
-                    patient_id=current[0].patient_id,
-                    start_timestamp=current[0].timestamp,
-                    values=tuple(r.value for r in current),
-                    sequence_id=len(sequences),
-                )
-            )
-
-    prev: GlucoseReading | None = None
-    for r in readings:
-        if prev is not None and r.patient_id == prev.patient_id and r.timestamp <= prev.timestamp:
-            raise DataError(
-                f"readings not sorted: patient {r.patient_id} timestamp {r.timestamp} "
-                f"after {prev.timestamp}"
-            )
-        if prev is not None and prev.patient_id > r.patient_id:
-            raise DataError("readings not sorted by patient_id")
-        if prev is None or r.patient_id != prev.patient_id or r.timestamp - prev.timestamp > max_gap:
-            flush()
-            current = [r]
-        else:
-            current.append(r)
-        prev = r
-    flush()
-    return sequences
+    first = np.ones(len(corpus), dtype=bool)
+    first[1:] = (corpus.patient_ids[1:] != corpus.patient_ids[:-1]) | (
+        np.diff(corpus.timestamps) > max_gap
+    )
+    starts = np.append(np.flatnonzero(first), len(corpus))
+    return SequenceStore(corpus.values, starts, corpus.patient_ids[starts[:-1]])
 
 
 def window_count(length: int, total: int, step: int) -> int:
@@ -93,32 +88,32 @@ def window_count(length: int, total: int, step: int) -> int:
 
 
 def kfold_split(
-    sequences: list[ContiguousSequence],
+    store: SequenceStore,
     k: int = 5,
     seed: int = 42,
     total: int = DEFAULT_TOTAL,
+    pool: np.ndarray | None = None,
 ) -> list[FoldSplit]:
     """Deal eligible sequences (length >= total) round-robin into k folds
     after a seeded shuffle; fold i tests on fold i and trains on the rest.
+
+    pool, a per-sequence boolean mask, restricts the split to a cohort's
+    sequences; every sequence of a patient is in or out together.
     """
-    eligible = [s.sequence_id for s in sequences if len(s) >= total]
+    windowable = store.lengths >= total
+    if pool is not None:
+        windowable &= pool
+    eligible = np.flatnonzero(windowable)
     if len(eligible) < k:
         raise DataError(f"need at least k={k} eligible sequences, got {len(eligible)}")
     rng = np.random.default_rng(seed)
-    order = [eligible[i] for i in rng.permutation(len(eligible))]
-    buckets: list[set[int]] = [set() for _ in range(k)]
-    for position, sid in enumerate(order):
-        buckets[position % k].add(sid)
-    all_ids = frozenset(eligible)
-    return [
-        FoldSplit(
-            fold_index=i,
-            train_sequence_ids=frozenset(all_ids - buckets[i]),
-            test_sequence_ids=frozenset(buckets[i]),
-            seed=seed,
-        )
-        for i in range(k)
-    ]
+    order = eligible[rng.permutation(len(eligible))]
+    all_ids = frozenset(eligible.tolist())
+    folds = []
+    for i in range(k):
+        test_ids = frozenset(order[i::k].tolist())
+        folds.append(FoldSplit(i, all_ids - test_ids, test_ids, seed))
+    return folds
 
 
 @dataclass
@@ -172,70 +167,53 @@ class PreparedSet:
 
 
 def _window_arrays(
-    sequences: list[ContiguousSequence], ids: frozenset[int], total: int, input_len: int, step: int
+    store: SequenceStore, ids: frozenset[int], total: int, input_len: int, step: int
 ):
-    inputs, targets, seq_ids, offsets = [], [], [], []
-    for seq in sequences:
-        if seq.sequence_id not in ids or len(seq) < total:
-            continue
-        values = np.asarray(seq.values, dtype=float)
-        views = np.lib.stride_tricks.sliding_window_view(values, total)[::step]
-        inputs.append(views[:, :input_len])
-        targets.append(views[:, input_len:])
-        n = views.shape[0]
-        seq_ids.append(np.full(n, seq.sequence_id, dtype=np.int64))
-        offsets.append(np.arange(0, n * step, step, dtype=np.int64))
-    if not inputs:
-        return (
-            np.empty((0, input_len)),
-            np.empty((0, total - input_len)),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
+    """Windows of the given sequences in id order, cut at offsets 0, step, ..."""
+    ids = np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    counts = np.maximum((store.lengths[ids] - total) // step + 1, 0)
+    seq_ids = np.repeat(ids, counts)
+    first_row = np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = (np.arange(len(seq_ids), dtype=np.int64) - first_row) * step
+    if not len(seq_ids):
+        return np.empty((0, input_len)), np.empty((0, total - input_len)), seq_ids, offsets
+    windows = np.lib.stride_tricks.sliding_window_view(store.values, total)
+    rows = store.starts[seq_ids] + offsets
     return (
-        np.ascontiguousarray(np.concatenate(inputs)),
-        np.ascontiguousarray(np.concatenate(targets)),
-        np.concatenate(seq_ids),
-        np.concatenate(offsets),
+        np.ascontiguousarray(windows[rows, :input_len]),
+        np.ascontiguousarray(windows[rows, input_len:]),
+        seq_ids,
+        offsets,
     )
 
 
 def prepare(
-    sequences: list[ContiguousSequence],
+    store: SequenceStore,
     fold: FoldSplit,
     total: int = DEFAULT_TOTAL,
     input_len: int = DEFAULT_INPUT_LEN,
     train_step: int = 1,
     test_step: int = 1,
-    cohort_filter: set[str] | None = None,
     cohort_label: str = "all",
 ) -> PreparedSet:
     """Window a fold into train/test arrays.
 
-    Each eligible sequence of length L yields the windows of ``total``
-    readings at offsets 0, step, 2*step, ... (``window_count`` of them);
-    trailing readings that do not fill a window are discarded.
-
-    cohort_filter keeps only sequences whose patient is in the given set; all
-    of a patient's sequences stay on one side because filtering happens at the
-    patient level and the fold split is by sequence id. The fold must have
-    been built from the same (filtered) sequence list.
+    Each fold sequence of length L yields the windows of ``total`` readings
+    at offsets 0, step, 2*step, ... (``window_count`` of them); trailing
+    readings that do not fill a window are discarded. Only the fold's
+    sequences are windowed, so a cohort's fold (see ``kfold_split``'s pool)
+    gives that cohort's windows.
     """
     if train_step < 1 or test_step < 1:
         raise DataError(f"window steps must be >= 1, got {train_step} and {test_step}")
     if not (0 < input_len < total):
         raise DataError(f"need 0 < input_len ({input_len}) < total ({total})")
-    if cohort_filter is not None:
-        sequences = [s for s in sequences if s.patient_id in cohort_filter]
-        if not sequences:
-            raise DataError("cohort filter removed every sequence")
-    known = {s.sequence_id for s in sequences}
     fold_ids = fold.train_sequence_ids | fold.test_sequence_ids
-    if not fold_ids <= known:
-        raise DataError("fold references sequence ids absent from the sequence list")
+    if fold_ids and not (0 <= min(fold_ids) and max(fold_ids) < len(store)):
+        raise DataError("fold references sequence ids absent from the sequence store")
 
-    tr = _window_arrays(sequences, fold.train_sequence_ids, total, input_len, train_step)
-    te = _window_arrays(sequences, fold.test_sequence_ids, total, input_len, test_step)
+    tr = _window_arrays(store, fold.train_sequence_ids, total, input_len, train_step)
+    te = _window_arrays(store, fold.test_sequence_ids, total, input_len, test_step)
     provenance = {
         "fold": fold.fold_index,
         "cohort": cohort_label,
@@ -299,10 +277,24 @@ def load_prepared(path: str | Path) -> PreparedSet:
     try:
         n_train, n_test = meta["n_train"], meta["n_test"]
         input_len, horizon = meta["input_len"], meta["horizon"]
-        ids = {key: np.asarray(meta[key], dtype=np.int64) for key in INDEX_KEYS}
+        ids = {key: meta[key] for key in INDEX_KEYS}
         provenance = meta["provenance"]
     except KeyError as exc:
         raise FormatError(f"{path}: metadata lacks key {exc}") from exc
+    if not (
+        all(is_int(v) and v >= 0 for v in (n_train, n_test, input_len, horizon))
+        and isinstance(provenance, dict)
+    ):
+        raise FormatError(f"{path}: metadata field of the wrong type")
+    for key in INDEX_KEYS:
+        try:
+            ids[key] = np.array(ids[key])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {key} is not a list of integers") from exc
+        rows = n_train if key.startswith("train") else n_test
+        if ids[key].shape != (rows,) or (rows and ids[key].dtype.kind != "i"):
+            raise FormatError(f"{path}: {key} is not a list of {rows} integers")
+        ids[key] = ids[key].astype(np.int64)
     sizes = [
         (n_train, input_len),
         (n_train, horizon),

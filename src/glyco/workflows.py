@@ -26,7 +26,11 @@ ALL_MODELS = BASELINE_MODELS + TRAINED_MODELS
 
 
 class OutputTracker:
-    """Records every file written so failed runs leave nothing behind."""
+    """Records the files a run creates so a failed run leaves none behind.
+
+    A path that already exists when it is registered belongs to an earlier
+    run and is never removed.
+    """
 
     def __init__(self) -> None:
         self.paths: list[Path] = []
@@ -34,7 +38,8 @@ class OutputTracker:
     def register(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.paths.append(path)
+        if not path.exists():
+            self.paths.append(path)
         return path
 
     def write_json(self, path: str | Path, obj) -> Path:
@@ -127,8 +132,8 @@ def run_stats(
 ) -> dict:
     out_dir = Path(out_dir)
     corpus = load_corpus(cgm_path, patients_path)
-    sequences = pipeline.segment(corpus.readings, config.max_gap_s)
-    histogram = ingest.sequence_length_histogram(sequences, threshold=config.window_total)
+    store = pipeline.segment(corpus, config.max_gap_s)
+    histogram = ingest.sequence_length_histogram(store.lengths, threshold=config.window_total)
     document: dict = {
         "config": config.to_dict(),
         "corpus": ingest.corpus_stats(corpus),
@@ -214,18 +219,15 @@ def read_cohorts(path: str | Path) -> dict[str, str]:
     return assignments
 
 
-def _cohort_patient_filter(
-    cohorts_path: str | Path | None, cohort: str
-) -> tuple[set[str] | None, str]:
-    if cohort == "all":
-        return None, "all"
-    if cohorts_path is None:
-        raise ConfigError("a cohort filter needs --cohorts (patient_id,cohort CSV)")
-    assignments = read_cohorts(cohorts_path)
-    keep = {pid for pid, label in assignments.items() if label == cohort}
-    if not keep:
-        raise DataError(f"no patient has cohort {cohort!r}")
-    return keep, cohort
+def _cohort_pool(
+    store: pipeline.SequenceStore, assignments: dict[str, str], cohort: str
+) -> np.ndarray:
+    """Per-sequence mask of the sequences whose patient is in the cohort."""
+    keep = sorted(pid for pid, label in assignments.items() if label == cohort)
+    pool = np.isin(store.patient_ids, np.array(keep, dtype=object))
+    if not pool.any():
+        raise DataError(f"cohort {cohort!r} has no sequences")
+    return pool
 
 
 def prepared_path(out_dir: str | Path, fold_index: int) -> Path:
@@ -233,21 +235,16 @@ def prepared_path(out_dir: str | Path, fold_index: int) -> Path:
 
 
 def _prepare_fold(
-    config: RunConfig,
-    sequences: list,
-    fold: pipeline.FoldSplit,
-    keep: set[str] | None,
-    label: str,
+    config: RunConfig, store: pipeline.SequenceStore, fold: pipeline.FoldSplit, label: str
 ) -> pipeline.PreparedSet:
     """One fold's windows with the configured window lengths and steps."""
     return pipeline.prepare(
-        sequences,
+        store,
         fold,
         total=config.window_total,
         input_len=config.window_input,
         train_step=config.train_step,
         test_step=config.test_step,
-        cohort_filter=keep,
         cohort_label=label,
     )
 
@@ -261,17 +258,18 @@ def run_prepare(
 ) -> dict:
     out_dir = Path(out_dir)
     corpus = load_corpus(cgm_path)
-    sequences = pipeline.segment(corpus.readings, config.max_gap_s)
-    keep, label = _cohort_patient_filter(cohorts_path, config.cohort)
-    eligible_pool = sequences if keep is None else [s for s in sequences if s.patient_id in keep]
-    if not eligible_pool:
-        raise DataError("cohort filter removed every sequence")
+    store = pipeline.segment(corpus, config.max_gap_s)
+    label, pool = config.cohort, None
+    if label != "all":
+        if cohorts_path is None:
+            raise ConfigError("a cohort filter needs --cohorts (patient_id,cohort CSV)")
+        pool = _cohort_pool(store, read_cohorts(cohorts_path), label)
     folds = pipeline.kfold_split(
-        eligible_pool, k=config.k_folds, seed=config.seed, total=config.window_total
+        store, k=config.k_folds, seed=config.seed, total=config.window_total, pool=pool
     )
     fold_summaries = []
     for fold in folds:
-        prepared = _prepare_fold(config, sequences, fold, keep, label)
+        prepared = _prepare_fold(config, store, fold, label)
         pipeline.save_prepared(prepared, tracker.register(prepared_path(out_dir, fold.fold_index)))
         fold_summaries.append(
             {
@@ -282,11 +280,12 @@ def run_prepare(
                 "test_sequences": len(fold.test_sequence_ids),
             }
         )
-    histogram = ingest.sequence_length_histogram(eligible_pool, threshold=config.window_total)
+    lengths = store.lengths if pool is None else store.lengths[pool]
+    histogram = ingest.sequence_length_histogram(lengths, threshold=config.window_total)
     document = {
         "config": config.to_dict(),
         "cohort": label,
-        "sequences_total": len(eligible_pool),
+        "sequences_total": histogram.total,
         "sequences_eligible": histogram.eligible_count,
         "eligible_fraction": histogram.eligible_fraction,
         "folds": fold_summaries,
@@ -534,16 +533,15 @@ def run_cohort_compare(
         raise ConfigError(f"fold must be in [0, {config.k_folds})")
     out_dir = Path(out_dir)
     corpus = load_corpus(cgm_path)
-    sequences = pipeline.segment(corpus.readings, config.max_gap_s)
+    store = pipeline.segment(corpus, config.max_gap_s)
     assignments = read_cohorts(cohorts_path)
     cohort_labels = sorted(set(assignments.values()))
 
-    def prepare_for(keep: set[str] | None, label: str) -> pipeline.PreparedSet:
-        pool = sequences if keep is None else [s for s in sequences if s.patient_id in keep]
-        if not pool:
-            raise DataError(f"cohort {label!r} has no sequences")
-        folds = pipeline.kfold_split(pool, k=config.k_folds, seed=config.seed, total=config.window_total)
-        return _prepare_fold(config, sequences, folds[fold_index], keep, label)
+    def prepare_for(pool: np.ndarray | None, label: str) -> pipeline.PreparedSet:
+        folds = pipeline.kfold_split(
+            store, k=config.k_folds, seed=config.seed, total=config.window_total, pool=pool
+        )
+        return _prepare_fold(config, store, folds[fold_index], label)
 
     def trained_forecaster(prepared: pipeline.PreparedSet, tag: str):
         horizon = prepared.horizon
@@ -562,8 +560,7 @@ def run_cohort_compare(
     cohort_sets = {}
     cohort_models = {}
     for label in cohort_labels:
-        keep = {pid for pid, c in assignments.items() if c == label}
-        prepared = prepare_for(keep, label)
+        prepared = prepare_for(_cohort_pool(store, assignments, label), label)
         cohort_sets[label] = prepared
         cohort_models[label] = trained_forecaster(prepared, label)
 

@@ -11,5 +11,5 @@ def small_corpus():
 
 
 @pytest.fixture(scope="session")
-def small_sequences(small_corpus):
-    return segment(small_corpus.readings)
+def small_store(small_corpus):
+    return segment(small_corpus)

@@ -202,10 +202,10 @@ def test_c07_pipeline_safety():
             assert window_count(length, total, step) == brute
 
         corpus = synth_corpus(6, 10, seed=3)
-        sequences = segment(corpus.readings)
+        sequences = segment(corpus)
         folds = kfold_split(sequences, k=5, seed=3)
 
-        eligible = {s.sequence_id for s in sequences if len(s) >= 144}
+        eligible = set(np.flatnonzero(sequences.lengths >= 144).tolist())
         test_ids = [set(f.test_sequence_ids) for f in folds]
         assert set().union(*test_ids) == eligible
         assert sum(len(t) for t in test_ids) == len(eligible)
@@ -228,7 +228,7 @@ def test_c07_pipeline_safety():
 def test_c08_end_to_end_learning_signal():
     with criterion(8, "5-epoch network beats copy-last pooled over 5 folds", 600.0):
         corpus = synth_corpus(20, 30, seed=7)
-        sequences = segment(corpus.readings)
+        sequences = segment(corpus)
         folds = kfold_split(sequences, k=5, seed=7)
 
         lstm_preds, copy_preds, targets = [], [], []
@@ -249,7 +249,7 @@ def test_c08_end_to_end_learning_signal():
         copy_rmse = rmse(np.concatenate(copy_preds), np.concatenate(targets))
         assert lstm_rmse < copy_rmse, f"{lstm_rmse:.2f} not below copy-last {copy_rmse:.2f}"
 
-        probe = synth_corpus(1, 2, seed=9).values()[:132]
+        probe = synth_corpus(1, 2, seed=9).values[:132]
         _, trace = rollout(best_net, probe, horizon=12, trace=True)
         assert trace.values.shape == (3, 143, 8)
         assert np.all(trace.values > 0.0) and np.all(trace.values < 1.0)

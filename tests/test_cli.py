@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -184,6 +185,29 @@ class TestErrors:
                    "--out-cgm", str(tmp_path / "c.csv"), "--out-patients", str(tmp_path / "p.csv")]
         )
         assert result.exit_code == 2
+
+    def test_wrongly_typed_config_value_is_config_error(self, runner, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"k_folds": "5"}))
+        result = runner.invoke(
+            main, ["synth", "--patients", "1", "--days", "1", "--config", str(config),
+                   "--out-cgm", str(tmp_path / "c.csv"), "--out-patients", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 2
+        assert json.loads(result.output.strip().splitlines()[-1])["error"] == "ConfigError"
+
+    def test_failed_rerun_keeps_earlier_outputs(self, runner, pipeline_dir, tmp_path):
+        prep, models = tmp_path / "prep", tmp_path / "models"
+        shutil.copytree(pipeline_dir / "prep", prep)
+        args = ["train", "--prepared-dir", str(prep), "--model", "copy_last",
+                "--out-dir", str(models), *TINY]
+        assert runner.invoke(main, args).exit_code == 0
+        before = {p.name: p.read_bytes() for p in models.iterdir()}
+        assert "copy_last_fold2.json" in before
+        (prep / "fold1.gprep").write_bytes(b"corrupt")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert {p.name: p.read_bytes() for p in models.iterdir()} == before
 
     def test_unknown_model_is_config_error(self, runner, pipeline_dir, tmp_path):
         root = pipeline_dir

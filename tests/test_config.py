@@ -68,3 +68,22 @@ def test_missing_config_file():
 def test_config_echo_is_json_serializable():
     payload = json.dumps(RunConfig().to_dict(), sort_keys=True)
     assert "window_total" in payload
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"k_folds": "5"}, {"lstm_hidden": "8"}, {"seed": True}, {"hypo_mgdl": "70"},
+     {"lstm_lr": False}, {"lstm_clip_norm": "5"}, {"cohort": 1}, {"train_step": 1.0}],
+)
+def test_value_types_checked(tmp_path, values):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(values))
+    with pytest.raises(ConfigError, match=next(iter(values))):
+        resolve_config(str(config_file), {})
+
+
+def test_int_for_float_and_null_clip_norm_accepted(tmp_path):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({"hypo_mgdl": 65, "lstm_clip_norm": None}))
+    config = resolve_config(str(config_file), {})
+    assert config.hypo_mgdl == 65 and config.lstm_clip_norm is None

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from glyco.core import (
-    ContiguousSequence,
     GlucoseReading,
     PatientRecord,
     mgdl_to_mmoll,
@@ -60,21 +59,6 @@ class TestGlucoseReading:
     def test_ceiling_value_kept(self):
         # sensor-ceiling readings are valid data, never clipped
         assert GlucoseReading("p1", 1, 401.0).value == 401.0
-
-
-class TestContiguousSequence:
-    def test_minimum_length(self):
-        with pytest.raises(InvalidValueError):
-            ContiguousSequence("p1", 1000, ())
-
-    def test_values_validated(self):
-        with pytest.raises(InvalidValueError):
-            ContiguousSequence("p1", 1000, (100.0, -1.0))
-
-    def test_nominal_step(self):
-        s = ContiguousSequence("p1", 1000, (100.0, 110.0))
-        assert s.nominal_step == 300
-        assert len(s) == 2
 
 
 class TestPatientRecord:

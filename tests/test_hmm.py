@@ -283,6 +283,32 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="not an HMM model file"):
             load_hmm(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quantizer", [2, 0.0, 2.0]),
+            ("initial", "abc"),
+            ("transition", {"a": 1}),
+            ("trained_iterations", 1.5),
+            ("quantizer", {"n_symbols": "2", "lo": 0.0, "hi": 2.0}),
+            ("quantizer", {"n_symbols": 2, "lo": "0", "hi": 2.0}),
+        ],
+    )
+    def test_wrongly_typed_field_is_format_error(self, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_hmm(path)
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"format": "glyco-hmm", "note": "\xff\xfe"}')
+        with pytest.raises(FormatError):
+            load_hmm(path)
+
     def test_sequence_log_likelihood_finite(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 3, 4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glyco.core import ContiguousSequence, GlucoseReading
+from glyco.core import GlucoseReading
 from glyco.errors import DataError, FormatError
 from glyco.ingest import (
     Corpus,
@@ -49,6 +49,16 @@ class TestParseCgm:
             tmp_path,
             "a.csv",
             "patient_id,timestamp,glucose_mgdl\np1,1000,180.0\np1,inf,190.0\n",
+        )
+        readings, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
+        assert report.kept == 1
+        assert [row for row, _ in report.rejected] == [3]
+
+    def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
+        path = write(
+            tmp_path,
+            "a.csv",
+            "patient_id,timestamp,glucose_mgdl\np1,1000,180.0\np1,1e30,190.0\n",
         )
         readings, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
         assert report.kept == 1
@@ -123,6 +133,39 @@ class TestParsePatients:
         assert tuple(patients) == small_corpus.patients
 
 
+class TestCorpus:
+    def test_columns_follow_readings(self, small_corpus):
+        readings = small_corpus.readings
+        assert len(small_corpus) == len(readings)
+        assert small_corpus.patient_ids.tolist() == [r.patient_id for r in readings]
+        assert small_corpus.timestamps.tolist() == [r.timestamp for r in readings]
+        assert small_corpus.values.tolist() == [r.value for r in readings]
+        assert small_corpus.timestamps.dtype == np.int64
+        assert not small_corpus.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("p1", 1300), ("p1", 1000)],  # timestamps out of order
+            [("p1", 1000), ("p1", 1000)],  # duplicate (patient_id, timestamp)
+            [("p2", 1000), ("p1", 1300)],  # patients out of order
+            [("p1", 1000), ("p2", 1000), ("p1", 1300)],  # a patient split in two
+        ],
+    )
+    def test_order_enforced(self, rows):
+        with pytest.raises(DataError):
+            Corpus(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
+
+    def test_patient_order_is_string_order(self):
+        rows = [("p10", 5000), ("p9", 1000)]  # "p10" < "p9" as strings
+        corpus = Corpus(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
+        assert corpus.patient_ids.tolist() == ["p10", "p9"]
+
+    def test_timestamp_beyond_int64_is_data_error(self):
+        with pytest.raises(DataError):
+            Corpus((GlucoseReading("p1", 2**63, 100.0),))
+
+
 class TestCorpusStats:
     def test_constant_series(self):
         readings = tuple(GlucoseReading("p1", 1000 + 300 * i, 100.0) for i in range(3))
@@ -163,14 +206,23 @@ class TestDailyProfile:
         profile = daily_profile(small_corpus)
         assert sum(profile.count) == len(small_corpus.readings)
 
+    def test_identical_to_bucket_loop(self):
+        # the per-reading bucket loop the column version replaced
+        corpus = synth_corpus(16, 12, seed=1001)
+        buckets = [[] for _ in range(288)]
+        for r in corpus.readings:
+            buckets[(r.timestamp % 86400) // 300].append(r.value)
+        profile = daily_profile(corpus)
+        for slot, bucket in enumerate(buckets):
+            arr = np.array(bucket)
+            assert profile.count[slot] == len(bucket)
+            assert profile.mean[slot] == (float(arr.mean()) if bucket else None)
+            assert profile.sd[slot] == (float(arr.std()) if bucket else None)
+
 
 class TestLengthHistogram:
     def test_direct_count(self):
-        seqs = [
-            ContiguousSequence("p", 1000, tuple(100.0 for _ in range(n)))
-            for n in (10, 150, 150)
-        ]
-        hist = sequence_length_histogram(seqs)
+        hist = sequence_length_histogram([10, 150, 150])
         assert hist.counts == {10: 1, 150: 2}
         assert hist.eligible_count == 2
         assert hist.eligible_fraction == pytest.approx(2 / 3)
@@ -196,13 +248,13 @@ class TestSynthCorpus:
         assert abs(stats["sd_mgdl"] - 87.0) < 30
 
     def test_clipping(self):
-        values = synth_corpus(1, 1, seed=1).values()
+        values = synth_corpus(1, 1, seed=1).values
         assert values.min() >= 40.0 and values.max() <= 600.0
 
     def test_bad_arguments(self):
         with pytest.raises(DataError):
             synth_corpus(0, 1, seed=1)
 
-    def test_heavy_tailed_lengths(self, small_sequences):
-        lengths = sorted(len(s) for s in small_sequences)
+    def test_heavy_tailed_lengths(self, small_store):
+        lengths = sorted(small_store.lengths.tolist())
         assert lengths[0] < 144 <= lengths[-1]  # mix of short and windowable runs

@@ -382,6 +382,25 @@ def test_missing_header_key_is_format_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("hidden_size", "3"), ("n_layers", 1.5), ("seed", True), ("scaler_lo", "40"),
+     ("hidden_size", 0), ("provenance", [])],
+)
+def test_wrongly_typed_header_field_is_format_error(tmp_path, field, value):
+    net = new_network(hidden_size=3, n_layers=1, seed=17)
+    path = tmp_path / "model.glstm"
+    save_model(net, path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16 : 16 + header_len])
+    header[field] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+    with pytest.raises(FormatError, match="wrong type"):
+        load_model(path)
+
+
 def test_non_object_header_is_format_error(tmp_path):
     net = new_network(hidden_size=3, n_layers=1, seed=17)
     path = tmp_path / "model.glstm"

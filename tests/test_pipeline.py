@@ -1,13 +1,18 @@
 import json
 import struct
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from glyco.core import ContiguousSequence, GlucoseReading
+from glyco.core import GlucoseReading
 from glyco.errors import DataError, FormatError
+from glyco.ingest import Corpus, synth_corpus
 from glyco.pipeline import (
     FoldSplit,
+    PreparedSet,
+    SequenceStore,
     kfold_split,
     load_prepared,
     prepare,
@@ -26,80 +31,145 @@ def readings_with_gaps(gaps, patient="p1", start=10_000):
     return out
 
 
-def constant_sequence(n, patient="p", sid=0):
-    return ContiguousSequence(patient, 10_000, tuple(100.0 + i % 7 for i in range(n)), sequence_id=sid)
+def segment_rows(rows):
+    return segment(Corpus(tuple(rows)))
+
+
+def make_store(*sequences, patient="p"):
+    """A store holding the given value sequences, ids in argument order."""
+    values = np.concatenate([np.asarray(s, dtype=float) for s in sequences])
+    starts = np.cumsum([0, *map(len, sequences)])
+    return SequenceStore(values, starts, np.full(len(sequences), patient, dtype=object))
+
+
+def constant_values(n):
+    return 100.0 + np.arange(n) % 7
 
 
 class TestSegment:
     def test_split_on_large_gap(self):
-        seqs = segment(readings_with_gaps([300, 300, 1200, 300]))
-        assert [len(s) for s in seqs] == [3, 2]
+        store = segment_rows(readings_with_gaps([300, 300, 1200, 300]))
+        assert store.lengths.tolist() == [3, 2]
 
     def test_single_run(self):
-        seqs = segment(readings_with_gaps([300] * 9))
-        assert [len(s) for s in seqs] == [10]
+        store = segment_rows(readings_with_gaps([300] * 9))
+        assert store.lengths.tolist() == [10]
 
     def test_gap_exactly_900_does_not_split(self):
-        seqs = segment(readings_with_gaps([300, 900, 300]))
-        assert [len(s) for s in seqs] == [4]
+        store = segment_rows(readings_with_gaps([300, 900, 300]))
+        assert store.lengths.tolist() == [4]
 
     def test_gap_901_splits(self):
-        seqs = segment(readings_with_gaps([300, 901, 300]))
-        assert [len(s) for s in seqs] == [2, 2]
+        store = segment_rows(readings_with_gaps([300, 901, 300]))
+        assert store.lengths.tolist() == [2, 2]
 
     def test_patient_change_splits(self):
         rows = readings_with_gaps([300], patient="a") + readings_with_gaps([300], patient="b")
-        seqs = segment(rows)
-        assert [s.patient_id for s in seqs] == ["a", "b"]
+        store = segment_rows(rows)
+        assert store.patient_ids.tolist() == ["a", "b"]
 
     def test_unsorted_rejected(self):
         rows = readings_with_gaps([300, 300])
         with pytest.raises(DataError):
-            segment([rows[1], rows[0], rows[2]])
+            segment_rows([rows[1], rows[0], rows[2]])
 
-    def test_every_reading_in_exactly_one_sequence(self, small_corpus, small_sequences):
-        assert sum(len(s) for s in small_sequences) == len(small_corpus.readings)
+    def test_every_reading_in_exactly_one_sequence(self, small_corpus, small_store):
+        assert small_store.starts[0] == 0
+        assert np.all(small_store.lengths > 0)
+        assert small_store.starts[-1] == len(small_corpus.readings)
 
-    def test_sequence_ids_are_positions(self, small_sequences):
-        assert [s.sequence_id for s in small_sequences] == list(range(len(small_sequences)))
+    def test_sequence_ids_are_positions(self, small_corpus, small_store):
+        readings = small_corpus.readings
+        for sid, (lo, hi) in enumerate(zip(small_store.starts, small_store.starts[1:])):
+            assert {r.patient_id for r in readings[lo:hi]} == {small_store.patient_ids[sid]}
+            assert small_store.values[lo:hi].tolist() == [r.value for r in readings[lo:hi]]
 
-    def test_idempotent_over_resegmentation(self, small_sequences):
+    def test_idempotent_over_resegmentation(self, small_corpus, small_store):
+        store = small_store
         rebuilt = []
-        for s in small_sequences:
-            for i, v in enumerate(s.values):
-                rebuilt.append(GlucoseReading(s.patient_id, s.start_timestamp + 300 * i, v))
-        rebuilt.sort(key=lambda r: (r.patient_id, r.timestamp))
-        again = segment(rebuilt)
-        assert [(s.patient_id, s.start_timestamp, s.values) for s in again] == [
-            (s.patient_id, s.start_timestamp, s.values) for s in small_sequences
-        ]
+        for sid, lo in enumerate(store.starts[:-1].tolist()):
+            first = int(small_corpus.timestamps[lo])
+            for i in range(int(store.lengths[sid])):
+                pid = store.patient_ids[sid]
+                rebuilt.append(GlucoseReading(pid, first + 300 * i, float(store.values[lo + i])))
+        again = segment_rows(rebuilt)
+        assert again.starts.tolist() == store.starts.tolist()
+        assert again.patient_ids.tolist() == store.patient_ids.tolist()
+        assert again.values.tobytes() == store.values.tobytes()
+
+    def test_empty_corpus(self):
+        store = segment_rows([])
+        assert len(store) == 0 and store.starts.tolist() == [0]
 
 
-def cut_windows(sequence, step=1, **lengths):
-    """The test-side windows ``prepare`` cuts from one sequence."""
-    fold = FoldSplit(0, frozenset(), frozenset({sequence.sequence_id}), seed=0)
-    return prepare([sequence], fold, test_step=step, **lengths)
+# One patient's readings as (gap before the reading) steps; the gap list
+# includes both sides of the 900 s rule.
+GAPS = st.one_of(st.sampled_from([300, 899, 900, 901, 1200]), st.integers(1, 5000))
+PATIENT_GAPS = st.lists(st.lists(GAPS, max_size=12), min_size=1, max_size=4)
+
+
+def corpus_from_gaps(patient_gaps):
+    rows = []
+    for p, gaps in enumerate(patient_gaps):
+        rows += readings_with_gaps(gaps, patient=f"p{p}", start=1_000 + p)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(patient_gaps=PATIENT_GAPS)
+@example(patient_gaps=[[], [901, 901, 900], [300]])  # single-reading sequences
+def test_segment_splits_exactly_at_the_gap_rule(patient_gaps):
+    rows = corpus_from_gaps(patient_gaps)
+    store = segment_rows(rows)
+    boundaries = set(store.starts.tolist())
+    assert store.starts[0] == 0 and store.starts[-1] == len(rows)
+    for i in range(1, len(rows)):
+        new_patient = rows[i].patient_id != rows[i - 1].patient_id
+        gap = rows[i].timestamp - rows[i - 1].timestamp
+        assert (i in boundaries) == (new_patient or gap > 900), (i, gap)
+    assert np.all(store.lengths >= 1)
+    assert store.patient_ids.tolist() == [rows[i].patient_id for i in store.starts[:-1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(patient_gaps=PATIENT_GAPS, data=st.data())
+def test_unsorted_or_duplicate_input_rejected(patient_gaps, data):
+    rows = corpus_from_gaps(patient_gaps)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows) - 1))
+    if i == j:
+        rows.insert(i, rows[i])  # a duplicate (patient_id, timestamp)
+    else:
+        rows[i], rows[j] = rows[j], rows[i]
+    with pytest.raises(DataError):
+        segment_rows(rows)
+
+
+def cut_windows(store, sid=0, step=1, **lengths):
+    """The test-side windows ``prepare`` cuts from one sequence of a store."""
+    fold = FoldSplit(0, frozenset(), frozenset({sid}), seed=0)
+    return prepare(store, fold, test_step=step, **lengths)
 
 
 class TestWindow:
     def test_exact_fit(self):
-        assert cut_windows(constant_sequence(144)).n_test == 1
+        assert cut_windows(make_store(constant_values(144))).n_test == 1
 
     def test_150_gives_7(self):
-        prepared = cut_windows(constant_sequence(150))
+        prepared = cut_windows(make_store(constant_values(150)))
         assert prepared.n_test == 7
         assert prepared.test_offsets[:3].tolist() == [0, 1, 2]
 
     def test_step_144(self):
-        prepared = cut_windows(constant_sequence(300), step=144)
+        prepared = cut_windows(make_store(constant_values(300)), step=144)
         assert prepared.test_offsets.tolist() == [0, 144]
 
     def test_too_short_gives_none(self):
-        assert cut_windows(constant_sequence(143)).n_test == 0
+        assert cut_windows(make_store(constant_values(143))).n_test == 0
 
     def test_window_contents_are_consecutive(self):
-        seq = ContiguousSequence("p", 1, tuple(float(i + 1) for i in range(150)), sequence_id=3)
-        prepared = cut_windows(seq, total=144, input_len=132)
+        store = make_store(*[constant_values(5)] * 3, np.arange(1.0, 151.0))
+        prepared = cut_windows(store, sid=3, total=144, input_len=132)
         assert tuple(prepared.test_inputs[4]) == tuple(float(i + 1) for i in range(4, 136))
         assert tuple(prepared.test_targets[4]) == tuple(float(i + 1) for i in range(136, 148))
         assert prepared.test_seq_ids[4] == 3
@@ -109,7 +179,7 @@ class TestWindow:
     )
     def test_invalid_step_or_lengths_rejected(self, lengths):
         with pytest.raises(DataError):
-            cut_windows(constant_sequence(150), **lengths)
+            cut_windows(make_store(constant_values(150)), **lengths)
 
     @settings(max_examples=200)
     @given(
@@ -125,7 +195,7 @@ class TestWindow:
 
 class TestKfold:
     def make(self, n):
-        return [constant_sequence(150, sid=i) for i in range(n)]
+        return make_store(*[constant_values(150)] * n)
 
     def test_balanced_partition(self):
         folds = kfold_split(self.make(10), k=5, seed=1)
@@ -151,8 +221,8 @@ class TestKfold:
             assert fold.train_sequence_ids | fold.test_sequence_ids == set(range(11))
 
     def test_short_sequences_excluded(self):
-        seqs = self.make(6) + [constant_sequence(50, sid=6)]
-        folds = kfold_split(seqs, k=5, seed=1)
+        store = make_store(*[constant_values(150)] * 6, constant_values(50))
+        folds = kfold_split(store, k=5, seed=1)
         assert all(6 not in f.train_sequence_ids | f.test_sequence_ids for f in folds)
 
     def test_too_few_eligible(self):
@@ -162,49 +232,166 @@ class TestKfold:
 
 class TestPrepare:
     def test_window_arithmetic(self):
-        seqs = [constant_sequence(150, sid=0), constant_sequence(150, sid=1)]
+        store = make_store(constant_values(150), constant_values(150))
         fold = FoldSplit(0, frozenset({0}), frozenset({1}), seed=1)
-        prepared = prepare(seqs, fold, train_step=1, test_step=144)
+        prepared = prepare(store, fold, train_step=1, test_step=144)
         assert prepared.n_train == 7
         assert prepared.n_test == 1
 
-    def test_leakage_freedom(self, small_sequences):
-        folds = kfold_split(small_sequences, k=5, seed=42)
-        prepared = prepare(small_sequences, folds[0])
+    def test_leakage_freedom(self, small_store):
+        folds = kfold_split(small_store, k=5, seed=42)
+        prepared = prepare(small_store, folds[0])
         train_ids = set(prepared.train_seq_ids.tolist())
         test_ids = set(prepared.test_seq_ids.tolist())
         assert not (train_ids & test_ids)
 
-    def test_cohort_filter_keeps_patient_together(self, small_sequences):
-        patients = {s.patient_id for s in small_sequences}
-        keep = {sorted(patients)[0]}
-        filtered = [s for s in small_sequences if s.patient_id in keep]
-        folds = kfold_split(filtered, k=2, seed=1)
-        prepared = prepare(small_sequences, folds[0], cohort_filter=keep, cohort_label="c0")
-        by_id = {s.sequence_id: s for s in small_sequences}
+    def test_cohort_filter_keeps_patient_together(self, small_store):
+        keep = sorted(set(small_store.patient_ids))[0]
+        pool = small_store.patient_ids == keep
+        folds = kfold_split(small_store, k=2, seed=1, pool=pool)
+        prepared = prepare(small_store, folds[0], cohort_label="c0")
         used = set(prepared.train_seq_ids.tolist()) | set(prepared.test_seq_ids.tolist())
-        assert all(by_id[sid].patient_id in keep for sid in used)
+        assert used and all(small_store.patient_ids[sid] == keep for sid in used)
         assert prepared.provenance["cohort"] == "c0"
 
-    def test_cohort_filter_empty_error(self, small_sequences):
-        folds = kfold_split(small_sequences, k=5, seed=1)
+    def test_cohort_filter_empty_error(self, small_store):
         with pytest.raises(DataError):
-            prepare(small_sequences, folds[0], cohort_filter={"nobody"})
+            kfold_split(small_store, k=5, seed=1, pool=np.zeros(len(small_store), bool))
 
     def test_fold_must_match_sequences(self):
-        seqs = [constant_sequence(150, sid=0)]
+        store = make_store(constant_values(150))
         fold = FoldSplit(0, frozenset({5}), frozenset({0}), seed=1)
         with pytest.raises(DataError):
-            prepare(seqs, fold)
+            prepare(store, fold)
+
+
+# Frozen copy of the object-based data path the sequence store replaced: one
+# object per sequence, segmented reading by reading, split over a filtered
+# sequence list and windowed sequence by sequence. The guard below holds the
+# store-based path to its bytes.
+@dataclass(frozen=True)
+class _ReferenceSequence:
+    patient_id: str
+    values: tuple
+    sequence_id: int
+
+    def __len__(self):
+        return len(self.values)
+
+
+def _reference_segment(readings, max_gap=900):
+    sequences, current, prev = [], [], None
+    for r in readings:
+        if prev is None or r.patient_id != prev.patient_id or r.timestamp - prev.timestamp > max_gap:
+            if current:
+                sequences.append(_ReferenceSequence(
+                    current[0].patient_id, tuple(x.value for x in current), len(sequences)))
+            current = [r]
+        else:
+            current.append(r)
+        prev = r
+    if current:
+        sequences.append(_ReferenceSequence(
+            current[0].patient_id, tuple(x.value for x in current), len(sequences)))
+    return sequences
+
+
+def _reference_kfold(sequences, k, seed, total=144):
+    eligible = [s.sequence_id for s in sequences if len(s) >= total]
+    order = [eligible[i] for i in np.random.default_rng(seed).permutation(len(eligible))]
+    buckets = [set() for _ in range(k)]
+    for position, sid in enumerate(order):
+        buckets[position % k].add(sid)
+    return [
+        FoldSplit(i, frozenset(set(eligible) - buckets[i]), frozenset(buckets[i]), seed)
+        for i in range(k)
+    ]
+
+
+def _reference_window_arrays(sequences, ids, total, input_len, step):
+    inputs, targets, seq_ids, offsets = [], [], [], []
+    for seq in sequences:
+        if seq.sequence_id not in ids or len(seq) < total:
+            continue
+        values = np.asarray(seq.values, dtype=float)
+        views = np.lib.stride_tricks.sliding_window_view(values, total)[::step]
+        inputs.append(views[:, :input_len])
+        targets.append(views[:, input_len:])
+        n = views.shape[0]
+        seq_ids.append(np.full(n, seq.sequence_id, dtype=np.int64))
+        offsets.append(np.arange(0, n * step, step, dtype=np.int64))
+    if not inputs:
+        return (
+            np.empty((0, input_len)),
+            np.empty((0, total - input_len)),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+    return (
+        np.ascontiguousarray(np.concatenate(inputs)),
+        np.ascontiguousarray(np.concatenate(targets)),
+        np.concatenate(seq_ids),
+        np.concatenate(offsets),
+    )
+
+
+def _reference_prepared(readings, k, seed, step, keep, label):
+    sequences = _reference_segment(readings)
+    pool = [s for s in sequences if keep is None or s.patient_id in keep]
+    prepared = []
+    for fold in _reference_kfold(pool, k, seed):
+        provenance = {"fold": fold.fold_index, "cohort": label, "train_step": step,
+                      "test_step": step, "seed": seed, "total": 144, "input_len": 132}
+        prepared.append(PreparedSet(
+            *_reference_window_arrays(pool, fold.train_sequence_ids, 144, 132, step),
+            *_reference_window_arrays(pool, fold.test_sequence_ids, 144, 132, step),
+            provenance=provenance,
+        ))
+    return prepared
+
+
+def _guard_corpus(n_patients, days, seed):
+    """A synth corpus with two readings dropped in every 211, which leaves gaps
+    of exactly 900 s: synth dropouts alone never land on the gap limit."""
+    readings = synth_corpus(n_patients, days, seed).readings
+    corpus = Corpus(tuple(r for i, r in enumerate(readings) if i % 211 not in (5, 6)))
+    assert np.any(np.diff(corpus.timestamps) == 900)
+    return corpus
+
+
+@pytest.fixture(scope="module", params=[(4, 10, 101), (6, 6, 1001), (3, 12, 7)],
+                ids=lambda p: "%dx%d-seed%d" % p)
+def guard_corpus(request):
+    return _guard_corpus(*request.param)
+
+
+@pytest.mark.parametrize("step", [1, 8, 144])
+@pytest.mark.parametrize("cohort", [False, True], ids=["all", "cohort"])
+def test_prepared_bytes_identical_to_object_reference(tmp_path, guard_corpus, step, cohort):
+    store = segment(guard_corpus)
+    keep, label, k, pool = None, "all", 5, None
+    if cohort:
+        keep, label, k = set(sorted(set(guard_corpus.patient_ids))[::2]), "even", 3
+        pool = np.isin(store.patient_ids, np.array(sorted(keep), dtype=object))
+    expected = _reference_prepared(guard_corpus.readings, k, step, step, keep, label)
+    folds = kfold_split(store, k=k, seed=step, pool=pool)
+    assert len(folds) == len(expected) == k
+    new, old = tmp_path / "new.gprep", tmp_path / "reference.gprep"
+    for fold, reference in zip(folds, expected):
+        prepared = prepare(store, fold, train_step=step, test_step=step, cohort_label=label)
+        save_prepared(prepared, new)
+        save_prepared(reference, old)
+        assert prepared.n_test > 0
+        assert new.read_bytes() == old.read_bytes(), f"fold {fold.fold_index} differs"
 
 
 class TestPreparedRoundTrip:
-    def build(self, small_sequences):
-        folds = kfold_split(small_sequences, k=5, seed=7)
-        return prepare(small_sequences, folds[1], test_step=144)
+    def build(self, small_store):
+        folds = kfold_split(small_store, k=5, seed=7)
+        return prepare(small_store, folds[1], test_step=144)
 
-    def test_round_trip_equality(self, tmp_path, small_sequences):
-        prepared = self.build(small_sequences)
+    def test_round_trip_equality(self, tmp_path, small_store):
+        prepared = self.build(small_store)
         path = tmp_path / "fold.gprep"
         save_prepared(prepared, path)
         loaded = load_prepared(path)
@@ -217,8 +404,8 @@ class TestPreparedRoundTrip:
         with pytest.raises(FormatError):
             load_prepared(path)
 
-    def test_version_mismatch(self, tmp_path, small_sequences):
-        prepared = self.build(small_sequences)
+    def test_version_mismatch(self, tmp_path, small_store):
+        prepared = self.build(small_store)
         path = tmp_path / "fold.gprep"
         save_prepared(prepared, path)
         raw = bytearray(path.read_bytes())
@@ -227,9 +414,9 @@ class TestPreparedRoundTrip:
         with pytest.raises(FormatError, match="version"):
             load_prepared(path)
 
-    def test_missing_metadata_key(self, tmp_path, small_sequences):
+    def test_missing_metadata_key(self, tmp_path, small_store):
         path = tmp_path / "fold.gprep"
-        save_prepared(self.build(small_sequences), path)
+        save_prepared(self.build(small_store), path)
         raw = path.read_bytes()
         (meta_len,) = struct.unpack_from("<I", raw, 12)
         meta = json.loads(raw[16 : 16 + meta_len])
@@ -239,17 +426,36 @@ class TestPreparedRoundTrip:
         with pytest.raises(FormatError, match="test_offsets"):
             load_prepared(path)
 
-    def test_non_object_metadata_is_format_error(self, tmp_path, small_sequences):
+    def test_non_object_metadata_is_format_error(self, tmp_path, small_store):
         path = tmp_path / "fold.gprep"
-        save_prepared(self.build(small_sequences), path)
+        save_prepared(self.build(small_store), path)
         raw = path.read_bytes()
         (meta_len,) = struct.unpack_from("<I", raw, 12)
         path.write_bytes(raw[:12] + struct.pack("<I", 3) + b"[1]" + raw[16 + meta_len :])
         with pytest.raises(FormatError, match="not a JSON object"):
             load_prepared(path)
 
-    def test_truncated(self, tmp_path, small_sequences):
-        prepared = self.build(small_sequences)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_train", "5"), ("horizon", 12.0), ("provenance", 3), ("train_seq_ids", "abc"),
+         ("test_offsets", [[0]]), ("test_seq_ids", [1.5])],
+    )
+    def test_wrongly_typed_metadata_is_format_error(self, tmp_path, small_store, field, value):
+        path = tmp_path / "fold.gprep"
+        save_prepared(self.build(small_store), path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 12)
+        meta = json.loads(raw[16 : 16 + meta_len])
+        meta[field] = value
+        if field.startswith("test_") and isinstance(value, list):
+            meta[field] = value * meta["n_test"]
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :])
+        with pytest.raises(FormatError):
+            load_prepared(path)
+
+    def test_truncated(self, tmp_path, small_store):
+        prepared = self.build(small_store)
         path = tmp_path / "fold.gprep"
         save_prepared(prepared, path)
         raw = path.read_bytes()
