@@ -1,10 +1,13 @@
 """Discrete hidden-Markov forecaster.
 
 Observations are quantized glucose values (uniform bins, midpoint decoding).
-Training is Baum-Welch with forward/backward passes kept in log space
-throughout: with 100 states and 132-step sequences the linear-space products
-underflow. A probability floor keeps every row distribution strictly
-positive so no state or symbol becomes absorbing-zero.
+Training is Baum-Welch with a scaled forward/backward pass in probability
+space, run over batches of equal-length sequences: renormalizing at every
+step keeps 100-state, 144-step products from underflowing, and each step is
+one matrix product for the whole batch. A probability floor keeps every row
+distribution strictly positive so no state or symbol becomes absorbing-zero.
+Models are stored as log-probabilities, and Viterbi decoding runs in log
+space over batches of rows.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import is_int, is_real
-from .errors import DataError, FormatError, InvalidValueError
+from .errors import DataError, FormatError, InvalidValueError, NumericError
 
 PROB_FLOOR = 1e-10
+# Sequences per E-step batch: alpha is (512, 144, 100) float64, ~60 MB, at paper scale.
+E_STEP_CHUNK = 512
+# Rows per Viterbi batch: the (rows, N, N) step scores stay ~1.3 MB, in cache, at N = 100.
+VITERBI_CHUNK = 16
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -41,6 +48,8 @@ class Quantizer:
             raise InvalidValueError("quantizer needs at least one symbol")
         if not (self.lo < self.hi):
             raise InvalidValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (0.0 < self.width < math.inf):  # also rejects an infinite bound
+            raise InvalidValueError(f"need a finite bin width > 0, got [{self.lo}, {self.hi}]")
 
     @classmethod
     def from_values(cls, values: np.ndarray, n_symbols: int) -> "Quantizer":
@@ -130,43 +139,79 @@ def _random_model(n_states: int, n_symbols: int, rng: np.random.Generator) -> Hm
     return HmmModel(np.log(pi), np.log(a), np.log(b))
 
 
-def _check_symbols(sequences: list[np.ndarray], n_symbols: int) -> list[np.ndarray]:
+def _length_batches(
+    symbol_sequences: list[np.ndarray], n_symbols: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Validated sequences grouped by length: [(input indices, symbols (S, T))].
+
+    Each batch holds at most E_STEP_CHUNK equal-length sequences, in input
+    order within a length, so any mix of lengths runs batched.
+    """
+    sequences = [np.asarray(seq, dtype=np.int64) for seq in symbol_sequences]
     if not sequences:
         raise DataError("training set is empty")
-    checked = []
-    for seq in sequences:
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.size == 0:
-            raise DataError("observation sequence is empty")
-        if arr.min() < 0 or arr.max() >= n_symbols:
-            raise DataError(f"symbol outside [0, {n_symbols})")
-        checked.append(arr)
-    return checked
+    if any(seq.ndim != 1 for seq in sequences):
+        raise DataError("each observation sequence must be one-dimensional")
+    lengths = np.array([seq.size for seq in sequences])
+    if lengths.min() == 0:
+        raise DataError("observation sequence is empty")
+    batches = []
+    for length in np.unique(lengths):
+        ids = np.flatnonzero(lengths == length)
+        for lo in range(0, ids.size, E_STEP_CHUNK):
+            chunk = ids[lo : lo + E_STEP_CHUNK]
+            symbols = np.stack([sequences[i] for i in chunk])
+            if symbols.min() < 0 or symbols.max() >= n_symbols:
+                raise DataError(f"symbol outside [0, {n_symbols})")
+            batches.append((chunk, symbols))
+    return batches
 
 
-def log_forward(model: HmmModel, symbols: np.ndarray) -> np.ndarray:
-    """Log alpha matrix, shape (T, N)."""
-    t_max = symbols.shape[0]
-    la = np.empty((t_max, model.n_states))
-    la[0] = model.log_initial + model.log_emission[:, symbols[0]]
-    for t in range(1, t_max):
-        la[t] = _logsumexp(la[t - 1][:, None] + model.log_transition, axis=0)
-        la[t] += model.log_emission[:, symbols[t]]
-    return la
+def _e_step(
+    pi: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sequence log-likelihoods and the initial, transition, emission accumulators.
 
+    Scaled forward-backward (Rabiner 1989, section V.A) over each batch: alpha
+    is renormalized at every step by its sum c_t, beta is divided by the same
+    scales, so nothing underflows, gamma_t = alpha_t * beta_t and the
+    log-likelihood is sum_t log c_t. Only alpha is kept for the whole batch;
+    beta is one step at a time, and alpha becomes gamma as the backward pass
+    goes. Batches are reduced in a fixed order, so results are deterministic.
+    """
+    n_states = a.shape[0]
+    b_by_symbol = b.T
+    log_likelihoods = np.empty(sum(ids.size for ids, _ in batches))
+    pi_acc = np.zeros(n_states)
+    xi_acc = np.zeros((n_states, n_states))
+    b_acc = np.zeros(b_by_symbol.shape)  # (M, N): one row per symbol
+    for ids, symbols in batches:
+        n_seq, t_max = symbols.shape
+        alpha = np.empty((n_seq, t_max, n_states))
+        scale = np.empty((n_seq, t_max))
+        step = pi * b_by_symbol[symbols[:, 0]]
+        for t in range(t_max):
+            if t:
+                step = (alpha[:, t - 1] @ a) * b_by_symbol[symbols[:, t]]
+            scale[:, t] = step.sum(axis=1)
+            alpha[:, t] = step / scale[:, t, None]
+        if not (np.all(scale > 0) and np.all(np.isfinite(scale))):
+            raise NumericError("forward scale is zero or not finite")
+        log_likelihoods[ids] = np.log(scale).sum(axis=1)
 
-def log_backward(model: HmmModel, symbols: np.ndarray) -> np.ndarray:
-    """Log beta matrix, shape (T, N)."""
-    t_max = symbols.shape[0]
-    lb = np.zeros((t_max, model.n_states))
-    for t in range(t_max - 2, -1, -1):
-        inner = model.log_transition + model.log_emission[:, symbols[t + 1]][None, :]
-        lb[t] = _logsumexp(inner + lb[t + 1][None, :], axis=1)
-    return lb
-
-
-def sequence_log_likelihood(model: HmmModel, symbols: np.ndarray) -> float:
-    return float(_logsumexp(log_forward(model, symbols)[-1], axis=0))
+        beta = np.ones((n_seq, n_states))
+        for t in range(t_max - 1, 0, -1):
+            weighted = b_by_symbol[symbols[:, t]] * beta / scale[:, t, None]
+            xi_acc += alpha[:, t - 1].T @ weighted
+            alpha[:, t] *= beta  # gamma_t
+            beta = weighted @ a.T
+        alpha[:, 0] *= beta
+        pi_acc += alpha[:, 0].sum(axis=0)
+        np.add.at(b_acc, symbols.ravel(), alpha.reshape(-1, n_states))
+    return log_likelihoods, pi_acc, a * xi_acc, b_acc.T
 
 
 def baum_welch(
@@ -179,110 +224,98 @@ def baum_welch(
 ) -> HmmModel:
     """Estimate an HMM from observation sequences by expectation-maximization.
 
-    Sufficient statistics are accumulated per sequence in a fixed order, so a
-    parallel map over sequences with an ordered reduction would give the same
-    result. Stops when the total log-likelihood gain drops below tol or at
-    max_iter.
+    Sequences may have any lengths; the E-step runs them in equal-length
+    batches. Stops at max_iter, or once the log-likelihood gain per
+    observation (the total gain divided by the number of symbols) drops below
+    tol, so the rule does not depend on the size of the training set.
     """
-    sequences = _check_symbols(symbol_sequences, n_symbols)
+    batches = _length_batches(symbol_sequences, n_symbols)
+    n_observations = sum(symbols.size for _, symbols in batches)
     rng = np.random.default_rng(seed)
     model = _random_model(n_states, n_symbols, rng)
+    pi, a, b = model.initial, model.transition, model.emission
 
     history: list[float] = []
     prev_ll = -np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        pi_acc = np.zeros(n_states)
-        a_acc = np.zeros((n_states, n_states))
-        b_acc = np.zeros((n_states, n_symbols))
-        total_ll = 0.0
-
-        for symbols in sequences:
-            la = log_forward(model, symbols)
-            lb = log_backward(model, symbols)
-            ll = float(_logsumexp(la[-1], axis=0))
-            total_ll += ll
-
-            gamma = np.exp(la + lb - ll)
-            pi_acc += gamma[0]
-            np.add.at(b_acc.T, symbols, gamma)  # b_acc[:, m] += sum_t gamma[t] [y_t = m]
-            if symbols.shape[0] > 1:
-                emit_next = model.log_emission[:, symbols[1:]].T  # (T-1, N)
-                xi = np.exp(
-                    la[:-1, :, None]
-                    + model.log_transition[None, :, :]
-                    + (emit_next + lb[1:])[:, None, :]
-                    - ll
-                )
-                a_acc += xi.sum(axis=0)
-
+        log_likelihoods, pi_acc, a_acc, b_acc = _e_step(pi, a, b, batches)
+        total_ll = float(log_likelihoods.sum())
         history.append(total_ll)
         pi = _floor_normalize(pi_acc)
         a = _floor_normalize(a_acc)
         b = _floor_normalize(b_acc)
-        model = HmmModel(np.log(pi), np.log(a), np.log(b))
 
-        if total_ll - prev_ll < tol and iterations > 1:
+        if (total_ll - prev_ll) / n_observations < tol and iterations > 1:
             prev_ll = total_ll
             break
         prev_ll = total_ll
 
     return HmmModel(
-        log_initial=model.log_initial,
-        log_transition=model.log_transition,
-        log_emission=model.log_emission,
+        log_initial=np.log(pi),
+        log_transition=np.log(a),
+        log_emission=np.log(b),
         trained_iterations=iterations,
         final_log_likelihood=prev_ll,
         log_likelihood_history=tuple(history),
     )
 
 
-def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, float]:
-    """Most likely state path and its joint log-probability.
+def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most likely state path and its joint log-probability for each row.
 
-    Ties resolve to the lowest state index at the final step and at every
-    backtracked predecessor (argmax returns the first maximal index).
+    symbols (n, T) -> (paths (n, T), log_probs (n,)). Ties resolve to the
+    lowest state index at the final step and at every backtracked predecessor
+    (argmax returns the first maximal index). Backpointers are not stored:
+    the backtrack recomputes the one column each step needs from the kept
+    forward scores, with the same additions, so the result does not depend
+    on how rows are batched. Rows run in chunks of VITERBI_CHUNK to bound the
+    (rows, N, N) score array.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size == 0:
-        raise DataError("viterbi needs a non-empty observation sequence")
-    t_max = symbols.shape[0]
-    delta = model.log_initial + model.log_emission[:, symbols[0]]
-    backpointers = np.empty((t_max, model.n_states), dtype=np.int64)
-    for t in range(1, t_max):
-        scores = delta[:, None] + model.log_transition
-        backpointers[t] = np.argmax(scores, axis=0)
-        delta = scores[backpointers[t], np.arange(model.n_states)]
-        delta = delta + model.log_emission[:, symbols[t]]
-    path = np.empty(t_max, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for t in range(t_max - 1, 0, -1):
-        path[t - 1] = backpointers[t, path[t]]
-    return path, float(delta[path[-1]])
+    if symbols.ndim != 2 or symbols.shape[1] == 0:
+        raise DataError("viterbi needs observation rows of shape (n, T) with T >= 1")
+    n_rows, t_max = symbols.shape
+    log_a = model.log_transition
+    emission_by_symbol = model.log_emission.T
+    paths = np.empty((n_rows, t_max), dtype=np.int64)
+    log_probs = np.empty(n_rows)
+    for lo in range(0, n_rows, VITERBI_CHUNK):
+        rows = symbols[lo : lo + VITERBI_CHUNK]
+        deltas = np.empty((t_max, rows.shape[0], model.n_states))
+        deltas[0] = model.log_initial + emission_by_symbol[rows[:, 0]]
+        for t in range(1, t_max):
+            scores = deltas[t - 1][:, :, None] + log_a
+            deltas[t] = scores.max(axis=1) + emission_by_symbol[rows[:, t]]
+        path = paths[lo : lo + VITERBI_CHUNK]
+        path[:, -1] = np.argmax(deltas[-1], axis=1)
+        for t in range(t_max - 1, 0, -1):
+            path[:, t - 1] = np.argmax(deltas[t - 1] + log_a[:, path[:, t]].T, axis=1)
+        log_probs[lo : lo + VITERBI_CHUNK] = deltas[-1].max(axis=1)
+    return paths, log_probs
 
 
 def hmm_forecast(
     model: HmmModel, quantizer: Quantizer, values: np.ndarray, horizon: int = 12
 ) -> np.ndarray:
-    """Recursive multi-step forecast in mg/dL.
+    """Recursive multi-step forecasts in mg/dL: values (n, T) -> (n, horizon).
 
-    Decode the most likely terminal state of the encoded input, then greedily
-    follow the most probable transition at each step and emit the midpoint of
-    that state's most probable symbol.
+    Decode the most likely terminal state of each encoded input row, then
+    greedily follow the most probable transition at each step and emit the
+    midpoint of that state's most probable symbol. The greedy tail depends
+    only on the terminal state, so it is tabulated once per state.
     """
     if model.n_symbols != quantizer.n_symbols:
         raise DataError(
             f"model expects {model.n_symbols} symbols, quantizer has {quantizer.n_symbols}"
         )
-    symbols = quantizer.encode(np.asarray(values, dtype=float))
-    path, _ = viterbi(model, symbols)
-    state = int(path[-1])
-    out = np.empty(horizon)
+    paths, _ = viterbi(model, quantizer.encode(np.asarray(values, dtype=float)))
+    tails = np.empty((model.n_states, horizon))
+    state = np.arange(model.n_states)
     for step in range(horizon):
-        state = int(np.argmax(model.log_transition[state]))
-        symbol = int(np.argmax(model.log_emission[state]))
-        out[step] = float(quantizer.decode(symbol))
-    return out
+        state = np.argmax(model.log_transition[state], axis=1)
+        tails[:, step] = quantizer.decode(np.argmax(model.log_emission[state], axis=1))
+    return tails[paths[:, -1]]
 
 
 class HmmForecaster:
@@ -294,11 +327,7 @@ class HmmForecaster:
         self.horizon = horizon
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """One ``hmm_forecast`` per input window (row)."""
-        out = np.empty((len(inputs), self.horizon))
-        for i, row in enumerate(inputs):
-            out[i] = hmm_forecast(self.model, self.quantizer, row, self.horizon)
-        return out
+        return hmm_forecast(self.model, self.quantizer, inputs, self.horizon)
 
 
 def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
@@ -320,7 +349,7 @@ def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
 def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: not an HMM model file (JSON is not an object)")
@@ -341,17 +370,31 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
     integers = (n_states, n_symbols, iterations, q_symbols)
     if not (all(is_int(v) for v in integers) and all(is_real(v) for v in (final_ll, lo, hi))):
         raise FormatError(f"{path}: HMM field of the wrong type")
+    if n_states < 1 or n_symbols < 1:
+        raise FormatError(f"{path}: HMM needs at least one state and one symbol")
+    if q_symbols != n_symbols:
+        raise FormatError(f"{path}: quantizer has {q_symbols} symbols, model has {n_symbols}")
     try:
         initial, transition, emission = (np.asarray(m, dtype=float) for m in matrices)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: HMM matrix is not numeric: {exc}") from exc
-    if initial.shape != (n_states,) or emission.shape != (n_states, n_symbols):
+    if (
+        initial.shape != (n_states,)
+        or transition.shape != (n_states, n_states)
+        or emission.shape != (n_states, n_symbols)
+    ):
         raise FormatError(f"{path}: matrix shapes inconsistent with header")
-    model = HmmModel(
-        log_initial=np.log(initial),
-        log_transition=np.log(transition),
-        log_emission=np.log(emission),
-        trained_iterations=iterations,
-        final_log_likelihood=final_ll,
-    )
-    return model, Quantizer(q_symbols, lo, hi)
+    if not all(np.all(np.isfinite(m) & (m >= 0)) for m in (initial, transition, emission)):
+        raise FormatError(f"{path}: HMM probabilities must be finite and non-negative")
+    try:
+        model = HmmModel(
+            log_initial=np.log(initial),
+            log_transition=np.log(transition),
+            log_emission=np.log(emission),
+            trained_iterations=iterations,
+            final_log_likelihood=final_ll,
+        )
+        quantizer = Quantizer(q_symbols, lo, hi)
+    except InvalidValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return model, quantizer

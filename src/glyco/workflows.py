@@ -347,16 +347,10 @@ def _train_lstm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_ind
 
 def _train_hmm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int, out: Path):
     seed = fold_seed(config, fold_index)
-    train_values = np.concatenate(
-        [prepared.train_inputs.ravel(), prepared.train_targets.ravel()]
-    )
-    quantizer = hmm_mod.Quantizer.from_values(train_values, config.hmm_states)
-    sequences = [
-        quantizer.encode(np.concatenate([prepared.train_inputs[i], prepared.train_targets[i]]))
-        for i in range(prepared.n_train)
-    ]
+    windows = np.concatenate([prepared.train_inputs, prepared.train_targets], axis=1)
+    quantizer = hmm_mod.Quantizer.from_values(windows, config.hmm_states)
     model = hmm_mod.baum_welch(
-        sequences,
+        list(quantizer.encode(windows)),
         n_states=config.hmm_states,
         n_symbols=config.hmm_states,  # one observation symbol per state
         max_iter=config.hmm_max_iter,

@@ -107,7 +107,7 @@ def test_c03_viterbi_oracle_equivalence():
                 np.log(_floor_normalize(rng.random((n, m)))),
             )
             symbols = rng.integers(0, m, size=t)
-            path, log_prob = viterbi(model, symbols)
+            (path,), (log_prob,) = viterbi(model, symbols[None])
 
             paths = np.array(list(itertools.product(range(n), repeat=t)), dtype=np.int64)
             scores = model.log_initial[paths[:, 0]] + model.log_emission[paths[:, 0], symbols[0]]

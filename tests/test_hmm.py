@@ -1,23 +1,122 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from glyco.errors import DataError, FormatError, InvalidValueError
+from glyco import hmm
+from glyco.errors import DataError, FormatError, GlycoError, InvalidValueError, NumericError
 from glyco.hmm import (
     HmmModel,
     Quantizer,
+    _e_step,
     _floor_normalize,
+    _length_batches,
     baum_welch,
     hmm_forecast,
     load_hmm,
-    log_backward,
-    log_forward,
     save_hmm,
-    sequence_log_likelihood,
     viterbi,
 )
+
+
+# Log-space oracle: the per-sequence forward/backward and E-step that the
+# batched, scaled E-step in glyco.hmm replaced. It never leaves log space, so
+# it cannot underflow, and the scaled E-step must match it within 1e-12.
+
+
+def ref_logsumexp(a, axis=None):
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+
+
+def log_forward(model, symbols):
+    """Log alpha matrix, shape (T, N)."""
+    t_max = symbols.shape[0]
+    la = np.empty((t_max, model.n_states))
+    la[0] = model.log_initial + model.log_emission[:, symbols[0]]
+    for t in range(1, t_max):
+        la[t] = ref_logsumexp(la[t - 1][:, None] + model.log_transition, axis=0)
+        la[t] += model.log_emission[:, symbols[t]]
+    return la
+
+
+def log_backward(model, symbols):
+    """Log beta matrix, shape (T, N)."""
+    t_max = symbols.shape[0]
+    lb = np.zeros((t_max, model.n_states))
+    for t in range(t_max - 2, -1, -1):
+        inner = model.log_transition + model.log_emission[:, symbols[t + 1]][None, :]
+        lb[t] = ref_logsumexp(inner + lb[t + 1][None, :], axis=1)
+    return lb
+
+
+def sequence_log_likelihood(model, symbols):
+    return float(ref_logsumexp(log_forward(model, symbols)[-1], axis=0))
+
+
+def ref_expectations(model, sequences):
+    """Per-sequence log-likelihoods and pi/A/B accumulators, one sequence at a time."""
+    n, m = model.n_states, model.n_symbols
+    pi_acc, a_acc, b_acc = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+    log_likelihoods = []
+    for symbols in sequences:
+        la = log_forward(model, symbols)
+        lb = log_backward(model, symbols)
+        ll = float(ref_logsumexp(la[-1], axis=0))
+        log_likelihoods.append(ll)
+        gamma = np.exp(la + lb - ll)
+        pi_acc += gamma[0]
+        np.add.at(b_acc.T, symbols, gamma)
+        if symbols.shape[0] > 1:
+            emit_next = model.log_emission[:, symbols[1:]].T
+            xi = np.exp(
+                la[:-1, :, None]
+                + model.log_transition[None, :, :]
+                + (emit_next + lb[1:])[:, None, :]
+                - ll
+            )
+            a_acc += xi.sum(axis=0)
+    return np.array(log_likelihoods), pi_acc, a_acc, b_acc
+
+
+# Frozen per-sequence Viterbi and forecast: the implementation the batched
+# ones in glyco.hmm replaced. Paths must be equal and log-probabilities and
+# forecasts equal byte for byte, since models and reports are compared byte
+# for byte across versions.
+
+
+def ref_viterbi(model, symbols):
+    symbols = np.asarray(symbols, dtype=np.int64)
+    t_max = symbols.shape[0]
+    delta = model.log_initial + model.log_emission[:, symbols[0]]
+    backpointers = np.empty((t_max, model.n_states), dtype=np.int64)
+    for t in range(1, t_max):
+        scores = delta[:, None] + model.log_transition
+        backpointers[t] = np.argmax(scores, axis=0)
+        delta = scores[backpointers[t], np.arange(model.n_states)]
+        delta = delta + model.log_emission[:, symbols[t]]
+    path = np.empty(t_max, dtype=np.int64)
+    path[-1] = int(np.argmax(delta))
+    for t in range(t_max - 1, 0, -1):
+        path[t - 1] = backpointers[t, path[t]]
+    return path, float(delta[path[-1]])
+
+
+def ref_hmm_forecast(model, quantizer, values, horizon=12):
+    symbols = quantizer.encode(np.asarray(values, dtype=float))
+    path, _ = ref_viterbi(model, symbols)
+    state = int(path[-1])
+    out = np.empty(horizon)
+    for step in range(horizon):
+        state = int(np.argmax(model.log_transition[state]))
+        symbol = int(np.argmax(model.log_emission[state]))
+        out[step] = float(quantizer.decode(symbol))
+    return out
 
 
 def random_model(rng, n_states, n_symbols):
@@ -98,6 +197,13 @@ class TestQuantizer:
         with pytest.raises(InvalidValueError):
             Quantizer(3, 0.0, 3.0).decode(3)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf), (0.0, 5e-324)]
+    )
+    def test_non_finite_bounds_or_width_rejected(self, lo, hi):
+        with pytest.raises(InvalidValueError):
+            Quantizer(2, lo, hi)
+
 
 class TestBaumWelch:
     def test_one_state_concentrates_emission(self):
@@ -158,6 +264,59 @@ class TestBaumWelch:
             baum_welch([np.array([0, 5])], n_states=2, n_symbols=2)
 
 
+    def test_stops_on_gain_per_observation(self):
+        rng = np.random.default_rng(11)
+        obs = [rng.integers(0, 4, size=50) for _ in range(40)]
+        tol = 1e-4
+        model = baum_welch(obs, n_states=3, n_symbols=4, max_iter=500, tol=tol, seed=1)
+        assert model.trained_iterations < 500
+        gains = np.diff(model.log_likelihood_history) / (40 * 50)
+        assert gains[-1] < tol
+        assert np.all(gains[:-1] >= tol)
+
+    def test_mixed_lengths_match_the_oracle_likelihood(self):
+        rng = np.random.default_rng(12)
+        obs = [rng.integers(0, 3, size=n) for n in (1, 5, 2, 5, 9, 1)]
+        model = baum_welch(obs, n_states=2, n_symbols=3, max_iter=3, seed=4)
+        again = baum_welch(obs, n_states=2, n_symbols=3, max_iter=2, seed=4)
+        # the last history entry is the likelihood of the model after two M-steps
+        expected = sum(sequence_log_likelihood(again, o) for o in obs)
+        assert model.log_likelihood_history[-1] == pytest.approx(expected, rel=1e-12)
+
+
+class TestScaledEStep:
+    @pytest.mark.parametrize("n_states, n_symbols, seed", [(1, 3, 0), (3, 5, 1), (7, 4, 2)])
+    def test_matches_log_space_oracle(self, monkeypatch, n_states, n_symbols, seed):
+        # a chunk of 4 splits the length groups, so chunk boundaries and the
+        # regrouping by length are both exercised
+        monkeypatch.setattr(hmm, "E_STEP_CHUNK", 4)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states, n_symbols)
+        lengths = rng.permutation(np.repeat([1, 2, 37, 144], [5, 3, 9, 6]))
+        sequences = [rng.integers(0, n_symbols, size=n) for n in lengths]
+        batches = _length_batches(sequences, n_symbols)
+        assert len(batches) > 4 and max(len(ids) for ids, _ in batches) == 4
+        got = _e_step(model.initial, model.transition, model.emission, batches)
+        expected = ref_expectations(model, sequences)
+        for name, g, e in zip(("log-likelihood", "pi", "A", "B"), got, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_zero_scale_is_numeric_error(self):
+        pi = np.array([0.5, 0.5])
+        a = np.full((2, 2), 0.5)
+        b = np.array([[0.0, 1.0], [0.0, 1.0]])  # symbol 0 cannot be emitted
+        batches = _length_batches([np.array([1, 0, 1])], 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                _e_step(pi, a, b, batches)
+
+    def test_non_vector_or_empty_sequence_rejected(self):
+        with pytest.raises(DataError):
+            baum_welch([np.zeros((2, 3), dtype=int)], n_states=2, n_symbols=2)
+        with pytest.raises(DataError):
+            baum_welch([np.zeros(3, dtype=int), np.array([], dtype=int)], 2, 2)
+
+
 class TestForwardBackward:
     def test_alpha_beta_agree_on_total_likelihood(self):
         rng = np.random.default_rng(8)
@@ -177,7 +336,7 @@ class TestViterbi:
     def test_single_state(self):
         model = near_deterministic_model([[1.0]], [[0.3, 0.7]])
         symbols = np.array([0, 1, 1])
-        path, lp = viterbi(model, symbols)
+        (path,), (lp,) = viterbi(model, symbols[None])
         np.testing.assert_array_equal(path, [0, 0, 0])
         expected = float(np.sum(model.log_emission[0, symbols])) + model.log_initial[0]
         assert lp == pytest.approx(expected, abs=1e-12)
@@ -188,7 +347,7 @@ class TestViterbi:
             n = int(rng.integers(2, 4))
             model = random_model(rng, n, 3)
             symbols = rng.integers(0, 3, size=int(rng.integers(2, 7)))
-            path, lp = viterbi(model, symbols)
+            (path,), (lp,) = viterbi(model, symbols[None])
             brute_path, brute_lp = brute_force_path(model, symbols)
             assert lp == pytest.approx(brute_lp, abs=1e-9)
             # the returned path must itself achieve the optimum; exact ties
@@ -203,33 +362,81 @@ class TestViterbi:
     def test_identity_emissions_echo_symbols(self):
         model = near_deterministic_model(np.full((3, 3), 1.0 / 3), np.eye(3))
         symbols = np.array([2, 0, 1, 1, 2])
-        path, _ = viterbi(model, symbols)
+        (path,), _ = viterbi(model, symbols[None])
         np.testing.assert_array_equal(path, symbols)
 
     def test_empty_rejected(self):
         model = near_deterministic_model([[1.0]], [[1.0]])
         with pytest.raises(DataError):
-            viterbi(model, np.array([], dtype=int))
+            viterbi(model, np.zeros((1, 0), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (1, 2, 2)])
+    def test_not_a_matrix_rejected(self, shape):
+        model = near_deterministic_model([[1.0]], [[1.0]])
+        with pytest.raises(DataError):
+            viterbi(model, np.zeros(shape, dtype=int))
+
+    def test_no_rows(self):
+        model = near_deterministic_model(np.eye(2), np.eye(2))
+        paths, log_probs = viterbi(model, np.zeros((0, 5), dtype=int))
+        assert paths.shape == (0, 5) and log_probs.shape == (0,)
+
+
+def tie_heavy_model(rng, n):
+    """Hard 0/1 rows smoothed by the floor: many exactly equal scores."""
+    a = (rng.random((n, n)) < 0.3).astype(float)
+    a[np.arange(n), rng.integers(0, n, n)] = 1.0
+    b = (rng.random((n, 4)) < 0.3).astype(float)
+    b[np.arange(n), rng.integers(0, 4, n)] = 1.0
+    return near_deterministic_model(a, b)
+
+
+@pytest.mark.parametrize("kind", ["random", "tie_heavy", "uniform"])
+@pytest.mark.parametrize("n_states", [1, 3, 100])
+@pytest.mark.parametrize("t_max", [1, 2, 132])
+def test_batched_viterbi_byte_identical_to_frozen(kind, n_states, t_max):
+    rng = np.random.default_rng(n_states * 1000 + t_max)
+    if kind == "random":
+        model = random_model(rng, n_states, 4)
+    elif kind == "tie_heavy":
+        model = tie_heavy_model(rng, n_states)
+    else:
+        model = near_deterministic_model(np.ones((n_states, n_states)), np.ones((n_states, 4)))
+    # more rows than one Viterbi chunk where a row is cheap for the reference
+    n_rows = hmm.VITERBI_CHUNK + 9 if n_states * t_max < 1000 else 5
+    symbols = rng.integers(0, 4, size=(n_rows, t_max))
+    paths, log_probs = viterbi(model, symbols)
+    assert paths.shape == (n_rows, t_max) and log_probs.shape == (n_rows,)
+    for row, path, log_prob in zip(symbols, paths, log_probs):
+        ref_path, ref_log_prob = ref_viterbi(model, row)
+        assert np.array_equal(path, ref_path)
+        assert np.float64(log_prob).tobytes() == np.float64(ref_log_prob).tobytes()
+
+    quantizer = Quantizer(4, 40.0, 400.0)
+    values = rng.uniform(30.0, 410.0, size=(n_rows, t_max))
+    forecasts = hmm_forecast(model, quantizer, values, horizon=7)
+    expected = np.stack([ref_hmm_forecast(model, quantizer, row, horizon=7) for row in values])
+    assert forecasts.tobytes() == expected.tobytes()
 
 
 class TestForecast:
     def test_identity_transition_constant_forecast(self):
         model = near_deterministic_model(np.eye(2), np.eye(2))
         q = Quantizer(2, 0.0, 2.0)
-        out = hmm_forecast(model, q, np.array([0.5, 0.5, 0.5]), horizon=5)
-        np.testing.assert_allclose(out, np.full(5, 0.5))
+        out = hmm_forecast(model, q, np.array([[0.5, 0.5, 0.5]]), horizon=5)
+        np.testing.assert_allclose(out, np.full((1, 5), 0.5))
 
     def test_two_state_cycle_alternates(self):
         # transition swaps the states; emissions echo the state index
         model = near_deterministic_model([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
         q = Quantizer(2, 0.0, 2.0)
-        out = hmm_forecast(model, q, np.array([0.5, 1.5, 0.5]), horizon=4)
-        np.testing.assert_allclose(out, [1.5, 0.5, 1.5, 0.5])
+        out = hmm_forecast(model, q, np.array([[0.5, 1.5, 0.5]]), horizon=4)
+        np.testing.assert_allclose(out, [[1.5, 0.5, 1.5, 0.5]])
 
     def test_symbol_count_mismatch(self):
         model = near_deterministic_model(np.eye(2), np.eye(2))
         with pytest.raises(DataError):
-            hmm_forecast(model, Quantizer(3, 0.0, 3.0), np.array([1.0]))
+            hmm_forecast(model, Quantizer(3, 0.0, 3.0), np.array([[1.0]]))
 
 
 class TestRoundTrip:
@@ -246,7 +453,7 @@ class TestRoundTrip:
         np.testing.assert_allclose(loaded.initial, model.initial, atol=1e-12)
         assert loaded_q == q
 
-        values = rng.uniform(50, 390, size=40)
+        values = rng.uniform(50, 390, size=(1, 40))
         np.testing.assert_array_equal(
             hmm_forecast(model, q, values), hmm_forecast(loaded, loaded_q, values)
         )
@@ -313,3 +520,74 @@ class TestRoundTrip:
         rng = np.random.default_rng(10)
         model = random_model(rng, 3, 4)
         assert np.isfinite(sequence_log_likelihood(model, rng.integers(0, 4, 20)))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            # zero symbols: the row-sum check would take the max of an empty row
+            {"n_states": 1, "n_symbols": 0, "initial": [1.0], "transition": [[1.0]],
+             "emission": [[]], "quantizer": {"n_symbols": 0, "lo": 0.0, "hi": 2.0}},
+            {"quantizer": {"n_symbols": 3, "lo": 0.0, "hi": 2.0}},
+            {"quantizer": {"n_symbols": 2, "lo": -1e308, "hi": 1e308}},
+            {"transition": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            {"emission": [[2.0, -1.0], [0.0, 1.0]]},
+            {"initial": [0.5, 0.6]},
+        ],
+    )
+    def test_inconsistent_model_is_format_error(self, tmp_path, changes):
+        path = tmp_path / "m.json"
+        save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_hmm(path)
+
+
+FUZZ_VALUES = st.sampled_from(
+    [0, -1, 1e400, -1e400, float("nan"), 1e308, 2**64, 1.5, None, True, "x",
+     [], [[]], [1.0], [[0.5, 0.5], [1.0]], [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], {}]
+)
+FUZZ_TOKENS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1", "0", "[]", "null"])
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_load_hmm_fuzz_raises_only_glyco_errors(tmp_path, data):
+    """Truncated, bit-flipped, re-valued and zero-size model files load or raise a GlycoError."""
+    path = tmp_path / "m.json"
+    save_hmm(random_model(np.random.default_rng(0), 2, 3), Quantizer(3, 40.0, 400.0), path)
+    raw = bytearray(path.read_bytes())
+    mutation = data.draw(
+        st.sampled_from(["truncate", "flip", "token", "field", "nested", "zero_symbols"])
+    )
+    if mutation == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    elif mutation == "token":
+        text = raw.decode()
+        numbers = [m.span() for m in re.finditer(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", text)]
+        lo, hi = data.draw(st.sampled_from(numbers))
+        raw = bytearray((text[:lo] + data.draw(FUZZ_TOKENS) + text[hi:]).encode())
+    else:
+        doc = json.loads(raw)
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if mutation == "field":
+            doc[key] = data.draw(FUZZ_VALUES)
+        elif mutation == "zero_symbols":  # a zero size the header and matrices agree on
+            doc["n_symbols"] = doc["quantizer"]["n_symbols"] = 0
+            doc["emission"] = [[] for _ in doc["emission"]]
+        else:
+            doc["quantizer"][data.draw(st.sampled_from(["n_symbols", "lo", "hi"]))] = data.draw(
+                FUZZ_VALUES
+            )
+        raw = bytearray(json.dumps(doc).encode())
+    path.write_bytes(bytes(raw))
+    try:
+        load_hmm(path)
+    except GlycoError:
+        pass
