@@ -1,4 +1,4 @@
-"""Shared domain types and glucose unit conversion.
+"""Shared domain types, glucose unit conversion and atomic file writes.
 
 All glucose concentrations are mg/dL internally. Timestamps are integer
 seconds since epoch; sub-second precision is discarded at ingest.
@@ -7,7 +7,10 @@ seconds since epoch; sub-second precision is discarded at ingest.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import InvalidValueError
 
@@ -29,6 +32,24 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """True for an int or a float that is not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
+    """Write through a sibling temporary file that replaces path on success.
+
+    If the body raises, the temporary file is removed and whatever path held
+    before (an earlier run's output, say) is left as it was.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open(mode, **open_kwargs) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def mgdl_to_mmoll(v: float) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_int, is_real
+from .core import atomic_write, is_int, is_real
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 
 PROB_FLOOR = 1e-10
@@ -343,7 +343,8 @@ def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
         "trained_iterations": model.trained_iterations,
         "final_log_likelihood": model.final_log_likelihood,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, sort_keys=True))
 
 
 def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:

@@ -19,7 +19,6 @@ a whole minibatch unrolls in one set of matrix products.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_int, is_real
+from .core import atomic_write, is_int, is_real
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 from .pipeline import PreparedSet
 
@@ -585,11 +584,10 @@ def train(
     sample_rng = np.random.default_rng([seed, 1])
     sample_size = min(heuristic_test_n, prepared.n_test)
     sample = sample_rng.choice(prepared.n_test, size=sample_size, replace=False)
-    sample_inputs = prepared.test_inputs[sample]
-    sample_targets = prepared.test_targets[sample]
-
-    train_inputs_scaled = net.scaler.scale(prepared.train_inputs)
-    train_targets_scaled = net.scaler.scale(prepared.train_targets)
+    sample_inputs, sample_targets = prepared.gather("test", sample)
+    # Scaling is elementwise, so minibatches gathered from the scaled readings
+    # hold the same bits as scaled minibatches of windows.
+    readings_scaled = net.scaler.scale(prepared.readings)
 
     optimizer = AdamOptimizer(net, lr=lr)
     checkpoints: list[Checkpoint] = []
@@ -598,9 +596,8 @@ def train(
         epoch_loss = 0.0
         for start in range(0, prepared.n_train, batch):
             rows = order[start : start + batch]
-            loss, grads = _loss_and_gradients_batch(
-                net, train_inputs_scaled[rows], train_targets_scaled[rows], feedback
-            )
+            inputs, targets = prepared.gather("train", rows, readings_scaled)
+            loss, grads = _loss_and_gradients_batch(net, inputs, targets, feedback)
             if clip_norm is not None:
                 norm = grads.global_norm()
                 if norm > clip_norm:
@@ -649,13 +646,9 @@ def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = Non
         "provenance": provenance or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buffer = io.BytesIO()
-    buffer.write(MODEL_MAGIC)
-    buffer.write(struct.pack("<I", MODEL_VERSION))
-    buffer.write(struct.pack("<I", len(blob)))
-    buffer.write(blob)
-    buffer.write(get_flat_params(net).astype("<f8").tobytes())
-    Path(path).write_bytes(buffer.getvalue())
+    with atomic_write(path) as handle:
+        handle.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(blob)) + blob)
+        handle.write(get_flat_params(net).astype("<f8").tobytes())
 
 
 def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:

@@ -4,11 +4,16 @@ Sequences (never windows) are the unit of the train/test split, so no raw
 reading can appear on both sides of a fold. Windowing with step 1 is the
 training-set augmentation; test sets may use step 1 or non-overlapping
 step = window size depending on protocol.
+
+Windows are lazy. A prepared fold keeps each windowed sequence's readings
+once, plus a per-side index of (sequence id, window count, step); a window is
+gathered from the readings when a caller asks for it. At step 1 one reading
+sits in up to 144 windows, so storing the readings instead of the windows
+makes a fold about 144 times smaller, in memory and in its ``.gprep`` file.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -16,15 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GAP_SECONDS, is_int
+from .core import MAX_GAP_SECONDS, atomic_write, is_int
 from .errors import DataError, FormatError
 from .ingest import Corpus
 
 PREPARED_MAGIC = b"GLYFPREP"
-PREPARED_VERSION = 1
+PREPARED_VERSION = 2
 
-# Per-row source sequence ids and window offsets, stored in the JSON metadata.
-INDEX_KEYS = ("train_seq_ids", "train_offsets", "test_seq_ids", "test_offsets")
+SIDES = ("train", "test")
+INT64_MAX = np.iinfo(np.int64).max
 
 DEFAULT_TOTAL = 144
 DEFAULT_INPUT_LEN = 132
@@ -116,75 +121,134 @@ def kfold_split(
     return folds
 
 
-@dataclass
-class PreparedSet:
-    """Windowed train/test arrays for one fold (rows are examples).
+@dataclass(frozen=True, eq=False)
+class WindowIndex:
+    """The windows of one side of a fold, without their readings.
 
-    Arrays hold float64 mg/dL values; ids/offsets keep each row traceable to
-    its source sequence so leakage checks stay possible after serialization.
+    Sequence ``seq_ids[i]`` gives ``counts[i]`` windows at offsets 0, step,
+    2*step, ...; row r of the side is the r-th of these windows in that order.
     """
 
-    train_inputs: np.ndarray
-    train_targets: np.ndarray
-    train_seq_ids: np.ndarray
-    train_offsets: np.ndarray
-    test_inputs: np.ndarray
-    test_targets: np.ndarray
-    test_seq_ids: np.ndarray
-    test_offsets: np.ndarray
+    seq_ids: np.ndarray  # int64, sorted and unique
+    counts: np.ndarray  # int64, at least 1 per sequence
+    step: int
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+    def spans(self, total: int) -> np.ndarray:
+        """Readings each sequence covers, from its first window's start to its
+        last window's end; at step > total this includes unused readings."""
+        return (self.counts - 1) * self.step + total
+
+    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Position in ``seq_ids`` and window offset of each row."""
+        ends = np.cumsum(self.counts)
+        i = np.searchsorted(ends, rows, side="right")
+        return i, (rows - ends[i] + self.counts[i]) * self.step
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedSet:
+    """One fold's windows as two window indexes over one reading array.
+
+    ``readings`` holds the covered span (``WindowIndex.spans``) of each train
+    sequence in id order, then of each test sequence. Windows are gathered
+    from it on demand and never stored; the ``train_*``/``test_*`` properties
+    gather a whole side, so callers that need a few rows use ``gather``.
+    """
+
+    readings: np.ndarray  # float64 mg/dL
+    train: WindowIndex
+    test: WindowIndex
+    input_len: int
+    horizon: int
     provenance: dict = field(default_factory=dict)
 
     @property
-    def input_len(self) -> int:
-        return int(self.train_inputs.shape[1])
-
-    @property
-    def horizon(self) -> int:
-        return int(self.train_targets.shape[1])
+    def total(self) -> int:
+        return self.input_len + self.horizon
 
     @property
     def n_train(self) -> int:
-        return int(self.train_inputs.shape[0])
+        return len(self.train)
 
     @property
     def n_test(self) -> int:
-        return int(self.test_inputs.shape[0])
+        return len(self.test)
 
-    def equals(self, other: "PreparedSet") -> bool:
-        arrays = (
-            "train_inputs",
-            "train_targets",
-            "train_seq_ids",
-            "train_offsets",
-            "test_inputs",
-            "test_targets",
-            "test_seq_ids",
-            "test_offsets",
+    def _index(self, side: str) -> WindowIndex:
+        return {"train": self.train, "test": self.test}[side]
+
+    def _window_starts(self, side: str, rows=None) -> np.ndarray:
+        """Position in ``readings`` of each row's window (every row by default)."""
+        index = self._index(side)
+        n = len(index)
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+        if rows.size and not (0 <= rows.min() and rows.max() < n):
+            raise DataError(f"{side} rows must lie in [0, {n})")
+        spans = index.spans(self.total)
+        first = np.cumsum(spans) - spans
+        if side == "test":
+            first += int(self.train.spans(self.total).sum())
+        i, offsets = index.locate(rows)
+        return first[i] + offsets
+
+    def _cut(self, starts: np.ndarray, values, cols: slice) -> np.ndarray:
+        """Columns ``cols`` of the windows starting at ``starts`` in values.
+
+        values defaults to ``readings``; an elementwise transform of it (the
+        LSTM's scaled readings) gives the same bits as transforming the
+        gathered windows.
+        """
+        if not starts.size:
+            return np.empty((0, len(range(self.total)[cols])))
+        values = self.readings if values is None else values
+        view = np.lib.stride_tricks.sliding_window_view(values, self.total)
+        return np.ascontiguousarray(view[starts, cols])
+
+    def windows(self, side: str) -> np.ndarray:
+        """Every (input + target) window of one side as an (n, total) array."""
+        return self._cut(self._window_starts(side), None, np.s_[:])
+
+    def gather(self, side: str, rows=None, values=None) -> tuple[np.ndarray, np.ndarray]:
+        """(inputs, targets) of the given rows of one side (every row by default)."""
+        starts = self._window_starts(side, rows)
+        return (
+            self._cut(starts, values, np.s_[: self.input_len]),
+            self._cut(starts, values, np.s_[self.input_len :]),
         )
-        return all(
-            np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
-        ) and self.provenance == other.provenance
+
+    def _seq_ids(self, side: str) -> np.ndarray:
+        index = self._index(side)
+        return np.repeat(index.seq_ids, index.counts)
+
+    def _offsets(self, side: str) -> np.ndarray:
+        index = self._index(side)
+        return index.locate(np.arange(len(index)))[1]
+
+    def _inputs(self, side: str) -> np.ndarray:
+        return self._cut(self._window_starts(side), None, np.s_[: self.input_len])
+
+    def _targets(self, side: str) -> np.ndarray:
+        return self._cut(self._window_starts(side), None, np.s_[self.input_len :])
+
+    train_inputs = property(lambda self: self._inputs("train"))
+    train_targets = property(lambda self: self._targets("train"))
+    train_seq_ids = property(lambda self: self._seq_ids("train"))
+    train_offsets = property(lambda self: self._offsets("train"))
+    test_inputs = property(lambda self: self._inputs("test"))
+    test_targets = property(lambda self: self._targets("test"))
+    test_seq_ids = property(lambda self: self._seq_ids("test"))
+    test_offsets = property(lambda self: self._offsets("test"))
 
 
-def _window_arrays(
-    store: SequenceStore, ids: frozenset[int], total: int, input_len: int, step: int
-):
-    """Windows of the given sequences in id order, cut at offsets 0, step, ..."""
+def _window_index(store: SequenceStore, ids: frozenset[int], total: int, step: int) -> WindowIndex:
+    """The windows of the given sequences in id order, cut at offsets 0, step, ..."""
     ids = np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
-    counts = np.maximum((store.lengths[ids] - total) // step + 1, 0)
-    seq_ids = np.repeat(ids, counts)
-    first_row = np.repeat(np.cumsum(counts) - counts, counts)
-    offsets = (np.arange(len(seq_ids), dtype=np.int64) - first_row) * step
-    if not len(seq_ids):
-        return np.empty((0, input_len)), np.empty((0, total - input_len)), seq_ids, offsets
-    windows = np.lib.stride_tricks.sliding_window_view(store.values, total)
-    rows = store.starts[seq_ids] + offsets
-    return (
-        np.ascontiguousarray(windows[rows, :input_len]),
-        np.ascontiguousarray(windows[rows, input_len:]),
-        seq_ids,
-        offsets,
-    )
+    counts = (store.lengths[ids] - total) // step + 1
+    windowed = counts > 0
+    return WindowIndex(ids[windowed], counts[windowed], step)
 
 
 def prepare(
@@ -196,13 +260,13 @@ def prepare(
     test_step: int = 1,
     cohort_label: str = "all",
 ) -> PreparedSet:
-    """Window a fold into train/test arrays.
+    """Index a fold's windows and copy the readings they cover.
 
     Each fold sequence of length L yields the windows of ``total`` readings
     at offsets 0, step, 2*step, ... (``window_count`` of them); trailing
-    readings that do not fill a window are discarded. Only the fold's
+    readings that do not fill a window are left out. Only the fold's
     sequences are windowed, so a cohort's fold (see ``kfold_split``'s pool)
-    gives that cohort's windows.
+    gives that cohort's windows. No window is materialised.
     """
     if train_step < 1 or test_step < 1:
         raise DataError(f"window steps must be >= 1, got {train_step} and {test_step}")
@@ -212,8 +276,13 @@ def prepare(
     if fold_ids and not (0 <= min(fold_ids) and max(fold_ids) < len(store)):
         raise DataError("fold references sequence ids absent from the sequence store")
 
-    tr = _window_arrays(store, fold.train_sequence_ids, total, input_len, train_step)
-    te = _window_arrays(store, fold.test_sequence_ids, total, input_len, test_step)
+    train = _window_index(store, fold.train_sequence_ids, total, train_step)
+    test = _window_index(store, fold.test_sequence_ids, total, test_step)
+    spans = [
+        store.values[start : start + span]
+        for index in (train, test)
+        for start, span in zip(store.starts[index.seq_ids].tolist(), index.spans(total).tolist())
+    ]
     provenance = {
         "fold": fold.fold_index,
         "cohort": cohort_label,
@@ -223,102 +292,97 @@ def prepare(
         "total": total,
         "input_len": input_len,
     }
-    return PreparedSet(*tr, *te, provenance=provenance)
-
-
-def _write_array(handle, arr: np.ndarray) -> None:
-    handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    readings = np.concatenate(spans) if spans else np.empty(0)
+    return PreparedSet(readings, train, test, input_len, total - input_len, provenance)
 
 
 def save_prepared(prepared: PreparedSet, path: str | Path) -> None:
-    """Binary container: magic, version, JSON metadata, then float64 LE arrays."""
+    """Binary container: magic, version, JSON metadata (provenance, window
+    lengths and both window indexes), then the readings as float64 LE."""
     meta = {
         "provenance": prepared.provenance,
-        "n_train": prepared.n_train,
-        "n_test": prepared.n_test,
         "input_len": prepared.input_len,
         "horizon": prepared.horizon,
-        **{key: getattr(prepared, key).tolist() for key in INDEX_KEYS},
     }
+    for side in SIDES:
+        index = prepared._index(side)
+        meta[f"{side}_seq_ids"] = index.seq_ids.tolist()
+        meta[f"{side}_counts"] = index.counts.tolist()
+        meta[f"{side}_step"] = index.step
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    buffer = io.BytesIO()
-    buffer.write(PREPARED_MAGIC)
-    buffer.write(struct.pack("<I", PREPARED_VERSION))
-    buffer.write(struct.pack("<I", len(blob)))
-    buffer.write(blob)
-    for arr in (
-        prepared.train_inputs,
-        prepared.train_targets,
-        prepared.test_inputs,
-        prepared.test_targets,
+    with atomic_write(path) as handle:
+        handle.write(PREPARED_MAGIC + struct.pack("<II", PREPARED_VERSION, len(blob)) + blob)
+        handle.write(np.ascontiguousarray(prepared.readings, dtype="<f8").data)
+
+
+def _is_count(value, least: int) -> bool:
+    return is_int(value) and least <= value <= INT64_MAX
+
+
+def _read_index(path, meta: dict, side: str) -> tuple[list, list, int]:
+    """One side's (seq_ids, counts, step) from the metadata, checked as plain ints."""
+    ids, counts, step = meta[f"{side}_seq_ids"], meta[f"{side}_counts"], meta[f"{side}_step"]
+    if not (
+        isinstance(ids, list)
+        and isinstance(counts, list)
+        and len(ids) == len(counts)
+        and all(_is_count(v, 0) for v in ids)
+        and all(_is_count(c, 1) for c in counts)
+        and _is_count(step, 1)
     ):
-        _write_array(buffer, arr)
-    Path(path).write_bytes(buffer.getvalue())
+        raise FormatError(
+            f"{path}: {side} index needs equal-length lists of ids >= 0 and counts >= 1 "
+            "and a step >= 1"
+        )
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        raise FormatError(f"{path}: {side}_seq_ids are not sorted and unique")
+    return ids, counts, step
 
 
 def load_prepared(path: str | Path) -> PreparedSet:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != PREPARED_MAGIC:
         raise FormatError(f"{path}: not a prepared-set file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 8)
+    version, meta_len = struct.unpack_from("<II", raw, 8)
+    if version == 1:
+        raise FormatError(
+            f"{path}: prepared-set format v1 (one copy per window) is no longer read; "
+            "re-run prepare to rebuild it"
+        )
     if version != PREPARED_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    (meta_len,) = struct.unpack_from("<I", raw, 12)
     meta_end = 16 + meta_len
     if len(raw) < meta_end:
         raise FormatError(f"{path}: truncated metadata block")
     try:
         meta = json.loads(raw[16:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt metadata block: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: metadata block is not a JSON object")
 
     try:
-        n_train, n_test = meta["n_train"], meta["n_test"]
-        input_len, horizon = meta["input_len"], meta["horizon"]
-        ids = {key: meta[key] for key in INDEX_KEYS}
-        provenance = meta["provenance"]
+        input_len, horizon, provenance = meta["input_len"], meta["horizon"], meta["provenance"]
+        sides = {side: _read_index(path, meta, side) for side in SIDES}
     except KeyError as exc:
         raise FormatError(f"{path}: metadata lacks key {exc}") from exc
-    if not (
-        all(is_int(v) and v >= 0 for v in (n_train, n_test, input_len, horizon))
-        and isinstance(provenance, dict)
-    ):
+    if not (_is_count(input_len, 1) and _is_count(horizon, 1) and isinstance(provenance, dict)):
         raise FormatError(f"{path}: metadata field of the wrong type")
-    for key in INDEX_KEYS:
-        try:
-            ids[key] = np.array(ids[key])
-        except ValueError as exc:
-            raise FormatError(f"{path}: {key} is not a list of integers") from exc
-        rows = n_train if key.startswith("train") else n_test
-        if ids[key].shape != (rows,) or (rows and ids[key].dtype.kind != "i"):
-            raise FormatError(f"{path}: {key} is not a list of {rows} integers")
-        ids[key] = ids[key].astype(np.int64)
-    sizes = [
-        (n_train, input_len),
-        (n_train, horizon),
-        (n_test, input_len),
-        (n_test, horizon),
-    ]
-    expected = meta_end + sum(r * c for r, c in sizes) * 8
-    if len(raw) != expected:
+    if set(sides["train"][0]) & set(sides["test"][0]):
+        raise FormatError(f"{path}: a sequence id is on both the train and the test side")
+    total = input_len + horizon
+    # Python ints: exact for any count, so a hostile index cannot overflow.
+    expected = sum((c - 1) * step + total for _, counts, step in sides.values() for c in counts)
+    if len(raw) - meta_end != 8 * expected:
         raise FormatError(
-            f"{path}: payload is {len(raw)} bytes, expected {expected} (truncated or padded)"
+            f"{path}: payload is {len(raw) - meta_end} bytes, the index needs "
+            f"{8 * expected} (truncated or padded)"
         )
-    arrays = []
-    cursor = meta_end
-    for rows, cols in sizes:
-        nbytes = rows * cols * 8
-        arrays.append(
-            np.frombuffer(raw[cursor : cursor + nbytes], dtype="<f8").reshape(rows, cols).copy()
-        )
-        cursor += nbytes
-    return PreparedSet(
-        train_inputs=arrays[0],
-        train_targets=arrays[1],
-        test_inputs=arrays[2],
-        test_targets=arrays[3],
-        provenance=provenance,
-        **ids,
+    readings = np.frombuffer(memoryview(raw)[meta_end:], dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(readings)):
+        raise FormatError(f"{path}: non-finite reading in the payload")
+    train, test = (
+        WindowIndex(np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64), step)
+        for ids, counts, step in sides.values()
     )
+    return PreparedSet(readings, train, test, input_len, horizon, provenance)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import baselines, hmm as hmm_mod, ingest, lstm as lstm_mod, metrics, pipeline, stats
 from .config import RunConfig
+from .core import atomic_write
 from .errors import ConfigError, DataError
 from .ingest import Corpus
 
@@ -44,12 +45,13 @@ class OutputTracker:
 
     def write_json(self, path: str | Path, obj) -> Path:
         path = self.register(path)
-        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        with atomic_write(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return path
 
     def write_csv(self, path: str | Path, rows) -> Path:
         path = self.register(path)
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with atomic_write(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             for row in rows:
                 writer.writerow(row)
@@ -347,7 +349,9 @@ def _train_lstm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_ind
 
 def _train_hmm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int, out: Path):
     seed = fold_seed(config, fold_index)
-    windows = np.concatenate([prepared.train_inputs, prepared.train_targets], axis=1)
+    # The quantizer bounds come from the windows, never from the stored
+    # readings, which at step > total include readings no window uses.
+    windows = prepared.windows("train")
     quantizer = hmm_mod.Quantizer.from_values(windows, config.hmm_states)
     model = hmm_mod.baum_welch(
         list(quantizer.encode(windows)),
@@ -380,7 +384,8 @@ def _train_one_fold(args: tuple) -> tuple[int, dict, list | None, str]:
         provenance, curve = _train_hmm_fold(config, prepared, prepared.provenance["fold"], out)
     else:
         provenance = {"model": model, "fold": prepared.provenance["fold"]}
-        Path(out).write_text(json.dumps(provenance, sort_keys=True) + "\n", encoding="utf-8")
+        with atomic_write(out, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(provenance, sort_keys=True) + "\n")
         curve = None
     return prepared.provenance["fold"], provenance, curve, str(out)
 
@@ -464,27 +469,30 @@ def run_evaluate(
         "error_grid": "clarke-zones",
         "aggregate_sd": "population s.d. across folds",
     }
-    reports = []
-    flat_rows = [["model", "fold", "metric", "value"]]
-    for model in models:
-        fold_metrics = []
-        scatter_rows = [["reference", "predicted"]] if scatter else None
-        for prepared in fold_sets:
-            fold_index = prepared.provenance.get("fold", 0)
+    # Per position in models (a model may be listed twice), fold by fold.
+    fold_metrics = [[] for _ in models]
+    scatter_rows = [[["reference", "predicted"]] for _ in models]
+    for prepared in fold_sets:
+        # Gather the fold's test windows once, for every model.
+        inputs, targets = prepared.gather("test")
+        fold_index = prepared.provenance.get("fold", 0)
+        for m, model in enumerate(models):
             forecaster = build_forecaster(model, fold_index, horizon, models_dir, config)
-            predictions = forecaster.predict(prepared.test_inputs)
-            fold_metrics.append(
+            predictions = forecaster.predict(inputs)
+            fold_metrics[m].append(
                 metrics.score_pairs(
-                    predictions, prepared.test_targets, fold_index,
-                    config.hypo_mgdl, config.hyper_mgdl,
+                    predictions, targets, fold_index, config.hypo_mgdl, config.hyper_mgdl
                 )
             )
-            if scatter_rows is not None:
-                points = zip(prepared.test_targets.ravel().tolist(), predictions.ravel().tolist())
-                scatter_rows.extend([repr(ref), repr(pred)] for ref, pred in points)
-        report = metrics.EvalReport(model_name=model, folds=fold_metrics, protocol=protocol)
+            if scatter:
+                points = zip(targets.ravel().tolist(), predictions.ravel().tolist())
+                scatter_rows[m].extend([repr(ref), repr(pred)] for ref, pred in points)
+    reports = []
+    flat_rows = [["model", "fold", "metric", "value"]]
+    for m, model in enumerate(models):
+        report = metrics.EvalReport(model_name=model, folds=fold_metrics[m], protocol=protocol)
         reports.append(report)
-        for fm in fold_metrics:
+        for fm in report.folds:
             flat_rows.append([model, fm.fold, "rmse", repr(fm.rmse)])
             if fm.esod_mean is not None:
                 flat_rows.append([model, fm.fold, "esod", repr(fm.esod_mean)])
@@ -492,8 +500,8 @@ def run_evaluate(
                 value = fm.classification["abnormal"][metric_name]
                 if value is not None:
                     flat_rows.append([model, fm.fold, metric_name, repr(value)])
-        if scatter_rows is not None:
-            tracker.write_csv(out_dir / f"scatter_{model}.csv", scatter_rows)
+        if scatter:
+            tracker.write_csv(out_dir / f"scatter_{model}.csv", scatter_rows[m])
 
     document = {
         "config": config.to_dict(),
@@ -559,7 +567,8 @@ def run_cohort_compare(
         cohort_models[label] = trained_forecaster(prepared, label)
 
     def rmse_on(forecaster, prepared: pipeline.PreparedSet) -> float:
-        return metrics.rmse(forecaster.predict(prepared.test_inputs), prepared.test_targets)
+        inputs, targets = prepared.gather("test")
+        return metrics.rmse(forecaster.predict(inputs), targets)
 
     pooled_rows = {"all": rmse_on(pooled, pooled_prepared)}
     comparison = []
@@ -597,17 +606,17 @@ def run_explain(
     out_path: str | Path,
     split: str = "test",
 ) -> dict:
-    prepared = pipeline.load_prepared(prepared_file)
-    inputs = prepared.test_inputs if split == "test" else prepared.train_inputs
-    if split not in ("train", "test"):
+    if split not in pipeline.SIDES:
         raise ConfigError(f"split must be train or test, got {split!r}")
-    if not (0 <= example_index < inputs.shape[0]):
+    prepared = pipeline.load_prepared(prepared_file)
+    n = prepared.n_train if split == "train" else prepared.n_test
+    if not (0 <= example_index < n):
         raise DataError(
-            f"example index {example_index} out of range for {split} set of "
-            f"{inputs.shape[0]} examples"
+            f"example index {example_index} out of range for {split} set of {n} examples"
         )
+    inputs, _ = prepared.gather(split, [example_index])
     net, provenance = lstm_mod.load_model(model_file)
-    _, trace = lstm_mod.rollout(net, inputs[example_index], horizon=prepared.horizon, trace=True)
+    _, trace = lstm_mod.rollout(net, inputs[0], horizon=prepared.horizon, trace=True)
     tracker.write_csv(out_path, trace.to_csv_rows())
     return {
         "model_provenance": provenance,

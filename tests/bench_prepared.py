@@ -1,0 +1,52 @@
+"""Micro-benchmark of prepared sets at step 1 (pytest-benchmark).
+
+The file name does not match ``test_*.py``, so the default test run does not
+collect it. Run it on its own:
+
+    PYTHONPATH=src python -m pytest tests/bench_prepared.py --benchmark-json=out.json
+
+One fold of a seeded synth corpus (14 patients x 10 days, about 35k
+readings), prepared with train and test windows at step 1. The timings are
+one ``save_prepared``, one ``load_prepared``, and gathering a 128-row train
+minibatch of (132, 12) windows. The JSON's ``extra_info`` holds the
+``.gprep`` bytes per corpus reading and the gather time per window.
+"""
+
+import numpy as np
+import pytest
+
+from glyco.ingest import synth_corpus
+from glyco.pipeline import kfold_split, load_prepared, prepare, save_prepared, segment
+
+BATCH = 128
+
+
+@pytest.fixture(scope="module")
+def store():
+    return segment(synth_corpus(14, 10, seed=5))
+
+
+@pytest.fixture(scope="module")
+def prepared(store):
+    return prepare(store, kfold_split(store, k=2, seed=5)[0], train_step=1, test_step=1)
+
+
+def test_save_prepared(benchmark, tmp_path, store, prepared):
+    path = tmp_path / "fold.gprep"
+    benchmark(save_prepared, prepared, path)
+    benchmark.extra_info["gprep_bytes_per_reading"] = path.stat().st_size / store.starts[-1]
+    benchmark.extra_info["windows"] = prepared.n_train + prepared.n_test
+
+
+def test_load_prepared(benchmark, tmp_path, prepared):
+    path = tmp_path / "fold.gprep"
+    save_prepared(prepared, path)
+    loaded = benchmark(load_prepared, path)
+    assert loaded.n_train == prepared.n_train
+
+
+def test_gather_minibatch(benchmark, prepared):
+    rows = np.random.default_rng(0).permutation(prepared.n_train)[:BATCH]
+    inputs, targets = benchmark(prepared.gather, "train", rows)
+    assert inputs.shape == (BATCH, 132) and targets.shape == (BATCH, 12)
+    benchmark.extra_info["us_per_window"] = benchmark.stats.stats.median / BATCH * 1e6

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import one_window_prepared
 
 from glyco.errors import DataError, FormatError, NumericError
 from glyco.lstm import (
@@ -26,7 +27,7 @@ from glyco.lstm import (
     _loss_and_gradients_batch,
     _sigmoid,
 )
-from glyco.pipeline import PreparedSet
+from glyco.pipeline import kfold_split, prepare
 
 
 def zero_network(hidden_size=4, n_layers=2, seed=0):
@@ -63,30 +64,16 @@ def sinusoid_prepared(n_train=200, n_test=40, input_len=40, horizon=6, seed=0):
     rng = np.random.default_rng(seed)
 
     def build(n):
-        inputs = np.empty((n, input_len))
-        targets = np.empty((n, horizon))
+        windows = np.empty((n, input_len + horizon))
         t = np.arange(input_len + horizon)
         for row in range(n):
             phase = rng.uniform(0, 24)
             amp = rng.uniform(40, 70)
-            series = 200.0 + amp * np.sin(2 * np.pi * (t + phase) / 24.0)
-            inputs[row] = series[:input_len]
-            targets[row] = series[input_len:]
-        return inputs, targets
+            windows[row] = 200.0 + amp * np.sin(2 * np.pi * (t + phase) / 24.0)
+        return windows
 
-    tr_in, tr_ta = build(n_train)
-    te_in, te_ta = build(n_test)
-    return PreparedSet(
-        train_inputs=tr_in,
-        train_targets=tr_ta,
-        train_seq_ids=np.arange(n_train, dtype=np.int64),
-        train_offsets=np.zeros(n_train, dtype=np.int64),
-        test_inputs=te_in,
-        test_targets=te_ta,
-        test_seq_ids=np.arange(n_test, dtype=np.int64) + n_train,
-        test_offsets=np.zeros(n_test, dtype=np.int64),
-        provenance={"fixture": "sinusoid"},
-    )
+    train_windows = build(n_train)
+    return one_window_prepared(train_windows, build(n_test), input_len, {"fixture": "sinusoid"})
 
 
 class TestParamCount:
@@ -305,16 +292,8 @@ class TestTrain:
 
     def test_empty_train_rejected(self):
         prepared = sinusoid_prepared(n_train=1, n_test=4)
-        empty = PreparedSet(
-            train_inputs=prepared.train_inputs[:0],
-            train_targets=prepared.train_targets[:0],
-            train_seq_ids=prepared.train_seq_ids[:0],
-            train_offsets=prepared.train_offsets[:0],
-            test_inputs=prepared.test_inputs,
-            test_targets=prepared.test_targets,
-            test_seq_ids=prepared.test_seq_ids,
-            test_offsets=prepared.test_offsets,
-        )
+        test_windows = np.concatenate([prepared.test_inputs, prepared.test_targets], axis=1)
+        empty = one_window_prepared([], test_windows, prepared.input_len)
         with pytest.raises(DataError):
             train(new_network(hidden_size=3, n_layers=1), empty, epochs=1)
 
@@ -326,6 +305,29 @@ class TestTrain:
             feedback="teacher",
         )
         assert len(result.checkpoints) == 1
+
+
+def test_gathered_minibatches_bit_identical_to_one_window_sequences(tmp_path, small_store):
+    # Overlapping step-8 windows share readings in the prepared array; laid out
+    # again as one sequence per window they share none. Training reads its
+    # minibatches by gather in both cases, so every bit must agree.
+    fold = kfold_split(small_store, k=5, seed=7)[1]
+    overlapping = prepare(small_store, fold, train_step=8, test_step=144)
+    windows = {
+        side: np.concatenate([*overlapping.gather(side)], axis=1) for side in ("train", "test")
+    }
+    separate = one_window_prepared(windows["train"], windows["test"], overlapping.input_len)
+    assert len(separate.readings) == 144 * (overlapping.n_train + overlapping.n_test)
+    assert len(overlapping.readings) < len(separate.readings) / 4
+    outputs = []
+    for name, prepared in (("overlapping", overlapping), ("separate", separate)):
+        net = new_network(hidden_size=4, n_layers=2, seed=3)
+        result = train(net, prepared, epochs=2, batch=64, lr=0.01, heuristic_test_n=8, seed=3)
+        path = tmp_path / f"{name}.glstm"
+        save_model(result.best.network, path, provenance={"best_epoch": result.best_epoch})
+        outputs.append((path.read_bytes(), list(result.curve_rows())))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
 
 
 class TestSaveLoad:

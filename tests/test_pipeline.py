@@ -1,17 +1,18 @@
 import json
+import re
 import struct
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from glyco.core import GlucoseReading
-from glyco.errors import DataError, FormatError
+from glyco.errors import DataError, FormatError, GlycoError
 from glyco.ingest import Corpus, synth_corpus
 from glyco.pipeline import (
     FoldSplit,
-    PreparedSet,
     SequenceStore,
     kfold_split,
     load_prepared,
@@ -336,18 +337,34 @@ def _reference_window_arrays(sequences, ids, total, input_len, step):
 
 
 def _reference_prepared(readings, k, seed, step, keep, label):
+    """Per fold: the window arrays in the order (inputs, targets, seq_ids, offsets)
+    for train and then test, and the provenance."""
     sequences = _reference_segment(readings)
     pool = [s for s in sequences if keep is None or s.patient_id in keep]
     prepared = []
     for fold in _reference_kfold(pool, k, seed):
         provenance = {"fold": fold.fold_index, "cohort": label, "train_step": step,
                       "test_step": step, "seed": seed, "total": 144, "input_len": 132}
-        prepared.append(PreparedSet(
+        arrays = (
             *_reference_window_arrays(pool, fold.train_sequence_ids, 144, 132, step),
             *_reference_window_arrays(pool, fold.test_sequence_ids, 144, 132, step),
-            provenance=provenance,
-        ))
+        )
+        prepared.append((arrays, provenance))
     return prepared
+
+
+ARRAY_NAMES = tuple(
+    f"{side}_{what}" for side in ("train", "test") for what in ("inputs", "targets", "seq_ids", "offsets")
+)
+
+
+def assert_same_content(prepared, arrays, provenance):
+    for name, expected in zip(ARRAY_NAMES, arrays):
+        actual = getattr(prepared, name)
+        assert actual.shape == expected.shape, name
+        assert actual.dtype == expected.dtype, name
+        assert actual.tobytes() == expected.tobytes(), name
+    assert prepared.provenance == provenance
 
 
 def _guard_corpus(n_patients, days, seed):
@@ -365,9 +382,13 @@ def guard_corpus(request):
     return _guard_corpus(*request.param)
 
 
-@pytest.mark.parametrize("step", [1, 8, 144])
+# Step 200 > total leaves readings between windows that no window uses.
+@pytest.mark.parametrize("step", [1, 8, 144, 200])
 @pytest.mark.parametrize("cohort", [False, True], ids=["all", "cohort"])
 def test_prepared_bytes_identical_to_object_reference(tmp_path, guard_corpus, step, cohort):
+    """Every window, id, offset and the provenance, after a save/load round
+    trip, hold the bytes of the frozen object path (the container's own
+    bytes changed by design with format v2)."""
     store = segment(guard_corpus)
     keep, label, k, pool = None, "all", 5, None
     if cohort:
@@ -376,27 +397,62 @@ def test_prepared_bytes_identical_to_object_reference(tmp_path, guard_corpus, st
     expected = _reference_prepared(guard_corpus.readings, k, step, step, keep, label)
     folds = kfold_split(store, k=k, seed=step, pool=pool)
     assert len(folds) == len(expected) == k
-    new, old = tmp_path / "new.gprep", tmp_path / "reference.gprep"
-    for fold, reference in zip(folds, expected):
+    path = tmp_path / "fold.gprep"
+    for fold, (arrays, provenance) in zip(folds, expected):
         prepared = prepare(store, fold, train_step=step, test_step=step, cohort_label=label)
-        save_prepared(prepared, new)
-        save_prepared(reference, old)
+        save_prepared(prepared, path)
         assert prepared.n_test > 0
-        assert new.read_bytes() == old.read_bytes(), f"fold {fold.fold_index} differs"
+        assert_same_content(load_prepared(path), arrays, provenance)
+
+
+def rewrite_metadata(path, edit):
+    """Apply edit to a saved prepared set's metadata, keeping the payload."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 12)
+    meta = json.loads(raw[16 : 16 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :])
+
+
+# Metadata edits that leave every field well typed but the index inconsistent.
+INDEX_EDITS = {
+    "unsorted": (lambda m: m["train_seq_ids"].reverse(), "sorted"),
+    "duplicate": (lambda m: m["test_seq_ids"].__setitem__(1, m["test_seq_ids"][0]), "sorted"),
+    "overlap": (lambda m: m["test_seq_ids"].__setitem__(0, m["train_seq_ids"][0]), "both"),
+    "count-beyond-payload": (
+        lambda m: m["train_counts"].__setitem__(0, m["train_counts"][0] + 1), "payload"),
+    "step-beyond-payload": (lambda m: m.__setitem__("train_step", m["train_step"] + 1), "payload"),
+    "ragged": (lambda m: m["test_counts"].pop(), "equal-length"),
+}
 
 
 class TestPreparedRoundTrip:
-    def build(self, small_store):
+    def build(self, small_store, step=144):
         folds = kfold_split(small_store, k=5, seed=7)
-        return prepare(small_store, folds[1], test_step=144)
+        return prepare(small_store, folds[1], train_step=step, test_step=144)
 
     def test_round_trip_equality(self, tmp_path, small_store):
-        prepared = self.build(small_store)
+        for step in (1, 144):
+            prepared = self.build(small_store, step)
+            path = tmp_path / "fold.gprep"
+            save_prepared(prepared, path)
+            loaded = load_prepared(path)
+            assert loaded.readings.tobytes() == prepared.readings.tobytes()
+            for side in ("train", "test"):
+                a, b = getattr(loaded, side), getattr(prepared, side)
+                assert np.array_equal(a.seq_ids, b.seq_ids)
+                assert np.array_equal(a.counts, b.counts) and a.step == b.step
+            assert (loaded.input_len, loaded.horizon) == (prepared.input_len, prepared.horizon)
+            assert loaded.provenance == prepared.provenance
+
+    def test_payload_is_the_covered_readings(self, tmp_path, small_store):
+        prepared = self.build(small_store, step=1)
         path = tmp_path / "fold.gprep"
         save_prepared(prepared, path)
-        loaded = load_prepared(path)
-        assert loaded.equals(prepared)
-        assert loaded.provenance == prepared.provenance
+        (meta_len,) = struct.unpack_from("<I", path.read_bytes(), 12)
+        assert path.stat().st_size == 16 + meta_len + 8 * len(prepared.readings)
+        assert len(prepared.readings) < small_store.starts[-1]
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.gprep"
@@ -414,16 +470,23 @@ class TestPreparedRoundTrip:
         with pytest.raises(FormatError, match="version"):
             load_prepared(path)
 
+    def test_v1_file_asks_for_prepare(self, tmp_path):
+        # A v1 header (per-row ids and offsets) with one window per side.
+        meta = {"provenance": {}, "n_train": 1, "n_test": 1, "input_len": 2, "horizon": 1,
+                "train_seq_ids": [0], "train_offsets": [0],
+                "test_seq_ids": [1], "test_offsets": [0]}
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path = tmp_path / "old.gprep"
+        path.write_bytes(b"GLYFPREP" + struct.pack("<II", 1, len(blob)) + blob
+                         + np.arange(6.0).astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="re-run prepare"):
+            load_prepared(path)
+
     def test_missing_metadata_key(self, tmp_path, small_store):
         path = tmp_path / "fold.gprep"
         save_prepared(self.build(small_store), path)
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", raw, 12)
-        meta = json.loads(raw[16 : 16 + meta_len])
-        del meta["test_offsets"]
-        blob = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :])
-        with pytest.raises(FormatError, match="test_offsets"):
+        rewrite_metadata(path, lambda meta: meta.pop("test_counts"))
+        with pytest.raises(FormatError, match="test_counts"):
             load_prepared(path)
 
     def test_non_object_metadata_is_format_error(self, tmp_path, small_store):
@@ -437,21 +500,37 @@ class TestPreparedRoundTrip:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_train", "5"), ("horizon", 12.0), ("provenance", 3), ("train_seq_ids", "abc"),
-         ("test_offsets", [[0]]), ("test_seq_ids", [1.5])],
+        [("train_counts", "5"), ("horizon", 12.0), ("provenance", 3), ("train_seq_ids", "abc"),
+         ("test_counts", [[1]]), ("test_seq_ids", [1.5]), ("train_step", 0), ("test_step", True),
+         ("input_len", None), ("test_counts", [0])],
     )
     def test_wrongly_typed_metadata_is_format_error(self, tmp_path, small_store, field, value):
+        def edit(meta):
+            meta[field] = value
+            if field.startswith("test_") and isinstance(value, list):
+                meta[field] = value * len(meta["test_seq_ids"])
+
         path = tmp_path / "fold.gprep"
         save_prepared(self.build(small_store), path)
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", raw, 12)
-        meta = json.loads(raw[16 : 16 + meta_len])
-        meta[field] = value
-        if field.startswith("test_") and isinstance(value, list):
-            meta[field] = value * meta["n_test"]
-        blob = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :])
+        rewrite_metadata(path, edit)
         with pytest.raises(FormatError):
+            load_prepared(path)
+
+    @pytest.mark.parametrize("edit, message", INDEX_EDITS.values(), ids=INDEX_EDITS.keys())
+    def test_inconsistent_index_is_format_error(self, tmp_path, small_store, edit, message):
+        path = tmp_path / "fold.gprep"
+        save_prepared(self.build(small_store), path)
+        rewrite_metadata(path, edit)
+        with pytest.raises(FormatError, match=message):
+            load_prepared(path)
+
+    def test_non_finite_reading_is_format_error(self, tmp_path, small_store):
+        path = tmp_path / "fold.gprep"
+        save_prepared(self.build(small_store), path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
             load_prepared(path)
 
     def test_truncated(self, tmp_path, small_store):
@@ -462,3 +541,96 @@ class TestPreparedRoundTrip:
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(FormatError):
             load_prepared(path)
+
+
+def _tokens_replaced(text, data):
+    """The metadata text with some numbers or lists swapped for hostile values."""
+    hostile = st.sampled_from(["0", "-1", "1.5", "NaN", "1e400", "[]", "null", "Infinity"])
+    tokens = list(re.finditer(r"-?\d+(\.\d+)?|\[[^\[\]]*\]", text))
+    for match in sorted(data.draw(st.lists(st.sampled_from(tokens), max_size=3, unique_by=id)),
+                        key=lambda m: -m.start()):
+        text = text[: match.start()] + data.draw(hostile) + text[match.end() :]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_file_bytes(small_store, tmp_path_factory):
+    prepared = prepare(small_store, kfold_split(small_store, k=5, seed=7)[1],
+                       train_step=144, test_step=144)
+    prepared.provenance.clear()  # keep the numbers the fuzzer picks to the index
+    path = tmp_path_factory.mktemp("fuzz") / "fold.gprep"
+    save_prepared(prepared, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_prepared_fuzz_raises_only_glyco_errors(tmp_path, fuzz_file_bytes, data):
+    raw = bytearray(fuzz_file_bytes)
+    (meta_len,) = struct.unpack_from("<I", raw, 12)
+    kind = data.draw(st.sampled_from(["truncate", "bitflip", "metadata", "index", "reading"]))
+    if kind in ("metadata", "index"):
+        text = raw[16 : 16 + meta_len].decode("utf-8")
+        if kind == "index":
+            meta = json.loads(text)
+            data.draw(st.sampled_from(list(INDEX_EDITS.values())))[0](meta)
+            text = json.dumps(meta)
+        blob = _tokens_replaced(text, data).encode("utf-8")
+        raw = raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :]
+    elif kind == "reading":
+        position = 16 + meta_len + 8 * data.draw(st.integers(0, (len(raw) - 16 - meta_len) // 8 - 1))
+        raw[position : position + 8] = struct.pack("<d", data.draw(st.sampled_from(
+            [float("nan"), float("inf"), -float("inf")])))
+    elif kind == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 4))):
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+            raw[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path / "fuzz.gprep"
+    path.write_bytes(bytes(raw))
+    try:
+        prepared = load_prepared(path)
+    except GlycoError:
+        return
+    # Whatever loads must gather every window without error.
+    for side in ("train", "test"):
+        inputs, targets = prepared.gather(side)
+        assert np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))
+
+
+class TestGather:
+    def test_rows_out_of_range_rejected(self, small_store):
+        prepared = TestPreparedRoundTrip().build(small_store)
+        for rows in ([-1], [prepared.n_test]):
+            with pytest.raises(DataError):
+                prepared.gather("test", rows)
+
+    def test_rows_match_the_whole_side(self, small_store):
+        prepared = TestPreparedRoundTrip().build(small_store, step=1)
+        rows = np.array([prepared.n_train - 1, 0, 17, 17])
+        inputs, targets = prepared.gather("train", rows)
+        assert inputs.tobytes() == prepared.train_inputs[rows].tobytes()
+        assert targets.tobytes() == prepared.train_targets[rows].tobytes()
+
+    def test_empty_side(self):
+        prepared = cut_windows(make_store(constant_values(143)))
+        inputs, targets = prepared.gather("test")
+        assert inputs.shape == (0, 132) and targets.shape == (0, 12)
+        assert prepared.train_seq_ids.shape == prepared.test_offsets.shape == (0,)
+
+
+def test_prepare_and_save_build_no_window_matrix(tmp_path):
+    # About 35k readings at step 1: the windows would take over 15 MB.
+    store = segment(synth_corpus(14, 10, seed=5))
+    fold = kfold_split(store, k=2, seed=5)[0]
+    tracemalloc.start()
+    try:
+        prepared = prepare(store, fold, train_step=1, test_step=1)
+        save_prepared(prepared, tmp_path / "fold.gprep")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    window_bytes = 8 * 144 * (prepared.n_train + prepared.n_test)
+    assert store.starts[-1] > 30_000 and window_bytes > 15e6
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"

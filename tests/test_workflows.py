@@ -1,13 +1,19 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from conftest import one_window_prepared
 
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError
-from glyco.pipeline import PreparedSet, save_prepared
+from glyco.hmm import load_hmm
+from glyco.lstm import load_model, rollout
+from glyco.pipeline import FoldSplit, SequenceStore, load_prepared, prepare, save_prepared
 from glyco.workflows import (
     OutputTracker,
+    _train_hmm_fold,
     build_forecaster,
     prepared_path,
     read_cohorts,
@@ -134,10 +140,9 @@ def test_evaluate_linreg_with_non_positive_forecast(tmp_path):
     config = RunConfig(**{**SMALL, "k_folds": 2})
     (tmp_path / "prep").mkdir()
     for fold in range(2):
-        prepared = PreparedSet(
-            np.empty((0, 132)), np.empty((0, 12)), np.empty(0, np.int64), np.empty(0, np.int64),
-            inputs, targets, np.arange(2), np.zeros(2, np.int64),
-            provenance={"fold": fold, "train_step": 1, "test_step": 1},
+        prepared = one_window_prepared(
+            [], np.concatenate([inputs, targets], axis=1), 132,
+            {"fold": fold, "train_step": 1, "test_step": 1},
         )
         save_prepared(prepared, prepared_path(tmp_path / "prep", fold))
     document = run_evaluate(
@@ -183,6 +188,86 @@ def test_explain_trace(workspace, tmp_path):
             tracker, config, tmp_path / "models" / "lstm_fold0.glstm",
             root / "prep" / "fold0.gprep", 10_000, tmp_path / "trace2.csv",
         )
+
+    # One train row: the trace is that row's rollout, gathered alone.
+    prepared = load_prepared(root / "prep" / "fold0.gprep")
+    last = prepared.n_train - 1
+    run_explain(
+        tracker, config, tmp_path / "models" / "lstm_fold0.glstm",
+        root / "prep" / "fold0.gprep", last, tmp_path / "trace3.csv", split="train",
+    )
+    net, _ = load_model(tmp_path / "models" / "lstm_fold0.glstm")
+    _, trace = rollout(net, prepared.train_inputs[last], horizon=prepared.horizon, trace=True)
+    with (tmp_path / "trace3.csv").open(newline="") as handle:
+        assert list(csv.reader(handle)) == [list(map(str, row)) for row in trace.to_csv_rows()]
+
+
+def test_explain_rejects_a_bad_split_before_reading(tmp_path):
+    # The prepared file does not exist: the split is checked first.
+    with pytest.raises(ConfigError, match="split"):
+        run_explain(
+            OutputTracker(), RunConfig(**SMALL), tmp_path / "none.glstm",
+            tmp_path / "none.gprep", 0, tmp_path / "trace.csv", split="validation",
+        )
+
+
+@pytest.mark.parametrize("step", [144, 200])
+def test_hmm_quantizer_bounds_come_from_the_windows(tmp_path, step):
+    # Readings no window uses are 400 mg/dL: at step 144 they trail the last
+    # window and are left out of the payload; at step 200 they lie between
+    # windows and are stored, yet must not set the quantizer bounds.
+    rng = np.random.default_rng(4)
+    train = np.full(step + 144 + 30, 400.0)
+    train[:144] = rng.uniform(80, 180, 144)
+    train[step : step + 144] = rng.uniform(80, 180, 144)
+    test = rng.uniform(80, 180, 144)
+    store = SequenceStore(
+        np.concatenate([train, test]), np.array([0, len(train), len(train) + 144]),
+        np.array(["a", "b"], dtype=object),
+    )
+    fold = FoldSplit(0, frozenset({0}), frozenset({1}), seed=0)
+    prepared = prepare(store, fold, train_step=step, test_step=144)
+    save_prepared(prepared, tmp_path / "fold.gprep")
+    loaded = load_prepared(tmp_path / "fold.gprep")
+    assert len(loaded.readings) == step + 144 + 144
+    assert (400.0 in loaded.readings) == (step > 144)
+
+    config = RunConfig(**{**SMALL, "hmm_states": 4, "hmm_max_iter": 2})
+    _train_hmm_fold(config, loaded, 0, tmp_path / "hmm.json")
+    _, quantizer = load_hmm(tmp_path / "hmm.json")
+    windows = np.concatenate([loaded.train_inputs, loaded.train_targets], axis=1)
+    assert windows.shape == (2, 144)
+    assert (quantizer.lo, quantizer.hi) == (windows.min(), windows.max())
+    assert quantizer.hi < 400.0
+
+
+def test_failed_rewrite_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    OutputTracker().write_csv(path, [["a", 1]])
+    before = path.read_bytes()
+
+    def rows():
+        yield ["b", 2]
+        raise RuntimeError("failed midway")
+
+    with pytest.raises(RuntimeError):
+        OutputTracker().write_csv(path, rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_failed_prepared_rewrite_keeps_the_earlier_file(tmp_path):
+    windows = np.arange(2 * 144, dtype=float).reshape(2, 144)
+    prepared = one_window_prepared(windows[:1], windows[1:], 132)
+    path = tmp_path / "fold.gprep"
+    save_prepared(prepared, path)
+    before = path.read_bytes()
+    # The header is written before the readings fail to convert.
+    broken = dataclasses.replace(prepared, readings=np.array(["x"] * 288, dtype=object))
+    with pytest.raises(ValueError):
+        save_prepared(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["fold.gprep"]
 
 
 def test_build_forecaster_requires_models_dir():
