@@ -2,12 +2,13 @@
 
 Observations are quantized glucose values (uniform bins, midpoint decoding).
 Training is Baum-Welch with a scaled forward/backward pass in probability
-space, run over batches of equal-length sequences: renormalizing at every
-step keeps 100-state, 144-step products from underflowing, and each step is
-one matrix product for the whole batch. A probability floor keeps every row
-distribution strictly positive so no state or symbol becomes absorbing-zero.
-Models are stored as log-probabilities, and Viterbi decoding runs in log
-space over batches of rows.
+space over observation rows (n, T), in slices of up to E_STEP_CHUNK rows:
+renormalizing at every step keeps 100-state, 144-step products from
+underflowing, and each step is one matrix product for the whole slice. A
+probability floor keeps every trained row distribution strictly positive so
+no state or symbol becomes absorbing-zero. Models are stored as
+log-probabilities, and Viterbi decoding runs in log space over batches of
+rows; a loaded model may hold exact zeros, whose logs are -inf.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import atomic_write, is_int, is_real
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 
 PROB_FLOOR = 1e-10
-# Sequences per E-step batch: alpha is (512, 144, 100) float64, ~60 MB, at paper scale.
+# Rows per E-step slice: alpha is (512, 144, 100) float64, ~60 MB, at paper scale.
 E_STEP_CHUNK = 512
 # Rows per Viterbi batch: the (rows, N, N) step scores stay ~1.3 MB, in cache, at N = 100.
 VITERBI_CHUNK = 16
@@ -139,98 +140,73 @@ def _random_model(n_states: int, n_symbols: int, rng: np.random.Generator) -> Hm
     return HmmModel(np.log(pi), np.log(a), np.log(b))
 
 
-def _length_batches(
-    symbol_sequences: list[np.ndarray], n_symbols: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Validated sequences grouped by length: [(input indices, symbols (S, T))].
-
-    Each batch holds at most E_STEP_CHUNK equal-length sequences, in input
-    order within a length, so any mix of lengths runs batched.
-    """
-    sequences = [np.asarray(seq, dtype=np.int64) for seq in symbol_sequences]
-    if not sequences:
-        raise DataError("training set is empty")
-    if any(seq.ndim != 1 for seq in sequences):
-        raise DataError("each observation sequence must be one-dimensional")
-    lengths = np.array([seq.size for seq in sequences])
-    if lengths.min() == 0:
-        raise DataError("observation sequence is empty")
-    batches = []
-    for length in np.unique(lengths):
-        ids = np.flatnonzero(lengths == length)
-        for lo in range(0, ids.size, E_STEP_CHUNK):
-            chunk = ids[lo : lo + E_STEP_CHUNK]
-            symbols = np.stack([sequences[i] for i in chunk])
-            if symbols.min() < 0 or symbols.max() >= n_symbols:
-                raise DataError(f"symbol outside [0, {n_symbols})")
-            batches.append((chunk, symbols))
-    return batches
-
-
 def _e_step(
-    pi: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    batches: list[tuple[np.ndarray, np.ndarray]],
+    pi: np.ndarray, a: np.ndarray, b: np.ndarray, symbols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sequence log-likelihoods and the initial, transition, emission accumulators.
+    """Per-row log-likelihoods and the initial, transition, emission accumulators.
 
-    Scaled forward-backward (Rabiner 1989, section V.A) over each batch: alpha
-    is renormalized at every step by its sum c_t, beta is divided by the same
-    scales, so nothing underflows, gamma_t = alpha_t * beta_t and the
-    log-likelihood is sum_t log c_t. Only alpha is kept for the whole batch;
-    beta is one step at a time, and alpha becomes gamma as the backward pass
-    goes. Batches are reduced in a fixed order, so results are deterministic.
+    Scaled forward-backward (Rabiner 1989, section V.A) over consecutive
+    slices of E_STEP_CHUNK rows of symbols (n, T): alpha is renormalized at
+    every step by its sum c_t, beta is divided by the same scales, so nothing
+    underflows, gamma_t = alpha_t * beta_t and the log-likelihood is
+    sum_t log c_t. Only alpha is kept for the whole slice; beta is one step
+    at a time, and alpha becomes gamma as the backward pass goes. Slices are
+    reduced in row order, so results are deterministic.
     """
     n_states = a.shape[0]
     b_by_symbol = b.T
-    log_likelihoods = np.empty(sum(ids.size for ids, _ in batches))
+    log_likelihoods = np.empty(symbols.shape[0])
     pi_acc = np.zeros(n_states)
     xi_acc = np.zeros((n_states, n_states))
     b_acc = np.zeros(b_by_symbol.shape)  # (M, N): one row per symbol
-    for ids, symbols in batches:
-        n_seq, t_max = symbols.shape
+    for lo in range(0, symbols.shape[0], E_STEP_CHUNK):
+        chunk = symbols[lo : lo + E_STEP_CHUNK]
+        n_seq, t_max = chunk.shape
         alpha = np.empty((n_seq, t_max, n_states))
         scale = np.empty((n_seq, t_max))
-        step = pi * b_by_symbol[symbols[:, 0]]
+        step = pi * b_by_symbol[chunk[:, 0]]
         for t in range(t_max):
             if t:
-                step = (alpha[:, t - 1] @ a) * b_by_symbol[symbols[:, t]]
+                step = (alpha[:, t - 1] @ a) * b_by_symbol[chunk[:, t]]
             scale[:, t] = step.sum(axis=1)
             alpha[:, t] = step / scale[:, t, None]
         if not (np.all(scale > 0) and np.all(np.isfinite(scale))):
             raise NumericError("forward scale is zero or not finite")
-        log_likelihoods[ids] = np.log(scale).sum(axis=1)
+        log_likelihoods[lo : lo + n_seq] = np.log(scale).sum(axis=1)
 
         beta = np.ones((n_seq, n_states))
         for t in range(t_max - 1, 0, -1):
-            weighted = b_by_symbol[symbols[:, t]] * beta / scale[:, t, None]
+            weighted = b_by_symbol[chunk[:, t]] * beta / scale[:, t, None]
             xi_acc += alpha[:, t - 1].T @ weighted
             alpha[:, t] *= beta  # gamma_t
             beta = weighted @ a.T
         alpha[:, 0] *= beta
         pi_acc += alpha[:, 0].sum(axis=0)
-        np.add.at(b_acc, symbols.ravel(), alpha.reshape(-1, n_states))
+        np.add.at(b_acc, chunk.ravel(), alpha.reshape(-1, n_states))
     return log_likelihoods, pi_acc, a * xi_acc, b_acc.T
 
 
 def baum_welch(
-    symbol_sequences: list[np.ndarray],
+    symbols: np.ndarray,
     n_states: int,
     n_symbols: int,
     max_iter: int = 100,
     tol: float = 1e-6,
     seed: int = 42,
 ) -> HmmModel:
-    """Estimate an HMM from observation sequences by expectation-maximization.
+    """Estimate an HMM from observation rows symbols (n, T) by expectation-maximization.
 
-    Sequences may have any lengths; the E-step runs them in equal-length
-    batches. Stops at max_iter, or once the log-likelihood gain per
-    observation (the total gain divided by the number of symbols) drops below
-    tol, so the rule does not depend on the size of the training set.
+    Stops at max_iter, or once the log-likelihood gain per observation (the
+    total gain divided by the number of symbols) drops below tol, so the rule
+    does not depend on the size of the training set.
     """
-    batches = _length_batches(symbol_sequences, n_symbols)
-    n_observations = sum(symbols.size for _, symbols in batches)
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.ndim != 2 or symbols.shape[1] == 0:
+        raise DataError("baum_welch needs observation rows of shape (n, T) with T >= 1")
+    if symbols.shape[0] == 0:
+        raise DataError("training set is empty")
+    if symbols.min() < 0 or symbols.max() >= n_symbols:
+        raise DataError(f"symbol outside [0, {n_symbols})")
     rng = np.random.default_rng(seed)
     model = _random_model(n_states, n_symbols, rng)
     pi, a, b = model.initial, model.transition, model.emission
@@ -239,14 +215,14 @@ def baum_welch(
     prev_ll = -np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        log_likelihoods, pi_acc, a_acc, b_acc = _e_step(pi, a, b, batches)
+        log_likelihoods, pi_acc, a_acc, b_acc = _e_step(pi, a, b, symbols)
         total_ll = float(log_likelihoods.sum())
         history.append(total_ll)
         pi = _floor_normalize(pi_acc)
         a = _floor_normalize(a_acc)
         b = _floor_normalize(b_acc)
 
-        if (total_ll - prev_ll) / n_observations < tol and iterations > 1:
+        if (total_ll - prev_ll) / symbols.size < tol and iterations > 1:
             prev_ll = total_ll
             break
         prev_ll = total_ll
@@ -385,16 +361,17 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
         or emission.shape != (n_states, n_symbols)
     ):
         raise FormatError(f"{path}: matrix shapes inconsistent with header")
-    if not all(np.all(np.isfinite(m) & (m >= 0)) for m in (initial, transition, emission)):
+    matrices = (initial, transition, emission)
+    if not all(np.all(np.isfinite(m) & (m >= 0)) for m in matrices):
         raise FormatError(f"{path}: HMM probabilities must be finite and non-negative")
+    with np.errstate(over="ignore", divide="ignore"):
+        # A zero probability is valid (its log is -inf); a row that does not
+        # sum to 1, all zeros say, is rejected before any log is taken.
+        if not all(np.allclose(m.sum(axis=-1), 1.0, atol=1e-9) for m in matrices):
+            raise FormatError(f"{path}: HMM rows must sum to 1 within 1e-9")
+        logs = [np.log(m) for m in matrices]
     try:
-        model = HmmModel(
-            log_initial=np.log(initial),
-            log_transition=np.log(transition),
-            log_emission=np.log(emission),
-            trained_iterations=iterations,
-            final_log_likelihood=final_ll,
-        )
+        model = HmmModel(*logs, trained_iterations=iterations, final_log_likelihood=final_ll)
         quantizer = Quantizer(q_symbols, lo, hi)
     except InvalidValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

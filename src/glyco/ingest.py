@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, GlucoseReading, PatientRecord
+from .core import GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, GlucoseReading, PatientRecord, atomic_write
 from .errors import DataError, FormatError
 
 CGM_HEADER = ["patient_id", "timestamp", "glucose_mgdl"]
@@ -223,7 +223,7 @@ def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseRepor
 
 
 def write_cgm_csv(readings: list[GlucoseReading] | tuple[GlucoseReading, ...], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CGM_HEADER)
         for r in readings:
@@ -236,7 +236,7 @@ def write_patient_csv(patients, path: str | Path) -> None:
             return ""
         return repr(v) if isinstance(v, float) else str(v)
 
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(PATIENT_HEADER)
         for p in patients:

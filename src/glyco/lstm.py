@@ -15,6 +15,9 @@ backpropagation through the full unrolled computation: the default mode
 feeds each prediction back as the next input and differentiates through
 those feedback paths as well. All internals carry a trailing batch axis so
 a whole minibatch unrolls in one set of matrix products.
+
+Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
+``forget_trace`` is the same run on one window with every step kept.
 """
 
 from __future__ import annotations
@@ -201,27 +204,6 @@ def set_flat_params(net: LstmNetwork, flat: np.ndarray) -> None:
     net.head_bias = float(flat[cursor])
 
 
-def cell_forward(
-    layer: LstmLayerParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Single cell step on plain vectors; returns (h, c, gates)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layer.input_size,) or h_prev.shape != (layer.hidden_size,):
-        raise InvalidValueError(
-            f"cell_forward shapes: x {x.shape}, h_prev {h_prev.shape}; expected "
-            f"({layer.input_size},) and ({layer.hidden_size},)"
-        )
-    if c_prev.shape != (layer.hidden_size,):
-        raise InvalidValueError(f"c_prev shape {c_prev.shape} != ({layer.hidden_size},)")
-    h_size = layer.hidden_size
-    gates = np.empty((4 * h_size, 1))
-    c, tc, h = np.empty((3, h_size, 1))
-    bias = (layer.b_input + layer.b_hidden)[:, None]
-    _cell_step(layer, bias, x[:, None], h_prev[:, None], c_prev[:, None], gates, c, tc, h)
-    named = {key: gates[k * h_size : (k + 1) * h_size, 0] for k, key in enumerate("ifgo")}
-    return h[:, 0], c[:, 0], named
-
-
 def _cell_step(layer: LstmLayerParams, bias, x, h_prev, c_prev, gates, c, tc, h) -> None:
     """Batched cell step; every array carries a trailing batch axis.
 
@@ -265,10 +247,9 @@ class _Unroll:
     with the window length.
     """
 
-    def __init__(self, net: LstmNetwork, keep_steps: bool, check_steps: bool = False):
+    def __init__(self, net: LstmNetwork, keep_steps: bool):
         self.net = net
         self.keep_steps = keep_steps
-        self.check_steps = check_steps
 
     def input_at(self, t: int) -> np.ndarray:
         """Layer-0 input of step t as a (1, B) row."""
@@ -310,15 +291,8 @@ class _Unroll:
                     gates[s, l], cs[cur, l], tcs[s, l], hs[cur, l],
                 )
                 x = hs[cur, l]
-            if self.check_steps and not (
-                np.all(np.isfinite(x)) and np.all(np.isfinite(cs[cur, -1]))
-            ):
-                raise NumericError(f"non-finite network state at step {t}")
             if t >= t_in - 1:
-                k = t - (t_in - 1)
-                preds[k] = net.head_weights @ hs[cur, -1] + net.head_bias
-                if self.check_steps and not np.all(np.isfinite(preds[k])):
-                    raise NumericError(f"non-finite prediction at step {t}")
+                preds[t - (t_in - 1)] = net.head_weights @ hs[cur, -1] + net.head_bias
         return preds
 
     def trace(self) -> ForgetTrace:
@@ -330,41 +304,43 @@ class _Unroll:
         return ForgetTrace(values=np.transpose(forget, (1, 0, 2)), phases=phases)
 
 
-def rollout(
-    net: LstmNetwork,
-    values: np.ndarray | list[float],
-    horizon: int = 12,
-    trace: bool = False,
-) -> tuple[np.ndarray, ForgetTrace | None]:
-    """Recursive forecast in mg/dL for one input window.
+def _checked_forecast(
+    net: LstmNetwork, inputs: np.ndarray, horizon: int, keep_steps: bool
+) -> tuple[np.ndarray, _Unroll]:
+    """Recursive forecasts in mg/dL for rows of inputs (n, T), and the run behind them.
 
-    The observed window is consumed first; each prediction is then fed back
-    as the next input until the horizon is filled. With trace=True the
-    forget-gate activations of every processed step are returned as well.
+    Each row's observed window is consumed first; each prediction is then fed
+    back as the next input until the horizon is filled. A non-finite state
+    stays in the cell state and reaches every later prediction, so one check
+    of the mg/dL output covers states and predictions alike; it names the
+    first bad horizon step.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise DataError("rollout needs a 1-D, non-empty input window")
     if not net.layers:
         raise DataError("network has no layers")
-    unroll = _Unroll(net, keep_steps=trace, check_steps=True)
-    preds = unroll.run(net.scaler.scale(values)[None, :], horizon, None)
-    with np.errstate(over="ignore"):
-        out = net.scaler.inverse(preds[:, 0])
-    for k in range(horizon):
-        if not np.isfinite(out[k]):
-            raise NumericError(f"non-finite forecast value at step {values.size - 1 + k}")
-    return out, (unroll.trace() if trace else None)
+    if inputs.ndim != 2 or inputs.shape[1] < 1:
+        raise DataError(f"forecast inputs must have shape (n, T) with T >= 1, got {inputs.shape}")
+    unroll = _Unroll(net, keep_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = unroll.run(net.scaler.scale(inputs), horizon, None)
+        out = net.scaler.inverse(preds.T)
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise NumericError(f"non-finite forecast at horizon step {step} of {horizon}")
+    return out, unroll
 
 
 def rollout_batch(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> np.ndarray:
-    """Vectorized rollout over rows of ``inputs`` (n, T); returns (n, horizon) mg/dL."""
+    """Recursive forecasts for rows of inputs (n, T) in mg/dL; returns (n, horizon)."""
+    return _checked_forecast(net, np.asarray(inputs, dtype=float), horizon, keep_steps=False)[0]
+
+
+def forget_trace(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> ForgetTrace:
+    """Forget-gate activations of every step of one window's rollout, inputs (1, T)."""
     inputs = np.asarray(inputs, dtype=float)
-    unroll = _Unroll(net, keep_steps=False)
-    preds = unroll.run(net.scaler.scale(inputs), horizon, None)
-    if not np.all(np.isfinite(preds)):
-        raise NumericError("non-finite prediction in batched rollout")
-    return net.scaler.inverse(preds.T)
+    if inputs.ndim != 2 or inputs.shape[0] != 1:
+        raise DataError(f"forget_trace takes one window of shape (1, T), got {inputs.shape}")
+    return _checked_forecast(net, inputs, horizon, keep_steps=True)[1].trace()
 
 
 @dataclass
@@ -478,25 +454,6 @@ def _loss_and_gradients_batch(
         arrays.extend([gw_i, gw_h, gb_i, gb_h])
     arrays.append(d_head_w)
     return loss, Gradients(arrays=arrays, head_bias=d_head_b)
-
-
-def loss_and_gradients(
-    net: LstmNetwork,
-    values: np.ndarray | list[float],
-    targets: np.ndarray | list[float],
-    feedback: str = "recursive",
-) -> tuple[float, Gradients]:
-    """Scaled-space MSE and gradients for one example (mg/dL inputs)."""
-    values = np.asarray(values, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if values.ndim != 1 or targets.ndim != 1:
-        raise DataError("expected 1-D input and target")
-    return _loss_and_gradients_batch(
-        net,
-        net.scaler.scale(values)[None, :],
-        net.scaler.scale(targets)[None, :],
-        feedback=feedback,
-    )
 
 
 class AdamOptimizer:
@@ -664,7 +621,7 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
@@ -678,13 +635,24 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
     typed = all(is_int(v) and v >= 1 for v in sizes) and is_int(seed) and seed >= 0
     if not (typed and is_real(lo) and is_real(hi) and isinstance(provenance, dict)):
         raise FormatError(f"{path}: header field of the wrong type or out of range")
-    hidden_size, n_layers, input_size = sizes
-    net = new_network(hidden_size, n_layers, seed, input_size, Scaler(lo, hi))
-    expected = param_count(net) * 8
+    try:
+        lo, hi = float(lo), float(hi)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: scaler bound out of range: {exc}") from exc
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise FormatError(f"{path}: scaler bounds must be finite with lo < hi")
+    h, n_layers, input_size = sizes
+    # The payload length is checked against the header before anything is
+    # allocated, so a corrupt size cannot ask for more memory than the file holds.
+    n_params = 4 * h * (input_size + h + 2) + (n_layers - 1) * 8 * h * (h + 1) + h + 1
     payload = raw[header_end:]
-    if len(payload) != expected:
+    if len(payload) != 8 * n_params:
         raise FormatError(
-            f"{path}: parameter payload is {len(payload)} bytes, expected {expected}"
+            f"{path}: parameter payload is {len(payload)} bytes, expected {8 * n_params}"
         )
-    set_flat_params(net, np.frombuffer(payload, dtype="<f8").copy())
+    flat = np.frombuffer(payload, dtype="<f8").astype(float)
+    if not np.all(np.isfinite(flat)):
+        raise FormatError(f"{path}: non-finite parameter in the payload")
+    net = new_network(h, n_layers, seed, input_size, Scaler(lo, hi))
+    set_flat_params(net, flat)
     return net, provenance

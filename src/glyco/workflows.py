@@ -354,7 +354,7 @@ def _train_hmm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_inde
     windows = prepared.windows("train")
     quantizer = hmm_mod.Quantizer.from_values(windows, config.hmm_states)
     model = hmm_mod.baum_welch(
-        list(quantizer.encode(windows)),
+        quantizer.encode(windows),
         n_states=config.hmm_states,
         n_symbols=config.hmm_states,  # one observation symbol per state
         max_iter=config.hmm_max_iter,
@@ -616,7 +616,7 @@ def run_explain(
         )
     inputs, _ = prepared.gather(split, [example_index])
     net, provenance = lstm_mod.load_model(model_file)
-    _, trace = lstm_mod.rollout(net, inputs[0], horizon=prepared.horizon, trace=True)
+    trace = lstm_mod.forget_trace(net, inputs, horizon=prepared.horizon)
     tracker.write_csv(out_path, trace.to_csv_rows())
     return {
         "model_provenance": provenance,

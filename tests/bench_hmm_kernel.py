@@ -6,15 +6,15 @@ collect it. Run it on its own:
     PYTHONPATH=src python -m pytest tests/bench_hmm_kernel.py
 
 All timings use the paper's shape, N = M = 100 with fixed seeds: one
-Baum-Welch E-step over S sequences of 144 symbols (S = 12 and 512, one full
-batch), and batched Viterbi over S rows of 132 symbols (S = 1, 24 and 128).
+Baum-Welch E-step over S rows of 144 symbols (S = 12 and 512, one full
+slice), and batched Viterbi over S rows of 132 symbols (S = 1, 24 and 128).
 Divide a time by S for the per-sequence rate.
 """
 
 import numpy as np
 import pytest
 
-from glyco.hmm import _e_step, _length_batches, _random_model, viterbi
+from glyco.hmm import _e_step, _random_model, viterbi
 
 N_STATES = 100
 N_SYMBOLS = 100
@@ -28,10 +28,9 @@ def model():
 @pytest.mark.parametrize("n_sequences", [12, 512])
 def test_e_step(benchmark, model, n_sequences):
     rng = np.random.default_rng(n_sequences)
-    sequences = list(rng.integers(0, N_SYMBOLS, size=(n_sequences, 144)))
-    batches = _length_batches(sequences, N_SYMBOLS)
+    symbols = rng.integers(0, N_SYMBOLS, size=(n_sequences, 144))
     log_likelihoods, *_ = benchmark(
-        _e_step, model.initial, model.transition, model.emission, batches
+        _e_step, model.initial, model.transition, model.emission, symbols
     )
     assert np.all(np.isfinite(log_likelihoods))
 

@@ -7,13 +7,14 @@ collect it. Run it on its own:
 
 Both timings use the 8x3 reference network, 132-step input windows and a
 12-step recursive horizon, with fixed seeds: one training minibatch of
-forward pass plus BPTT at batch 128, and one batched rollout of 40 windows.
+forward pass plus BPTT at batch 128, one batched rollout of 40 windows, and
+the forget-gate trace of one window (the ``explain`` path).
 """
 
 import numpy as np
 import pytest
 
-from glyco.lstm import _loss_and_gradients_batch, new_network, rollout_batch
+from glyco.lstm import _loss_and_gradients_batch, forget_trace, new_network, rollout_batch
 
 INPUT_LEN = 132
 HORIZON = 12
@@ -37,3 +38,9 @@ def test_rollout_batch_40(benchmark, net):
     inputs = rng.uniform(40, 400, (40, INPUT_LEN))
     predictions = benchmark(rollout_batch, net, inputs, HORIZON)
     assert predictions.shape == (40, HORIZON)
+
+
+def test_forget_trace_1(benchmark, net):
+    inputs = np.random.default_rng(2).uniform(40, 400, (1, INPUT_LEN))
+    trace = benchmark(forget_trace, net, inputs, HORIZON)
+    assert trace.values.shape == (3, INPUT_LEN + HORIZON - 1, 8)

@@ -24,11 +24,11 @@ from glyco.hmm import HmmModel, _floor_normalize, baum_welch, viterbi
 from glyco.ingest import synth_corpus
 from glyco.lstm import (
     LstmForecaster,
+    _loss_and_gradients_batch,
+    forget_trace,
     get_flat_params,
-    loss_and_gradients,
     new_network,
     param_count,
-    rollout,
     set_flat_params,
     train,
 )
@@ -72,9 +72,9 @@ def test_c02_gradient_correctness():
             seq = int(rng.integers(2, 9))
             horizon = int(rng.integers(1, 4))
             net = new_network(hidden_size=h, n_layers=n_layers, seed=config_index)
-            values = rng.uniform(60, 350, seq)
-            target = rng.uniform(60, 350, horizon)
-            _, grads = loss_and_gradients(net, values, target)
+            values = net.scaler.scale(rng.uniform(60, 350, (1, seq)))
+            target = net.scaler.scale(rng.uniform(60, 350, (1, horizon)))
+            _, grads = _loss_and_gradients_batch(net, values, target)
             analytic = grads.flat()
 
             flat = get_flat_params(net)
@@ -83,10 +83,10 @@ def test_c02_gradient_correctness():
                 probe = flat.copy()
                 probe[index] += eps
                 set_flat_params(net, probe)
-                up, _ = loss_and_gradients(net, values, target)
+                up, _ = _loss_and_gradients_batch(net, values, target)
                 probe[index] -= 2 * eps
                 set_flat_params(net, probe)
-                down, _ = loss_and_gradients(net, values, target)
+                down, _ = _loss_and_gradients_batch(net, values, target)
                 numeric[index] = (up - down) / (2 * eps)
             set_flat_params(net, flat)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -138,7 +138,7 @@ def test_c04_baum_welch_monotone_and_recovery():
         for t in range(5000):
             observations[t] = rng.choice(2, p=b[states[t]])
 
-        model = baum_welch([observations], n_states=2, n_symbols=2, max_iter=60, seed=0)
+        model = baum_welch(observations[None], n_states=2, n_symbols=2, max_iter=60, seed=0)
         history = np.array(model.log_likelihood_history)
         assert np.all(np.diff(history) >= -1e-8), "log-likelihood dropped"
         recovery = min(
@@ -250,7 +250,7 @@ def test_c08_end_to_end_learning_signal():
         assert lstm_rmse < copy_rmse, f"{lstm_rmse:.2f} not below copy-last {copy_rmse:.2f}"
 
         probe = synth_corpus(1, 2, seed=9).values[:132]
-        _, trace = rollout(best_net, probe, horizon=12, trace=True)
+        trace = forget_trace(best_net, probe[None], horizon=12)
         assert trace.values.shape == (3, 143, 8)
         assert np.all(trace.values > 0.0) and np.all(trace.values < 1.0)
 

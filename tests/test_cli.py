@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from glyco.cli import _exit_code, main
 from glyco.errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
+from glyco.lstm import load_model, save_model
 
 TINY = [
     "--folds", "3", "--seed", "11",
@@ -217,6 +218,25 @@ class TestErrors:
              "--out-dir", str(tmp_path / "e"), *TINY],
         )
         assert result.exit_code == 2
+
+    def test_overflowing_lstm_is_numeric_error(self, runner, pipeline_dir, tmp_path):
+        # Finite in scaled space, the forecasts overflow to inf in mg/dL.
+        models = tmp_path / "models"
+        models.mkdir()
+        for fold in range(3):
+            name = f"lstm_fold{fold}.glstm"
+            net, provenance = load_model(pipeline_dir / "models" / name)
+            net.head_bias = 1e306
+            save_model(net, models / name, provenance)
+        out = tmp_path / "eval"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--prepared-dir", str(pipeline_dir / "prep"), "--models", "copy_last,lstm",
+             "--models-dir", str(models), "--out-dir", str(out), "--scatter", *TINY],
+        )
+        assert result.exit_code == 4
+        assert json.loads(result.output.strip().splitlines()[-1])["error"] == "NumericError"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bolus_domain_error(self, runner):
         result = runner.invoke(

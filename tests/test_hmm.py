@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from glyco.hmm import (
     Quantizer,
     _e_step,
     _floor_normalize,
-    _length_batches,
     baum_welch,
     hmm_forecast,
     load_hmm,
@@ -207,7 +207,8 @@ class TestQuantizer:
 
 class TestBaumWelch:
     def test_one_state_concentrates_emission(self):
-        model = baum_welch([np.zeros(3, dtype=int)], n_states=1, n_symbols=2, max_iter=20, seed=0)
+        obs = np.zeros((1, 3), dtype=int)
+        model = baum_welch(obs, n_states=1, n_symbols=2, max_iter=20, seed=0)
         assert model.emission[0, 0] > 0.999
         assert abs(model.final_log_likelihood) < 1e-6
 
@@ -217,7 +218,7 @@ class TestBaumWelch:
         b = np.array([[0.9, 0.1], [0.1, 0.9]])
         pi = np.array([0.5, 0.5])
         obs = sample_sequence(rng, a, b, pi, 5000)
-        model = baum_welch([obs], n_states=2, n_symbols=2, max_iter=60, tol=1e-6, seed=0)
+        model = baum_welch(obs[None], n_states=2, n_symbols=2, max_iter=60, tol=1e-6, seed=0)
         errors = []
         for perm in itertools.permutations(range(2)):
             p = np.eye(2)[list(perm)]
@@ -226,14 +227,14 @@ class TestBaumWelch:
 
     def test_log_likelihood_monotone(self):
         rng = np.random.default_rng(77)
-        obs = [rng.integers(0, 4, size=60) for _ in range(5)]
+        obs = rng.integers(0, 4, size=(5, 60))
         model = baum_welch(obs, n_states=3, n_symbols=4, max_iter=40, seed=1)
         history = np.array(model.log_likelihood_history)
         assert np.all(np.diff(history) >= -1e-8)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        obs = [rng.integers(0, 3, size=40) for _ in range(3)]
+        obs = rng.integers(0, 3, size=(3, 40))
         a = baum_welch(obs, n_states=2, n_symbols=3, max_iter=25, seed=9)
         b = baum_welch(obs, n_states=2, n_symbols=3, max_iter=25, seed=9)
         np.testing.assert_array_equal(a.log_transition, b.log_transition)
@@ -241,7 +242,7 @@ class TestBaumWelch:
 
     def test_rows_stay_normalized(self):
         rng = np.random.default_rng(6)
-        obs = [rng.integers(0, 3, size=50)]
+        obs = rng.integers(0, 3, size=(1, 50))
         model = baum_welch(obs, n_states=3, n_symbols=3, max_iter=30, seed=2)
         np.testing.assert_allclose(model.initial.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(model.transition.sum(axis=1), 1.0, atol=1e-9)
@@ -249,7 +250,7 @@ class TestBaumWelch:
 
     def test_smoothing_floor_keeps_logs_finite(self):
         # a symbol never observed would otherwise drive its emission to zero
-        obs = [np.zeros(40, dtype=int)]
+        obs = np.zeros((1, 40), dtype=int)
         model = baum_welch(obs, n_states=2, n_symbols=4, max_iter=20, seed=3)
         assert np.all(np.isfinite(model.log_initial))
         assert np.all(np.isfinite(model.log_transition))
@@ -257,16 +258,15 @@ class TestBaumWelch:
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
-            baum_welch([], n_states=2, n_symbols=2)
+            baum_welch(np.zeros((0, 5), dtype=int), n_states=2, n_symbols=2)
 
     def test_symbol_out_of_range(self):
         with pytest.raises(DataError):
-            baum_welch([np.array([0, 5])], n_states=2, n_symbols=2)
-
+            baum_welch(np.array([[0, 5]]), n_states=2, n_symbols=2)
 
     def test_stops_on_gain_per_observation(self):
         rng = np.random.default_rng(11)
-        obs = [rng.integers(0, 4, size=50) for _ in range(40)]
+        obs = rng.integers(0, 4, size=(40, 50))
         tol = 1e-4
         model = baum_welch(obs, n_states=3, n_symbols=4, max_iter=500, tol=tol, seed=1)
         assert model.trained_iterations < 500
@@ -274,9 +274,9 @@ class TestBaumWelch:
         assert gains[-1] < tol
         assert np.all(gains[:-1] >= tol)
 
-    def test_mixed_lengths_match_the_oracle_likelihood(self):
+    def test_history_matches_the_oracle_likelihood(self):
         rng = np.random.default_rng(12)
-        obs = [rng.integers(0, 3, size=n) for n in (1, 5, 2, 5, 9, 1)]
+        obs = rng.integers(0, 3, size=(6, 5))
         model = baum_welch(obs, n_states=2, n_symbols=3, max_iter=3, seed=4)
         again = baum_welch(obs, n_states=2, n_symbols=3, max_iter=2, seed=4)
         # the last history entry is the likelihood of the model after two M-steps
@@ -287,34 +287,29 @@ class TestBaumWelch:
 class TestScaledEStep:
     @pytest.mark.parametrize("n_states, n_symbols, seed", [(1, 3, 0), (3, 5, 1), (7, 4, 2)])
     def test_matches_log_space_oracle(self, monkeypatch, n_states, n_symbols, seed):
-        # a chunk of 4 splits the length groups, so chunk boundaries and the
-        # regrouping by length are both exercised
+        # a chunk of 4 rows splits every array, so chunk boundaries are exercised
         monkeypatch.setattr(hmm, "E_STEP_CHUNK", 4)
         rng = np.random.default_rng(seed)
         model = random_model(rng, n_states, n_symbols)
-        lengths = rng.permutation(np.repeat([1, 2, 37, 144], [5, 3, 9, 6]))
-        sequences = [rng.integers(0, n_symbols, size=n) for n in lengths]
-        batches = _length_batches(sequences, n_symbols)
-        assert len(batches) > 4 and max(len(ids) for ids, _ in batches) == 4
-        got = _e_step(model.initial, model.transition, model.emission, batches)
-        expected = ref_expectations(model, sequences)
-        for name, g, e in zip(("log-likelihood", "pi", "A", "B"), got, expected):
-            np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=name)
+        for length, n_rows in ((1, 5), (2, 6), (37, 9), (144, 6)):
+            symbols = rng.integers(0, n_symbols, size=(n_rows, length))
+            got = _e_step(model.initial, model.transition, model.emission, symbols)
+            expected = ref_expectations(model, symbols)
+            for name, g, e in zip(("log-likelihood", "pi", "A", "B"), got, expected):
+                np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=f"T={length} {name}")
 
     def test_zero_scale_is_numeric_error(self):
         pi = np.array([0.5, 0.5])
         a = np.full((2, 2), 0.5)
         b = np.array([[0.0, 1.0], [0.0, 1.0]])  # symbol 0 cannot be emitted
-        batches = _length_batches([np.array([1, 0, 1])], 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                _e_step(pi, a, b, batches)
+                _e_step(pi, a, b, np.array([[1, 0, 1]]))
 
-    def test_non_vector_or_empty_sequence_rejected(self):
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (2, 0)], ids=["1d", "3d", "T0"])
+    def test_non_2d_or_empty_rows_rejected(self, shape):
         with pytest.raises(DataError):
-            baum_welch([np.zeros((2, 3), dtype=int)], n_states=2, n_symbols=2)
-        with pytest.raises(DataError):
-            baum_welch([np.zeros(3, dtype=int), np.array([], dtype=int)], 2, 2)
+            baum_welch(np.zeros(shape, dtype=int), n_states=2, n_symbols=2)
 
 
 class TestForwardBackward:
@@ -442,7 +437,7 @@ class TestForecast:
 class TestRoundTrip:
     def test_save_load_within_1e12(self, tmp_path):
         rng = np.random.default_rng(3)
-        obs = [rng.integers(0, 5, size=80) for _ in range(2)]
+        obs = rng.integers(0, 5, size=(2, 80))
         model = baum_welch(obs, n_states=4, n_symbols=5, max_iter=15, seed=4)
         q = Quantizer(5, 40.0, 400.0)
         path = tmp_path / "model.json"
@@ -591,3 +586,32 @@ def test_load_hmm_fuzz_raises_only_glyco_errors(tmp_path, data):
         load_hmm(path)
     except GlycoError:
         pass
+
+
+def _hand_made_model_file(path, initial, transition, emission):
+    save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
+    doc = json.loads(path.read_text())
+    doc.update(initial=initial, transition=transition, emission=emission)
+    path.write_text(json.dumps(doc))
+
+
+def test_zero_probabilities_load_and_forecast(tmp_path):
+    # Exact zeros are valid: their logs are -inf, and Viterbi and the greedy
+    # forecast take max/argmax over them without a numeric warning.
+    path = tmp_path / "m.json"
+    _hand_made_model_file(path, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, q = load_hmm(path)
+        out = hmm_forecast(model, q, np.array([[0.5, 1.5, 0.5]]), horizon=4)
+    assert model.log_initial[1] == -np.inf
+    np.testing.assert_array_equal(out, [[1.5, 0.5, 1.5, 0.5]])
+
+
+def test_all_zero_row_is_format_error(tmp_path):
+    path = tmp_path / "m.json"
+    _hand_made_model_file(path, [1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="sum to 1"):
+            load_hmm(path)

@@ -1,29 +1,31 @@
 import itertools
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 from conftest import one_window_prepared
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from glyco.errors import DataError, FormatError, NumericError
+from glyco.errors import DataError, FormatError, GlycoError, NumericError
 from glyco.lstm import (
     AdamOptimizer,
     ForgetTrace,
     Gradients,
     LstmForecaster,
-    cell_forward,
+    forget_trace,
     get_flat_params,
     load_model,
-    loss_and_gradients,
     new_network,
     param_arrays,
     param_count,
-    rollout,
     rollout_batch,
     save_model,
     set_flat_params,
     train,
+    _cell_step,
     _loss_and_gradients_batch,
     _sigmoid,
 )
@@ -34,6 +36,22 @@ def zero_network(hidden_size=4, n_layers=2, seed=0):
     net = new_network(hidden_size=hidden_size, n_layers=n_layers, seed=seed)
     set_flat_params(net, np.zeros(param_count(net)))
     return net
+
+
+def cell_forward(layer, x, h_prev, c_prev):
+    """One cell step on plain vectors through the batched kernel; returns (h, c, gates)."""
+    n = layer.hidden_size
+    gates = np.empty((4 * n, 1))
+    c, tc, h = np.empty((3, n, 1))
+    bias = (layer.b_input + layer.b_hidden)[:, None]
+    _cell_step(layer, bias, x[:, None], h_prev[:, None], c_prev[:, None], gates, c, tc, h)
+    return h[:, 0], c[:, 0], {key: gates[k * n : (k + 1) * n, 0] for k, key in enumerate("ifgo")}
+
+
+def scaled_loss(net, values, targets, feedback="recursive"):
+    """Scaled-space MSE and gradients for one example given in mg/dL."""
+    scale = net.scaler.scale
+    return _loss_and_gradients_batch(net, scale(values)[None], scale(targets)[None], feedback)
 
 
 def oracle_cell(layer, x, h_prev, c_prev):
@@ -162,13 +180,13 @@ class TestCellForward:
 class TestRollout:
     def test_zero_network_constant_forecast(self):
         net = zero_network(hidden_size=8, n_layers=3)
-        predictions, _ = rollout(net, np.linspace(80, 300, 132))
+        predictions = rollout_batch(net, np.linspace(80, 300, 132)[None])
         # head output is the (zero) bias at every step
         np.testing.assert_allclose(predictions, net.scaler.inverse(0.0), atol=1e-12)
 
     def test_trace_shape_and_range(self):
         net = new_network(hidden_size=8, n_layers=3, seed=4)
-        predictions, trace = rollout(net, np.linspace(80, 300, 132), horizon=12, trace=True)
+        trace = forget_trace(net, np.linspace(80, 300, 132)[None], horizon=12)
         assert trace.values.shape == (3, 143, 8)
         assert np.all(trace.values > 0.0) and np.all(trace.values < 1.0)
         assert trace.phases[:132] == ("observed",) * 132
@@ -180,8 +198,8 @@ class TestRollout:
     def test_deterministic(self):
         net = new_network(hidden_size=8, n_layers=2, seed=5)
         values = np.linspace(90, 210, 132)
-        a, _ = rollout(net, values)
-        b, _ = rollout(net, values)
+        a = rollout_batch(net, values[None])
+        b = rollout_batch(net, values[None])
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_single(self):
@@ -190,19 +208,42 @@ class TestRollout:
         inputs = rng.uniform(60, 350, (5, 50))
         batched = rollout_batch(net, inputs, horizon=7)
         for row in range(5):
-            single, _ = rollout(net, inputs[row], horizon=7)
-            np.testing.assert_allclose(batched[row], single, atol=1e-12)
+            single = rollout_batch(net, inputs[row : row + 1], horizon=7)
+            np.testing.assert_allclose(batched[row], single[0], atol=1e-12)
 
     def test_non_finite_named_step(self):
         net = new_network(hidden_size=4, n_layers=1, seed=7)
-        net.head_bias = 1e308  # first fed-back prediction overflows the next step
-        with pytest.raises(NumericError, match="step"):
-            rollout(net, np.linspace(80, 300, 20), horizon=5)
+        net.head_bias = 1e308  # finite when scaled, overflows in mg/dL from the first step
+        with pytest.raises(NumericError, match="horizon step 1 of 5"):
+            rollout_batch(net, np.linspace(80, 300, 20)[None], horizon=5)
+        with pytest.raises(NumericError, match="horizon step 1 of 5"):
+            forget_trace(net, np.linspace(80, 300, 20)[None], horizon=5)
+
+    def test_non_finite_step_is_the_first_bad_one(self):
+        # Zero weights but a saturated g gate: c = 0.5 c_prev + 0.5 and h = 0.5 tanh(c)
+        # grow every step, whatever the input, so W h first overflows in mg/dL
+        # (580 W h > 1.8e308) at the third horizon step.
+        net = zero_network(hidden_size=1, n_layers=1)
+        net.layers[0].b_input[2] = 30.0
+        net.head_weights[0] = 9.1e305
+        with pytest.raises(NumericError, match="horizon step 3 of 5"):
+            rollout_batch(net, np.full((2, 1), 100.0), horizon=5)
 
     def test_empty_input_rejected(self):
         net = new_network(hidden_size=4, n_layers=1)
-        with pytest.raises(DataError):
-            rollout(net, np.array([]))
+        for inputs in (np.empty((1, 0)), np.empty((0,)), np.linspace(80, 300, 20)):
+            with pytest.raises(DataError):
+                rollout_batch(net, inputs)
+
+    def test_network_without_layers_rejected(self):
+        with pytest.raises(DataError, match="no layers"):
+            rollout_batch(new_network(hidden_size=4, n_layers=0), np.full((1, 5), 100.0))
+
+    def test_forget_trace_takes_one_window(self):
+        net = new_network(hidden_size=4, n_layers=1)
+        for inputs in (np.full((2, 5), 100.0), np.full(5, 100.0)):
+            with pytest.raises(DataError, match="one window"):
+                forget_trace(net, inputs)
 
 
 class TestGradients:
@@ -217,7 +258,7 @@ class TestGradients:
             net = new_network(hidden_size=h, n_layers=n_layers, seed=trial)
             x = rng.uniform(60, 350, seq)
             target = rng.uniform(60, 350, horizon)
-            _, grads = loss_and_gradients(net, x, target, feedback=feedback)
+            _, grads = scaled_loss(net, x, target, feedback=feedback)
             analytic = grads.flat()
 
             flat = get_flat_params(net)
@@ -227,10 +268,10 @@ class TestGradients:
                 probe = flat.copy()
                 probe[index] += eps
                 set_flat_params(net, probe)
-                up, _ = loss_and_gradients(net, x, target, feedback=feedback)
+                up, _ = scaled_loss(net, x, target, feedback=feedback)
                 probe[index] -= 2 * eps
                 set_flat_params(net, probe)
-                down, _ = loss_and_gradients(net, x, target, feedback=feedback)
+                down, _ = scaled_loss(net, x, target, feedback=feedback)
                 numeric[index] = (up - down) / (2 * eps)
             set_flat_params(net, flat)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -239,18 +280,18 @@ class TestGradients:
     def test_zero_loss_zero_gradients(self):
         net = new_network(hidden_size=5, n_layers=2, seed=11)
         x = np.linspace(100, 180, 30)
-        predictions, _ = rollout(net, x, horizon=4)
-        loss, grads = loss_and_gradients(net, x, predictions)
+        predictions = rollout_batch(net, x[None], horizon=4)[0]
+        loss, grads = scaled_loss(net, x, predictions)
         assert loss == pytest.approx(0.0, abs=1e-24)
         assert np.max(np.abs(grads.flat())) == pytest.approx(0.0, abs=1e-15)
 
     def test_mse_homogeneity(self):
         net = new_network(hidden_size=4, n_layers=1, seed=12)
         x = np.linspace(100, 180, 25)
-        predictions, _ = rollout(net, x, horizon=3)
+        predictions = rollout_batch(net, x[None], horizon=3)[0]
         span = net.scaler.span
-        loss1, _ = loss_and_gradients(net, x, predictions + 5.0)
-        loss2, _ = loss_and_gradients(net, x, predictions + 10.0)
+        loss1, _ = scaled_loss(net, x, predictions + 5.0)
+        loss2, _ = scaled_loss(net, x, predictions + 10.0)
         assert loss2 == pytest.approx(4.0 * loss1, rel=1e-9)
         assert loss1 == pytest.approx((5.0 / span) ** 2, rel=1e-9)
 
@@ -340,8 +381,8 @@ class TestSaveLoad:
         assert provenance == {"fold": 2, "mode": "recursive"}
         assert loaded.scaler.lo == net.scaler.lo and loaded.scaler.hi == net.scaler.hi
         values = np.linspace(90, 300, 132)
-        a, _ = rollout(net, values)
-        b, _ = rollout(loaded, values)
+        a = rollout_batch(net, values[None])
+        b = rollout_batch(loaded, values[None])
         np.testing.assert_array_equal(a, b)
 
     def test_corrupted_payload_length(self, tmp_path):
@@ -370,6 +411,16 @@ class TestSaveLoad:
             load_model(path)
 
 
+def edit_header(path, **fields):
+    """Rewrite a saved model's JSON header with some fields replaced."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16 : 16 + header_len])
+    header.update(fields)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+
+
 def test_missing_header_key_is_format_error(tmp_path):
     net = new_network(hidden_size=3, n_layers=1, seed=17)
     path = tmp_path / "model.glstm"
@@ -393,12 +444,7 @@ def test_wrongly_typed_header_field_is_format_error(tmp_path, field, value):
     net = new_network(hidden_size=3, n_layers=1, seed=17)
     path = tmp_path / "model.glstm"
     save_model(net, path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", raw, 12)
-    header = json.loads(raw[16 : 16 + header_len])
-    header[field] = value
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+    edit_header(path, **{field: value})
     with pytest.raises(FormatError, match="wrong type"):
         load_model(path)
 
@@ -414,13 +460,82 @@ def test_non_object_header_is_format_error(tmp_path):
         load_model(path)
 
 
+FUZZ_HEADER_TOKENS = st.sampled_from(["0", "-1", "1.5", "NaN", "1e400", "null", str(2**31)])
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_load_model_fuzz_raises_only_glyco_errors(tmp_path, data):
+    """Truncated, bit-flipped and re-valued model files load or raise a GlycoError.
+
+    A size in the header is checked against the payload length before
+    anything is allocated, so 2**31 hidden units fail without asking for
+    64 GiB. Whatever loads must forecast, or fail with a GlycoError.
+    """
+    path = tmp_path / "m.glstm"
+    save_model(new_network(hidden_size=3, n_layers=2, seed=1), path, provenance={"fold": 0})
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if mutation == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+            raw[bit // 8] ^= 1 << (bit % 8)
+    else:
+        text = raw[16 : 16 + header_len].decode("utf-8")
+        numbers = [m.span() for m in re.finditer(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", text)]
+        lo, hi = data.draw(st.sampled_from(numbers))
+        blob = (text[:lo] + data.draw(FUZZ_HEADER_TOKENS) + text[hi:]).encode("utf-8")
+        raw = raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :]
+    path.write_bytes(bytes(raw))
+    try:
+        net, _ = load_model(path)
+    except GlycoError:
+        return
+    try:
+        assert rollout_batch(net, np.full((2, 6), 150.0), horizon=3).shape == (2, 3)
+    except GlycoError:
+        pass
+
+
+def test_load_model_checks_sizes_before_allocating(tmp_path):
+    path = tmp_path / "m.glstm"
+    save_model(new_network(hidden_size=3, n_layers=1, seed=1), path)
+    edit_header(path, hidden_size=2**31)
+    with pytest.raises(FormatError, match="payload"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("lo, hi", [(600.0, 20.0), (20.0, 20.0), (-1e308, 1e308)])
+def test_bad_scaler_bounds_are_format_error(tmp_path, lo, hi):
+    path = tmp_path / "m.glstm"
+    save_model(new_network(hidden_size=3, n_layers=1, seed=1), path)
+    edit_header(path, scaler_lo=lo, scaler_hi=hi)
+    with pytest.raises(FormatError, match="scaler"):
+        load_model(path)
+
+
+def test_non_finite_parameter_is_format_error(tmp_path):
+    path = tmp_path / "m.glstm"
+    save_model(new_network(hidden_size=3, n_layers=1, seed=1), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))  # the head bias
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="non-finite"):
+        load_model(path)
+
+
 def test_forecaster_interface():
     net = new_network(hidden_size=4, n_layers=1, seed=15)
     forecaster = LstmForecaster(net, horizon=12)
-    out, _ = rollout(net, np.linspace(100, 200, 132), horizon=12)
+    out = rollout_batch(net, np.linspace(100, 200, 132)[None], horizon=12)
     batch = forecaster.predict(np.tile(np.linspace(100, 200, 132), (3, 1)))
     assert batch.shape == (3, 12)
-    np.testing.assert_allclose(batch[0], out, atol=1e-12)
+    np.testing.assert_allclose(batch[0], out[0], atol=1e-12)
 
 
 # Frozen reference kernel: the masked sigmoid, per-step tuple cache, copy and
@@ -592,7 +707,8 @@ def test_kernel_bit_identical_to_reference(
     assert same_bits(grads.head_bias, ref_head_b)
 
     assert same_bits(rollout_batch(net, inputs, horizon), ref_rollout_batch(net, inputs, horizon))
-    predictions, trace = rollout(net, inputs[-1], horizon=horizon, trace=True)
+    predictions = rollout_batch(net, inputs[-1:], horizon)[0]
+    trace = forget_trace(net, inputs[-1:], horizon)
     ref_predictions, ref_forget = ref_rollout_trace(net, inputs[-1], horizon)
     assert same_bits(predictions, ref_predictions)
     assert same_bits(trace.values, ref_forget)

@@ -9,7 +9,8 @@ from conftest import one_window_prepared
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError
 from glyco.hmm import load_hmm
-from glyco.lstm import load_model, rollout
+from glyco.ingest import synth_corpus, write_cgm_csv, write_patient_csv
+from glyco.lstm import forget_trace, load_model
 from glyco.pipeline import FoldSplit, SequenceStore, load_prepared, prepare, save_prepared
 from glyco.workflows import (
     OutputTracker,
@@ -197,7 +198,7 @@ def test_explain_trace(workspace, tmp_path):
         root / "prep" / "fold0.gprep", last, tmp_path / "trace3.csv", split="train",
     )
     net, _ = load_model(tmp_path / "models" / "lstm_fold0.glstm")
-    _, trace = rollout(net, prepared.train_inputs[last], horizon=prepared.horizon, trace=True)
+    trace = forget_trace(net, prepared.train_inputs[last:], horizon=prepared.horizon)
     with (tmp_path / "trace3.csv").open(newline="") as handle:
         assert list(csv.reader(handle)) == [list(map(str, row)) for row in trace.to_csv_rows()]
 
@@ -241,17 +242,27 @@ def test_hmm_quantizer_bounds_come_from_the_windows(tmp_path, step):
     assert quantizer.hi < 400.0
 
 
-def test_failed_rewrite_keeps_the_earlier_file(tmp_path):
+SYNTH = synth_corpus(2, 1, seed=3)
+CSV_WRITERS = {
+    "tracker": (lambda rows, path: OutputTracker().write_csv(path, rows), [["a", 1], ["b", 2]]),
+    "cgm": (write_cgm_csv, SYNTH.readings),
+    "patients": (write_patient_csv, SYNTH.patients),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(CSV_WRITERS))
+def test_failed_rewrite_keeps_the_earlier_file(tmp_path, writer):
+    write, items = CSV_WRITERS[writer]
     path = tmp_path / "rows.csv"
-    OutputTracker().write_csv(path, [["a", 1]])
+    write(items[:1], path)
     before = path.read_bytes()
 
     def rows():
-        yield ["b", 2]
+        yield items[1]
         raise RuntimeError("failed midway")
 
     with pytest.raises(RuntimeError):
-        OutputTracker().write_csv(path, rows())
+        write(rows(), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
