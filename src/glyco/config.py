@@ -9,12 +9,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import is_int, is_real
 from .errors import ConfigError
+
+
+# Integer fields that must be at least 1.
+_POSITIVE_COUNTS = (
+    "window_input", "max_gap_s", "train_step", "test_step", "jobs", "lstm_hidden",
+    "lstm_layers", "lstm_epochs", "lstm_batch", "lstm_heuristic_n", "hmm_states",
+    "hmm_max_iter", "gmm_k", "gmm_n_init", "gmm_max_iter",
+)
 
 
 @dataclass
@@ -57,9 +66,21 @@ class RunConfig:
             )
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
-        for name in ("train_step", "test_step", "jobs", "lstm_epochs", "lstm_batch"):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in _POSITIVE_COUNTS:
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lstm_lr) and self.lstm_lr > 0):
+            raise ConfigError(f"lstm_lr must be positive and finite, got {self.lstm_lr}")
+        clip = self.lstm_clip_norm
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise ConfigError(f"lstm_clip_norm must be positive and finite or null, got {clip}")
+        if not (math.isfinite(self.hypo_mgdl) and math.isfinite(self.hyper_mgdl)
+                and self.hypo_mgdl < self.hyper_mgdl):
+            raise ConfigError(
+                f"need finite hypo_mgdl < hyper_mgdl, got {self.hypo_mgdl} and {self.hyper_mgdl}"
+            )
         if self.lstm_feedback not in ("recursive", "teacher"):
             raise ConfigError(f"lstm_feedback must be recursive or teacher")
 
@@ -92,8 +113,8 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         values.update(loaded)

@@ -3,13 +3,29 @@
 The raw input format is CSV with header ``patient_id,timestamp,glucose_mgdl``
 (patients: ``patient_id,age,weight_kg,height_cm,hba1c,hba1c_unit,
 annual_income_usd,education_level,sex``). Empty cells are missing values.
+
+A CGM file goes straight to the columns of a ``Corpus``, with no object per
+reading. A clean file takes a vectorised path over blocks of lines: split the
+fields, convert them with ``float`` (the row loop's conversion), code each
+patient id by its rank among the sorted ids, ``lexsort`` and check for
+repeated keys. The first anomaly (a quote, carriage return or NUL, a line
+without exactly three fields, an empty or padded id, a non-numeric or
+out-of-range field, a repeated (patient, timestamp) key, text that is not
+UTF-8) hands the whole file to the row loop, which records every rejection by
+row number and counts duplicates and conflicts in row order. Both give the
+same columns and the same report. Read failures raise ``FormatError``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
+from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,44 +45,99 @@ PATIENT_HEADER = [
     "education_level",
     "sex",
 ]
+# The patient features statistics read; each must be finite when present.
+PATIENT_NUMERIC_FEATURES = (
+    "age",
+    "weight_kg",
+    "height_cm",
+    "bmi",
+    "hba1c",
+    "annual_income_usd",
+    "education_level",
+)
 
 SLOTS_PER_DAY = 86400 // 300  # 288 five-minute slots
 
+_READ_BLOCK_CHARS = 1 << 18  # fast-path read size, about 9k rows
+_WRITE_BLOCK_ROWS = 1 << 14
+_ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """All readings sorted by (patient_id, timestamp), plus patient records.
+    """All readings sorted by (patient_id, timestamp), as read-only columns,
+    plus patient records.
 
-    Construction builds the read-only columns the data path uses: one
-    ``patient_ids`` str per reading (an object array), int64 ``timestamps``
-    and float64 ``values``.
+    ``patient_ids`` holds one str per reading (an object array), ``timestamps``
+    int64 epoch seconds and ``values`` float64 mg/dL. Construction checks that
+    (patient_id, timestamp) strictly increases, that timestamps are positive
+    and that values lie in the ingest glucose range. ``readings`` is a
+    ``GlucoseReading`` view built on first access; the data path never needs it.
     """
 
-    readings: tuple[GlucoseReading, ...]
+    patient_ids: np.ndarray
+    timestamps: np.ndarray
+    values: np.ndarray
     patients: tuple[PatientRecord, ...] = ()
-    patient_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    timestamps: np.ndarray = field(init=False, repr=False, compare=False)
-    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.readings)
         try:
-            stamps = np.fromiter((r.timestamp for r in self.readings), np.int64, n)
+            stamps = np.asarray(self.timestamps, dtype=np.int64)
         except OverflowError as exc:
             raise DataError(f"corpus timestamp outside the int64 range: {exc}") from exc
-        pids = np.array([r.patient_id for r in self.readings], dtype=object)
-        values = np.fromiter((r.value for r in self.readings), float, n)
+        pids = np.asarray(self.patient_ids, dtype=object)
+        values = np.asarray(self.values, dtype=float)
+        if not (pids.ndim == 1 and pids.shape == stamps.shape == values.shape):
+            raise DataError(
+                "corpus columns must be 1-D and of one length, got shapes "
+                f"{pids.shape}, {stamps.shape}, {values.shape}"
+            )
         for name, column in (("patient_ids", pids), ("timestamps", stamps), ("values", values)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        increasing = np.where(pids[1:] == pids[:-1], np.diff(stamps) > 0, pids[1:] > pids[:-1])
-        if not increasing.all():
+        object.__setattr__(self, "patients", tuple(self.patients))
+        if stamps.size and stamps.min() <= 0:
+            raise DataError(f"corpus timestamps must be positive, got {stamps.min()}")
+        if not np.all((values > GLUCOSE_MIN_MGDL) & (values <= GLUCOSE_MAX_MGDL)):
+            raise DataError(
+                f"corpus glucose values must lie in ({GLUCOSE_MIN_MGDL}, {GLUCOSE_MAX_MGDL}] mg/dL"
+            )
+        same = pids[1:] == pids[:-1]
+        if not (
+            np.all(np.diff(stamps)[same] > 0)
+            and np.all(pids[1:][~same] > pids[:-1][~same])
+        ):
             raise DataError(
                 "corpus readings must be strictly increasing in (patient_id, timestamp)"
             )
 
+    @classmethod
+    def from_readings(
+        cls, readings: Iterable[GlucoseReading], patients: Iterable[PatientRecord] = ()
+    ) -> Corpus:
+        """A corpus from records already in (patient_id, timestamp) order."""
+        readings = tuple(readings)
+        return cls(
+            [r.patient_id for r in readings],
+            [r.timestamp for r in readings],
+            [r.value for r in readings],
+            tuple(patients),
+        )
+
+    @functools.cached_property
+    def readings(self) -> tuple[GlucoseReading, ...]:
+        """The readings as records, built from the columns on first access."""
+        return tuple(
+            map(
+                GlucoseReading,
+                self.patient_ids.tolist(),
+                self.timestamps.tolist(),
+                self.values.tolist(),
+            )
+        )
+
     def __len__(self) -> int:
-        return len(self.readings)
+        return len(self.values)
 
 
 @dataclass
@@ -92,40 +163,150 @@ class ParseReport:
         }
 
 
+def _utf8_error(path: Path) -> FormatError:
+    """The error for a file that is not UTF-8, naming its first undecodable line."""
+    with path.open("rb") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return FormatError(f"{path}: line {line_number} is not UTF-8: {exc.reason}")
+    return FormatError(f"{path}: not UTF-8 text")
+
+
+@contextmanager
+def _typed_read_errors(path: Path, reader):
+    """Raise a csv failure (an oversized field, say) or undecodable text as FormatError."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path) from exc
+
+
 def _open_rows(path: str | Path, expected_header: list[str]):
+    """Open a CSV and check its header; returns the handle, positioned after
+    the header, and its csv reader."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"input file not found: {p}")
     handle = p.open("r", encoding="utf-8", newline="")
     reader = csv.reader(handle)
     try:
-        header = next(reader)
-    except StopIteration:
+        with _typed_read_errors(p, reader):
+            header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{p}: empty file, expected header {','.join(expected_header)}")
+        if [h.strip() for h in header] != expected_header:
+            raise FormatError(
+                f"{p}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
+            )
+    except BaseException:
         handle.close()
-        raise FormatError(f"{p}: empty file, expected header {','.join(expected_header)}")
-    if [h.strip() for h in header] != expected_header:
-        handle.close()
-        raise FormatError(
-            f"{p}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
-        )
+        raise
     return handle, reader
 
 
 def parse_cgm_csv(
     path: str | Path, max_malformed_fraction: float = 0.01
-) -> tuple[list[GlucoseReading], ParseReport]:
-    """Parse a CGM CSV into sorted, deduplicated readings.
+) -> tuple[Corpus, ParseReport]:
+    """Parse a CGM CSV into a corpus sorted by (patient_id, timestamp).
 
     Malformed rows are counted per row number. If more than
     ``max_malformed_fraction`` of the data rows are malformed the whole parse
     fails. Exact duplicate rows collapse to one; conflicting values for the
     same (patient, timestamp) keep the smallest value so the result does not
-    depend on row order.
+    depend on row order. A clean file takes the block-wise fast path; any
+    other goes through the row loop (see the module docstring).
     """
+    handle, _ = _open_rows(path, CGM_HEADER)
+    with handle:
+        parsed = _parse_cgm_fast(handle, str(path))
+    return parsed or _parse_cgm_rows(path, max_malformed_fraction)
+
+
+def _parse_cgm_fast(handle, path: str) -> tuple[Corpus, ParseReport] | None:
+    """The rows after the header, block by block; None on the first anomaly."""
+    table: dict[str, int] = {}  # patient id -> code, in order of first sight
+    blocks = []
+    try:
+        for text in _line_blocks(handle):
+            block = _cgm_block(text, table)
+            if block is None:
+                return None
+            blocks.append(block)
+    except UnicodeDecodeError:
+        return None
+    names = sorted(table)
+    rank = np.empty(len(names), np.int64)
+    rank[[table[name] for name in names]] = np.arange(len(names))
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # dtypes for no rows
+    codes, stamps, values = (np.concatenate(parts) for parts in zip(empty, *blocks))
+    del blocks
+    codes = rank[codes]
+    order = np.lexsort((stamps, codes))
+    codes, stamps, values = codes[order], stamps[order], values[order]
+    if np.any((np.diff(codes) == 0) & (np.diff(stamps) == 0)):
+        return None  # a repeated key: its duplicate and conflict counts follow row order
+    corpus = Corpus(np.array(names, dtype=object)[codes], stamps, values)
+    return corpus, ParseReport(path=path, total_rows=len(corpus), kept=len(corpus))
+
+
+def _line_blocks(handle):
+    """The rest of the file in blocks of whole lines, each ending in a newline."""
+    tail = ""
+    while chunk := handle.read(_READ_BLOCK_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        tail = text[cut:]
+    if tail:
+        yield tail + "\n"
+
+
+def _cgm_block(text: str, table: dict[str, int]):
+    """(codes, timestamps, values) of whole lines of clean rows, else None.
+
+    New patient ids get the next code in ``table``.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # every field's end
+    n = len(ends) // 3
+    if len(ends) != 3 * n or np.any(raw[ends].reshape(n, 3) != _ROW_SEPARATORS):
+        return None  # a blank line, or one without exactly three fields
+    if n and np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None  # a field the csv reader refuses (bytes bound characters)
+    fields = text.replace("\n", ",").split(",")
+    pids = fields[0:-1:3]
+    for name in set(pids).difference(table):
+        if not name or name != name.strip():
+            return None
+        table[name] = len(table)
+    try:
+        stamps = np.fromiter(map(float, fields[1::3]), float, n)
+        values = np.fromiter(map(float, fields[2::3]), float, n)
+    except ValueError:
+        return None
+    # int(float(cell)) lies in [1, 2**63) exactly when float(cell) does.
+    if not (
+        np.all((stamps >= 1.0) & (stamps < 2.0**63))
+        and np.all((values > GLUCOSE_MIN_MGDL) & (values <= GLUCOSE_MAX_MGDL))
+    ):
+        return None
+    codes = np.fromiter(map(table.__getitem__, pids), np.int64, n)
+    return codes, stamps.astype(np.int64), values
+
+
+def _parse_cgm_rows(path: str | Path, max_malformed_fraction: float) -> tuple[Corpus, ParseReport]:
+    """The row loop: any file, every rejection and count exact."""
     handle, reader = _open_rows(path, CGM_HEADER)
     report = ParseReport(path=str(path))
     by_key: dict[tuple[str, int], float] = {}
-    with handle:
+    with handle, _typed_read_errors(Path(path), reader):
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -167,12 +348,15 @@ def parse_cgm_csv(
             f"{path}: {len(report.rejected)} of {report.total_rows} rows malformed "
             f"(limit {max_malformed_fraction:.2%}); rows {rows}"
         )
-    readings = [
-        GlucoseReading(pid, ts, value)
-        for (pid, ts), value in sorted(by_key.items())
-    ]
-    report.kept = len(readings)
-    return readings, report
+    keys = sorted(by_key)
+    names: dict[str, str] = {}  # one str object per patient, shared by its readings
+    corpus = Corpus(
+        [names.setdefault(pid, pid) for pid, _ in keys],
+        [ts for _, ts in keys],
+        list(map(by_key.__getitem__, keys)),
+    )
+    report.kept = len(corpus)
+    return corpus, report
 
 
 def _opt_float(cell: str) -> float | None:
@@ -181,11 +365,15 @@ def _opt_float(cell: str) -> float | None:
 
 
 def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseReport]:
-    """Parse the patient CSV; empty cells become missing (None) fields."""
+    """Parse the patient CSV; empty cells become missing (None) fields.
+
+    A row with a non-numeric or non-finite number (``nan``, ``inf``, ``1e400``),
+    or whose weight and height give no finite BMI, is rejected.
+    """
     handle, reader = _open_rows(path, PATIENT_HEADER)
     report = ParseReport(path=str(path))
     records: dict[str, PatientRecord] = {}
-    with handle:
+    with handle, _typed_read_errors(Path(path), reader):
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -204,7 +392,7 @@ def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseRepor
                 continue
             try:
                 education = row[7].strip()
-                records[pid] = PatientRecord(
+                record = PatientRecord(
                     patient_id=pid,
                     age=_opt_float(row[1]),
                     weight_kg=_opt_float(row[2]),
@@ -215,19 +403,55 @@ def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseRepor
                     education_level=int(education) if education else None,
                     sex=row[8].strip().lower() or None,
                 )
+                numbers = [record.feature(name) for name in PATIENT_NUMERIC_FEATURES]
             except ValueError:
                 report.rejected.append((row_number, f"non-numeric field in {row!r}"))
                 continue
+            except ArithmeticError:  # a huge integer, or a height whose square over- or underflows
+                numbers = [math.inf]
+            if not all(v is None or math.isfinite(v) for v in numbers):
+                report.rejected.append((row_number, f"non-finite field in {row!r}"))
+                continue
+            records[pid] = record
     report.kept = len(records)
     return [records[p] for p in sorted(records)], report
 
 
-def write_cgm_csv(readings: list[GlucoseReading] | tuple[GlucoseReading, ...], path: str | Path) -> None:
+class _CsvCells(dict):
+    """Patient id -> its cell as ``csv.writer`` writes it, formatted once."""
+
+    def __missing__(self, pid):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([pid, 0])
+        cell = self[pid] = buffer.getvalue()[: -len(",0\n")]
+        return cell
+
+
+def _cgm_row_blocks(rows):
+    """(patient ids, timestamps, values) of a corpus or readings, block by block."""
+    if isinstance(rows, Corpus):
+        for lo in range(0, len(rows), _WRITE_BLOCK_ROWS):
+            hi = lo + _WRITE_BLOCK_ROWS
+            yield rows.patient_ids[lo:hi], rows.timestamps[lo:hi].tolist(), rows.values[lo:hi].tolist()
+        return
+    readings = iter(rows)
+    while block := list(islice(readings, _WRITE_BLOCK_ROWS)):
+        yield [r.patient_id for r in block], [r.timestamp for r in block], [r.value for r in block]
+
+
+def write_cgm_csv(rows: Corpus | Iterable[GlucoseReading], path: str | Path) -> None:
+    """Write a corpus, or readings in the order given, as a CGM CSV.
+
+    Each row is ``patient_id,timestamp,repr(value)``, the bytes ``csv.writer``
+    gives for it.
+    """
+    cells = _CsvCells()
     with atomic_write(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CGM_HEADER)
-        for r in readings:
-            writer.writerow([r.patient_id, r.timestamp, repr(r.value)])
+        handle.write(",".join(CGM_HEADER) + "\n")
+        for pids, stamps, values in _cgm_row_blocks(rows):
+            handle.write(
+                "".join([f"{cells[p]},{t},{v!r}\n" for p, t, v in zip(pids, stamps, values)])
+            )
 
 
 def write_patient_csv(patients, path: str | Path) -> None:
@@ -368,7 +592,8 @@ def _daily_curve(hours: np.ndarray) -> np.ndarray:
     )
 
 
-def _synth_patient(rng: np.random.Generator, patient_id: str, days: int, start_ts: int):
+def _synth_patient(rng: np.random.Generator, days: int, start_ts: int):
+    """One patient's (timestamps, values) columns."""
     n = days * SLOTS_PER_DAY
     t = np.arange(n)
     hours = ((start_ts + t * 300) % 86400) / 3600.0
@@ -397,16 +622,16 @@ def _synth_patient(rng: np.random.Generator, patient_id: str, days: int, start_t
     values = np.clip(signal + bumps + noise, _CLIP_LO, _CLIP_HI)
 
     # Dropout gaps with heavy-tailed lengths (lognormal steps).
-    readings = []
+    kept = []
     i = 0
     while i < n:
         if rng.random() < _GAP_RATE:
             gap = max(4, int(rng.lognormal(mean=3.0, sigma=1.2)))
             i += gap
             continue
-        readings.append(GlucoseReading(patient_id, start_ts + int(t[i]) * 300, float(values[i])))
+        kept.append(i)
         i += 1
-    return readings
+    return start_ts + t[kept] * 300, values[kept]
 
 
 def _synth_patient_record(rng: np.random.Generator, patient_id: str) -> PatientRecord:
@@ -435,13 +660,18 @@ def synth_corpus(n_patients: int, days: int, seed: int) -> Corpus:
     """
     if n_patients < 1 or days < 1:
         raise DataError("synth_corpus needs n_patients >= 1 and days >= 1")
-    readings: list[GlucoseReading] = []
+    ids = [f"synth{p:03d}" for p in range(n_patients)]
     patients: list[PatientRecord] = []
+    columns = []
     start_ts = 1_600_000_000 - (1_600_000_000 % 86400)  # midnight-aligned epoch
-    for p in range(n_patients):
-        patient_id = f"synth{p:03d}"
+    for p, patient_id in enumerate(ids):
         rng = np.random.default_rng([seed, p])
         patients.append(_synth_patient_record(rng, patient_id))
-        readings.extend(_synth_patient(rng, patient_id, days, start_ts))
-    readings.sort(key=lambda r: (r.patient_id, r.timestamp))
-    return Corpus(tuple(readings), tuple(patients))
+        columns.append(_synth_patient(rng, days, start_ts))
+    order = sorted(range(n_patients), key=ids.__getitem__)  # "synth1000" < "synth101"
+    return Corpus(
+        np.repeat(np.array(ids, dtype=object)[order], [len(columns[p][0]) for p in order]),
+        np.concatenate([columns[p][0] for p in order]),
+        np.concatenate([columns[p][1] for p in order]),
+        tuple(patients),
+    )

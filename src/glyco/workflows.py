@@ -9,6 +9,7 @@ fold-level parallelism cannot change any result.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import baselines, hmm as hmm_mod, ingest, lstm as lstm_mod, metrics, pipe
 from .config import RunConfig
 from .core import atomic_write
 from .errors import ConfigError, DataError
-from .ingest import Corpus
+from .ingest import PATIENT_NUMERIC_FEATURES, Corpus
 
 BASELINE_MODELS = ("copy_last", "linreg")
 TRAINED_MODELS = ("lstm", "hmm")
@@ -70,12 +71,11 @@ def fold_seed(config: RunConfig, fold_index: int) -> int:
 
 
 def load_corpus(cgm_path: str | Path, patients_path: str | Path | None = None) -> Corpus:
-    readings, _ = ingest.parse_cgm_csv(cgm_path)
-    patients = ()
-    if patients_path is not None:
-        records, _ = ingest.parse_patient_csv(patients_path)
-        patients = tuple(records)
-    return Corpus(tuple(readings), patients)
+    corpus, _ = ingest.parse_cgm_csv(cgm_path)
+    if patients_path is None:
+        return corpus
+    records, _ = ingest.parse_patient_csv(patients_path)
+    return dataclasses.replace(corpus, patients=tuple(records))
 
 
 def run_synth(
@@ -87,10 +87,10 @@ def run_synth(
     out_patients: str | Path | None,
 ) -> dict:
     corpus = ingest.synth_corpus(n_patients, days, config.seed)
-    ingest.write_cgm_csv(corpus.readings, tracker.register(out_cgm))
+    ingest.write_cgm_csv(corpus, tracker.register(out_cgm))
     if out_patients is not None:
         ingest.write_patient_csv(corpus.patients, tracker.register(out_patients))
-    return {"readings": len(corpus.readings), "patients": len(corpus.patients)}
+    return {"readings": len(corpus), "patients": len(corpus.patients)}
 
 
 def run_ingest(
@@ -102,8 +102,8 @@ def run_ingest(
     max_malformed_fraction: float = 0.01,
 ) -> dict:
     out_dir = Path(out_dir)
-    readings, report = ingest.parse_cgm_csv(cgm_path, max_malformed_fraction)
-    ingest.write_cgm_csv(readings, tracker.register(out_dir / "corpus.csv"))
+    corpus, report = ingest.parse_cgm_csv(cgm_path, max_malformed_fraction)
+    ingest.write_cgm_csv(corpus, tracker.register(out_dir / "corpus.csv"))
     reports = {"cgm": report.to_dict()}
     if patients_path is not None:
         patients, patient_report = ingest.parse_patient_csv(patients_path)
@@ -111,17 +111,6 @@ def run_ingest(
         reports["patients"] = patient_report.to_dict()
     tracker.write_json(out_dir / "ingest_report.json", {"config": config.to_dict(), **reports})
     return reports
-
-
-PATIENT_NUMERIC_FEATURES = (
-    "age",
-    "weight_kg",
-    "height_cm",
-    "bmi",
-    "hba1c",
-    "annual_income_usd",
-    "education_level",
-)
 
 
 def run_stats(

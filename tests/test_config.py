@@ -1,6 +1,9 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glyco.config import RunConfig, resolve_config
 from glyco.errors import ConfigError
@@ -87,3 +90,71 @@ def test_int_for_float_and_null_clip_norm_accepted(tmp_path):
     config_file.write_text(json.dumps({"hypo_mgdl": 65, "lstm_clip_norm": None}))
     config = resolve_config(str(config_file), {})
     assert config.hypo_mgdl == 65 and config.lstm_clip_norm is None
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [({"lstm_lr": float("nan")}, "lstm_lr"), ({"lstm_lr": -1}, "lstm_lr"),
+     ({"lstm_lr": float("inf")}, "lstm_lr"), ({"lstm_hidden": 0}, "lstm_hidden"),
+     ({"hmm_states": 0}, "hmm_states"), ({"max_gap_s": -5}, "max_gap_s"),
+     ({"window_input": 0}, "window_input"), ({"seed": -1}, "seed"),
+     ({"lstm_clip_norm": 0}, "lstm_clip_norm"), ({"gmm_k": 0}, "gmm_k"),
+     ({"hypo_mgdl": 280, "hyper_mgdl": 280}, "hypo_mgdl"),
+     ({"hypo_mgdl": 300.0}, "hypo_mgdl"), ({"hyper_mgdl": float("inf")}, "hyper_mgdl")],
+)
+def test_value_ranges_checked(tmp_path, values, field):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(values))  # NaN and Infinity are JSON extensions json reads
+    with pytest.raises(ConfigError, match=field):
+        resolve_config(str(config_file), {})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"seed": 1\xff}', b"[" * 100_000 + b"]" * 100_000, b'{"seed": ' + b"9" * 5000 + b"}"],
+    ids=["bad-utf8", "deep-nesting", "long-int"],
+)
+def test_unreadable_json_is_config_error(tmp_path, payload):
+    config_file = tmp_path / "c.json"
+    config_file.write_bytes(payload)
+    with pytest.raises(ConfigError, match="c.json"):
+        resolve_config(str(config_file), {})
+
+
+FUZZ_TOKENS = st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1", "0", "null", "true", '"x"', "[]", "{}",
+     "9" * 5000, "[" * 5000]
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_resolve_config_fuzz_raises_only_config_errors(tmp_path, data):
+    """Truncated, bit-flipped or re-valued config files, with a BOM, CRLF,
+    quotes or invalid UTF-8, resolve or raise a ConfigError."""
+    raw = bytearray(json.dumps(RunConfig().to_dict(), indent=1).encode())
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "token", "bom", "crlf", "utf8"]))
+    if mutation == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+    elif mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    elif mutation == "token":
+        text = raw.decode()
+        values = [m.span(1) for m in re.finditer(r": (.+?),?\n", text)]
+        lo, hi = data.draw(st.sampled_from(values))
+        raw = bytearray((text[:lo] + data.draw(FUZZ_TOKENS) + text[hi:]).encode())
+    elif mutation == "bom":
+        raw = bytearray(b"\xef\xbb\xbf") + raw
+    elif mutation == "crlf":
+        raw = raw.replace(b"\n", b"\r\n")
+    else:
+        at = data.draw(st.integers(0, len(raw)))
+        raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+    config_file = tmp_path / "c.json"
+    config_file.write_bytes(bytes(raw))
+    try:
+        config = resolve_config(str(config_file), {})
+    except ConfigError:
+        return
+    assert json.loads(json.dumps(config.to_dict())) == config.to_dict()

@@ -1,9 +1,20 @@
+import csv
+import io
+import math
+import re
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from glyco import ingest
 from glyco.core import GlucoseReading
-from glyco.errors import DataError, FormatError
+from glyco.errors import DataError, FormatError, GlycoError
 from glyco.ingest import (
+    PATIENT_HEADER,
     Corpus,
     corpus_stats,
     daily_profile,
@@ -14,6 +25,8 @@ from glyco.ingest import (
     write_cgm_csv,
     write_patient_csv,
 )
+from glyco.pipeline import segment
+from glyco.workflows import load_corpus
 
 
 def write(tmp_path, name, text):
@@ -25,14 +38,14 @@ def write(tmp_path, name, text):
 class TestParseCgm:
     def test_well_formed(self, tmp_path):
         path = write(tmp_path, "a.csv", "patient_id,timestamp,glucose_mgdl\np1,1300,190.0\np1,1000,180.0\n")
-        readings, report = parse_cgm_csv(path)
-        assert [r.timestamp for r in readings] == [1000, 1300]
+        corpus, report = parse_cgm_csv(path)
+        assert corpus.timestamps.tolist() == [1000, 1300]
         assert report.kept == 2 and not report.rejected
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "a.csv", "patient_id,timestamp,glucose_mgdl\n")
-        readings, report = parse_cgm_csv(path)
-        assert readings == [] and report.total_rows == 0
+        corpus, report = parse_cgm_csv(path)
+        assert len(corpus) == 0 and report.total_rows == 0
 
     def test_malformed_row_reported(self, tmp_path):
         path = write(
@@ -40,7 +53,7 @@ class TestParseCgm:
             "a.csv",
             "patient_id,timestamp,glucose_mgdl\np1,1000,180.0\np1,1300,abc\n",
         )
-        readings, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
+        corpus, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
         assert report.kept == 1
         assert report.rejected == [(3, "non-numeric field in ['p1', '1300', 'abc']")]
 
@@ -50,7 +63,7 @@ class TestParseCgm:
             "a.csv",
             "patient_id,timestamp,glucose_mgdl\np1,1000,180.0\np1,inf,190.0\n",
         )
-        readings, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
+        corpus, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
         assert report.kept == 1
         assert [row for row, _ in report.rejected] == [3]
 
@@ -60,7 +73,7 @@ class TestParseCgm:
             "a.csv",
             "patient_id,timestamp,glucose_mgdl\np1,1000,180.0\np1,1e30,190.0\n",
         )
-        readings, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
+        corpus, report = parse_cgm_csv(path, max_malformed_fraction=0.9)
         assert report.kept == 1
         assert [row for row, _ in report.rejected] == [3]
 
@@ -84,8 +97,8 @@ class TestParseCgm:
 
     def test_crlf_accepted(self, tmp_path):
         path = write(tmp_path, "a.csv", "patient_id,timestamp,glucose_mgdl\r\np1,1000,180.0\r\n")
-        readings, _ = parse_cgm_csv(path)
-        assert len(readings) == 1
+        corpus, _ = parse_cgm_csv(path)
+        assert len(corpus) == 1
 
     def test_order_independent(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -94,21 +107,21 @@ class TestParseCgm:
         shuffled = rows.copy()
         rng.shuffle(shuffled)
         b = write(tmp_path, "b.csv", "patient_id,timestamp,glucose_mgdl\n" + "\n".join(shuffled) + "\n")
-        readings_a, _ = parse_cgm_csv(a)
-        readings_b, _ = parse_cgm_csv(b)
-        assert readings_a == readings_b
+        corpus_a, _ = parse_cgm_csv(a)
+        corpus_b, _ = parse_cgm_csv(b)
+        assert corpus_a.readings == corpus_b.readings
 
     def test_conflicting_duplicates_resolved_to_minimum(self, tmp_path):
         text = "patient_id,timestamp,glucose_mgdl\np1,1000,200.0\np1,1000,180.0\n"
-        readings, report = parse_cgm_csv(write(tmp_path, "a.csv", text), max_malformed_fraction=1.0)
-        assert len(readings) == 1 and readings[0].value == 180.0
+        corpus, report = parse_cgm_csv(write(tmp_path, "a.csv", text), max_malformed_fraction=1.0)
+        assert corpus.values.tolist() == [180.0]
         assert report.conflicts == 1
 
     def test_round_trip_with_writer(self, tmp_path, small_corpus):
         path = tmp_path / "rt.csv"
         write_cgm_csv(small_corpus.readings[:500], path)
-        readings, report = parse_cgm_csv(path)
-        assert tuple(readings) == small_corpus.readings[:500]
+        corpus, report = parse_cgm_csv(path)
+        assert corpus.readings == small_corpus.readings[:500]
         assert not report.rejected
 
 
@@ -154,39 +167,39 @@ class TestCorpus:
     )
     def test_order_enforced(self, rows):
         with pytest.raises(DataError):
-            Corpus(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
+            Corpus.from_readings(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
 
     def test_patient_order_is_string_order(self):
         rows = [("p10", 5000), ("p9", 1000)]  # "p10" < "p9" as strings
-        corpus = Corpus(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
+        corpus = Corpus.from_readings(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
         assert corpus.patient_ids.tolist() == ["p10", "p9"]
 
     def test_timestamp_beyond_int64_is_data_error(self):
         with pytest.raises(DataError):
-            Corpus((GlucoseReading("p1", 2**63, 100.0),))
+            Corpus.from_readings((GlucoseReading("p1", 2**63, 100.0),))
 
 
 class TestCorpusStats:
     def test_constant_series(self):
         readings = tuple(GlucoseReading("p1", 1000 + 300 * i, 100.0) for i in range(3))
-        stats = corpus_stats(Corpus(readings))
+        stats = corpus_stats(Corpus.from_readings(readings))
         assert stats["mean_mgdl"] == 100.0 and stats["sd_mgdl"] == 0.0
 
     def test_population_sd(self):
         readings = (GlucoseReading("p1", 1000, 90.0), GlucoseReading("p1", 1300, 110.0))
-        stats = corpus_stats(Corpus(readings))
+        stats = corpus_stats(Corpus.from_readings(readings))
         assert stats["mean_mgdl"] == 100.0
         assert stats["sd_mgdl"] == 10.0  # divide by N, not N-1
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
-            corpus_stats(Corpus((GlucoseReading("p1", 1000, 90.0),)))
+            corpus_stats(Corpus.from_readings((GlucoseReading("p1", 1000, 90.0),)))
 
 
 class TestDailyProfile:
     def test_single_reading(self):
         # 00:02 falls in slot 0
-        corpus = Corpus((GlucoseReading("p1", 86400 + 120, 150.0),))
+        corpus = Corpus.from_readings((GlucoseReading("p1", 86400 + 120, 150.0),))
         profile = daily_profile(corpus)
         assert profile.count[0] == 1 and profile.mean[0] == 150.0
         assert sum(profile.count) == 1
@@ -198,7 +211,7 @@ class TestDailyProfile:
             GlucoseReading("p1", 86400 + slot_ts, 190.0),
             GlucoseReading("p1", 2 * 86400 + slot_ts, 194.0),
         )
-        profile = daily_profile(Corpus(readings))
+        profile = daily_profile(Corpus.from_readings(readings))
         assert profile.mean[85] == 192.0
         assert profile.count[85] == 2
 
@@ -258,3 +271,296 @@ class TestSynthCorpus:
     def test_heavy_tailed_lengths(self, small_store):
         lengths = sorted(small_store.lengths.tolist())
         assert lengths[0] < 144 <= lengths[-1]  # mix of short and windowable runs
+
+
+# -- columnar ingest: fast path, row loop, writer, failures ------------------
+
+HEADER = "patient_id,timestamp,glucose_mgdl\n"
+
+
+def parse_both(path, max_malformed_fraction=1.0):
+    """parse_cgm_csv and the row loop on one file: (result or error) each."""
+    results = []
+    for parse in (parse_cgm_csv, ingest._parse_cgm_rows):
+        try:
+            results.append(parse(path, max_malformed_fraction))
+        except GlycoError as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+def fast_path(path):
+    handle, _ = ingest._open_rows(path, ingest.CGM_HEADER)
+    with handle:
+        return ingest._parse_cgm_fast(handle, str(path))
+
+
+def assert_same_parse(a, b):
+    if not isinstance(a[0], Corpus) or not isinstance(b[0], Corpus):
+        assert a == b
+        return
+    (corpus_a, report_a), (corpus_b, report_b) = a, b
+    assert corpus_a.patient_ids.tolist() == corpus_b.patient_ids.tolist()
+    for name in ("timestamps", "values"):
+        column_a, column_b = getattr(corpus_a, name), getattr(corpus_b, name)
+        assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes()
+    assert report_a.to_dict() == report_b.to_dict()
+
+
+CLEAN_IDS = ["p1", "p2", "p10", "a b", "Zé"]
+CLEAN_VALUES = ["5", "3", "100.5", "180.0", "1000", "0.25", "4e2", "1_0"]
+ANOMALIES = [
+    "", "  ", ",,", " , , ", "p1,1", "p1,1,2,3", " p1,5,6", "p1 ,5,6", ",5,6", "p1,abc,5",
+    "p1,nan,5", "p1,inf,3", "p1,1e400,2", "p1,5,1e400", "p1,5,nan", "p1,0,5", "p1,0.5,5",
+    "p1,-3,5", "p1,1e30,5", '"p1",5,6', 'p"1,5,6', "p1,5,0", "p1,5,-1", "p1,5,1000.5",
+    "p1,5,\x00",
+]
+
+
+@st.composite
+def cgm_files(draw):
+    clean_row = st.builds(
+        "{},{},{}".format,
+        st.sampled_from(CLEAN_IDS),
+        st.one_of(st.integers(1, 12).map(str), st.sampled_from(["9.9", " 7 ", "3e0", "1_1"])),
+        st.sampled_from(CLEAN_VALUES),
+    )
+    rows = draw(st.lists(clean_row, max_size=40))
+    for anomaly in draw(st.lists(st.sampled_from(ANOMALIES), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), anomaly)
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = HEADER.replace("\n", newline) + newline.join(rows)
+    if rows and draw(st.booleans()):
+        text += newline
+    if draw(st.integers(0, 9)) == 0:
+        text = "﻿" + text
+    return text
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=cgm_files(), block=st.sampled_from([8, 37, 1 << 18]))
+def test_fast_path_equals_row_loop(tmp_path, text, block):
+    """Blank and malformed rows, duplicates and conflicts in any order, CRLF,
+    BOM, quotes and padded ids, in one read block or many."""
+    path = tmp_path / "a.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with patch.object(ingest, "_READ_BLOCK_CHARS", block):
+        whole, rows = parse_both(path)
+        assert_same_parse(whole, rows)
+        if isinstance(rows[0], Corpus) and "﻿" not in text:
+            fast = fast_path(path)
+            if fast is not None:
+                assert_same_parse(fast, rows)
+
+
+@pytest.mark.parametrize("anomaly", ANOMALIES)
+@pytest.mark.parametrize("at", [0, 2])
+def test_each_anomaly_parses_as_the_row_loop(tmp_path, anomaly, at):
+    rows = ["p1,1,5", "p2,1,7", "p1,2,9"]
+    rows.insert(at, anomaly)
+    path = write(tmp_path, "a.csv", HEADER + "\n".join(rows) + "\n")
+    assert fast_path(path) is None
+    assert_same_parse(*parse_both(path))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    keys=st.sets(st.tuples(st.sampled_from(CLEAN_IDS), st.integers(1, 2**53)), max_size=60),
+    data=st.data(),
+)
+def test_fast_path_takes_clean_files(tmp_path, keys, data):
+    """Unique keys (exact as floats) in any order with well-formed fields: the
+    fast path parses them, across read blocks, exactly as the row loop does."""
+    rows = [f"{pid},{ts},{data.draw(st.sampled_from(CLEAN_VALUES))}" for pid, ts in keys]
+    rows = data.draw(st.permutations(rows))
+    path = tmp_path / "a.csv"
+    path.write_text(HEADER + "\n".join(rows), encoding="utf-8")
+    with patch.object(ingest, "_READ_BLOCK_CHARS", data.draw(st.sampled_from([16, 1 << 18]))):
+        fast = fast_path(path)
+    assert fast is not None
+    assert_same_parse(fast, ingest._parse_cgm_rows(path, 0.0))
+
+
+@pytest.mark.parametrize(
+    "values, duplicates, conflicts",
+    [(("5", "3", "5"), 0, 2), (("5", "5", "3"), 1, 1), (("5", "5", "5"), 2, 0)],
+)
+def test_repeated_key_counts_follow_row_order(tmp_path, values, duplicates, conflicts):
+    rows = "".join(f"p1,1000,{v}\n" for v in values)
+    corpus, report = parse_cgm_csv(write(tmp_path, "a.csv", HEADER + "p0,1,9\n" + rows))
+    assert corpus.values.tolist() == [9.0, float(min(values, key=float))]
+    assert (report.duplicates, report.conflicts, report.kept) == (duplicates, conflicts, 2)
+
+
+def test_oversized_field_is_format_error(tmp_path):
+    big = "1" * (csv.field_size_limit() + 1)
+    clean = "".join(f"p1,{ts},5\n" for ts in (1, 2, 3))
+    for text in (HEADER + f"p1,{big},5\n", HEADER + clean + f"p{big},2,5\n"):
+        with pytest.raises(FormatError, match=r"a\.csv: line \d+: field larger"):
+            parse_cgm_csv(write(tmp_path, "a.csv", text))
+
+
+@pytest.mark.parametrize("line", [2, 5000])
+def test_undecodable_text_is_format_error(tmp_path, line):
+    path = tmp_path / "a.csv"
+    rows = ["p1,%d,100.0" % (1000 + 300 * i) for i in range(line - 2)] + ["p\xff,1,100.0"]
+    path.write_bytes((HEADER + "\n".join(rows) + "\n").encode("latin-1"))
+    with pytest.raises(FormatError, match=f"line {line} is not UTF-8"):
+        parse_cgm_csv(path)
+    patients = tmp_path / "p.csv"
+    patients.write_bytes(b"patient_id,age\xff\n")
+    with pytest.raises(FormatError, match="line 1 is not UTF-8"):
+        parse_patient_csv(patients)
+
+
+def test_csv_reference_writer_bytes(tmp_path):
+    """The column writer gives csv.writer's bytes, for a corpus and for readings."""
+    ids = ["a,b", 'q"x', " lead", "x\ry", "plain", "ü"]
+    readings = [GlucoseReading(pid, 1000 + i, 50.0 + i / 3) for pid in sorted(ids) for i in range(3)]
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(ingest.CGM_HEADER)
+    for r in readings:
+        writer.writerow([r.patient_id, r.timestamp, repr(r.value)])
+    write_cgm_csv(Corpus.from_readings(readings), tmp_path / "c.csv")
+    write_cgm_csv(readings, tmp_path / "r.csv")
+    expected = reference.getvalue().encode()
+    assert (tmp_path / "c.csv").read_bytes() == expected == (tmp_path / "r.csv").read_bytes()
+
+
+def test_readings_view_is_cached_and_matches_columns(small_corpus):
+    view = small_corpus.readings
+    assert view is small_corpus.readings and isinstance(view, tuple)
+    assert [r.value for r in view] == small_corpus.values.tolist()
+    assert all(type(r.timestamp) is int for r in view[:10])
+
+
+def test_corpus_rejects_out_of_range_columns():
+    with pytest.raises(DataError, match="positive"):
+        Corpus(["p1"], [0], [100.0])
+    with pytest.raises(DataError, match="glucose"):
+        Corpus(["p1"], [1], [float("nan")])
+    with pytest.raises(DataError, match="one length"):
+        Corpus(["p1", "p1"], [1], [100.0])
+
+
+def _clean_csv(path, rows, patients=100):
+    per = rows // patients
+    rng = np.random.default_rng(0)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.write(HEADER)
+        for p in range(patients):
+            values = rng.uniform(40.0, 400.0, per).tolist()
+            handle.write("".join(f"pat{p:04d},{1_600_000_000 + 300 * i},{v!r}\n"
+                                 for i, v in enumerate(values)))
+    return per * patients
+
+
+def test_clean_parse_peak_memory_per_row(tmp_path):
+    """The fast path holds no object per reading: a tracemalloc peak under
+    160 B per row on a clean file of 200k rows."""
+    path = tmp_path / "big.csv"
+    rows = _clean_csv(path, 200_000)
+    tracemalloc.start()
+    try:
+        corpus, report = parse_cgm_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == report.kept == rows
+    assert peak / rows < 160, f"{peak / rows:.0f} B per row"
+
+
+def test_load_and_segment_build_no_reading_objects(tmp_path, monkeypatch, small_corpus):
+    write_cgm_csv(small_corpus, tmp_path / "c.csv")
+    write_patient_csv(small_corpus.patients, tmp_path / "p.csv")
+    built = []
+    monkeypatch.setattr(GlucoseReading, "__post_init__", lambda self: built.append(self))
+    corpus = load_corpus(tmp_path / "c.csv", tmp_path / "p.csv")
+    store = segment(corpus)
+    assert store.starts[-1] == len(small_corpus) and not built
+    assert corpus.patients == small_corpus.patients
+
+
+class TestPatientNonFinite:
+    @pytest.mark.parametrize(
+        "cells",
+        ["nan,70,170", "inf,70,170", "1e400,70,170", "17,inf,170", "17,70,inf", "17,1e300,1e-200",
+         "17,70,1e200"],
+    )
+    def test_rejected_with_row_and_reason(self, tmp_path, cells):
+        text = (
+            ",".join(PATIENT_HEADER) + "\n"
+            "p1,17,70.5,169,8.6,percent,64869,4,f\n"
+            f"p2,{cells},9.1,percent,100,2,m\n"
+        )
+        patients, report = parse_patient_csv(write(tmp_path, "p.csv", text))
+        assert [p.patient_id for p in patients] == ["p1"]
+        assert [row for row, _ in report.rejected] == [3]
+        assert report.rejected[0][1].startswith("non-finite field in ")
+
+    def test_huge_education_level(self, tmp_path):
+        text = ",".join(PATIENT_HEADER) + "\n" + "p1,17,70,170,8.6,percent,100," + "9" * 400 + ",f\n"
+        patients, report = parse_patient_csv(write(tmp_path, "p.csv", text))
+        assert patients == [] and [row for row, _ in report.rejected] == [2]
+
+
+# -- fuzzing: only a GlycoError may escape -------------------------------------
+
+FUZZ_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "-1e400", "", " ", '"', '"a,b"', "\r", "﻿", "\x00",
+     "1" * 200_000, "0", "-1", "1e-400", "9" * 5000]
+)
+
+
+def mutate(data, raw: bytes) -> bytes:
+    """Truncate, flip bits, splice a cell, or add a BOM, CRLF or invalid UTF-8."""
+    raw = bytearray(raw)
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "cell", "bom", "crlf", "utf8"]))
+    if mutation == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+    elif mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    elif mutation == "cell":
+        text = raw.decode()
+        cells = [m.span() for m in re.finditer(r"[^,\n]+", text)]
+        lo, hi = data.draw(st.sampled_from(cells))
+        raw = bytearray((text[:lo] + data.draw(FUZZ_CELLS) + text[hi:]).encode())
+    elif mutation == "bom":
+        raw = bytearray("﻿".encode()) + raw
+    elif mutation == "crlf":
+        raw = raw.replace(b"\n", b"\r\n")
+    else:
+        at = data.draw(st.integers(0, len(raw)))
+        raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
+    return bytes(raw)
+
+
+@pytest.fixture(scope="module")
+def fuzz_csvs(small_corpus, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    write_cgm_csv(small_corpus.readings[:30], folder / "c.csv")
+    write_patient_csv(small_corpus.patients, folder / "p.csv")
+    return (folder / "c.csv").read_bytes(), (folder / "p.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_csv_parsers_fuzz_raise_only_glyco_errors(tmp_path, fuzz_csvs, data):
+    """Mutated CGM and patient files parse, with rejections, or raise a GlycoError;
+    a parsed patient file yields only finite numbers."""
+    which = data.draw(st.sampled_from([0, 1]))
+    path = tmp_path / "f.csv"
+    path.write_bytes(mutate(data, fuzz_csvs[which]))
+    try:
+        if which == 0:
+            corpus, _ = parse_cgm_csv(path, max_malformed_fraction=1.0)
+            assert np.all(np.isfinite(corpus.values))
+        else:
+            patients, _ = parse_patient_csv(path)
+            for p in patients:
+                assert all(p.feature(n) is None or math.isfinite(p.feature(n))
+                           for n in ingest.PATIENT_NUMERIC_FEATURES)
+    except GlycoError:
+        pass

@@ -33,7 +33,7 @@ def readings_with_gaps(gaps, patient="p1", start=10_000):
 
 
 def segment_rows(rows):
-    return segment(Corpus(tuple(rows)))
+    return segment(Corpus.from_readings(rows))
 
 
 def make_store(*sequences, patient="p"):
@@ -371,7 +371,7 @@ def _guard_corpus(n_patients, days, seed):
     """A synth corpus with two readings dropped in every 211, which leaves gaps
     of exactly 900 s: synth dropouts alone never land on the gap limit."""
     readings = synth_corpus(n_patients, days, seed).readings
-    corpus = Corpus(tuple(r for i, r in enumerate(readings) if i % 211 not in (5, 6)))
+    corpus = Corpus.from_readings(r for i, r in enumerate(readings) if i % 211 not in (5, 6))
     assert np.any(np.diff(corpus.timestamps) == 900)
     return corpus
 
