@@ -82,7 +82,9 @@ class RunConfig:
                 f"need finite hypo_mgdl < hyper_mgdl, got {self.hypo_mgdl} and {self.hyper_mgdl}"
             )
         if self.lstm_feedback not in ("recursive", "teacher"):
-            raise ConfigError(f"lstm_feedback must be recursive or teacher")
+            raise ConfigError(
+                f"lstm_feedback must be recursive or teacher, got {self.lstm_feedback!r}"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -16,6 +16,16 @@ feeds each prediction back as the next input and differentiates through
 those feedback paths as well. All internals carry a trailing batch axis so
 a whole minibatch unrolls in one set of matrix products.
 
+The kernel is a layer wavefront. Cell (t, l) needs only (t, l-1) and
+(t-1, l), so every cell on one anti-diagonal t + l = d runs as one set of
+stacked NumPy calls over (L, ., B) arrays, forward and in reverse for the
+backward sweep. The recursive phase, where layer 0 at step t needs the
+prediction of step t - 1, runs one cell per diagonal. States are stored
+diagonal-major (cell (t, l) at index t + l), so each diagonal is a plain
+slice; layer 0's inputs are (T, B) rows of their own. Every product keeps
+the operands, order and BLAS call of the per-cell kernel it replaced, so
+every model, curve, report and trace keeps its bytes.
+
 Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
 ``forget_trace`` is the same run on one window with every step kept.
 """
@@ -48,8 +58,14 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     so every output bit equals ``1/(1+exp(-x))`` for x >= 0 and
     ``exp(x)/(1+exp(x))`` otherwise.
     """
-    e = np.exp(np.minimum(x, -x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    positive = x >= 0  # before out, which may be x itself, is written
+    e = np.negative(x)
+    np.exp(np.minimum(x, e, out=e), out=e)
+    if out is None:
+        out = np.empty_like(x)
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=positive)
+    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 @dataclass
@@ -90,8 +106,9 @@ class Scaler:
     lo: float = SCALE_LO_MGDL
     hi: float = SCALE_HI_MGDL
 
-    def scale(self, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(v, dtype=float) - self.lo) / (self.hi - self.lo)
+    def scale(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        v = np.subtract(np.asarray(v, dtype=float), self.lo, out=out)
+        return np.divide(v, self.hi - self.lo, out=out)
 
     def inverse(self, u: np.ndarray) -> np.ndarray:
         return self.lo + np.asarray(u, dtype=float) * (self.hi - self.lo)
@@ -204,21 +221,71 @@ def set_flat_params(net: LstmNetwork, flat: np.ndarray) -> None:
     net.head_bias = float(flat[cursor])
 
 
-def _cell_step(layer: LstmLayerParams, bias, x, h_prev, c_prev, gates, c, tc, h) -> None:
-    """Batched cell step; every array carries a trailing batch axis.
+class _Weights:
+    """The layers' parameters stacked along a leading layer axis.
 
-    Writes the activated gates (i, f, g, o stacked as (4h, B)), the cell
-    state c, tanh(c) and h = o * tanh(c) into the given arrays. ``bias`` is
-    (b_input + b_hidden) as a (4h, 1) column.
+    ``w_input0`` is layer 0's (4h, 1) input matrix and ``w_input`` the upper
+    layers' (L-1, 4h, h); ``w_hidden`` is (L, 4h, h) and ``bias`` (L, 4h, 1)
+    holds b_input + b_hidden. A stacked ``np.matmul`` makes one BLAS call per
+    layer with the strides of the single product it replaces, so it gives
+    the same bits. The backward sweep's transposes are views of the stacks
+    for the same reason: a contiguous ``.T`` copy changes the BLAS call, and
+    the bits with it.
     """
-    n = layer.hidden_size
-    a = layer.w_input @ x + layer.w_hidden @ h_prev + bias
-    _sigmoid(a, out=gates)
-    np.tanh(a[2 * n : 3 * n], out=gates[2 * n : 3 * n])
-    i, f, g, o = gates[:n], gates[n : 2 * n], gates[2 * n : 3 * n], gates[3 * n :]
-    np.add(f * c_prev, i * g, out=c)
+
+    def __init__(self, layers: list[LstmLayerParams]):
+        if layers[0].input_size != 1:
+            raise DataError(f"the LSTM reads one value per step, not {layers[0].input_size}")
+        n = layers[0].hidden_size
+        self.hidden_size = n
+        self.w_input0 = layers[0].w_input
+        self.w_input = np.array([p.w_input for p in layers[1:]]).reshape(-1, 4 * n, n)
+        self.w_hidden = np.array([p.w_hidden for p in layers])
+        self.bias = np.array([(p.b_input + p.b_hidden)[:, None] for p in layers])
+
+
+def _forward_cells(w: _Weights, lo: int, x, h_in, c_in, gates, c, tc, h) -> None:
+    """One stacked step over the cells (d - l, l) of a diagonal d, layers lo..lo+m-1.
+
+    Every array carries a trailing batch axis. ``h_in`` and ``c_in`` hold the
+    previous diagonal for all L layers, so layer l reads its own state of the
+    previous step at index l and the state below it at index l-1. ``x`` is
+    layer 0's (B,) input row, read when lo is 0. Writes the activated gates
+    (i, f, g, o stacked as (m, 4h, B)), the cell state c, tanh(c) and
+    h = o * tanh(c) of the m cells into the given arrays.
+    """
+    n, hi = w.hidden_size, lo + len(gates)
+    # The pre-activation a = W_i x + W_h h_prev + bias, in that order of adds
+    # for every layer, is built in the gate array and activated in place.
+    if lo == 0:
+        np.multiply(w.w_input0, x, out=gates[0])  # equals the (4h, 1) @ (1, B) product bit for bit
+    up = max(lo, 1)
+    if hi > up:
+        np.matmul(w.w_input[up - 1 : hi - 1], h_in[up - 1 : hi - 1], out=gates[up - lo :])
+    gates += np.matmul(w.w_hidden[lo:hi], h_in[lo:hi])
+    gates += w.bias[lo:hi]
+    i, f, g, o = (gates[:, k * n : (k + 1) * n] for k in range(4))
+    g_act = np.tanh(g)
+    _sigmoid(gates, out=gates)
+    np.copyto(g, g_act)
+    np.add(f * c_in[lo:hi], i * g, out=c)
     np.tanh(c, out=tc)
     np.multiply(o, tc, out=h)
+
+
+def _schedule(n_layers: int, t_wave: int, t_total: int) -> list[tuple[int, int, int]]:
+    """(diagonal, first layer, end layer) of each forward step, in order.
+
+    Cell (t, l) needs only (t, l-1) and (t-1, l), so while t < t_wave every
+    cell of a diagonal t + l = d runs in one step. Later steps are the
+    recursive phase, where layer 0 at t needs the prediction of t - 1: they
+    run one cell per step, layer by layer.
+    """
+    steps = [
+        (d, max(0, d - t_wave + 1), min(n_layers, d + 1)) for d in range(t_wave + n_layers - 1)
+    ]
+    steps += [(t + l, l, l + 1) for t in range(t_wave, t_total) for l in range(n_layers)]
+    return steps
 
 
 @dataclass
@@ -239,69 +306,73 @@ class ForgetTrace:
 class _Unroll:
     """Forward pass over observed steps plus recursive feedback steps.
 
-    With keep_steps, every step's states and gates stay in arrays for a
-    backward pass or a forget-gate trace: ``hs`` and ``cs`` are (T+1, L, h, B)
-    with the zero state at index 0, ``gates`` is (T, L, 4h, B) and ``tcs``
-    (tanh of the cell state) is (T, L, h, B). Without it, two state slots are
-    used in turn and one gate slot is overwritten, so memory does not grow
-    with the window length.
+    The cells run one diagonal t + l = d at a time, in the steps of
+    ``_schedule``: the whole window (every step under teacher forcing) as a
+    wavefront, then the recursive phase one cell at a time. States are stored
+    diagonal-major, so a diagonal is a plain slice. With keep_steps, ``cs``
+    is (T+L, L, h, B) with cell (t, l) at index t + l + 1 and layer l's zero
+    initial state at index l, and ``gates`` (T+L-1, L, 4h, B) and ``tcs``
+    (tanh of the cell state, (T+L-1, L, h, B)) hold cell (t, l) at index
+    t + l; their cells before step 0 are zero. Hidden states are not kept:
+    h = o * tanh(c) is one product of kept arrays, which the backward sweep
+    recomputes bit for bit. Without keep_steps, two diagonal slots are used
+    in turn and one gate slot is overwritten, so memory does not grow with
+    the window length.
     """
 
     def __init__(self, net: LstmNetwork, keep_steps: bool):
         self.net = net
         self.keep_steps = keep_steps
+        self.weights = _Weights(net.layers)
 
-    def input_at(self, t: int) -> np.ndarray:
-        """Layer-0 input of step t as a (1, B) row."""
-        if t < self.t_in:
-            return self.x_scaled[:, t][None, :]
-        if self.feedback_inputs is not None:
-            return self.feedback_inputs[:, t - self.t_in][None, :]
-        return self.preds[t - self.t_in][None, :]
+    def run(self, xs: np.ndarray, t_in: int, teacher: bool) -> np.ndarray:
+        """Scaled predictions of shape (horizon, B) for layer 0's input rows xs.
 
-    def run(self, x_scaled: np.ndarray, horizon: int, feedback_inputs: np.ndarray | None):
-        """x_scaled is (B, T_in); returns scaled predictions of shape (horizon, B).
-
-        feedback_inputs, when given (teacher forcing), is (B, horizon) scaled
-        targets used as the recursive-phase inputs instead of predictions.
+        xs is (t_in + horizon, B): the window's scaled steps, then the
+        recursive-phase inputs. Under teacher forcing these are given (the
+        scaled targets); otherwise each prediction is written into the row
+        after the window as the next step's input.
         """
         net = self.net
-        n_batch, t_in = x_scaled.shape
+        horizon, n_batch = len(xs) - t_in, xs.shape[1]
         t_total = t_in + horizon - 1
         n_layers, h_size = net.n_layers, net.hidden_size
-        self.x_scaled, self.feedback_inputs, self.t_in = x_scaled, feedback_inputs, t_in
-        self.preds = preds = np.empty((horizon, n_batch))
-        depth = t_total if self.keep_steps else 1
-        self.hs = hs = np.empty((depth + 1, n_layers, h_size, n_batch))
-        self.cs = cs = np.empty((depth + 1, n_layers, h_size, n_batch))
-        hs[0] = cs[0] = 0.0
-        self.gates = gates = np.empty((depth, n_layers, 4 * h_size, n_batch))
-        self.tcs = tcs = np.empty((depth, n_layers, h_size, n_batch))
-        biases = [(p.b_input + p.b_hidden)[:, None] for p in net.layers]
+        self.t_in, self.t_total = t_in, t_total
+        if teacher:
+            preds = np.empty((horizon, n_batch))
+            self.steps = _schedule(n_layers, t_total, t_total)
+        else:
+            preds = xs[t_in:]
+            self.steps = _schedule(n_layers, t_in, t_total)
+        depth = t_total + n_layers if self.keep_steps else 2
+        hs = np.empty((2, n_layers, h_size, n_batch))
+        self.cs = cs = np.empty((depth, n_layers, h_size, n_batch))
+        hs[:n_layers] = cs[:n_layers] = 0.0
+        self.gates = gates = np.empty((depth - 1, n_layers, 4 * h_size, n_batch))
+        self.tcs = tcs = np.empty((depth - 1, n_layers, h_size, n_batch))
+        gates[: n_layers - 1] = tcs[: n_layers - 1] = 0.0
 
-        for t in range(t_total):
-            if self.keep_steps:
-                s, prev, cur = t, t, t + 1
-            else:
-                s, prev, cur = 0, t % 2, 1 - t % 2
-            x = self.input_at(t)
-            for l, layer in enumerate(net.layers):
-                _cell_step(
-                    layer, biases[l], x, hs[prev, l], cs[prev, l],
-                    gates[s, l], cs[cur, l], tcs[s, l], hs[cur, l],
-                )
-                x = hs[cur, l]
-            if t >= t_in - 1:
-                preds[t - (t_in - 1)] = net.head_weights @ hs[cur, -1] + net.head_bias
+        for d, lo, hi in self.steps:
+            k = d % 2
+            prev, cur, s = (d, d + 1, d) if self.keep_steps else (k, 1 - k, 0)
+            _forward_cells(
+                self.weights, lo, xs[d] if lo == 0 else None, hs[k], cs[prev],
+                gates[s, lo:hi], cs[cur, lo:hi], tcs[s, lo:hi], hs[1 - k, lo:hi],
+            )
+            t = d - (n_layers - 1)
+            if hi == n_layers and t >= t_in - 1:
+                preds[t - (t_in - 1)] = net.head_weights @ hs[1 - k, -1] + net.head_bias
         return preds
 
     def trace(self) -> ForgetTrace:
-        h_size = self.net.hidden_size
-        forget = self.gates[:, :, h_size : 2 * h_size, 0]  # (T, L, h); inference batch is 1
-        phases = tuple(
-            "observed" if t < self.t_in else "recursive" for t in range(forget.shape[0])
-        )
-        return ForgetTrace(values=np.transpose(forget, (1, 0, 2)), phases=phases)
+        h_size, t_total = self.net.hidden_size, self.t_total
+        # Cell (t, l) sits at diagonal t + l; the inference batch is 1.
+        forget = np.stack([
+            self.gates[l : l + t_total, l, h_size : 2 * h_size, 0]
+            for l in range(self.net.n_layers)
+        ])
+        phases = tuple("observed" if t < self.t_in else "recursive" for t in range(t_total))
+        return ForgetTrace(values=forget, phases=phases)
 
 
 def _checked_forecast(
@@ -320,8 +391,11 @@ def _checked_forecast(
     if inputs.ndim != 2 or inputs.shape[1] < 1:
         raise DataError(f"forecast inputs must have shape (n, T) with T >= 1, got {inputs.shape}")
     unroll = _Unroll(net, keep_steps)
+    t_in = inputs.shape[1]
+    xs = np.empty((t_in + horizon, len(inputs)))
     with np.errstate(over="ignore", invalid="ignore"):
-        preds = unroll.run(net.scaler.scale(inputs), horizon, None)
+        net.scaler.scale(inputs.T, out=xs[:t_in])
+        preds = unroll.run(xs, t_in, teacher=False)
         out = net.scaler.inverse(preds.T)
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
@@ -378,80 +452,96 @@ def _loss_and_gradients_batch(
         raise InvalidValueError(f"unknown feedback mode {feedback!r}")
     n_batch, t_in = inputs_scaled.shape
     horizon = targets_scaled.shape[1]
-    t_total = t_in + horizon - 1
     n_layers = len(net.layers)
     h_size = net.hidden_size
 
+    teacher = feedback == "teacher"
     unroll = _Unroll(net, keep_steps=True)
-    feed = targets_scaled if feedback == "teacher" else None
-    preds = unroll.run(inputs_scaled, horizon, feed)
+    xs = np.empty((t_in + horizon, n_batch))
+    xs[:t_in] = inputs_scaled.T
+    if teacher:
+        xs[t_in:] = targets_scaled.T
+    preds = unroll.run(xs, t_in, teacher)
     residual = preds - targets_scaled.T  # (horizon, B)
     loss = float(np.mean(residual**2))
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
 
-    grads = [
-        (
-            np.zeros_like(p.w_input),
-            np.zeros_like(p.w_hidden),
-            np.zeros_like(p.b_input),
-            np.zeros_like(p.b_hidden),
-        )
-        for p in net.layers
-    ]
+    w = unroll.weights
+    top = n_layers - 1
+    gw_input0 = np.zeros_like(w.w_input0)
+    gw_input = np.zeros_like(w.w_input)
+    gw_hidden = np.zeros_like(w.w_hidden)
+    gb = np.zeros((n_layers, 4 * h_size))  # the same for b_input and b_hidden
     d_head_w = np.zeros(h_size)
     d_head_b = 0.0
+    # Transposed views of the stacks, never contiguous copies (see _Weights).
+    w_input_t, w_hidden_t = w.w_input.transpose(0, 2, 1), w.w_hidden.transpose(0, 2, 1)
 
     # d loss / d prediction; feedback contributions are added as the reverse
     # sweep reaches the step where each prediction was consumed as input.
     d_pred = 2.0 * residual / (horizon * n_batch)
-    dh_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
-    dc_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
-    hs, cs, gates, tcs = unroll.hs, unroll.cs, unroll.gates, unroll.tcs
-    da = np.empty((4 * h_size, n_batch))
-    da_i, da_f, da_g, da_o = (da[k * h_size : (k + 1) * h_size] for k in range(4))
+    dh_next = np.zeros((n_layers, h_size, n_batch))
+    dc_next = np.zeros((n_layers, h_size, n_batch))
+    d_above = np.empty((n_layers, h_size, n_batch))  # d loss / d h from the cell above or the head
+    cs, gates, tcs = unroll.cs, unroll.gates, unroll.tcs
+    o_all = gates[:, :, 3 * h_size :]
+    da_all = np.empty((n_layers, 4 * h_size, n_batch))
 
-    for t in range(t_total - 1, -1, -1):
-        routes_input = feedback == "recursive" and t >= t_in
-        d_from_above: np.ndarray | None = None
-        if t >= t_in - 1:
-            gp = d_pred[t - (t_in - 1)]  # (B,)
-            d_head_w += hs[t + 1, -1] @ gp
+    # The forward steps in reverse: cell (t, l) needs (t+1, l) and (t, l+1),
+    # both on the next diagonal, so each layer's sums still run in decreasing t.
+    for d, lo, hi in reversed(unroll.steps):
+        t_top = d - top
+        head = hi == n_layers and t_top >= t_in - 1
+        if head:
+            gp = d_pred[t_top - (t_in - 1)]  # (B,)
+            d_head_w += (o_all[d, top] * tcs[d, top]) @ gp
             d_head_b += float(gp.sum())
-            d_from_above = net.head_weights[:, None] * gp[None, :]
-
-        for l in range(n_layers - 1, -1, -1):
-            layer = net.layers[l]
-            step_gates = gates[t, l]
-            i, f = step_gates[:h_size], step_gates[h_size : 2 * h_size]
-            g, o = step_gates[2 * h_size : 3 * h_size], step_gates[3 * h_size :]
-            tc = tcs[t, l]
-            dh = dh_next[l] if d_from_above is None else dh_next[l] + d_from_above
-            dc = dc_next[l] + dh * o * (1.0 - tc * tc)
-            # Each product keeps its association, e.g. ((dc * g) * i) * (1 - i):
-            # regrouping changes the last bits of the gradients and every model.
-            np.multiply(dc * g * i, 1.0 - i, out=da_i)
-            np.multiply(dc * cs[t, l] * f, 1.0 - f, out=da_f)
-            np.multiply(dc * i, 1.0 - g * g, out=da_g)
-            np.multiply(dh * tc * o, 1.0 - o, out=da_o)
-            x = unroll.input_at(t) if l == 0 else hs[t + 1, l - 1]
-            gw_i, gw_h, gb_i, gb_h = grads[l]
-            gw_i += da @ x.T
-            gw_h += da @ hs[t, l].T
-            db = da.sum(axis=1)
-            gb_i += db
-            gb_h += db
-            if l > 0 or routes_input:
-                d_from_above = layer.w_input.T @ da  # gradient w.r.t. this layer's input
-            dh_next[l] = layer.w_hidden.T @ da
-            dc_next[l] = dc * f
-
-        if routes_input:
-            d_pred[t - t_in] += d_from_above[0]  # route into the fed-back prediction
+            d_above[top] = net.head_weights[:, None] * gp[None, :]
+        if hi < n_layers or head:
+            dh = dh_next[lo:hi] + d_above[lo:hi]
+        else:  # the top cell has no head gradient: dh_next as it is, signed zeros kept
+            dh = dh_next[lo:hi].copy()
+            dh[:-1] += d_above[lo : hi - 1]
+        step_gates = gates[d, lo:hi]
+        i, f, g, o = (step_gates[:, k * h_size : (k + 1) * h_size] for k in range(4))
+        tc = tcs[d, lo:hi]
+        dc = dc_next[lo:hi] + dh * o * (1.0 - tc * tc)
+        da = da_all[: hi - lo]
+        da_i, da_f, da_g, da_o = (da[:, k * h_size : (k + 1) * h_size] for k in range(4))
+        # Each product keeps its association, e.g. ((dc * g) * i) * (1 - i):
+        # regrouping changes the last bits of the gradients and every model.
+        np.multiply(dc * g * i, 1.0 - i, out=da_i)
+        np.multiply(dc * cs[d, lo:hi] * f, 1.0 - f, out=da_f)
+        np.multiply(dc * i, 1.0 - g * g, out=da_g)
+        np.multiply(dh * tc * o, 1.0 - o, out=da_o)
+        # This step reads the hidden states of diagonal d - 1, layers lo - 1 .. hi - 1.
+        below = max(lo - 1, 0)
+        if d > 0:
+            h_in = o_all[d - 1, below:hi] * tcs[d - 1, below:hi]
+        else:
+            h_in = np.zeros((1, h_size, n_batch))
+        if lo == 0:
+            x = xs[d][None, :]
+            gw_input0 += da[0] @ x.T
+            if not teacher and d >= t_in:
+                # Route into the fed-back prediction that was this step's input.
+                d_pred[d - t_in] += (w.w_input0.T @ da[0])[0]
+        up = max(lo, 1)
+        if hi > up:
+            da_up = da[up - lo :]
+            h_below = h_in[up - 1 - below : hi - 1 - below]
+            gw_input[up - 1 : hi - 1] += np.matmul(da_up, h_below.transpose(0, 2, 1))
+            np.matmul(w_input_t[up - 1 : hi - 1], da_up, out=d_above[up - 1 : hi - 1])
+        gw_hidden[lo:hi] += np.matmul(da, h_in[lo - below :].transpose(0, 2, 1))
+        gb[lo:hi] += da.sum(axis=2)
+        np.matmul(w_hidden_t[lo:hi], da, out=dh_next[lo:hi])
+        np.multiply(dc, f, out=dc_next[lo:hi])
 
     arrays: list[np.ndarray] = []
-    for gw_i, gw_h, gb_i, gb_h in grads:
-        arrays.extend([gw_i, gw_h, gb_i, gb_h])
+    for l in range(n_layers):
+        gw_i = gw_input0 if l == 0 else gw_input[l - 1]
+        arrays.extend([gw_i, gw_hidden[l], gb[l], gb[l].copy()])
     arrays.append(d_head_w)
     return loss, Gradients(arrays=arrays, head_bias=d_head_b)
 

@@ -5,10 +5,11 @@ collect it. Run it on its own:
 
     PYTHONPATH=src python -m pytest tests/bench_lstm_kernel.py
 
-Both timings use the 8x3 reference network, 132-step input windows and a
-12-step recursive horizon, with fixed seeds: one training minibatch of
-forward pass plus BPTT at batch 128, one batched rollout of 40 windows, and
-the forget-gate trace of one window (the ``explain`` path).
+Every timing uses the 8x3 reference network, 132-step input windows and a
+12-step horizon, with fixed seeds: one training minibatch of forward pass
+plus BPTT at batch 128 and 32 with recursive feedback and at batch 128 with
+teacher forcing, one batched rollout of 40 windows, and the forget-gate
+trace of one window (the ``explain`` path).
 """
 
 import numpy as np
@@ -25,11 +26,18 @@ def net():
     return new_network(hidden_size=8, n_layers=3, seed=42)
 
 
-def test_loss_and_gradients_batch_128(benchmark, net):
+def minibatch(net, n_batch):
     rng = np.random.default_rng(0)
-    inputs = net.scaler.scale(rng.uniform(40, 400, (128, INPUT_LEN)))
-    targets = net.scaler.scale(rng.uniform(40, 400, (128, HORIZON)))
-    loss, grads = benchmark(_loss_and_gradients_batch, net, inputs, targets)
+    inputs = net.scaler.scale(rng.uniform(40, 400, (n_batch, INPUT_LEN)))
+    return inputs, net.scaler.scale(rng.uniform(40, 400, (n_batch, HORIZON)))
+
+
+@pytest.mark.parametrize(
+    "n_batch, feedback", [(128, "recursive"), (32, "recursive"), (128, "teacher")]
+)
+def test_loss_and_gradients_batch(benchmark, net, n_batch, feedback):
+    inputs, targets = minibatch(net, n_batch)
+    loss, grads = benchmark(_loss_and_gradients_batch, net, inputs, targets, feedback)
     assert np.isfinite(loss) and np.all(np.isfinite(grads.flat()))
 
 

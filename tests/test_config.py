@@ -59,7 +59,7 @@ def test_validation():
         resolve_config(None, {"window_input": 200, "window_total": 144})
     with pytest.raises(ConfigError):
         resolve_config(None, {"k_folds": 1})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="recursive or teacher, got 'oracle'"):
         resolve_config(None, {"lstm_feedback": "oracle"})
 
 

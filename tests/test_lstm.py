@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from glyco.lstm import (
     save_model,
     set_flat_params,
     train,
-    _cell_step,
+    _forward_cells,
     _loss_and_gradients_batch,
     _sigmoid,
+    _Weights,
 )
 from glyco.pipeline import kfold_split, prepare
 
@@ -39,13 +41,18 @@ def zero_network(hidden_size=4, n_layers=2, seed=0):
 
 
 def cell_forward(layer, x, h_prev, c_prev):
-    """One cell step on plain vectors through the batched kernel; returns (h, c, gates)."""
+    """One cell step on plain vectors through the stacked kernel; returns (h, c, gates).
+
+    The cell is a one-layer diagonal with a batch of one: x is the (1,) input.
+    """
     n = layer.hidden_size
-    gates = np.empty((4 * n, 1))
-    c, tc, h = np.empty((3, n, 1))
-    bias = (layer.b_input + layer.b_hidden)[:, None]
-    _cell_step(layer, bias, x[:, None], h_prev[:, None], c_prev[:, None], gates, c, tc, h)
-    return h[:, 0], c[:, 0], {key: gates[k * n : (k + 1) * n, 0] for k, key in enumerate("ifgo")}
+    gates = np.empty((1, 4 * n, 1))
+    c, tc, h = np.empty((3, 1, n, 1))
+    _forward_cells(
+        _Weights([layer]), 0, x, h_prev[None, :, None], c_prev[None, :, None], gates, c, tc, h
+    )
+    named = {key: gates[0, k * n : (k + 1) * n, 0] for k, key in enumerate("ifgo")}
+    return h[0, :, 0], c[0, :, 0], named
 
 
 def scaled_loss(net, values, targets, feedback="recursive"):
@@ -139,10 +146,10 @@ class TestCellForward:
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(42)
-        net = new_network(hidden_size=3, n_layers=1, seed=7, input_size=2)
+        net = new_network(hidden_size=3, n_layers=1, seed=7)
         layer = net.layers[0]
         for _ in range(20):
-            x = rng.normal(size=2)
+            x = rng.normal(size=1)
             h_prev = rng.uniform(-0.9, 0.9, 3)
             c_prev = rng.normal(size=3)
             h, c, gates = cell_forward(layer, x, h_prev, c_prev)
@@ -175,6 +182,11 @@ class TestCellForward:
         net = new_network(hidden_size=4, n_layers=1)
         with pytest.raises(Exception):
             cell_forward(net.layers[0], np.zeros(3), np.zeros(4), np.zeros(4))
+
+    def test_input_wider_than_one_value_rejected(self):
+        net = new_network(hidden_size=4, n_layers=2, input_size=2)
+        with pytest.raises(DataError, match="one value per step"):
+            rollout_batch(net, np.full((1, 5), 100.0))
 
 
 class TestRollout:
@@ -683,7 +695,22 @@ KERNEL_GRID = [
 ]
 
 
-@pytest.mark.parametrize("seed,n_batch,n_layers,hidden,horizon,t_in,feedback", KERNEL_GRID)
+# Edge shapes of the wavefront: 2 and 4 layers, a one-step window, and
+# windows shorter than the stack, whose diagonals are cut short at both ends.
+KERNEL_EDGES = [
+    (0, 5, 2, 3, 12, 132, "recursive"),
+    (1, 37, 4, 8, 12, 132, "teacher"),
+    (2, 3, 2, 8, 12, 1, "recursive"),
+    (3, 6, 4, 3, 12, 1, "teacher"),
+    (0, 37, 4, 8, 12, 2, "recursive"),
+    (1, 4, 4, 3, 1, 3, "recursive"),
+    (2, 1, 4, 8, 5, 3, "teacher"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,n_batch,n_layers,hidden,horizon,t_in,feedback", KERNEL_GRID + KERNEL_EDGES
+)
 def test_kernel_bit_identical_to_reference(
     seed, n_batch, n_layers, hidden, horizon, t_in, feedback
 ):
@@ -715,3 +742,30 @@ def test_kernel_bit_identical_to_reference(
     assert list(trace.to_csv_rows())[1:] == list(
         ForgetTrace(values=ref_forget, phases=trace.phases).to_csv_rows()
     )[1:]
+
+
+def test_rollout_batch_of_no_rows_matches_reference():
+    net = new_network(hidden_size=8, n_layers=3, seed=1)
+    inputs = np.empty((0, 132))
+    assert same_bits(rollout_batch(net, inputs, 12), ref_rollout_batch(net, inputs, 12))
+
+
+def test_training_step_peak_memory():
+    """One B=128 training step of the reference network peaks under 23 MB.
+
+    The step keeps c, the gates and tanh(c) of every cell (21.4 MB) and
+    peaks at 22.0 MB; the kernel before the wavefront, which also kept h,
+    peaked at 24.8 MB. A padded state slot or leftover per-diagonal
+    temporaries would push the peak over the bound.
+    """
+    net = new_network(hidden_size=8, n_layers=3, seed=42)
+    rng = np.random.default_rng(0)
+    inputs = net.scaler.scale(rng.uniform(40, 400, (128, 132)))
+    targets = net.scaler.scale(rng.uniform(40, 400, (128, 12)))
+    tracemalloc.start()
+    try:
+        _loss_and_gradients_batch(net, inputs, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23e6
