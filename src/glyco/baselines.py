@@ -33,23 +33,18 @@ def copy_last(values: np.ndarray | list[float], horizon: int = 12) -> np.ndarray
     return np.repeat(values[..., -1:], horizon, axis=-1)
 
 
-def linreg_forecast(
-    values: np.ndarray | list[float], horizon: int = 12, fit_window: int | None = None
-) -> np.ndarray:
-    """OLS line over the last fit_window (index, value) points, extrapolated.
+def linreg_forecast(values: np.ndarray | list[float], horizon: int = 12) -> np.ndarray:
+    """OLS line over all (index, value) points of the input, extrapolated.
 
-    fit_window defaults to the full input. Closed-form slope/intercept; for
-    an exactly linear input the extrapolation continues the line exactly.
+    Closed-form slope/intercept; for an exactly linear input the
+    extrapolation continues the line exactly.
     """
     # row-major, so each row reduces in the same order as a single window
-    values = np.ascontiguousarray(values, dtype=float)
-    n = values.shape[-1] if values.ndim else 0
-    if fit_window is None:
-        fit_window = n
-    if fit_window < 2 or fit_window > n:
-        raise DataError(f"fit_window must be in [2, {n}], got {fit_window}")
-    y = values[..., n - fit_window :]
-    t = np.arange(n - fit_window, n, dtype=float)
+    y = np.ascontiguousarray(values, dtype=float)
+    n = y.shape[-1] if y.ndim else 0
+    if n < 2:
+        raise DataError(f"linreg_forecast needs at least 2 points, got {n}")
+    t = np.arange(n, dtype=float)
     t_mean = t.mean()
     y_mean = y.mean(axis=-1, keepdims=True)
     denom = np.sum((t - t_mean) ** 2)

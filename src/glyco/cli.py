@@ -18,7 +18,7 @@ from . import workflows
 from .clinical import BolusInputs, bolus as compute_bolus
 from .config import resolve_config
 from .core import mmoll_to_mgdl
-from .errors import ConfigError, DataError, GlycoError, InvalidValueError, NumericError
+from .errors import ConfigError, GlycoError, InvalidValueError, NumericError
 from .workflows import ALL_MODELS, OutputTracker
 
 
@@ -27,8 +27,6 @@ def _exit_code(error: GlycoError | OSError) -> int:
         return 2
     if isinstance(error, NumericError):
         return 4
-    if isinstance(error, DataError):
-        return 3
     return 3
 
 

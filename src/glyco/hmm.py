@@ -64,10 +64,6 @@ class Quantizer:
     def width(self) -> float:
         return (self.hi - self.lo) / self.n_symbols
 
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n_symbols + 1)
-
     def encode(self, values: np.ndarray | float) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         idx = np.floor((values - self.lo) / self.width).astype(np.int64)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,37 +69,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @dataclass
-class LstmLayerParams:
-    """One layer's weights. W_input is (4h, d), W_hidden (4h, h), biases (4h,)."""
-
-    input_size: int
-    hidden_size: int
-    w_input: np.ndarray
-    w_hidden: np.ndarray
-    b_input: np.ndarray
-    b_hidden: np.ndarray
-
-    def __post_init__(self) -> None:
-        h, d = self.hidden_size, self.input_size
-        expected = {
-            "w_input": (4 * h, d),
-            "w_hidden": (4 * h, h),
-            "b_input": (4 * h,),
-            "b_hidden": (4 * h,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise InvalidValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidValueError(f"{name} contains non-finite entries")
-
-    def param_count(self) -> int:
-        h, d = self.hidden_size, self.input_size
-        return 4 * h * d + 4 * h * h + 8 * h
-
-
-@dataclass
 class Scaler:
     """Fixed affine map between mg/dL and the unit interval."""
 
@@ -118,133 +87,97 @@ class Scaler:
         return self.hi - self.lo
 
 
-@dataclass
-class LstmNetwork:
-    """Stacked layers plus a scalar output head applied to the top hidden state."""
+def param_count(hidden_size: int, n_layers: int) -> int:
+    """Trainable parameters of a stack of n_layers layers of hidden_size units.
 
-    layers: list[LstmLayerParams]
-    head_weights: np.ndarray
-    head_bias: float
-    scaler: Scaler = field(default_factory=Scaler)
-    seed: int = 0
-
-    @property
-    def hidden_size(self) -> int:
-        return self.head_weights.shape[0]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    def clone(self) -> "LstmNetwork":
-        return LstmNetwork(
-            layers=[
-                LstmLayerParams(
-                    p.input_size,
-                    p.hidden_size,
-                    p.w_input.copy(),
-                    p.w_hidden.copy(),
-                    p.b_input.copy(),
-                    p.b_hidden.copy(),
-                )
-                for p in self.layers
-            ],
-            head_weights=self.head_weights.copy(),
-            head_bias=self.head_bias,
-            scaler=Scaler(self.scaler.lo, self.scaler.hi),
-            seed=self.seed,
-        )
-
-
-def new_network(
-    hidden_size: int = 8,
-    n_layers: int = 3,
-    seed: int = 42,
-    input_size: int = 1,
-    scaler: Scaler | None = None,
-) -> LstmNetwork:
-    """Seeded uniform initialization in +-1/sqrt(hidden_size)."""
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / math.sqrt(hidden_size)
-    layers = []
-    for layer_index in range(n_layers):
-        d = input_size if layer_index == 0 else hidden_size
-        layers.append(
-            LstmLayerParams(
-                input_size=d,
-                hidden_size=hidden_size,
-                w_input=rng.uniform(-bound, bound, (4 * hidden_size, d)),
-                w_hidden=rng.uniform(-bound, bound, (4 * hidden_size, hidden_size)),
-                b_input=rng.uniform(-bound, bound, 4 * hidden_size),
-                b_hidden=rng.uniform(-bound, bound, 4 * hidden_size),
-            )
-        )
-    return LstmNetwork(
-        layers=layers,
-        head_weights=rng.uniform(-bound, bound, hidden_size),
-        head_bias=float(rng.uniform(-bound, bound)),
-        scaler=scaler or Scaler(),
-        seed=seed,
-    )
-
-
-def param_count(net: LstmNetwork) -> int:
-    """Total trainable parameters: layers plus the scalar head."""
-    return sum(p.param_count() for p in net.layers) + net.hidden_size + 1
-
-
-def param_arrays(net: LstmNetwork) -> list[np.ndarray]:
-    """Mutable views of all parameters in a fixed, documented order.
-
-    Per layer: w_input, w_hidden, b_input, b_hidden; then head weights. The
-    scalar head bias is handled separately because floats are immutable.
+    Layer 0 reads one value per step, so its input matrix is (4h, 1); every
+    other weight matrix is (4h, h), each layer has two (4h,) bias vectors,
+    and the head has h weights and a bias.
     """
-    out: list[np.ndarray] = []
-    for p in net.layers:
-        out.extend([p.w_input, p.w_hidden, p.b_input, p.b_hidden])
-    out.append(net.head_weights)
+    if hidden_size < 1 or n_layers < 1:
+        raise DataError(
+            f"a network needs at least one layer of one unit, got {n_layers} x {hidden_size}"
+        )
+    h = hidden_size
+    return 4 * h + (2 * n_layers - 1) * 4 * h * h + 8 * n_layers * h + h + 1
+
+
+def _views(flat: np.ndarray, hidden_size: int, n_layers: int) -> list[np.ndarray]:
+    """Views of a parameter-sized vector in stacked order.
+
+    w_input0 (4h, 1) for layer 0, w_input (L-1, 4h, h) for the upper layers,
+    w_hidden (L, 4h, h), b_input and b_hidden (L, 4h), head_weights (h,) and
+    head_bias (), a 0-d view. A stacked ``np.matmul`` makes one BLAS call per
+    layer with the strides of the single product it replaces, so it gives the
+    same bits. The backward sweep's transposes are views of the stacks for the
+    same reason: a contiguous ``.T`` copy changes the BLAS call, and the bits
+    with it.
+    """
+    g, h, n = 4 * hidden_size, hidden_size, n_layers
+    out, cursor = [], 0
+    for shape in [(g, 1), (n - 1, g, h), (n, g, h), (n, g), (n, g), (h,), ()]:
+        size = math.prod(shape)
+        out.append(flat[cursor : cursor + size].reshape(shape))
+        cursor += size
     return out
 
 
-def get_flat_params(net: LstmNetwork) -> np.ndarray:
-    parts = [a.ravel() for a in param_arrays(net)] + [np.array([net.head_bias])]
-    return np.concatenate(parts)
+def _file_order(flat: np.ndarray, hidden_size: int, n_layers: int) -> list[np.ndarray]:
+    """The views of ``_views`` in .glstm payload order: per layer w_input,
+    w_hidden, b_input, b_hidden; then head_weights and head_bias."""
+    w_input0, w_input, w_hidden, b_input, b_hidden, *head = _views(flat, hidden_size, n_layers)
+    order = []
+    for l, w_in in enumerate([w_input0, *w_input]):
+        order += [w_in, w_hidden[l], b_input[l], b_hidden[l]]
+    return order + head
 
 
-def set_flat_params(net: LstmNetwork, flat: np.ndarray) -> None:
-    if flat.shape != (param_count(net),):
-        raise InvalidValueError(f"expected {param_count(net)} parameters, got {flat.shape}")
-    cursor = 0
-    for arr in param_arrays(net):
-        arr[...] = flat[cursor : cursor + arr.size].reshape(arr.shape)
-        cursor += arr.size
-    net.head_bias = float(flat[cursor])
+def _stacked(file_flat: np.ndarray, hidden_size: int, n_layers: int) -> np.ndarray:
+    """The parameter vector whose payload order is file_flat."""
+    params, cursor = np.empty(len(file_flat)), 0
+    for view in _file_order(params, hidden_size, n_layers):
+        view[...] = file_flat[cursor : cursor + view.size].reshape(view.shape)
+        cursor += view.size
+    return params
 
 
-class _Weights:
-    """The layers' parameters stacked along a leading layer axis.
+@dataclass
+class LstmNetwork:
+    """Stacked layers plus a scalar output head applied to the top hidden state.
 
-    ``w_input0`` is layer 0's (4h, 1) input matrix and ``w_input`` the upper
-    layers' (L-1, 4h, h); ``w_hidden`` is (L, 4h, h) and ``bias`` (L, 4h, 1)
-    holds b_input + b_hidden. A stacked ``np.matmul`` makes one BLAS call per
-    layer with the strides of the single product it replaces, so it gives
-    the same bits. The backward sweep's transposes are views of the stacks
-    for the same reason: a contiguous ``.T`` copy changes the BLAS call, and
-    the bits with it.
+    Every parameter lives in the one float64 vector ``params``, in stacked
+    order, and the named attributes (``w_input0``, ``w_input``, ``w_hidden``,
+    ``b_input``, ``b_hidden``, ``head_weights``, ``head_bias``) are views
+    into it (see ``_views``): write through them, never rebind them.
     """
 
-    def __init__(self, layers: list[LstmLayerParams]):
-        if layers[0].input_size != 1:
-            raise DataError(f"the LSTM reads one value per step, not {layers[0].input_size}")
-        n = layers[0].hidden_size
-        self.hidden_size = n
-        self.w_input0 = layers[0].w_input
-        self.w_input = np.array([p.w_input for p in layers[1:]]).reshape(-1, 4 * n, n)
-        self.w_hidden = np.array([p.w_hidden for p in layers])
-        self.bias = np.array([(p.b_input + p.b_hidden)[:, None] for p in layers])
+    params: np.ndarray
+    hidden_size: int
+    n_layers: int
+    scaler: Scaler = field(default_factory=Scaler)
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        n_params = param_count(self.hidden_size, self.n_layers)
+        self.params = np.ascontiguousarray(self.params, dtype=float)
+        if self.params.shape != (n_params,):
+            raise InvalidValueError(f"expected {n_params} parameters, got {self.params.shape}")
+        (self.w_input0, self.w_input, self.w_hidden, self.b_input, self.b_hidden,
+         self.head_weights, self.head_bias) = _views(self.params, self.hidden_size, self.n_layers)
 
 
-def _forward_cells(w: _Weights, lo: int, x, h_in, c_in, gates, c, tc, h) -> None:
+def new_network(
+    hidden_size: int = 8, n_layers: int = 3, seed: int = 42, scaler: Scaler | None = None
+) -> LstmNetwork:
+    """Seeded uniform initialization in +-1/sqrt(hidden_size), drawn in payload order."""
+    n_params = param_count(hidden_size, n_layers)
+    bound = 1.0 / math.sqrt(hidden_size)
+    draws = np.random.default_rng(seed).uniform(-bound, bound, n_params)
+    params = _stacked(draws, hidden_size, n_layers)
+    return LstmNetwork(params, hidden_size, n_layers, scaler or Scaler(), seed)
+
+
+def _forward_cells(net: LstmNetwork, bias, lo: int, x, h_in, c_in, gates, c, tc, h) -> None:
     """One stacked step over the cells (d - l, l) of a diagonal d, layers lo..lo+m-1.
 
     Every array carries a trailing batch axis. ``h_in`` and ``c_in`` hold the
@@ -252,18 +185,19 @@ def _forward_cells(w: _Weights, lo: int, x, h_in, c_in, gates, c, tc, h) -> None
     previous step at index l and the state below it at index l-1. ``x`` is
     layer 0's (B,) input row, read when lo is 0. Writes the activated gates
     (i, f, g, o stacked as (m, 4h, B)), the cell state c, tanh(c) and
-    h = o * tanh(c) of the m cells into the given arrays.
+    h = o * tanh(c) of the m cells into the given arrays. ``bias`` is the
+    (L, 4h, 1) sum b_input + b_hidden.
     """
-    n, hi = w.hidden_size, lo + len(gates)
+    n, hi = net.hidden_size, lo + len(gates)
     # The pre-activation a = W_i x + W_h h_prev + bias, in that order of adds
     # for every layer, is built in the gate array and activated in place.
     if lo == 0:
-        np.multiply(w.w_input0, x, out=gates[0])  # equals the (4h, 1) @ (1, B) product bit for bit
+        np.multiply(net.w_input0, x, out=gates[0])  # the (4h, 1) @ (1, B) product, bit for bit
     up = max(lo, 1)
     if hi > up:
-        np.matmul(w.w_input[up - 1 : hi - 1], h_in[up - 1 : hi - 1], out=gates[up - lo :])
-    gates += np.matmul(w.w_hidden[lo:hi], h_in[lo:hi])
-    gates += w.bias[lo:hi]
+        np.matmul(net.w_input[up - 1 : hi - 1], h_in[up - 1 : hi - 1], out=gates[up - lo :])
+    gates += np.matmul(net.w_hidden[lo:hi], h_in[lo:hi])
+    gates += bias[lo:hi]
     i, f, g, o = (gates[:, k * n : (k + 1) * n] for k in range(4))
     g_act = np.tanh(g)
     _sigmoid(gates, out=gates)
@@ -323,7 +257,7 @@ class _Unroll:
     def __init__(self, net: LstmNetwork, keep_steps: bool):
         self.net = net
         self.keep_steps = keep_steps
-        self.weights = _Weights(net.layers)
+        self.bias = (net.b_input + net.b_hidden)[:, :, None]
 
     def run(self, xs: np.ndarray, t_in: int, teacher: bool) -> np.ndarray:
         """Scaled predictions of shape (horizon, B) for layer 0's input rows xs.
@@ -356,7 +290,7 @@ class _Unroll:
             k = d % 2
             prev, cur, s = (d, d + 1, d) if self.keep_steps else (k, 1 - k, 0)
             _forward_cells(
-                self.weights, lo, xs[d] if lo == 0 else None, hs[k], cs[prev],
+                net, self.bias, lo, xs[d] if lo == 0 else None, hs[k], cs[prev],
                 gates[s, lo:hi], cs[cur, lo:hi], tcs[s, lo:hi], hs[1 - k, lo:hi],
             )
             t = d - (n_layers - 1)
@@ -386,8 +320,6 @@ def _checked_forecast(
     of the mg/dL output covers states and predictions alike; it names the
     first bad horizon step.
     """
-    if not net.layers:
-        raise DataError("network has no layers")
     if inputs.ndim != 2 or inputs.shape[1] < 1:
         raise DataError(f"forecast inputs must have shape (n, T) with T >= 1, got {inputs.shape}")
     unroll = _Unroll(net, keep_steps)
@@ -417,33 +349,15 @@ def forget_trace(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> For
     return _checked_forecast(net, inputs, horizon, keep_steps=True)[1].trace()
 
 
-@dataclass
-class Gradients:
-    """Per-parameter gradients in the same order as ``param_arrays`` plus head bias."""
-
-    arrays: list[np.ndarray]
-    head_bias: float
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays] + [np.array([self.head_bias])])
-
-    def global_norm(self) -> float:
-        return float(math.sqrt(sum(float(np.sum(a * a)) for a in self.arrays) + self.head_bias**2))
-
-    def scale(self, factor: float) -> None:
-        for a in self.arrays:
-            a *= factor
-        self.head_bias *= factor
-
-
 def _loss_and_gradients_batch(
     net: LstmNetwork,
     inputs_scaled: np.ndarray,
     targets_scaled: np.ndarray,
     feedback: str = "recursive",
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """Mean-over-batch MSE in scaled space plus full BPTT gradients.
 
+    The gradient is one vector laid out like ``net.params``.
     With recursive feedback the gradient of a fed-back prediction includes
     the path through every later step it influenced; with teacher forcing the
     recursive-phase inputs are the scaled targets and carry no gradient.
@@ -452,8 +366,7 @@ def _loss_and_gradients_batch(
         raise InvalidValueError(f"unknown feedback mode {feedback!r}")
     n_batch, t_in = inputs_scaled.shape
     horizon = targets_scaled.shape[1]
-    n_layers = len(net.layers)
-    h_size = net.hidden_size
+    n_layers, h_size = net.n_layers, net.hidden_size
 
     teacher = feedback == "teacher"
     unroll = _Unroll(net, keep_steps=True)
@@ -467,16 +380,14 @@ def _loss_and_gradients_batch(
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
 
-    w = unroll.weights
     top = n_layers - 1
-    gw_input0 = np.zeros_like(w.w_input0)
-    gw_input = np.zeros_like(w.w_input)
-    gw_hidden = np.zeros_like(w.w_hidden)
-    gb = np.zeros((n_layers, 4 * h_size))  # the same for b_input and b_hidden
-    d_head_w = np.zeros(h_size)
-    d_head_b = 0.0
-    # Transposed views of the stacks, never contiguous copies (see _Weights).
-    w_input_t, w_hidden_t = w.w_input.transpose(0, 2, 1), w.w_hidden.transpose(0, 2, 1)
+    grad = np.zeros_like(net.params)
+    # gb is the b_input gradient; b_hidden's is the same and copied at the end.
+    gw_input0, gw_input, gw_hidden, gb, gb_hidden, d_head_w, d_head_b = _views(
+        grad, h_size, n_layers
+    )
+    # Transposed views of the stacks, never contiguous copies (see _views).
+    w_input_t, w_hidden_t = net.w_input.transpose(0, 2, 1), net.w_hidden.transpose(0, 2, 1)
 
     # d loss / d prediction; feedback contributions are added as the reverse
     # sweep reaches the step where each prediction was consumed as input.
@@ -496,7 +407,7 @@ def _loss_and_gradients_batch(
         if head:
             gp = d_pred[t_top - (t_in - 1)]  # (B,)
             d_head_w += (o_all[d, top] * tcs[d, top]) @ gp
-            d_head_b += float(gp.sum())
+            d_head_b += gp.sum()
             d_above[top] = net.head_weights[:, None] * gp[None, :]
         if hi < n_layers or head:
             dh = dh_next[lo:hi] + d_above[lo:hi]
@@ -526,7 +437,7 @@ def _loss_and_gradients_batch(
             gw_input0 += da[0] @ x.T
             if not teacher and d >= t_in:
                 # Route into the fed-back prediction that was this step's input.
-                d_pred[d - t_in] += (w.w_input0.T @ da[0])[0]
+                d_pred[d - t_in] += (net.w_input0.T @ da[0])[0]
         up = max(lo, 1)
         if hi > up:
             da_up = da[up - lo :]
@@ -538,16 +449,18 @@ def _loss_and_gradients_batch(
         np.matmul(w_hidden_t[lo:hi], da, out=dh_next[lo:hi])
         np.multiply(dc, f, out=dc_next[lo:hi])
 
-    arrays: list[np.ndarray] = []
-    for l in range(n_layers):
-        gw_i = gw_input0 if l == 0 else gw_input[l - 1]
-        arrays.extend([gw_i, gw_hidden[l], gb[l], gb[l].copy()])
-    arrays.append(d_head_w)
-    return loss, Gradients(arrays=arrays, head_bias=d_head_b)
+    gb_hidden[...] = gb
+    return loss, grad
+
+
+def _global_norm(grad: np.ndarray, net: LstmNetwork) -> float:
+    """Euclidean norm of a gradient vector, summed array by array in payload order."""
+    *arrays, head_bias = _file_order(grad, net.hidden_size, net.n_layers)
+    return math.sqrt(sum(float(np.sum(a * a)) for a in arrays) + float(head_bias) ** 2)
 
 
 class AdamOptimizer:
-    """Adam with bias correction; moments parallel the parameter arrays."""
+    """Adam with bias correction; the moments are vectors like ``net.params``."""
 
     def __init__(self, net: LstmNetwork, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -556,23 +469,16 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        params = param_arrays(net)
-        self.m = [np.zeros_like(p) for p in params] + [0.0]
-        self.v = [np.zeros_like(p) for p in params] + [0.0]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
-    def step(self, net: LstmNetwork, grads: Gradients) -> None:
+    def step(self, net: LstmNetwork, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        params = param_arrays(net)
-        for idx, (p, g) in enumerate(zip(params, grads.arrays)):
-            self.m[idx] = self.beta1 * self.m[idx] + (1.0 - self.beta1) * g
-            self.v[idx] = self.beta2 * self.v[idx] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[idx] / bc1) / (np.sqrt(self.v[idx] / bc2) + self.eps)
-        gb = grads.head_bias
-        self.m[-1] = self.beta1 * self.m[-1] + (1.0 - self.beta1) * gb
-        self.v[-1] = self.beta2 * self.v[-1] + (1.0 - self.beta2) * gb * gb
-        net.head_bias -= self.lr * (self.m[-1] / bc1) / (math.sqrt(self.v[-1] / bc2) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        net.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 @dataclass
@@ -644,12 +550,12 @@ def train(
         for start in range(0, prepared.n_train, batch):
             rows = order[start : start + batch]
             inputs, targets = prepared.gather("train", rows, readings_scaled)
-            loss, grads = _loss_and_gradients_batch(net, inputs, targets, feedback)
+            loss, grad = _loss_and_gradients_batch(net, inputs, targets, feedback)
             if clip_norm is not None:
-                norm = grads.global_norm()
+                norm = _global_norm(grad, net)
                 if norm > clip_norm:
-                    grads.scale(clip_norm / norm)
-            optimizer.step(net, grads)
+                    grad *= clip_norm / norm
+            optimizer.step(net, grad)
             epoch_loss += loss * rows.size
         epoch_loss /= prepared.n_train
 
@@ -658,7 +564,7 @@ def train(
         checkpoints.append(
             Checkpoint(
                 epoch=epoch,
-                network=net.clone(),
+                network=replace(net, params=net.params.copy()),
                 train_mse_scaled=epoch_loss,
                 train_rmse_mgdl=math.sqrt(epoch_loss) * net.scaler.span,
                 heuristic_rmse_mgdl=heuristic,
@@ -681,12 +587,12 @@ class LstmForecaster:
 
 
 def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = None) -> None:
-    """Binary layout: magic, version, JSON header, then parameter tensors
-    (per layer: w_input, w_hidden, b_input, b_hidden; then head) as f64 LE."""
+    """Binary layout: magic, version, JSON header, then the parameters in
+    payload order (see ``_file_order``) as f64 LE."""
     header = {
         "hidden_size": net.hidden_size,
         "n_layers": net.n_layers,
-        "input_size": net.layers[0].input_size if net.layers else 1,
+        "input_size": 1,
         "scaler_lo": net.scaler.lo,
         "scaler_hi": net.scaler.hi,
         "seed": net.seed,
@@ -695,7 +601,8 @@ def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = Non
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path) as handle:
         handle.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(blob)) + blob)
-        handle.write(get_flat_params(net).astype("<f8").tobytes())
+        payload = _file_order(net.params, net.hidden_size, net.n_layers)
+        handle.write(np.concatenate([a.ravel() for a in payload]).astype("<f8").tobytes())
 
 
 def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
@@ -717,12 +624,14 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
         raise FormatError(f"{path}: header is not a JSON object")
 
     try:
-        sizes = [header[key] for key in ("hidden_size", "n_layers", "input_size")]
+        h, n_layers, input_size = (header[k] for k in ("hidden_size", "n_layers", "input_size"))
         seed, lo, hi = header["seed"], header["scaler_lo"], header["scaler_hi"]
         provenance = header["provenance"]
     except KeyError as exc:
         raise FormatError(f"{path}: header lacks key {exc}") from exc
-    typed = all(is_int(v) and v >= 1 for v in sizes) and is_int(seed) and seed >= 0
+    # The LSTM reads one value per step, so input_size can only be 1.
+    typed = all(is_int(v) and v >= 1 for v in (h, n_layers, input_size)) and input_size == 1
+    typed = typed and is_int(seed) and seed >= 0
     if not (typed and is_real(lo) and is_real(hi) and isinstance(provenance, dict)):
         raise FormatError(f"{path}: header field of the wrong type or out of range")
     try:
@@ -731,10 +640,9 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
         raise FormatError(f"{path}: scaler bound out of range: {exc}") from exc
     if not (lo < hi and math.isfinite(hi - lo)):
         raise FormatError(f"{path}: scaler bounds must be finite with lo < hi")
-    h, n_layers, input_size = sizes
     # The payload length is checked against the header before anything is
     # allocated, so a corrupt size cannot ask for more memory than the file holds.
-    n_params = 4 * h * (input_size + h + 2) + (n_layers - 1) * 8 * h * (h + 1) + h + 1
+    n_params = param_count(h, n_layers)
     payload = raw[header_end:]
     if len(payload) != 8 * n_params:
         raise FormatError(
@@ -743,6 +651,5 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
     flat = np.frombuffer(payload, dtype="<f8").astype(float)
     if not np.all(np.isfinite(flat)):
         raise FormatError(f"{path}: non-finite parameter in the payload")
-    net = new_network(h, n_layers, seed, input_size, Scaler(lo, hi))
-    set_flat_params(net, flat)
+    net = LstmNetwork(_stacked(flat, h, n_layers), h, n_layers, Scaler(lo, hi), seed)
     return net, provenance

@@ -14,7 +14,6 @@ import numpy as np
 from .core import PatientRecord
 from .errors import DataError, NumericError
 
-DEFAULT_CLUSTER_FEATURES = ("hba1c", "annual_income_usd")
 COVARIANCE_FLOOR = 1e-6
 
 

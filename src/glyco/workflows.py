@@ -198,12 +198,14 @@ def run_cluster(
 
 
 def read_cohorts(path: str | Path) -> dict[str, str]:
+    """Patient-to-cohort labels from a cohorts CSV; rows without two cells are skipped.
+
+    An unreadable file (bad header, undecodable text, an oversized field) is a
+    FormatError, as for the other input CSVs.
+    """
     assignments: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["patient_id", "cohort"]:
-            raise DataError(f"{path}: expected header patient_id,cohort")
+    handle, reader = ingest._open_rows(path, ["patient_id", "cohort"])
+    with handle, ingest._typed_read_errors(Path(path), reader):
         for row in reader:
             if len(row) == 2 and row[0].strip():
                 assignments[row[0].strip()] = row[1].strip()

@@ -46,7 +46,8 @@ def test_parse_cgm_csv(benchmark, request, which):
     path = request.getfixturevalue(f"{which}_csv")
     corpus, report = benchmark(parse_cgm_csv, path)
     assert len(corpus) == ROWS and report.conflicts == (which == "conflict")
-    benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6
 
 
 def test_write_cgm_csv(benchmark, tmp_path, clean_csv):
@@ -54,4 +55,5 @@ def test_write_cgm_csv(benchmark, tmp_path, clean_csv):
     path = tmp_path / "out.csv"
     benchmark(write_cgm_csv, corpus, path)
     assert path.read_bytes() == clean_csv.read_bytes()
-    benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6

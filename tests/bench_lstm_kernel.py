@@ -37,8 +37,8 @@ def minibatch(net, n_batch):
 )
 def test_loss_and_gradients_batch(benchmark, net, n_batch, feedback):
     inputs, targets = minibatch(net, n_batch)
-    loss, grads = benchmark(_loss_and_gradients_batch, net, inputs, targets, feedback)
-    assert np.isfinite(loss) and np.all(np.isfinite(grads.flat()))
+    loss, grad = benchmark(_loss_and_gradients_batch, net, inputs, targets, feedback)
+    assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
 def test_rollout_batch_40(benchmark, net):

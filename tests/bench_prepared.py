@@ -49,4 +49,5 @@ def test_gather_minibatch(benchmark, prepared):
     rows = np.random.default_rng(0).permutation(prepared.n_train)[:BATCH]
     inputs, targets = benchmark(prepared.gather, "train", rows)
     assert inputs.shape == (BATCH, 132) and targets.shape == (BATCH, 12)
-    benchmark.extra_info["us_per_window"] = benchmark.stats.stats.median / BATCH * 1e6
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_window"] = benchmark.stats.stats.median / BATCH * 1e6

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from glyco.ingest import synth_corpus
 from glyco.pipeline import segment
@@ -31,3 +34,33 @@ def one_window_prepared(train_windows, test_windows, input_len, provenance=None)
     prepared = prepare(store, fold, total=total, input_len=input_len)
     prepared.provenance.update(provenance or {})
     return prepared
+
+
+FUZZ_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "-1e400", "", " ", '"', '"a,b"', "\r", "﻿", "\x00",
+     "1" * 200_000, "0", "-1", "1e-400", "9" * 5000]
+)
+
+
+def mutate(data, raw: bytes) -> bytes:
+    """Truncate, flip bits, splice a cell, or add a BOM, CRLF or invalid UTF-8."""
+    raw = bytearray(raw)
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "cell", "bom", "crlf", "utf8"]))
+    if mutation == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+    elif mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    elif mutation == "cell":
+        text = raw.decode()
+        cells = [m.span() for m in re.finditer(r"[^,\n]+", text)]
+        lo, hi = data.draw(st.sampled_from(cells))
+        raw = bytearray((text[:lo] + data.draw(FUZZ_CELLS) + text[hi:]).encode())
+    elif mutation == "bom":
+        raw = bytearray("﻿".encode()) + raw
+    elif mutation == "crlf":
+        raw = raw.replace(b"\n", b"\r\n")
+    else:
+        at = data.draw(st.integers(0, len(raw)))
+        raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
+    return bytes(raw)

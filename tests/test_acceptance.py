@@ -26,10 +26,8 @@ from glyco.lstm import (
     LstmForecaster,
     _loss_and_gradients_batch,
     forget_trace,
-    get_flat_params,
     new_network,
     param_count,
-    set_flat_params,
     train,
 )
 from glyco.metrics import esod_n, prf1, rmse
@@ -58,8 +56,8 @@ def criterion(number: int, label: str, budget_s: float | None):
 def test_c01_parameter_count_oracle():
     with criterion(1, "parameter count of the reference architecture is 1513", 1.0):
         net = new_network(hidden_size=8, n_layers=3, seed=0)
-        assert param_count(net) == 1513
-        assert get_flat_params(net).size == 1513
+        assert param_count(8, 3) == 1513
+        assert net.params.size == 1513
 
 
 def test_c02_gradient_correctness():
@@ -74,21 +72,17 @@ def test_c02_gradient_correctness():
             net = new_network(hidden_size=h, n_layers=n_layers, seed=config_index)
             values = net.scaler.scale(rng.uniform(60, 350, (1, seq)))
             target = net.scaler.scale(rng.uniform(60, 350, (1, horizon)))
-            _, grads = _loss_and_gradients_batch(net, values, target)
-            analytic = grads.flat()
+            _, analytic = _loss_and_gradients_batch(net, values, target)
 
-            flat = get_flat_params(net)
+            flat = net.params.copy()
             numeric = np.empty_like(analytic)
             for index in range(flat.size):
-                probe = flat.copy()
-                probe[index] += eps
-                set_flat_params(net, probe)
+                net.params[index] += eps
                 up, _ = _loss_and_gradients_batch(net, values, target)
-                probe[index] -= 2 * eps
-                set_flat_params(net, probe)
+                net.params[index] -= 2 * eps
                 down, _ = _loss_and_gradients_batch(net, values, target)
                 numeric[index] = (up - down) / (2 * eps)
-            set_flat_params(net, flat)
+                net.params[index] = flat[index]
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             worst = float(np.max(np.abs(analytic - numeric) / denom))
             assert worst < 1e-4, f"config {config_index}: relative error {worst:.2e}"

@@ -54,7 +54,7 @@ def test_linreg_matches_closed_form_oracle():
     t = np.arange(132, dtype=float)
     design = np.stack([np.ones_like(t), t], axis=1)
     intercept, slope = np.linalg.solve(design.T @ design, design.T @ values)
-    predictions = linreg_forecast(values, fit_window=132)
+    predictions = linreg_forecast(values)
     expected = intercept + slope * np.arange(132, 144)
     np.testing.assert_allclose(predictions, expected, atol=1e-9)
 
@@ -67,11 +67,10 @@ def test_linreg_affine_equivariance():
     np.testing.assert_allclose(scaled, 3.5 * base + 40.0, rtol=1e-10)
 
 
-def test_linreg_fit_window_bounds():
-    with pytest.raises(DataError):
-        linreg_forecast(np.arange(10.0), fit_window=1)
-    with pytest.raises(DataError):
-        linreg_forecast(np.arange(10.0), fit_window=11)
+def test_linreg_needs_two_points():
+    for values in (np.array([]), np.array([150.0]), np.empty((3, 1))):
+        with pytest.raises(DataError):
+            linreg_forecast(values)
 
 
 def test_both_forecasts_have_zero_curvature():
@@ -99,8 +98,7 @@ def test_forecaster_protocol():
 def test_linreg_batch_bit_identical_to_rows():
     rng = np.random.default_rng(8)
     inputs = rng.uniform(40, 400, (500, 132))
-    for fit_window in (None, 2, 37, 132):
-        batch = linreg_forecast(inputs, fit_window=fit_window)
-        rows = np.stack([linreg_forecast(row, fit_window=fit_window) for row in inputs])
-        assert np.array_equal(batch, rows)
-        assert np.array_equal(linreg_forecast(np.asfortranarray(inputs), fit_window=fit_window), rows)
+    batch = linreg_forecast(inputs)
+    rows = np.stack([linreg_forecast(row) for row in inputs])
+    assert np.array_equal(batch, rows)
+    assert np.array_equal(linreg_forecast(np.asfortranarray(inputs)), rows)

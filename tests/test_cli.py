@@ -178,6 +178,24 @@ class TestErrors:
         parsed = json.loads(line)
         assert parsed["error"] == "DataError"
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"patient_id,cohort\np\xff1,A\n", b"patient_id,cohort\np1," + b"A" * 131_073 + b"\n"],
+        ids=["not-utf8", "oversized-field"],
+    )
+    def test_unreadable_cohorts_file_is_format_error(self, runner, pipeline_dir, tmp_path, body):
+        cohorts = tmp_path / "cohorts.csv"
+        cohorts.write_bytes(body)
+        out = tmp_path / "prep"
+        result = runner.invoke(
+            main,
+            ["prepare", "--cgm", str(pipeline_dir / "cgm.csv"), "--out-dir", str(out),
+             "--cohorts", str(cohorts), "--cohort", "A", *TINY],
+        )
+        assert result.exit_code == 3
+        assert json.loads(result.output.strip().splitlines()[-1])["error"] == "FormatError"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_config_file_is_config_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -226,7 +244,7 @@ class TestErrors:
         for fold in range(3):
             name = f"lstm_fold{fold}.glstm"
             net, provenance = load_model(pipeline_dir / "models" / name)
-            net.head_bias = 1e306
+            net.head_bias[...] = 1e306
             save_model(net, models / name, provenance)
         out = tmp_path / "eval"
         result = runner.invoke(

@@ -7,6 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import mutate
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -506,36 +507,6 @@ class TestPatientNonFinite:
 
 
 # -- fuzzing: only a GlycoError may escape -------------------------------------
-
-FUZZ_CELLS = st.sampled_from(
-    ["nan", "inf", "-inf", "1e400", "-1e400", "", " ", '"', '"a,b"', "\r", "﻿", "\x00",
-     "1" * 200_000, "0", "-1", "1e-400", "9" * 5000]
-)
-
-
-def mutate(data, raw: bytes) -> bytes:
-    """Truncate, flip bits, splice a cell, or add a BOM, CRLF or invalid UTF-8."""
-    raw = bytearray(raw)
-    mutation = data.draw(st.sampled_from(["truncate", "flip", "cell", "bom", "crlf", "utf8"]))
-    if mutation == "truncate":
-        raw = raw[: data.draw(st.integers(0, len(raw)))]
-    elif mutation == "flip":
-        for _ in range(data.draw(st.integers(1, 4))):
-            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
-    elif mutation == "cell":
-        text = raw.decode()
-        cells = [m.span() for m in re.finditer(r"[^,\n]+", text)]
-        lo, hi = data.draw(st.sampled_from(cells))
-        raw = bytearray((text[:lo] + data.draw(FUZZ_CELLS) + text[hi:]).encode())
-    elif mutation == "bom":
-        raw = bytearray("﻿".encode()) + raw
-    elif mutation == "crlf":
-        raw = raw.replace(b"\n", b"\r\n")
-    else:
-        at = data.draw(st.integers(0, len(raw)))
-        raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
-    return bytes(raw)
-
 
 @pytest.fixture(scope="module")
 def fuzz_csvs(small_corpus, tmp_path_factory):

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,42 +15,49 @@ from glyco.errors import DataError, FormatError, GlycoError, NumericError
 from glyco.lstm import (
     AdamOptimizer,
     ForgetTrace,
-    Gradients,
     LstmForecaster,
     forget_trace,
-    get_flat_params,
     load_model,
     new_network,
-    param_arrays,
     param_count,
     rollout_batch,
     save_model,
-    set_flat_params,
     train,
+    _file_order,
     _forward_cells,
     _loss_and_gradients_batch,
     _sigmoid,
-    _Weights,
 )
 from glyco.pipeline import kfold_split, prepare
 
 
 def zero_network(hidden_size=4, n_layers=2, seed=0):
     net = new_network(hidden_size=hidden_size, n_layers=n_layers, seed=seed)
-    set_flat_params(net, np.zeros(param_count(net)))
+    net.params[:] = 0.0
     return net
 
 
-def cell_forward(layer, x, h_prev, c_prev):
-    """One cell step on plain vectors through the stacked kernel; returns (h, c, gates).
+def layers_of(net):
+    """Per-layer views of a network's parameters: w_input, w_hidden, b_input, b_hidden."""
+    return [
+        SimpleNamespace(hidden_size=net.hidden_size, w_input=w_input, w_hidden=net.w_hidden[l],
+                        b_input=net.b_input[l], b_hidden=net.b_hidden[l])
+        for l, w_input in enumerate([net.w_input0, *net.w_input])
+    ]
+
+
+def cell_forward(net, x, h_prev, c_prev):
+    """One cell step of a one-layer network on plain vectors through the stacked
+    kernel; returns (h, c, gates).
 
     The cell is a one-layer diagonal with a batch of one: x is the (1,) input.
     """
-    n = layer.hidden_size
+    n = net.hidden_size
     gates = np.empty((1, 4 * n, 1))
     c, tc, h = np.empty((3, 1, n, 1))
+    bias = (net.b_input + net.b_hidden)[:, :, None]
     _forward_cells(
-        _Weights([layer]), 0, x, h_prev[None, :, None], c_prev[None, :, None], gates, c, tc, h
+        net, bias, 0, x, h_prev[None, :, None], c_prev[None, :, None], gates, c, tc, h
     )
     named = {key: gates[0, k * n : (k + 1) * n, 0] for k, key in enumerate("ifgo")}
     return h[0, :, 0], c[0, :, 0], named
@@ -104,33 +112,38 @@ def sinusoid_prepared(n_train=200, n_test=40, input_len=40, horizon=6, seed=0):
 class TestParamCount:
     def test_reference_architecture(self):
         net = new_network(hidden_size=8, n_layers=3)
-        assert param_count(net) == 1513
+        assert param_count(8, 3) == net.params.size == 1513
 
     def test_tiny_by_hand(self):
         # 4*1 + 4*1 + 8*1 = 16 for the layer, +2 for the head
         net = new_network(hidden_size=1, n_layers=1)
-        assert param_count(net) == 18
+        assert param_count(1, 1) == net.params.size == 18
 
     def test_head_only(self):
-        net = new_network(hidden_size=8, n_layers=0)
-        assert param_count(net) == 9
+        # A head without layers has nothing to read; such a network is not built.
+        for h, n_layers in ((8, 0), (0, 3), (-1, 1)):
+            with pytest.raises(DataError, match="at least one layer of one unit"):
+                param_count(h, n_layers)
+            with pytest.raises(DataError, match="at least one layer of one unit"):
+                new_network(hidden_size=h, n_layers=n_layers)
 
     def test_formula_sweep(self):
         for h in (1, 2, 3, 5, 8, 16):
-            for n_layers in (0, 1, 2, 3, 4):
+            for n_layers in (1, 2, 3, 4):
                 net = new_network(hidden_size=h, n_layers=n_layers)
-                expected = (4 * h * 1 + 4 * h * h + 8 * h) if n_layers else 0
-                expected += (n_layers - 1) * (4 * h * h + 4 * h * h + 8 * h) if n_layers else 0
+                expected = 4 * h * 1 + 4 * h * h + 8 * h
+                expected += (n_layers - 1) * (4 * h * h + 4 * h * h + 8 * h)
                 expected += h + 1
-                assert param_count(net) == expected
-                assert get_flat_params(net).size == expected
+                assert param_count(h, n_layers) == expected
+                assert net.params.size == expected
+                payload = _file_order(net.params, h, n_layers)
+                assert sum(a.size for a in payload) == expected
 
 
 class TestCellForward:
     def test_zero_parameters(self):
-        net = zero_network()
-        layer = net.layers[0]
-        h, c, gates = cell_forward(layer, np.array([0.7]), np.zeros(4), np.zeros(4))
+        net = zero_network(n_layers=1)
+        h, c, gates = cell_forward(net, np.array([0.7]), np.zeros(4), np.zeros(4))
         np.testing.assert_allclose(gates["i"], 0.5)
         np.testing.assert_allclose(gates["f"], 0.5)
         np.testing.assert_allclose(gates["o"], 0.5)
@@ -139,20 +152,20 @@ class TestCellForward:
         np.testing.assert_allclose(h, 0.0)
 
     def test_zero_parameters_halve_cell_state(self):
-        net = zero_network()
+        net = zero_network(n_layers=1)
         v = np.array([0.3, -1.2, 2.0, 0.05])
-        _, c, _ = cell_forward(net.layers[0], np.array([0.7]), np.zeros(4), v)
+        _, c, _ = cell_forward(net, np.array([0.7]), np.zeros(4), v)
         np.testing.assert_allclose(c, 0.5 * v, atol=1e-15)
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(42)
         net = new_network(hidden_size=3, n_layers=1, seed=7)
-        layer = net.layers[0]
+        (layer,) = layers_of(net)
         for _ in range(20):
             x = rng.normal(size=1)
             h_prev = rng.uniform(-0.9, 0.9, 3)
             c_prev = rng.normal(size=3)
-            h, c, gates = cell_forward(layer, x, h_prev, c_prev)
+            h, c, gates = cell_forward(net, x, h_prev, c_prev)
             oh, oc, ogates = oracle_cell(layer, x, h_prev, c_prev)
             np.testing.assert_allclose(h, oh, atol=1e-12)
             np.testing.assert_allclose(c, oc, atol=1e-12)
@@ -162,31 +175,24 @@ class TestCellForward:
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(1)
         net = new_network(hidden_size=5, n_layers=1, seed=2)
-        layer = net.layers[0]
         for _ in range(50):
             h, _, _ = cell_forward(
-                layer, rng.normal(size=1), rng.uniform(-1, 1, 5), rng.normal(size=5) * 3
+                net, rng.normal(size=1), rng.uniform(-1, 1, 5), rng.normal(size=5) * 3
             )
             assert np.all(np.abs(h) < 1.0)
 
     def test_forced_input_gate_gives_pure_decay(self):
         net = new_network(hidden_size=4, n_layers=1, seed=3)
-        layer = net.layers[0]
-        layer.b_input[:4] = -60.0  # input gate ~ 0
-        layer.b_hidden[:4] = 0.0
+        net.b_input[0, :4] = -60.0  # input gate ~ 0
+        net.b_hidden[0, :4] = 0.0
         c_prev = np.array([0.4, -1.0, 2.5, 0.01])
-        _, c, gates = cell_forward(layer, np.array([0.5]), np.zeros(4), c_prev)
+        _, c, gates = cell_forward(net, np.array([0.5]), np.zeros(4), c_prev)
         np.testing.assert_allclose(c, gates["f"] * c_prev, atol=1e-12)
 
     def test_shape_mismatch(self):
         net = new_network(hidden_size=4, n_layers=1)
         with pytest.raises(Exception):
-            cell_forward(net.layers[0], np.zeros(3), np.zeros(4), np.zeros(4))
-
-    def test_input_wider_than_one_value_rejected(self):
-        net = new_network(hidden_size=4, n_layers=2, input_size=2)
-        with pytest.raises(DataError, match="one value per step"):
-            rollout_batch(net, np.full((1, 5), 100.0))
+            cell_forward(net, np.zeros(3), np.zeros(4), np.zeros(4))
 
 
 class TestRollout:
@@ -225,7 +231,7 @@ class TestRollout:
 
     def test_non_finite_named_step(self):
         net = new_network(hidden_size=4, n_layers=1, seed=7)
-        net.head_bias = 1e308  # finite when scaled, overflows in mg/dL from the first step
+        net.head_bias[...] = 1e308  # finite when scaled, overflows in mg/dL from the first step
         with pytest.raises(NumericError, match="horizon step 1 of 5"):
             rollout_batch(net, np.linspace(80, 300, 20)[None], horizon=5)
         with pytest.raises(NumericError, match="horizon step 1 of 5"):
@@ -236,7 +242,7 @@ class TestRollout:
         # grow every step, whatever the input, so W h first overflows in mg/dL
         # (580 W h > 1.8e308) at the third horizon step.
         net = zero_network(hidden_size=1, n_layers=1)
-        net.layers[0].b_input[2] = 30.0
+        net.b_input[0, 2] = 30.0
         net.head_weights[0] = 9.1e305
         with pytest.raises(NumericError, match="horizon step 3 of 5"):
             rollout_batch(net, np.full((2, 1), 100.0), horizon=5)
@@ -248,8 +254,8 @@ class TestRollout:
                 rollout_batch(net, inputs)
 
     def test_network_without_layers_rejected(self):
-        with pytest.raises(DataError, match="no layers"):
-            rollout_batch(new_network(hidden_size=4, n_layers=0), np.full((1, 5), 100.0))
+        with pytest.raises(DataError, match="at least one layer"):
+            new_network(hidden_size=4, n_layers=0)
 
     def test_forget_trace_takes_one_window(self):
         net = new_network(hidden_size=4, n_layers=1)
@@ -270,22 +276,18 @@ class TestGradients:
             net = new_network(hidden_size=h, n_layers=n_layers, seed=trial)
             x = rng.uniform(60, 350, seq)
             target = rng.uniform(60, 350, horizon)
-            _, grads = scaled_loss(net, x, target, feedback=feedback)
-            analytic = grads.flat()
+            _, analytic = scaled_loss(net, x, target, feedback=feedback)
 
-            flat = get_flat_params(net)
+            flat = net.params.copy()
             eps = 1e-5
             numeric = np.empty_like(analytic)
             for index in range(flat.size):
-                probe = flat.copy()
-                probe[index] += eps
-                set_flat_params(net, probe)
+                net.params[index] += eps
                 up, _ = scaled_loss(net, x, target, feedback=feedback)
-                probe[index] -= 2 * eps
-                set_flat_params(net, probe)
+                net.params[index] -= 2 * eps
                 down, _ = scaled_loss(net, x, target, feedback=feedback)
                 numeric[index] = (up - down) / (2 * eps)
-            set_flat_params(net, flat)
+                net.params[index] = flat[index]
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
@@ -293,9 +295,9 @@ class TestGradients:
         net = new_network(hidden_size=5, n_layers=2, seed=11)
         x = np.linspace(100, 180, 30)
         predictions = rollout_batch(net, x[None], horizon=4)[0]
-        loss, grads = scaled_loss(net, x, predictions)
+        loss, grad = scaled_loss(net, x, predictions)
         assert loss == pytest.approx(0.0, abs=1e-24)
-        assert np.max(np.abs(grads.flat())) == pytest.approx(0.0, abs=1e-15)
+        assert np.max(np.abs(grad)) == pytest.approx(0.0, abs=1e-15)
 
     def test_mse_homogeneity(self):
         net = new_network(hidden_size=4, n_layers=1, seed=12)
@@ -312,10 +314,9 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         net = zero_network(hidden_size=3, n_layers=1)
         optimizer = AdamOptimizer(net, lr=0.01)
-        ones = Gradients(arrays=[np.ones_like(a) for a in param_arrays(net)], head_bias=1.0)
-        optimizer.step(net, ones)
-        flat = get_flat_params(net)
-        np.testing.assert_allclose(flat, -0.01, rtol=1e-6)
+        optimizer.step(net, np.ones_like(net.params))
+        np.testing.assert_allclose(net.params, -0.01, rtol=1e-6)
+        assert net.head_bias == pytest.approx(-0.01, rel=1e-6)
 
 
 class TestTrain:
@@ -332,7 +333,7 @@ class TestTrain:
         for _ in range(2):
             net = new_network(hidden_size=4, n_layers=1, seed=5)
             train(net, prepared, epochs=2, batch=16, lr=0.01, heuristic_test_n=8, seed=9)
-            nets.append(get_flat_params(net))
+            nets.append(net.params)
         np.testing.assert_array_equal(nets[0], nets[1])
 
     def test_best_checkpoint_is_heuristic_argmin(self):
@@ -389,7 +390,7 @@ class TestSaveLoad:
         path = tmp_path / "model.glstm"
         save_model(net, path, provenance={"fold": 2, "mode": "recursive"})
         loaded, provenance = load_model(path)
-        np.testing.assert_allclose(get_flat_params(loaded), get_flat_params(net), atol=1e-12)
+        np.testing.assert_array_equal(loaded.params, net.params)
         assert provenance == {"fold": 2, "mode": "recursive"}
         assert loaded.scaler.lo == net.scaler.lo and loaded.scaler.hi == net.scaler.hi
         values = np.linspace(90, 300, 132)
@@ -450,7 +451,7 @@ def test_missing_header_key_is_format_error(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [("hidden_size", "3"), ("n_layers", 1.5), ("seed", True), ("scaler_lo", "40"),
-     ("hidden_size", 0), ("provenance", [])],
+     ("hidden_size", 0), ("provenance", []), ("input_size", 2)],
 )
 def test_wrongly_typed_header_field_is_format_error(tmp_path, field, value):
     net = new_network(hidden_size=3, n_layers=1, seed=17)
@@ -580,8 +581,8 @@ def ref_cell_step(layer, x, h_prev, c_prev):
 def ref_unroll(net, x_scaled, horizon, feedback_inputs):
     """Returns (preds (horizon, B), per-step list of per-layer tuples, forget list)."""
     n_batch, t_in = x_scaled.shape
-    hs = [np.zeros((net.hidden_size, n_batch)) for _ in net.layers]
-    cs = [np.zeros((net.hidden_size, n_batch)) for _ in net.layers]
+    hs = [np.zeros((net.hidden_size, n_batch)) for _ in range(net.n_layers)]
+    cs = [np.zeros((net.hidden_size, n_batch)) for _ in range(net.n_layers)]
     preds = np.empty((horizon, n_batch))
     cache, forget = [], []
     for t in range(t_in + horizon - 1):
@@ -592,7 +593,7 @@ def ref_unroll(net, x_scaled, horizon, feedback_inputs):
         else:
             x = preds[t - t_in][None, :]
         step_cache, step_forget = [], []
-        for l, layer in enumerate(net.layers):
+        for l, layer in enumerate(layers_of(net)):
             i, f, g, o, c, tc, h = ref_cell_step(layer, x, hs[l], cs[l])
             step_cache.append((x, hs[l], cs[l], i, f, g, o, c, tc))
             step_forget.append(f)
@@ -608,7 +609,8 @@ def ref_unroll(net, x_scaled, horizon, feedback_inputs):
 def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
     n_batch, t_in = inputs_scaled.shape
     horizon = targets_scaled.shape[1]
-    n_layers, h_size = len(net.layers), net.hidden_size
+    n_layers, h_size = net.n_layers, net.hidden_size
+    layers = layers_of(net)
     feed = targets_scaled if feedback == "teacher" else None
     preds, cache, _ = ref_unroll(net, inputs_scaled, horizon, feed)
     residual = preds - targets_scaled.T
@@ -616,7 +618,7 @@ def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
     grads = [
         (np.zeros_like(p.w_input), np.zeros_like(p.w_hidden),
          np.zeros_like(p.b_input), np.zeros_like(p.b_hidden))
-        for p in net.layers
+        for p in layers
     ]
     d_head_w = np.zeros(h_size)
     d_head_b = 0.0
@@ -650,8 +652,8 @@ def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
             db = da.sum(axis=1)
             gb_i += db
             gb_h += db
-            d_from_above = net.layers[l].w_input.T @ da
-            dh_next[l] = net.layers[l].w_hidden.T @ da
+            d_from_above = layers[l].w_input.T @ da
+            dh_next[l] = layers[l].w_hidden.T @ da
             dc_next[l] = dc * f
         if feedback == "recursive" and t >= t_in:
             d_pred[t - t_in] += d_from_above[0]
@@ -718,20 +720,21 @@ def test_kernel_bit_identical_to_reference(
     rng = np.random.default_rng(seed)
     net = new_network(hidden_size=hidden, n_layers=n_layers, seed=seed)
     # Larger weights on some seeds drive gates into saturation.
-    set_flat_params(net, get_flat_params(net) * (1 + seed))
+    net.params *= 1 + seed
     inputs = rng.uniform(40, 400, (n_batch, t_in))
     targets = rng.uniform(40, 400, (n_batch, horizon))
     inputs_scaled, targets_scaled = net.scaler.scale(inputs), net.scaler.scale(targets)
 
-    loss, grads = _loss_and_gradients_batch(net, inputs_scaled, targets_scaled, feedback)
+    loss, grad = _loss_and_gradients_batch(net, inputs_scaled, targets_scaled, feedback)
     ref_loss, ref_arrays, ref_head_b = ref_loss_and_gradients(
         net, inputs_scaled, targets_scaled, feedback
     )
     assert same_bits(loss, ref_loss)
-    assert len(grads.arrays) == len(ref_arrays)
-    for got, want in zip(grads.arrays, ref_arrays):
+    *arrays, head_b = _file_order(grad, hidden, n_layers)
+    assert len(arrays) == len(ref_arrays)
+    for got, want in zip(arrays, ref_arrays):
         assert same_bits(got, want)
-    assert same_bits(grads.head_bias, ref_head_b)
+    assert same_bits(head_b, ref_head_b)
 
     assert same_bits(rollout_batch(net, inputs, horizon), ref_rollout_batch(net, inputs, horizon))
     predictions = rollout_batch(net, inputs[-1:], horizon)[0]

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import one_window_prepared
+from conftest import mutate, one_window_prepared
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glyco.config import RunConfig
-from glyco.errors import ConfigError, DataError
+from glyco.errors import ConfigError, DataError, GlycoError
 from glyco.hmm import load_hmm
 from glyco.ingest import synth_corpus, write_cgm_csv, write_patient_csv
 from glyco.lstm import forget_trace, load_model
@@ -78,6 +80,22 @@ def test_cluster_outputs(workspace, tmp_path):
     assert sum(document["cohort_sizes"].values()) == 4
     model = json.loads((tmp_path / "gmm.json").read_text())["model"]
     assert abs(sum(model["weights"]) - 1.0) < 1e-9
+
+
+COHORTS_CSV = b"patient_id,cohort\np0,0\np1,1\np2,0\np3,2\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_read_cohorts_fuzz_raises_only_glyco_errors(tmp_path, data):
+    """A mutated cohorts file reads as labels or raises a GlycoError."""
+    path = tmp_path / "cohorts.csv"
+    path.write_bytes(mutate(data, COHORTS_CSV))
+    try:
+        assignments = read_cohorts(path)
+    except GlycoError:
+        return
+    assert all(isinstance(k, str) and k and isinstance(v, str) for k, v in assignments.items())
 
 
 def test_prepare_fold_files(workspace):
