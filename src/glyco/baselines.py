@@ -7,22 +7,9 @@ work along the last axis, on one window (T,) or on a batch of windows (n, T).
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from .errors import DataError
-
-
-@runtime_checkable
-class Forecaster(Protocol):
-    """Contract shared by every model: a name, a horizon, and ``predict``, which
-    maps input windows (n, input_len) to forecasts (n, horizon) in mg/dL."""
-
-    name: str
-    horizon: int
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray: ...
 
 
 def copy_last(values: np.ndarray | list[float], horizon: int = 12) -> np.ndarray:
@@ -48,29 +35,8 @@ def linreg_forecast(values: np.ndarray | list[float], horizon: int = 12) -> np.n
     t_mean = t.mean()
     y_mean = y.mean(axis=-1, keepdims=True)
     denom = np.sum((t - t_mean) ** 2)
-    if denom == 0.0:  # unreachable with >= 2 distinct indices, guarded anyway
-        raise DataError("degenerate regression: no index spread")
     slope = np.sum((t - t_mean) * (y - y_mean), axis=-1, keepdims=True) / denom
     intercept = y_mean - slope * t_mean
     future = np.arange(n, n + horizon, dtype=float)
     return intercept + slope * future
 
-
-class CopyLastForecaster:
-    name = "copy_last"
-
-    def __init__(self, horizon: int = 12):
-        self.horizon = horizon
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        return copy_last(inputs, self.horizon)
-
-
-class LinearRegressionForecaster:
-    name = "linreg"
-
-    def __init__(self, horizon: int = 12):
-        self.horizon = horizon
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        return linreg_forecast(inputs, self.horizon)

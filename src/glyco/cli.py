@@ -254,9 +254,6 @@ def evaluate(config_path, seed, mode, prepared_dir, models, models_dir, out_dir,
         if prepared_dir is None:
             raise ConfigError("standard mode needs --prepared-dir")
         names = [m.strip() for m in models.split(",") if m.strip()]
-        unknown = [m for m in names if m not in ALL_MODELS]
-        if unknown:
-            raise ConfigError(f"unknown models: {', '.join(unknown)}")
         document = workflows.run_evaluate(
             tracker, config, prepared_dir, names, models_dir, out_dir, scatter
         )

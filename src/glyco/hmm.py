@@ -290,18 +290,6 @@ def hmm_forecast(
     return tails[paths[:, -1]]
 
 
-class HmmForecaster:
-    name = "hmm"
-
-    def __init__(self, model: HmmModel, quantizer: Quantizer, horizon: int = 12):
-        self.model = model
-        self.quantizer = quantizer
-        self.horizon = horizon
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        return hmm_forecast(self.model, self.quantizer, inputs, self.horizon)
-
-
 def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
     doc = {
         "format": "glyco-hmm",

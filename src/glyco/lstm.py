@@ -166,15 +166,13 @@ class LstmNetwork:
          self.head_weights, self.head_bias) = _views(self.params, self.hidden_size, self.n_layers)
 
 
-def new_network(
-    hidden_size: int = 8, n_layers: int = 3, seed: int = 42, scaler: Scaler | None = None
-) -> LstmNetwork:
+def new_network(hidden_size: int = 8, n_layers: int = 3, seed: int = 42) -> LstmNetwork:
     """Seeded uniform initialization in +-1/sqrt(hidden_size), drawn in payload order."""
     n_params = param_count(hidden_size, n_layers)
     bound = 1.0 / math.sqrt(hidden_size)
     draws = np.random.default_rng(seed).uniform(-bound, bound, n_params)
     params = _stacked(draws, hidden_size, n_layers)
-    return LstmNetwork(params, hidden_size, n_layers, scaler or Scaler(), seed)
+    return LstmNetwork(params, hidden_size, n_layers, Scaler(), seed)
 
 
 def _forward_cells(net: LstmNetwork, bias, lo: int, x, h_in, c_in, gates, c, tc, h) -> None:
@@ -462,23 +460,23 @@ def _global_norm(grad: np.ndarray, net: LstmNetwork) -> float:
 class AdamOptimizer:
     """Adam with bias correction; the moments are vectors like ``net.params``."""
 
-    def __init__(self, net: LstmNetwork, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, net: LstmNetwork, lr: float = 0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
 
     def step(self, net: LstmNetwork, grad: np.ndarray) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        net.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        net.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
 @dataclass
@@ -573,17 +571,6 @@ def train(
 
     best_epoch = min(checkpoints, key=lambda cp: (cp.heuristic_rmse_mgdl, cp.epoch)).epoch
     return TrainResult(checkpoints=checkpoints, best_epoch=best_epoch)
-
-
-class LstmForecaster:
-    name = "lstm"
-
-    def __init__(self, net: LstmNetwork, horizon: int = 12):
-        self.net = net
-        self.horizon = horizon
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        return rollout_batch(self.net, inputs, self.horizon)
 
 
 def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = None) -> None:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -64,10 +66,6 @@ class OutputTracker:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
-
-
-def fold_seed(config: RunConfig, fold_index: int) -> int:
-    return config.seed + fold_index
 
 
 def load_corpus(cgm_path: str | Path, patients_path: str | Path | None = None) -> Corpus:
@@ -155,7 +153,7 @@ def run_stats(
             "patients_excluded": list(matrix.excluded_patients),
             "covariance": stats.covariance_matrix(matrix).tolist(),
             "correlation": stats.correlation_matrix(matrix).tolist(),
-            "raw_variances": raw.values.var(axis=0).tolist(),
+            "raw_variances": variances.tolist(),
             "variance_threshold": {
                 "tau": variance_tau,
                 "selected": stats.variance_threshold(raw, variance_tau),
@@ -297,88 +295,84 @@ def load_fold_sets(prepared_dir: str | Path, k_folds: int) -> list[pipeline.Prep
     return sets
 
 
-def model_path(out_dir: str | Path, model: str, fold_index: int) -> Path:
+def model_path(out_dir: str | Path, model: str, fold_index: int | str) -> Path:
+    """A trained model's file: ``<model>_fold<i>.<suffix>`` for fold i, or
+    ``<model>_<tag>.<suffix>`` when given a cohort tag (a str)."""
+    tag = fold_index if isinstance(fold_index, str) else f"fold{fold_index}"
     suffix = "glstm" if model == "lstm" else "json"
-    return Path(out_dir) / f"{model}_fold{fold_index}.{suffix}"
+    return Path(out_dir) / f"{model}_{tag}.{suffix}"
 
 
-def _fit_lstm(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int) -> lstm_mod.TrainResult:
-    """A fresh network trained on one fold with the configured LSTM settings."""
-    seed = fold_seed(config, fold_index)
-    net = lstm_mod.new_network(
-        hidden_size=config.lstm_hidden, n_layers=config.lstm_layers, seed=seed
-    )
-    return lstm_mod.train(
-        net,
-        prepared,
-        epochs=config.lstm_epochs,
-        batch=config.lstm_batch,
-        lr=config.lstm_lr,
-        heuristic_test_n=config.lstm_heuristic_n,
-        seed=seed,
-        clip_norm=config.lstm_clip_norm,
-        feedback=config.lstm_feedback,
-    )
+def train_fold(
+    config: RunConfig, model: str, prepared: pipeline.PreparedSet, out: Path
+) -> tuple[dict, list | None]:
+    """Fit one model on a prepared fold and save it to out.
+
+    Returns the model's provenance and its training curve rows. A baseline
+    has nothing to fit: out gets a provenance stub and the curve is None.
+    """
+    fold_index = prepared.provenance["fold"]
+    seed = config.seed + fold_index
+    if model == "lstm":
+        net = lstm_mod.new_network(
+            hidden_size=config.lstm_hidden, n_layers=config.lstm_layers, seed=seed
+        )
+        result = lstm_mod.train(
+            net,
+            prepared,
+            epochs=config.lstm_epochs,
+            batch=config.lstm_batch,
+            lr=config.lstm_lr,
+            heuristic_test_n=config.lstm_heuristic_n,
+            seed=seed,
+            clip_norm=config.lstm_clip_norm,
+            feedback=config.lstm_feedback,
+        )
+        provenance = {
+            "model": "lstm",
+            "fold": fold_index,
+            "seed": seed,
+            "epochs": config.lstm_epochs,
+            "feedback": config.lstm_feedback,
+            "best_epoch": result.best_epoch,
+            "heuristic_rmse_mgdl": result.best.heuristic_rmse_mgdl,
+        }
+        lstm_mod.save_model(result.best.network, out, provenance=provenance)
+        return provenance, list(result.curve_rows())
+    if model == "hmm":
+        # The quantizer bounds come from the windows, never from the stored
+        # readings, which at step > total include readings no window uses.
+        windows = prepared.windows("train")
+        quantizer = hmm_mod.Quantizer.from_values(windows, config.hmm_states)
+        hmodel = hmm_mod.baum_welch(
+            quantizer.encode(windows),
+            n_states=config.hmm_states,
+            n_symbols=config.hmm_states,  # one observation symbol per state
+            max_iter=config.hmm_max_iter,
+            seed=seed,
+        )
+        hmm_mod.save_hmm(hmodel, quantizer, out)
+        provenance = {
+            "model": "hmm",
+            "fold": fold_index,
+            "seed": seed,
+            "iterations": hmodel.trained_iterations,
+            "final_log_likelihood": hmodel.final_log_likelihood,
+        }
+        curve = [["iteration", "total_log_likelihood"]]
+        curve += [[i + 1, repr(v)] for i, v in enumerate(hmodel.log_likelihood_history)]
+        return provenance, curve
+    provenance = {"model": model, "fold": fold_index}
+    with atomic_write(out, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(provenance, sort_keys=True) + "\n")
+    return provenance, None
 
 
-def _train_lstm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int, out: Path):
-    result = _fit_lstm(config, prepared, fold_index)
-    best = result.best
-    provenance = {
-        "model": "lstm",
-        "fold": fold_index,
-        "seed": fold_seed(config, fold_index),
-        "epochs": config.lstm_epochs,
-        "feedback": config.lstm_feedback,
-        "best_epoch": result.best_epoch,
-        "heuristic_rmse_mgdl": best.heuristic_rmse_mgdl,
-    }
-    lstm_mod.save_model(best.network, out, provenance=provenance)
-    curve_rows = list(result.curve_rows())
-    return provenance, curve_rows
-
-
-def _train_hmm_fold(config: RunConfig, prepared: pipeline.PreparedSet, fold_index: int, out: Path):
-    seed = fold_seed(config, fold_index)
-    # The quantizer bounds come from the windows, never from the stored
-    # readings, which at step > total include readings no window uses.
-    windows = prepared.windows("train")
-    quantizer = hmm_mod.Quantizer.from_values(windows, config.hmm_states)
-    model = hmm_mod.baum_welch(
-        quantizer.encode(windows),
-        n_states=config.hmm_states,
-        n_symbols=config.hmm_states,  # one observation symbol per state
-        max_iter=config.hmm_max_iter,
-        seed=seed,
-    )
-    hmm_mod.save_hmm(model, quantizer, out)
-    provenance = {
-        "model": "hmm",
-        "fold": fold_index,
-        "seed": seed,
-        "iterations": model.trained_iterations,
-        "final_log_likelihood": model.final_log_likelihood,
-    }
-    curve_rows = [["iteration", "total_log_likelihood"]]
-    curve_rows += [[i + 1, repr(v)] for i, v in enumerate(model.log_likelihood_history)]
-    return provenance, curve_rows
-
-
-def _train_one_fold(args: tuple) -> tuple[int, dict, list | None, str]:
-    """Worker for fold-parallel training; returns (fold, provenance, curve, out_path)."""
+def _train_job(args: tuple) -> tuple[int, dict, list | None]:
+    """Pool worker for fold-parallel training: (fold, provenance, curve)."""
     config, model, prepared_file, out_file = args
     prepared = pipeline.load_prepared(prepared_file)
-    out = Path(out_file)
-    if model == "lstm":
-        provenance, curve = _train_lstm_fold(config, prepared, prepared.provenance["fold"], out)
-    elif model == "hmm":
-        provenance, curve = _train_hmm_fold(config, prepared, prepared.provenance["fold"], out)
-    else:
-        provenance = {"model": model, "fold": prepared.provenance["fold"]}
-        with atomic_write(out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(provenance, sort_keys=True) + "\n")
-        curve = None
-    return prepared.provenance["fold"], provenance, curve, str(out)
+    return (prepared.provenance["fold"], *train_fold(config, model, prepared, Path(out_file)))
 
 
 def run_train(
@@ -401,12 +395,12 @@ def run_train(
 
     if config.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_train_one_fold, jobs))
+            results = list(pool.map(_train_job, jobs))
     else:
-        results = [_train_one_fold(job) for job in jobs]
+        results = [_train_job(job) for job in jobs]
 
     folds = []
-    for fold_index, provenance, curve, _ in sorted(results):
+    for fold_index, provenance, curve in sorted(results):
         if curve is not None:
             tracker.write_csv(out_dir / f"{model}_fold{fold_index}_curve.csv", curve)
         folds.append(provenance)
@@ -415,24 +409,27 @@ def run_train(
     return document
 
 
-def build_forecaster(
-    model: str, fold_index: int, horizon: int, models_dir: str | Path | None, config: RunConfig
-):
+def load_forecaster(model: str, path: str | Path | None, horizon: int):
+    """The model's forecast function, ``predict(inputs (n, T)) -> (n, horizon)``.
+
+    A baseline needs no file; a trained model is loaded from path. The kernel
+    is looked up on its module when this is called, so a wrapper installed
+    there (a tracer, say) sees every prediction.
+    """
     if model == "copy_last":
-        return baselines.CopyLastForecaster(horizon)
+        return functools.partial(baselines.copy_last, horizon=horizon)
     if model == "linreg":
-        return baselines.LinearRegressionForecaster(horizon)
-    if models_dir is None:
+        return functools.partial(baselines.linreg_forecast, horizon=horizon)
+    if path is None:
         raise ConfigError(f"model {model!r} needs --models-dir with trained fold models")
-    path = model_path(models_dir, model, fold_index)
-    if not path.exists():
-        raise DataError(f"missing trained model for fold {fold_index}: {path}")
+    if not Path(path).exists():
+        raise DataError(f"missing trained model: {path}")
     if model == "lstm":
         net, _ = lstm_mod.load_model(path)
-        return lstm_mod.LstmForecaster(net, horizon)
+        return functools.partial(lstm_mod.rollout_batch, net, horizon=horizon)
     if model == "hmm":
         hmodel, quantizer = hmm_mod.load_hmm(path)
-        return hmm_mod.HmmForecaster(hmodel, quantizer, horizon)
+        return functools.partial(hmm_mod.hmm_forecast, hmodel, quantizer, horizon=horizon)
     raise ConfigError(f"unknown model {model!r}")
 
 
@@ -445,6 +442,11 @@ def run_evaluate(
     out_dir: str | Path,
     scatter: bool = False,
 ) -> dict:
+    if not models:
+        raise ConfigError("evaluate needs at least one model")
+    unknown = [m for m in models if m not in ALL_MODELS]
+    if unknown:
+        raise ConfigError(f"unknown models: {', '.join(unknown)}")
     out_dir = Path(out_dir)
     fold_sets = load_fold_sets(prepared_dir, config.k_folds)
     horizon = fold_sets[0].horizon
@@ -468,8 +470,8 @@ def run_evaluate(
         inputs, targets = prepared.gather("test")
         fold_index = prepared.provenance.get("fold", 0)
         for m, model in enumerate(models):
-            forecaster = build_forecaster(model, fold_index, horizon, models_dir, config)
-            predictions = forecaster.predict(inputs)
+            path = None if models_dir is None else model_path(models_dir, model, fold_index)
+            predictions = load_forecaster(model, path, horizon)(inputs)
             fold_metrics[m].append(
                 metrics.score_pairs(
                     predictions, targets, fold_index, config.hypo_mgdl, config.hyper_mgdl
@@ -511,6 +513,10 @@ CONTAMINATION_WARNING = (
 )
 
 
+# Cohort labels become file names and report keys; "all" names the pooled model.
+_COHORT_LABEL = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
 def run_cohort_compare(
     tracker: OutputTracker,
     config: RunConfig,
@@ -525,10 +531,16 @@ def run_cohort_compare(
     if not (0 <= fold_index < config.k_folds):
         raise ConfigError(f"fold must be in [0, {config.k_folds})")
     out_dir = Path(out_dir)
-    corpus = load_corpus(cgm_path)
-    store = pipeline.segment(corpus, config.max_gap_s)
     assignments = read_cohorts(cohorts_path)
     cohort_labels = sorted(set(assignments.values()))
+    for label in cohort_labels:
+        if label == "all" or not _COHORT_LABEL.fullmatch(label):
+            raise DataError(
+                f"cohort label {label!r} must be letters, digits, '_', '-' or '.', "
+                "must not start with '.', and must not be 'all'"
+            )
+    corpus = load_corpus(cgm_path)
+    store = pipeline.segment(corpus, config.max_gap_s)
 
     def prepare_for(pool: np.ndarray | None, label: str) -> pipeline.PreparedSet:
         folds = pipeline.kfold_split(
@@ -536,41 +548,31 @@ def run_cohort_compare(
         )
         return _prepare_fold(config, store, folds[fold_index], label)
 
-    def trained_forecaster(prepared: pipeline.PreparedSet, tag: str):
-        horizon = prepared.horizon
-        if model in BASELINE_MODELS:
-            return build_forecaster(model, fold_index, horizon, None, config)
-        if model == "lstm":
-            network = _fit_lstm(config, prepared, fold_index).best.network
-            return lstm_mod.LstmForecaster(network, horizon)
-        out = Path(out_dir) / f"hmm_{tag}.json"
-        _train_hmm_fold(config, prepared, fold_index, tracker.register(out))
-        hmodel, quantizer = hmm_mod.load_hmm(out)
-        return hmm_mod.HmmForecaster(hmodel, quantizer, horizon)
+    def fitted(prepared: pipeline.PreparedSet, tag: str):
+        """The forecaster trained on prepared and saved as <model>_<tag>; baselines fit nothing."""
+        path = None
+        if model in TRAINED_MODELS:
+            path = tracker.register(model_path(out_dir, model, tag))
+            train_fold(config, model, prepared, path)
+        return load_forecaster(model, path, prepared.horizon)
+
+    def rmse_on(predict, prepared: pipeline.PreparedSet) -> float:
+        inputs, targets = prepared.gather("test")
+        return metrics.rmse(predict(inputs), targets)
 
     pooled_prepared = prepare_for(None, "all")
-    pooled = trained_forecaster(pooled_prepared, "all")
-    cohort_sets = {}
-    cohort_models = {}
-    for label in cohort_labels:
-        prepared = prepare_for(_cohort_pool(store, assignments, label), label)
-        cohort_sets[label] = prepared
-        cohort_models[label] = trained_forecaster(prepared, label)
-
-    def rmse_on(forecaster, prepared: pipeline.PreparedSet) -> float:
-        inputs, targets = prepared.gather("test")
-        return metrics.rmse(forecaster.predict(inputs), targets)
-
+    pooled = fitted(pooled_prepared, "all")
     pooled_rows = {"all": rmse_on(pooled, pooled_prepared)}
     comparison = []
     for label in cohort_labels:
-        pooled_rmse = rmse_on(pooled, cohort_sets[label])
-        cohort_rmse = rmse_on(cohort_models[label], cohort_sets[label])
+        prepared = prepare_for(_cohort_pool(store, assignments, label), label)
+        cohort_rmse = rmse_on(fitted(prepared, label), prepared)
+        pooled_rmse = rmse_on(pooled, prepared)
         pooled_rows[label] = pooled_rmse
         comparison.append(
             {
                 "cohort": label,
-                "n_test_examples": cohort_sets[label].n_test,
+                "n_test_examples": prepared.n_test,
                 "cohort_model_rmse": cohort_rmse,
                 "pooled_model_rmse": pooled_rmse,
                 "difference": pooled_rmse - cohort_rmse,

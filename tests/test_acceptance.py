@@ -16,18 +16,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from glyco.baselines import CopyLastForecaster, copy_last, linreg_forecast
+from glyco.baselines import copy_last, linreg_forecast
 from glyco.cli import main as cli_main
 from glyco.clinical import BolusInputs, bolus
 from glyco.config import RunConfig
 from glyco.hmm import HmmModel, _floor_normalize, baum_welch, viterbi
 from glyco.ingest import synth_corpus
 from glyco.lstm import (
-    LstmForecaster,
     _loss_and_gradients_batch,
     forget_trace,
     new_network,
     param_count,
+    rollout_batch,
     train,
 )
 from glyco.metrics import esod_n, prf1, rmse
@@ -235,8 +235,8 @@ def test_c08_end_to_end_learning_signal():
                 net, prepared, epochs=5, batch=128, lr=0.01, heuristic_test_n=1000, seed=seed
             )
             best_net = result.best.network
-            lstm_preds.append(LstmForecaster(best_net).predict(prepared.test_inputs))
-            copy_preds.append(CopyLastForecaster().predict(prepared.test_inputs))
+            lstm_preds.append(rollout_batch(best_net, prepared.test_inputs))
+            copy_preds.append(copy_last(prepared.test_inputs))
             targets.append(prepared.test_targets)
 
         lstm_rmse = rmse(np.concatenate(lstm_preds), np.concatenate(targets))
@@ -266,14 +266,34 @@ def test_c09_subcommand_determinism(tmp_path):
                  "--out-dir", str(base / "stats"), "--seed", "21"])
             run(["prepare", "--cgm", str(base / "cgm.csv"), "--out-dir", str(base / "prep"),
                  "--folds", "3", "--seed", "21", "--train-step", "12", "--test-step", "144"])
-            run(["evaluate", "--prepared-dir", str(base / "prep"), "--models", "copy_last,linreg",
-                 "--out-dir", str(base / "eval"), "--folds", "3", "--seed", "21"])
+            for model in ("lstm", "hmm"):
+                run(["train", "--prepared-dir", str(base / "prep"), "--model", model,
+                     "--out-dir", str(base / "models"), "--folds", "3", "--seed", "21",
+                     "--epochs", "1", "--hidden", "2", "--layers", "1",
+                     "--hmm-states", "4", "--hmm-max-iter", "2"])
+            run(["evaluate", "--prepared-dir", str(base / "prep"),
+                 "--models", "copy_last,linreg,lstm,hmm", "--models-dir", str(base / "models"),
+                 "--out-dir", str(base / "eval"), "--folds", "3", "--seed", "21", "--scatter"])
+            run(["explain", "--model", str(base / "models" / "lstm_fold0.glstm"),
+                 "--prepared", str(base / "prep" / "fold0.gprep"), "--example", "1",
+                 "--out", str(base / "trace.csv")])
+            (base / "cohorts.csv").write_text(
+                "patient_id,cohort\nsynth000,a\nsynth001,b\nsynth002,a\n"
+            )
+            run(["evaluate", "--mode", "cohort-compare", "--cgm", str(base / "cgm.csv"),
+                 "--cohorts", str(base / "cohorts.csv"), "--model", "hmm", "--fold", "0",
+                 "--folds", "3", "--seed", "21", "--hmm-states", "4", "--hmm-max-iter", "2",
+                 "--out-dir", str(base / "compare")])
             outputs[tag] = sorted(
                 (p.relative_to(base), p.read_bytes()) for p in base.rglob("*") if p.is_file()
             )
         names_a = [name for name, _ in outputs["a"]]
         names_b = [name for name, _ in outputs["b"]]
         assert names_a == names_b
+        assert {
+            "models/lstm_fold2.glstm", "models/hmm_fold2.json", "eval/scatter_hmm.csv",
+            "trace.csv", "compare/hmm_b.json", "compare/cohort_compare.json",
+        } <= {name.as_posix() for name in names_a}
         for (name, blob_a), (_, blob_b) in zip(outputs["a"], outputs["b"]):
             assert blob_a == blob_b, f"{name} differs between identical reruns"
 

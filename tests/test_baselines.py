@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from glyco.baselines import (
-    CopyLastForecaster,
-    Forecaster,
-    LinearRegressionForecaster,
-    copy_last,
-    linreg_forecast,
-)
+from glyco.baselines import copy_last, linreg_forecast
 from glyco.errors import DataError
 from glyco.metrics import second_difference_energy
 
@@ -82,17 +76,14 @@ def test_both_forecasts_have_zero_curvature():
 
 
 def test_forecaster_protocol():
+    # Every forecaster maps input windows (n, T) to forecasts (n, horizon).
     inputs = np.stack([np.linspace(100, 140, 132), np.linspace(200, 90, 132)])
-    for forecaster, per_row in (
-        (CopyLastForecaster(), copy_last),
-        (LinearRegressionForecaster(), linreg_forecast),
-    ):
-        assert isinstance(forecaster, Forecaster)
-        out = forecaster.predict(inputs)
+    for forecast_fn in (copy_last, linreg_forecast):
+        out = forecast_fn(inputs, 12)
         assert out.shape == (2, 12)
         assert np.all(np.isfinite(out))
         for row, forecast in zip(inputs, out):
-            np.testing.assert_array_equal(forecast, per_row(row))
+            np.testing.assert_array_equal(forecast, forecast_fn(row))
 
 
 def test_linreg_batch_bit_identical_to_rows():

@@ -15,7 +15,6 @@ from glyco.errors import DataError, FormatError, GlycoError, NumericError
 from glyco.lstm import (
     AdamOptimizer,
     ForgetTrace,
-    LstmForecaster,
     forget_trace,
     load_model,
     new_network,
@@ -544,9 +543,8 @@ def test_non_finite_parameter_is_format_error(tmp_path):
 
 def test_forecaster_interface():
     net = new_network(hidden_size=4, n_layers=1, seed=15)
-    forecaster = LstmForecaster(net, horizon=12)
     out = rollout_batch(net, np.linspace(100, 200, 132)[None], horizon=12)
-    batch = forecaster.predict(np.tile(np.linspace(100, 200, 132), (3, 1)))
+    batch = rollout_batch(net, np.tile(np.linspace(100, 200, 132), (3, 1)), horizon=12)
     assert batch.shape == (3, 12)
     np.testing.assert_allclose(batch[0], out[0], atol=1e-12)
 

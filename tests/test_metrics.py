@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from glyco.baselines import CopyLastForecaster
+from glyco.baselines import copy_last
 from glyco.errors import DataError, InvalidValueError
 from glyco.metrics import (
     EvalReport,
@@ -230,7 +230,7 @@ def test_score_pairs_copy_last_esod_undefined_reported():
     rng = np.random.default_rng(3)
     inputs = rng.uniform(80, 300, (6, 20))
     targets = rng.uniform(80, 300, (6, 12))
-    metrics = score_pairs(CopyLastForecaster().predict(inputs), targets, fold=0)
+    metrics = score_pairs(copy_last(inputs), targets, fold=0)
     # copy-last output has zero curvature: every defined ratio is exactly 0
     assert metrics.esod_mean == 0.0 or metrics.esod_mean is None
     assert metrics.esod_defined + metrics.esod_undefined == 6

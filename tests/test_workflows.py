@@ -13,11 +13,25 @@ from glyco.errors import ConfigError, DataError, GlycoError
 from glyco.hmm import load_hmm
 from glyco.ingest import synth_corpus, write_cgm_csv, write_patient_csv
 from glyco.lstm import forget_trace, load_model
-from glyco.pipeline import FoldSplit, SequenceStore, load_prepared, prepare, save_prepared
+from glyco.metrics import rmse
+from glyco.pipeline import (
+    FoldSplit,
+    SequenceStore,
+    kfold_split,
+    load_prepared,
+    prepare,
+    save_prepared,
+    segment,
+)
 from glyco.workflows import (
+    ALL_MODELS,
+    TRAINED_MODELS,
     OutputTracker,
-    _train_hmm_fold,
-    build_forecaster,
+    _cohort_pool,
+    _prepare_fold,
+    load_corpus,
+    load_forecaster,
+    model_path,
     prepared_path,
     read_cohorts,
     run_cluster,
@@ -29,6 +43,7 @@ from glyco.workflows import (
     run_stats,
     run_synth,
     run_train,
+    train_fold,
 )
 
 SMALL = dict(k_folds=3, train_step=12, test_step=144, lstm_hidden=4, lstm_layers=2,
@@ -173,13 +188,14 @@ def test_evaluate_linreg_with_non_positive_forecast(tmp_path):
         assert sum(fold["zone_proportions"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cohort_compare_baseline(workspace, tmp_path):
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_cohort_compare_baseline(workspace, tmp_path, model):
     root, config = workspace
     tracker = OutputTracker()
     run_cluster(tracker, config, root / "patients.csv", tmp_path / "clus")
+    cohorts = tmp_path / "clus" / "cohorts.csv"
     document = run_cohort_compare(
-        tracker, config, root / "cgm.csv", tmp_path / "clus" / "cohorts.csv",
-        "copy_last", 0, tmp_path / "cc",
+        tracker, config, root / "cgm.csv", cohorts, model, 0, tmp_path / "cc"
     )
     assert document["comparison"]
     for row in document["comparison"]:
@@ -187,6 +203,45 @@ def test_cohort_compare_baseline(workspace, tmp_path):
             row["pooled_model_rmse"] - row["cohort_model_rmse"]
         )
     assert "warning" in document
+
+    # Each trained model is saved as <model>_<tag> and predicts, reloaded,
+    # exactly the RMSE in the report.
+    tags = ["all"] + [row["cohort"] for row in document["comparison"]]
+    saved = {model_path(tmp_path / "cc", model, tag).name for tag in tags}
+    written = {p.name for p in (tmp_path / "cc").iterdir()} - {"cohort_compare.json"}
+    assert written == (saved if model in TRAINED_MODELS else set())
+    store = segment(load_corpus(root / "cgm.csv"), config.max_gap_s)
+    assignments = read_cohorts(cohorts)
+    for tag in tags:
+        pool = None if tag == "all" else _cohort_pool(store, assignments, tag)
+        folds = kfold_split(
+            store, k=config.k_folds, seed=config.seed, total=config.window_total, pool=pool
+        )
+        prepared = _prepare_fold(config, store, folds[0], tag)
+        inputs, targets = prepared.gather("test")
+        path = model_path(tmp_path / "cc", model, tag) if model in TRAINED_MODELS else None
+        predicted = load_forecaster(model, path, prepared.horizon)(inputs)
+        expected = (
+            document["pooled_model_rmse_by_testset"]["all"] if tag == "all" else
+            next(r["cohort_model_rmse"] for r in document["comparison"] if r["cohort"] == tag)
+        )
+        assert rmse(predicted, targets) == expected
+
+
+@pytest.mark.parametrize("label", ["", "all", "x/../../escaped", ".hidden"])
+def test_cohort_compare_rejects_unsafe_labels_before_writing(workspace, tmp_path, label):
+    root, config = workspace
+    # Real patient ids, so the labels alone stop the run.
+    cohorts = tmp_path / "cohorts.csv"
+    rows = [f"synth{p:03d},{label if p == 0 else 'a'}\n" for p in range(4)]
+    cohorts.write_text("patient_id,cohort\n" + "".join(rows))
+    tracker = OutputTracker()
+    with pytest.raises(DataError, match="cohort label"):
+        run_cohort_compare(
+            tracker, config, root / "cgm.csv", cohorts, "hmm", 0, tmp_path / "out" / "cc"
+        )
+    assert tracker.paths == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["cohorts.csv"]
 
 
 def test_explain_trace(workspace, tmp_path):
@@ -252,7 +307,7 @@ def test_hmm_quantizer_bounds_come_from_the_windows(tmp_path, step):
     assert (400.0 in loaded.readings) == (step > 144)
 
     config = RunConfig(**{**SMALL, "hmm_states": 4, "hmm_max_iter": 2})
-    _train_hmm_fold(config, loaded, 0, tmp_path / "hmm.json")
+    train_fold(config, "hmm", loaded, tmp_path / "hmm.json")
     _, quantizer = load_hmm(tmp_path / "hmm.json")
     windows = np.concatenate([loaded.train_inputs, loaded.train_targets], axis=1)
     assert windows.shape == (2, 144)
@@ -299,9 +354,25 @@ def test_failed_prepared_rewrite_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["fold.gprep"]
 
 
-def test_build_forecaster_requires_models_dir():
-    with pytest.raises(ConfigError):
-        build_forecaster("lstm", 0, 12, None, RunConfig())
+def test_load_forecaster_requires_models_dir():
+    with pytest.raises(ConfigError, match="needs --models-dir"):
+        load_forecaster("lstm", None, 12)
+
+
+@pytest.mark.parametrize("models_dir", [None, "models"])
+@pytest.mark.parametrize(
+    "models, message", [(["copy_last", "arima"], "unknown models: arima"), ([], "at least one")]
+)
+def test_evaluate_rejects_unknown_models_before_reading_folds(
+    tmp_path, models_dir, models, message
+):
+    # No prepared folds exist: the names are checked first.
+    with pytest.raises(ConfigError, match=message):
+        run_evaluate(
+            OutputTracker(), RunConfig(**SMALL), tmp_path / "prep", models,
+            None if models_dir is None else tmp_path / models_dir, tmp_path / "eval",
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_tracker_cleanup(tmp_path):
