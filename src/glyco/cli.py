@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -30,19 +31,24 @@ def _exit_code(error: GlycoError | OSError) -> int:
     return 3
 
 
+def _fail(error: GlycoError | OSError) -> NoReturn:
+    click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
+    sys.exit(_exit_code(error))
+
+
 def _execute(config_path, overrides, step):
     try:
         config = resolve_config(config_path, overrides)
     except (GlycoError, OSError) as error:
-        click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
-        sys.exit(_exit_code(error))
+        _fail(error)
     tracker = OutputTracker()
     try:
         summary = step(tracker, config)
-    except (GlycoError, OSError) as error:
-        tracker.cleanup()
-        click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
-        sys.exit(_exit_code(error))
+    except BaseException as error:
+        tracker.cleanup()  # on any failure, typed or not; an untyped one propagates as it is
+        if not isinstance(error, (GlycoError, OSError)):
+            raise
+        _fail(error)
     if summary is not None:
         click.echo(json.dumps(summary, sort_keys=True))
 
@@ -88,7 +94,7 @@ def synth(config_path, seed, n_patients, days, out_cgm, out_patients):
 @click.option("--patients", "patients_path", type=click.Path(), default=None)
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--max-malformed", type=float, default=0.01, show_default=True,
-              help="Fraction of malformed rows tolerated before a hard error.")
+              help="Fraction of malformed rows, in [0, 1], tolerated before a hard error.")
 def ingest(config_path, seed, cgm_path, patients_path, out_dir, max_malformed):
     """Parse raw CSVs into a canonical corpus cache."""
     _execute(
@@ -304,8 +310,7 @@ def bolus(cho, cr, gc, gt, cf, ps, iob, mmol):
             BolusInputs(cho_g=cho, cr=cr, gc_mgdl=gc, gt_mgdl=gt, cf=cf, ps=ps, iob=iob)
         )
     except GlycoError as error:
-        click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
-        sys.exit(_exit_code(error))
+        _fail(error)
     click.echo(json.dumps({"units": result.units, "no_bolus_needed": result.no_bolus_needed}))
 
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import is_int, is_real
+from .core import PATIENT_NUMERIC_FEATURES, is_int, is_real
 from .errors import ConfigError
 
 
@@ -58,6 +58,11 @@ class RunConfig:
     def horizon(self) -> int:
         return self.window_total - self.window_input
 
+    @property
+    def cluster_feature_names(self) -> tuple[str, ...]:
+        """The names in ``cluster_features``, empty entries dropped."""
+        return tuple(name.strip() for name in self.cluster_features.split(",") if name.strip())
+
     def validate(self) -> None:
         if self.window_input >= self.window_total:
             raise ConfigError(
@@ -80,6 +85,12 @@ class RunConfig:
                 and self.hypo_mgdl < self.hyper_mgdl):
             raise ConfigError(
                 f"need finite hypo_mgdl < hyper_mgdl, got {self.hypo_mgdl} and {self.hyper_mgdl}"
+            )
+        names = self.cluster_feature_names
+        if not names or len(set(names) & set(PATIENT_NUMERIC_FEATURES)) != len(names):
+            raise ConfigError(
+                "cluster_features must name distinct features among "
+                f"{', '.join(PATIENT_NUMERIC_FEATURES)}; got {self.cluster_features!r}"
             )
         if self.lstm_feedback not in ("recursive", "teacher"):
             raise ConfigError(

@@ -1,4 +1,5 @@
-"""Shared domain types, glucose unit conversion and atomic file writes.
+"""Shared domain types, glucose unit conversion, atomic file writes and the
+framed binary container.
 
 All glucose concentrations are mg/dL internally. Timestamps are integer
 seconds since epoch; sub-second precision is discarded at ingest.
@@ -6,13 +7,17 @@ seconds since epoch; sub-second precision is discarded at ingest.
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidValueError
+import numpy as np
+
+from .errors import FormatError, InvalidValueError
 
 MGDL_PER_MMOLL = 18.0
 
@@ -22,6 +27,17 @@ GLUCOSE_MAX_MGDL = 1000.0  # inclusive
 
 # Consecutive readings further apart than this start a new sequence.
 MAX_GAP_SECONDS = 900
+
+# The patient features statistics read; each must be finite when present.
+PATIENT_NUMERIC_FEATURES = (
+    "age",
+    "weight_kg",
+    "height_cm",
+    "bmi",
+    "hba1c",
+    "annual_income_usd",
+    "education_level",
+)
 
 
 def is_int(value) -> bool:
@@ -50,6 +66,59 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(a))) along an axis (all of ``a`` when None), shifted by the max."""
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+
+
+def write_framed(path: str | Path, magic: bytes, version: int, header: dict, payload) -> None:
+    """Write a framed file: the 8-byte magic, the version and header length as
+    little-endian uint32, the header as sorted-key UTF-8 JSON, then the float
+    array ``payload`` as little-endian float64."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with atomic_write(path) as handle:
+        handle.write(magic + struct.pack("<II", version, len(blob)) + blob)
+        handle.write(np.ascontiguousarray(payload, dtype="<f8").data)
+
+
+def read_framed(path: str | Path, magic: bytes, what: str) -> tuple[int, dict, memoryview]:
+    """(version, header, payload bytes) of a framed file; ``what`` names the
+    file kind in errors. The caller checks the version and the header."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 16 or raw[:8] != magic:
+        raise FormatError(f"{path}: not a {what} file (bad magic)")
+    version, header_len = struct.unpack_from("<II", raw, 8)
+    end = 16 + header_len
+    if len(raw) < end:
+        raise FormatError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[16:end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    return version, header, memoryview(raw)[end:]
+
+
+def finite_floats(path: str | Path, payload: memoryview, count: int) -> np.ndarray:
+    """The payload as ``count`` finite float64 values.
+
+    The length is checked before anything is allocated, so a corrupt size in
+    a header cannot ask for more memory than the file holds.
+    """
+    if len(payload) != 8 * count:
+        raise FormatError(
+            f"{path}: payload is {len(payload)} bytes, the header needs {8 * count} "
+            "(truncated or padded)"
+        )
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite value in the payload")
+    return values
 
 
 def mgdl_to_mmoll(v: float) -> float:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import atomic_write, is_int, is_real
+from .core import atomic_write, is_int, is_real, logsumexp
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 
 PROB_FLOOR = 1e-10
@@ -28,12 +28,6 @@ PROB_FLOOR = 1e-10
 E_STEP_CHUNK = 512
 # Rows per Viterbi batch: the (rows, N, N) step scores stay ~1.3 MB, in cache, at N = 100.
 VITERBI_CHUNK = 16
-
-
-def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class HmmModel:
             ("transition", self.log_transition, 1),
             ("emission", self.log_emission, 1),
         ):
-            sums = np.exp(_logsumexp(arr, axis=axis))
+            sums = np.exp(logsumexp(arr, axis=axis))
             if not np.allclose(sums, 1.0, atol=1e-9):
                 raise InvalidValueError(f"{name} rows must sum to 1 within 1e-9")
 

@@ -30,8 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, GlucoseReading, PatientRecord, atomic_write
-from .errors import DataError, FormatError
+from .core import (
+    GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, PATIENT_NUMERIC_FEATURES, GlucoseReading, PatientRecord,
+    atomic_write,
+)
+from .errors import DataError, FormatError, InvalidValueError
 
 CGM_HEADER = ["patient_id", "timestamp", "glucose_mgdl"]
 PATIENT_HEADER = [
@@ -45,17 +48,6 @@ PATIENT_HEADER = [
     "education_level",
     "sex",
 ]
-# The patient features statistics read; each must be finite when present.
-PATIENT_NUMERIC_FEATURES = (
-    "age",
-    "weight_kg",
-    "height_cm",
-    "bmi",
-    "hba1c",
-    "annual_income_usd",
-    "education_level",
-)
-
 SLOTS_PER_DAY = 86400 // 300  # 288 five-minute slots
 
 _READ_BLOCK_CHARS = 1 << 18  # fast-path read size, about 9k rows
@@ -110,19 +102,6 @@ class Corpus:
             raise DataError(
                 "corpus readings must be strictly increasing in (patient_id, timestamp)"
             )
-
-    @classmethod
-    def from_readings(
-        cls, readings: Iterable[GlucoseReading], patients: Iterable[PatientRecord] = ()
-    ) -> Corpus:
-        """A corpus from records already in (patient_id, timestamp) order."""
-        readings = tuple(readings)
-        return cls(
-            [r.patient_id for r in readings],
-            [r.timestamp for r in readings],
-            [r.value for r in readings],
-            tuple(patients),
-        )
 
     @functools.cached_property
     def readings(self) -> tuple[GlucoseReading, ...]:
@@ -208,6 +187,31 @@ def _open_rows(path: str | Path, expected_header: list[str]):
     return handle, reader
 
 
+def _data_rows(path: str | Path, header: list[str], report: ParseReport):
+    """(row number, cells, patient id) of each data row with the header's
+    field count and a non-empty patient_id.
+
+    Blank rows are skipped; every other row counts in ``report.total_rows``,
+    and one with the wrong field count or an empty id goes to
+    ``report.rejected``.
+    """
+    handle, reader = _open_rows(path, header)
+    with handle, _typed_read_errors(Path(path), reader):
+        for row_number, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            report.total_rows += 1
+            if len(row) != len(header):
+                message = f"expected {len(header)} fields, got {len(row)}"
+                report.rejected.append((row_number, message))
+                continue
+            pid = row[0].strip()
+            if not pid:
+                report.rejected.append((row_number, "empty patient_id"))
+                continue
+            yield row_number, row, pid
+
+
 def parse_cgm_csv(
     path: str | Path, max_malformed_fraction: float = 0.01
 ) -> tuple[Corpus, ParseReport]:
@@ -220,6 +224,10 @@ def parse_cgm_csv(
     depend on row order. A clean file takes the block-wise fast path; any
     other goes through the row loop (see the module docstring).
     """
+    if not 0.0 <= max_malformed_fraction <= 1.0:
+        raise InvalidValueError(
+            f"max malformed fraction must lie in [0, 1], got {max_malformed_fraction!r}"
+        )
     handle, _ = _open_rows(path, CGM_HEADER)
     with handle:
         parsed = _parse_cgm_fast(handle, str(path))
@@ -303,45 +311,33 @@ def _cgm_block(text: str, table: dict[str, int]):
 
 def _parse_cgm_rows(path: str | Path, max_malformed_fraction: float) -> tuple[Corpus, ParseReport]:
     """The row loop: any file, every rejection and count exact."""
-    handle, reader = _open_rows(path, CGM_HEADER)
     report = ParseReport(path=str(path))
     by_key: dict[tuple[str, int], float] = {}
-    with handle, _typed_read_errors(Path(path), reader):
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            report.total_rows += 1
-            if len(row) != 3:
-                report.rejected.append((row_number, f"expected 3 fields, got {len(row)}"))
-                continue
-            pid = row[0].strip()
-            if not pid:
-                report.rejected.append((row_number, "empty patient_id"))
-                continue
-            try:
-                ts = int(float(row[1]))
-                value = float(row[2])
-            except (ValueError, OverflowError):  # int(inf) overflows
-                report.rejected.append((row_number, f"non-numeric field in {row!r}"))
-                continue
-            if ts <= 0:
-                report.rejected.append((row_number, f"non-positive timestamp {ts}"))
-                continue
-            if ts >= 2**63:
-                report.rejected.append((row_number, f"timestamp {ts} beyond the int64 range"))
-                continue
-            if not math.isfinite(value) or not (GLUCOSE_MIN_MGDL < value <= GLUCOSE_MAX_MGDL):
-                report.rejected.append((row_number, f"glucose {value!r} out of range"))
-                continue
-            key = (pid, ts)
-            if key in by_key:
-                if by_key[key] == value:
-                    report.duplicates += 1
-                else:
-                    report.conflicts += 1
-                    by_key[key] = min(by_key[key], value)
+    for row_number, row, pid in _data_rows(path, CGM_HEADER, report):
+        try:
+            ts = int(float(row[1]))
+            value = float(row[2])
+        except (ValueError, OverflowError):  # int(inf) overflows
+            report.rejected.append((row_number, f"non-numeric field in {row!r}"))
+            continue
+        if ts <= 0:
+            report.rejected.append((row_number, f"non-positive timestamp {ts}"))
+            continue
+        if ts >= 2**63:
+            report.rejected.append((row_number, f"timestamp {ts} beyond the int64 range"))
+            continue
+        if not math.isfinite(value) or not (GLUCOSE_MIN_MGDL < value <= GLUCOSE_MAX_MGDL):
+            report.rejected.append((row_number, f"glucose {value!r} out of range"))
+            continue
+        key = (pid, ts)
+        if key in by_key:
+            if by_key[key] == value:
+                report.duplicates += 1
             else:
-                by_key[key] = value
+                report.conflicts += 1
+                by_key[key] = min(by_key[key], value)
+        else:
+            by_key[key] = value
     if report.total_rows and len(report.rejected) > max_malformed_fraction * report.total_rows:
         rows = ", ".join(str(n) for n, _ in report.rejected[:20])
         raise DataError(
@@ -370,49 +366,35 @@ def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseRepor
     A row with a non-numeric or non-finite number (``nan``, ``inf``, ``1e400``),
     or whose weight and height give no finite BMI, is rejected.
     """
-    handle, reader = _open_rows(path, PATIENT_HEADER)
     report = ParseReport(path=str(path))
     records: dict[str, PatientRecord] = {}
-    with handle, _typed_read_errors(Path(path), reader):
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            report.total_rows += 1
-            if len(row) != len(PATIENT_HEADER):
-                report.rejected.append(
-                    (row_number, f"expected {len(PATIENT_HEADER)} fields, got {len(row)}")
-                )
-                continue
-            pid = row[0].strip()
-            if not pid:
-                report.rejected.append((row_number, "empty patient_id"))
-                continue
-            if pid in records:
-                report.duplicates += 1
-                continue
-            try:
-                education = row[7].strip()
-                record = PatientRecord(
-                    patient_id=pid,
-                    age=_opt_float(row[1]),
-                    weight_kg=_opt_float(row[2]),
-                    height_cm=_opt_float(row[3]),
-                    hba1c=_opt_float(row[4]),
-                    hba1c_unit=row[5].strip() or None,
-                    annual_income_usd=_opt_float(row[6]),
-                    education_level=int(education) if education else None,
-                    sex=row[8].strip().lower() or None,
-                )
-                numbers = [record.feature(name) for name in PATIENT_NUMERIC_FEATURES]
-            except ValueError:
-                report.rejected.append((row_number, f"non-numeric field in {row!r}"))
-                continue
-            except ArithmeticError:  # a huge integer, or a height whose square over- or underflows
-                numbers = [math.inf]
-            if not all(v is None or math.isfinite(v) for v in numbers):
-                report.rejected.append((row_number, f"non-finite field in {row!r}"))
-                continue
-            records[pid] = record
+    for row_number, row, pid in _data_rows(path, PATIENT_HEADER, report):
+        if pid in records:
+            report.duplicates += 1
+            continue
+        try:
+            education = row[7].strip()
+            record = PatientRecord(
+                patient_id=pid,
+                age=_opt_float(row[1]),
+                weight_kg=_opt_float(row[2]),
+                height_cm=_opt_float(row[3]),
+                hba1c=_opt_float(row[4]),
+                hba1c_unit=row[5].strip() or None,
+                annual_income_usd=_opt_float(row[6]),
+                education_level=int(education) if education else None,
+                sex=row[8].strip().lower() or None,
+            )
+            numbers = [record.feature(name) for name in PATIENT_NUMERIC_FEATURES]
+        except ValueError:
+            report.rejected.append((row_number, f"non-numeric field in {row!r}"))
+            continue
+        except ArithmeticError:  # a huge integer, or a height whose square over- or underflows
+            numbers = [math.inf]
+        if not all(v is None or math.isfinite(v) for v in numbers):
+            report.rejected.append((row_number, f"non-finite field in {row!r}"))
+            continue
+        records[pid] = record
     report.kept = len(records)
     return [records[p] for p in sorted(records)], report
 
@@ -464,19 +446,7 @@ def write_patient_csv(patients, path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(PATIENT_HEADER)
         for p in patients:
-            writer.writerow(
-                [
-                    p.patient_id,
-                    cell(p.age),
-                    cell(p.weight_kg),
-                    cell(p.height_cm),
-                    cell(p.hba1c),
-                    p.hba1c_unit or "",
-                    cell(p.annual_income_usd),
-                    cell(p.education_level),
-                    p.sex or "",
-                ]
-            )
+            writer.writerow([cell(getattr(p, name)) for name in PATIENT_HEADER])
 
 
 def corpus_stats(corpus: Corpus) -> dict:

@@ -32,15 +32,13 @@ Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import atomic_write, is_int, is_real
+from .core import finite_floats, is_int, is_real, read_framed, write_framed
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 from .pipeline import PreparedSet
 
@@ -498,14 +496,10 @@ class TrainResult:
         return self.checkpoints[self.best_epoch - 1]
 
     def curve_rows(self):
-        yield ["epoch", "train_mse_scaled", "train_rmse_mgdl", "heuristic_rmse_mgdl"]
+        columns = ("train_mse_scaled", "train_rmse_mgdl", "heuristic_rmse_mgdl")
+        yield ["epoch", *columns]
         for cp in self.checkpoints:
-            yield [
-                cp.epoch,
-                repr(cp.train_mse_scaled),
-                repr(cp.train_rmse_mgdl),
-                repr(cp.heuristic_rmse_mgdl),
-            ]
+            yield [cp.epoch, *(repr(getattr(cp, name)) for name in columns)]
 
 
 def train(
@@ -574,8 +568,9 @@ def train(
 
 
 def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = None) -> None:
-    """Binary layout: magic, version, JSON header, then the parameters in
-    payload order (see ``_file_order``) as f64 LE."""
+    """Framed file (see ``core.write_framed``): the header holds the sizes,
+    scaler and provenance; the payload is the parameters in payload order
+    (see ``_file_order``)."""
     header = {
         "hidden_size": net.hidden_size,
         "n_layers": net.n_layers,
@@ -585,31 +580,16 @@ def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = Non
         "seed": net.seed,
         "provenance": provenance or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path) as handle:
-        handle.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(blob)) + blob)
-        payload = _file_order(net.params, net.hidden_size, net.n_layers)
-        handle.write(np.concatenate([a.ravel() for a in payload]).astype("<f8").tobytes())
+    payload = _file_order(net.params, net.hidden_size, net.n_layers)
+    write_framed(
+        path, MODEL_MAGIC, MODEL_VERSION, header, np.concatenate([a.ravel() for a in payload])
+    )
 
 
 def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not an LSTM model file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 8)
+    version, header, payload = read_framed(path, MODEL_MAGIC, "LSTM model")
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack_from("<I", raw, 12)
-    header_end = 16 + header_len
-    if len(raw) < header_end:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: corrupt header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-
     try:
         h, n_layers, input_size = (header[k] for k in ("hidden_size", "n_layers", "input_size"))
         seed, lo, hi = header["seed"], header["scaler_lo"], header["scaler_hi"]
@@ -627,16 +607,6 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
         raise FormatError(f"{path}: scaler bound out of range: {exc}") from exc
     if not (lo < hi and math.isfinite(hi - lo)):
         raise FormatError(f"{path}: scaler bounds must be finite with lo < hi")
-    # The payload length is checked against the header before anything is
-    # allocated, so a corrupt size cannot ask for more memory than the file holds.
-    n_params = param_count(h, n_layers)
-    payload = raw[header_end:]
-    if len(payload) != 8 * n_params:
-        raise FormatError(
-            f"{path}: parameter payload is {len(payload)} bytes, expected {8 * n_params}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    if not np.all(np.isfinite(flat)):
-        raise FormatError(f"{path}: non-finite parameter in the payload")
+    flat = finite_floats(path, payload, param_count(h, n_layers))
     net = LstmNetwork(_stacked(flat, h, n_layers), h, n_layers, Scaler(lo, hi), seed)
     return net, provenance

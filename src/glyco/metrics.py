@@ -13,9 +13,8 @@ one row per forecast window, with finite values.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,12 +22,6 @@ from .errors import DataError, InvalidValueError
 
 HYPO_MGDL = 70.0
 HYPER_MGDL = 280.0
-
-
-class GlycemicClass(enum.Enum):
-    HYPO = "hypo"
-    NORMAL = "normal"
-    HYPER = "hyper"
 
 
 def _check_pairs(predicted, reference) -> tuple[np.ndarray, np.ndarray]:
@@ -86,21 +79,8 @@ def esod_n(predicted: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return ratios
 
 
-def classify(
-    value: float, hypo: float = HYPO_MGDL, hyper: float = HYPER_MGDL
-) -> GlycemicClass:
-    """Threshold classification; boundary values are Normal."""
-    if not math.isfinite(value):
-        raise InvalidValueError(f"cannot classify non-finite glucose {value!r}")
-    if value < hypo:
-        return GlycemicClass.HYPO
-    if value > hyper:
-        return GlycemicClass.HYPER
-    return GlycemicClass.NORMAL
-
-
 def _classes(values: np.ndarray, hypo: float, hyper: float) -> np.ndarray:
-    """Array form of ``classify``: 0 hypo, 1 normal, 2 hyper."""
+    """0 hypo (below ``hypo``), 1 normal (boundaries included), 2 hyper (above ``hyper``)."""
     return np.where(values < hypo, 0, np.where(values > hyper, 2, 1))
 
 
@@ -146,33 +126,12 @@ def prf1(
     }
 
 
-def clarke_zone(reference: float, predicted: float) -> str:
-    """Zone A-E of one (reference, predicted) point, standard grid rules, mg/dL.
-
-    The reference must be positive. Any finite prediction is zoned: one at or
-    below 0 falls under the grid's ``p <= 70`` rules as written.
-    """
-    if not (math.isfinite(reference) and math.isfinite(predicted)) or reference <= 0:
-        raise InvalidValueError("error-grid values must be finite with a positive reference")
-    r, p = reference, predicted
-    if abs(r - p) <= 0.2 * r or (r <= 70 and p <= 70):
-        return "A"
-    if (r >= 180 and p <= 70) or (r <= 70 and p >= 180):
-        return "E"
-    if (70 <= r <= 290 and p >= r + 110) or (130 <= r <= 180 and p <= 1.4 * r - 182):
-        return "C"
-    if (r >= 240 and 70 <= p <= 180) or (r <= 175 / 3 and 70 <= p <= 180) or (
-        175 / 3 <= r <= 70 and p >= 1.2 * r
-    ):
-        return "D"
-    return "B"
-
-
 def clarke_zones(predicted: np.ndarray, reference: np.ndarray) -> dict:
-    """Zone counts and proportions (summing to 1) over every point.
+    """Zone A-E counts and proportions (summing to 1) over every point, mg/dL.
 
-    The rules of ``clarke_zone`` applied to whole arrays; the first rule that
-    matches a point decides its zone.
+    Standard grid rules; the first rule that matches a point decides its
+    zone. References must be positive; a prediction at or below 0 falls
+    under the grid's ``p <= 70`` rules as written.
     """
     p, r = _check_pairs(predicted, reference)
     if np.any(r <= 0):
@@ -205,16 +164,7 @@ class FoldMetrics:
     zone_proportions: dict
 
     def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "n_examples": self.n_examples,
-            "rmse": self.rmse,
-            "esod_mean": self.esod_mean,
-            "esod_defined": self.esod_defined,
-            "esod_undefined": self.esod_undefined,
-            "classification": self.classification,
-            "zone_proportions": self.zone_proportions,
-        }
+        return asdict(self)
 
 
 @dataclass

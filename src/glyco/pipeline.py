@@ -14,14 +14,12 @@ makes a fold about 144 times smaller, in memory and in its ``.gprep`` file.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GAP_SECONDS, atomic_write, is_int
+from .core import MAX_GAP_SECONDS, finite_floats, is_int, read_framed, write_framed
 from .errors import DataError, FormatError
 from .ingest import Corpus
 
@@ -297,8 +295,9 @@ def prepare(
 
 
 def save_prepared(prepared: PreparedSet, path: str | Path) -> None:
-    """Binary container: magic, version, JSON metadata (provenance, window
-    lengths and both window indexes), then the readings as float64 LE."""
+    """Framed file (see ``core.write_framed``): the header holds the
+    provenance, window lengths and both window indexes; the payload is the
+    readings."""
     meta = {
         "provenance": prepared.provenance,
         "input_len": prepared.input_len,
@@ -309,10 +308,7 @@ def save_prepared(prepared: PreparedSet, path: str | Path) -> None:
         meta[f"{side}_seq_ids"] = index.seq_ids.tolist()
         meta[f"{side}_counts"] = index.counts.tolist()
         meta[f"{side}_step"] = index.step
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with atomic_write(path) as handle:
-        handle.write(PREPARED_MAGIC + struct.pack("<II", PREPARED_VERSION, len(blob)) + blob)
-        handle.write(np.ascontiguousarray(prepared.readings, dtype="<f8").data)
+    write_framed(path, PREPARED_MAGIC, PREPARED_VERSION, meta, prepared.readings)
 
 
 def _is_count(value, least: int) -> bool:
@@ -340,10 +336,7 @@ def _read_index(path, meta: dict, side: str) -> tuple[list, list, int]:
 
 
 def load_prepared(path: str | Path) -> PreparedSet:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != PREPARED_MAGIC:
-        raise FormatError(f"{path}: not a prepared-set file (bad magic)")
-    version, meta_len = struct.unpack_from("<II", raw, 8)
+    version, meta, payload = read_framed(path, PREPARED_MAGIC, "prepared-set")
     if version == 1:
         raise FormatError(
             f"{path}: prepared-set format v1 (one copy per window) is no longer read; "
@@ -351,16 +344,6 @@ def load_prepared(path: str | Path) -> PreparedSet:
         )
     if version != PREPARED_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    meta_end = 16 + meta_len
-    if len(raw) < meta_end:
-        raise FormatError(f"{path}: truncated metadata block")
-    try:
-        meta = json.loads(raw[16:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: corrupt metadata block: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: metadata block is not a JSON object")
-
     try:
         input_len, horizon, provenance = meta["input_len"], meta["horizon"], meta["provenance"]
         sides = {side: _read_index(path, meta, side) for side in SIDES}
@@ -373,14 +356,7 @@ def load_prepared(path: str | Path) -> PreparedSet:
     total = input_len + horizon
     # Python ints: exact for any count, so a hostile index cannot overflow.
     expected = sum((c - 1) * step + total for _, counts, step in sides.values() for c in counts)
-    if len(raw) - meta_end != 8 * expected:
-        raise FormatError(
-            f"{path}: payload is {len(raw) - meta_end} bytes, the index needs "
-            f"{8 * expected} (truncated or padded)"
-        )
-    readings = np.frombuffer(memoryview(raw)[meta_end:], dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(readings)):
-        raise FormatError(f"{path}: non-finite reading in the payload")
+    readings = finite_floats(path, payload, expected)
     train, test = (
         WindowIndex(np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64), step)
         for ids, counts, step in sides.values()

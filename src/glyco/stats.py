@@ -7,11 +7,11 @@ non-decreasing up to floating-point tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PatientRecord
+from .core import PatientRecord, logsumexp
 from .errors import DataError, NumericError
 
 COVARIANCE_FLOOR = 1e-6
@@ -140,17 +140,12 @@ def _log_gaussians(x: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.nda
     return out
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
 def gmm_responsibilities(
     x: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """E-step: posterior responsibilities and total log-likelihood."""
     log_prob = _log_gaussians(x, means, covs) + np.log(weights)
-    norm = _logsumexp(log_prob, axis=1)
+    norm = logsumexp(log_prob, axis=1)
     resp = np.exp(log_prob - norm[:, None])
     return resp, float(norm.sum())
 
@@ -232,17 +227,7 @@ def gmm_fit(
             best = model
     if best is None:
         raise NumericError("every GMM initialization degenerated")
-    return GmmModel(
-        k=best.k,
-        weights=best.weights,
-        means=best.means,
-        covariances=best.covariances,
-        final_log_likelihood=best.final_log_likelihood,
-        per_point_log_likelihood=best.per_point_log_likelihood,
-        n_iter=best.n_iter,
-        seed=seed,
-        log_likelihood_history=best.log_likelihood_history,
-    )
+    return replace(best, seed=seed)
 
 
 def gmm_assign(model: GmmModel, m: FeatureMatrix) -> np.ndarray:

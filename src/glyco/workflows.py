@@ -20,9 +20,9 @@ import numpy as np
 
 from . import baselines, hmm as hmm_mod, ingest, lstm as lstm_mod, metrics, pipeline, stats
 from .config import RunConfig
-from .core import atomic_write
+from .core import PATIENT_NUMERIC_FEATURES, atomic_write
 from .errors import ConfigError, DataError
-from .ingest import PATIENT_NUMERIC_FEATURES, Corpus
+from .ingest import Corpus
 
 BASELINE_MODELS = ("copy_last", "linreg")
 TRAINED_MODELS = ("lstm", "hmm")
@@ -171,8 +171,7 @@ def run_cluster(
 ) -> dict:
     out_dir = Path(out_dir)
     patients, _ = ingest.parse_patient_csv(patients_path)
-    features = tuple(name.strip() for name in config.cluster_features.split(",") if name.strip())
-    matrix = stats.build_feature_matrix(patients, features)
+    matrix = stats.build_feature_matrix(patients, config.cluster_feature_names)
     model = stats.gmm_fit(
         matrix,
         k=config.gmm_k,
@@ -186,7 +185,7 @@ def run_cluster(
     tracker.write_csv(out_dir / "cohorts.csv", rows)
     document = {
         "config": config.to_dict(),
-        "features": list(features),
+        "features": list(config.cluster_feature_names),
         "model": model.to_dict(),
         "cohort_sizes": {str(c): int(np.sum(labels == c)) for c in range(config.gmm_k)},
         "patients_excluded": list(matrix.excluded_patients),

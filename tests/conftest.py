@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from glyco.ingest import synth_corpus
+from glyco.ingest import Corpus, synth_corpus
 from glyco.pipeline import segment
+
+
+def corpus_of(readings):
+    """A corpus from GlucoseReading records already in (patient_id, timestamp) order."""
+    readings = tuple(readings)
+    return Corpus(
+        [r.patient_id for r in readings],
+        [r.timestamp for r in readings],
+        [r.value for r in readings],
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from glyco import hmm
 from glyco.cli import _exit_code, main
 from glyco.errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
 from glyco.lstm import load_model, save_model
@@ -303,6 +304,59 @@ class TestErrors:
         assert result.exit_code == 3
         parsed = json.loads(result.output.strip().splitlines()[-1])
         assert parsed["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize(
+        "features, via_config",
+        [("foo", False), ("sex", False), ("patient_id", True), ("hba1c_unit", True),
+         (",", False), ("hba1c,hba1c", False)],
+    )
+    def test_bad_cluster_features_are_config_error(
+        self, runner, pipeline_dir, tmp_path, features, via_config
+    ):
+        args = ["cluster", "--patients", str(pipeline_dir / "patients.csv"),
+                "--out-dir", str(tmp_path / "cl"), "--k", "2"]
+        if via_config:
+            (tmp_path / "c.json").write_text(json.dumps({"cluster_features": features}))
+            args += ["--config", str(tmp_path / "c.json")]
+        else:
+            args += ["--features", features]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        (line,) = result.output.strip().splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert not (tmp_path / "cl").exists()
+
+    @pytest.mark.parametrize("limit", ["nan", "-1", "1.5", "inf"])
+    def test_max_malformed_outside_unit_interval_is_rejected(self, runner, tmp_path, limit):
+        cgm = tmp_path / "cgm.csv"
+        cgm.write_text("patient_id,timestamp,glucose_mgdl\np1,1000,100\np1,oops,100\n")
+        out = tmp_path / "ing"
+        result = runner.invoke(
+            main, ["ingest", "--cgm", str(cgm), "--out-dir", str(out), "--max-malformed", limit]
+        )
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output.strip().splitlines()[-1])["error"] == "InvalidValueError"
+        assert not out.exists()
+
+    def test_untyped_failure_removes_partial_outputs(self, runner, pipeline_dir, tmp_path,
+                                                      monkeypatch):
+        fit, calls = hmm.baum_welch, []
+
+        def fail_on_fold1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("injected")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(hmm, "baum_welch", fail_on_fold1)
+        models = tmp_path / "models"
+        result = runner.invoke(
+            main,
+            ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "hmm",
+             "--out-dir", str(models), "--hmm-states", "3", "--hmm-max-iter", "2", *TINY],
+        )
+        assert isinstance(result.exception, MemoryError) and len(calls) == 2
+        assert not (models / "hmm_fold0.json").exists()
 
 
 class TestBolusCommand:

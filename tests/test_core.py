@@ -1,6 +1,9 @@
+import json
 import math
+import struct
 
 import pytest
+from conftest import one_window_prepared
 from hypothesis import given, strategies as st
 
 from glyco.core import (
@@ -10,6 +13,8 @@ from glyco.core import (
     mmoll_to_mgdl,
 )
 from glyco.errors import InvalidValueError
+from glyco.lstm import new_network, save_model
+from glyco.pipeline import save_prepared
 
 
 class TestUnitConversion:
@@ -81,3 +86,36 @@ class TestPatientRecord:
         assert p.feature("hba1c") == 8.5
         assert p.feature("annual_income_usd") is None
 
+
+
+class TestFramedLayout:
+    """save_prepared and save_model write the README's layout byte for byte:
+    the magic, the version and header length as little-endian uint32, the
+    sorted-key JSON header, then the payload as little-endian float64."""
+
+    @staticmethod
+    def framed(magic, version, header, values):
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        floats = struct.pack(f"<{len(values)}d", *values)
+        return magic + struct.pack("<II", version, len(blob)) + blob + floats
+
+    def test_prepared_set(self, tmp_path):
+        prepared = one_window_prepared([[101.0, 102.0, 103.0]], [[201.0, 202.0, 203.0]], 2)
+        header = {"provenance": prepared.provenance, "input_len": 2, "horizon": 1,
+                  "train_seq_ids": [0], "train_counts": [1], "train_step": 1,
+                  "test_seq_ids": [1], "test_counts": [1], "test_step": 1}
+        save_prepared(prepared, tmp_path / "f.gprep")
+        expected = self.framed(b"GLYFPREP", 2, header, [101.0, 102.0, 103.0, 201.0, 202.0, 203.0])
+        assert (tmp_path / "f.gprep").read_bytes() == expected
+
+    def test_lstm_model(self, tmp_path):
+        net = new_network(2, 2, seed=0)
+        header = {"hidden_size": 2, "n_layers": 2, "input_size": 1, "scaler_lo": 20.0,
+                  "scaler_hi": 600.0, "seed": 0, "provenance": {}}
+        values = []  # per layer w_input, w_hidden, b_input, b_hidden (row-major), then the head
+        for layer, w_in in enumerate([net.w_input0, *net.w_input]):
+            for array in (w_in, net.w_hidden[layer], net.b_input[layer], net.b_hidden[layer]):
+                values += array.ravel().tolist()
+        values += [*net.head_weights.tolist(), float(net.head_bias)]
+        save_model(net, tmp_path / "m.glstm")
+        assert (tmp_path / "m.glstm").read_bytes() == self.framed(b"GLYFLSTM", 1, header, values)

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import mutate
+from conftest import corpus_of, mutate
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -168,39 +168,39 @@ class TestCorpus:
     )
     def test_order_enforced(self, rows):
         with pytest.raises(DataError):
-            Corpus.from_readings(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
+            corpus_of(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
 
     def test_patient_order_is_string_order(self):
         rows = [("p10", 5000), ("p9", 1000)]  # "p10" < "p9" as strings
-        corpus = Corpus.from_readings(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
+        corpus = corpus_of(tuple(GlucoseReading(pid, ts, 100.0) for pid, ts in rows))
         assert corpus.patient_ids.tolist() == ["p10", "p9"]
 
     def test_timestamp_beyond_int64_is_data_error(self):
         with pytest.raises(DataError):
-            Corpus.from_readings((GlucoseReading("p1", 2**63, 100.0),))
+            corpus_of((GlucoseReading("p1", 2**63, 100.0),))
 
 
 class TestCorpusStats:
     def test_constant_series(self):
         readings = tuple(GlucoseReading("p1", 1000 + 300 * i, 100.0) for i in range(3))
-        stats = corpus_stats(Corpus.from_readings(readings))
+        stats = corpus_stats(corpus_of(readings))
         assert stats["mean_mgdl"] == 100.0 and stats["sd_mgdl"] == 0.0
 
     def test_population_sd(self):
         readings = (GlucoseReading("p1", 1000, 90.0), GlucoseReading("p1", 1300, 110.0))
-        stats = corpus_stats(Corpus.from_readings(readings))
+        stats = corpus_stats(corpus_of(readings))
         assert stats["mean_mgdl"] == 100.0
         assert stats["sd_mgdl"] == 10.0  # divide by N, not N-1
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
-            corpus_stats(Corpus.from_readings((GlucoseReading("p1", 1000, 90.0),)))
+            corpus_stats(corpus_of((GlucoseReading("p1", 1000, 90.0),)))
 
 
 class TestDailyProfile:
     def test_single_reading(self):
         # 00:02 falls in slot 0
-        corpus = Corpus.from_readings((GlucoseReading("p1", 86400 + 120, 150.0),))
+        corpus = corpus_of((GlucoseReading("p1", 86400 + 120, 150.0),))
         profile = daily_profile(corpus)
         assert profile.count[0] == 1 and profile.mean[0] == 150.0
         assert sum(profile.count) == 1
@@ -212,7 +212,7 @@ class TestDailyProfile:
             GlucoseReading("p1", 86400 + slot_ts, 190.0),
             GlucoseReading("p1", 2 * 86400 + slot_ts, 194.0),
         )
-        profile = daily_profile(Corpus.from_readings(readings))
+        profile = daily_profile(corpus_of(readings))
         assert profile.mean[85] == 192.0
         assert profile.count[85] == 2
 
@@ -423,7 +423,7 @@ def test_csv_reference_writer_bytes(tmp_path):
     writer.writerow(ingest.CGM_HEADER)
     for r in readings:
         writer.writerow([r.patient_id, r.timestamp, repr(r.value)])
-    write_cgm_csv(Corpus.from_readings(readings), tmp_path / "c.csv")
+    write_cgm_csv(corpus_of(readings), tmp_path / "c.csv")
     write_cgm_csv(readings, tmp_path / "r.csv")
     expected = reference.getvalue().encode()
     assert (tmp_path / "c.csv").read_bytes() == expected == (tmp_path / "r.csv").read_bytes()

@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 
@@ -9,15 +10,58 @@ from glyco.errors import DataError, InvalidValueError
 from glyco.metrics import (
     EvalReport,
     FoldMetrics,
-    GlycemicClass,
-    clarke_zone,
+    _classes,
     clarke_zones,
-    classify,
     esod_n,
     prf1,
     rmse,
     score_pairs,
 )
+
+
+# Scalar oracles: the class and zone rules written out one point at a time,
+# as the array rules in glyco.metrics must apply them.
+class GlycemicClass(enum.Enum):
+    HYPO = "hypo"
+    NORMAL = "normal"
+    HYPER = "hyper"
+
+
+def classify(value: float, hypo: float = 70.0, hyper: float = 280.0) -> GlycemicClass:
+    """Threshold classification; boundary values are Normal."""
+    if not math.isfinite(value):
+        raise InvalidValueError(f"cannot classify non-finite glucose {value!r}")
+    if value < hypo:
+        return GlycemicClass.HYPO
+    if value > hyper:
+        return GlycemicClass.HYPER
+    return GlycemicClass.NORMAL
+
+
+def clarke_zone(reference: float, predicted: float) -> str:
+    """Zone A-E of one (reference, predicted) point, standard grid rules, mg/dL."""
+    if not (math.isfinite(reference) and math.isfinite(predicted)) or reference <= 0:
+        raise InvalidValueError("error-grid values must be finite with a positive reference")
+    r, p = reference, predicted
+    if abs(r - p) <= 0.2 * r or (r <= 70 and p <= 70):
+        return "A"
+    if (r >= 180 and p <= 70) or (r <= 70 and p >= 180):
+        return "E"
+    if (70 <= r <= 290 and p >= r + 110) or (130 <= r <= 180 and p <= 1.4 * r - 182):
+        return "C"
+    if (r >= 240 and 70 <= p <= 180) or (r <= 175 / 3 and 70 <= p <= 180) or (
+        175 / 3 <= r <= 70 and p >= 1.2 * r
+    ):
+        return "D"
+    return "B"
+
+
+def zone(reference: float, predicted: float) -> str:
+    """The oracle's zone of one point, checked against the array rules."""
+    expected = clarke_zone(reference, predicted)
+    counts = clarke_zones(np.array([[predicted]]), np.array([[reference]]))["counts"]
+    assert counts[expected] == 1
+    return expected
 
 
 def arrays(*pairs):
@@ -111,6 +155,7 @@ class TestClassify:
     )
     def test_thresholds(self, value, expected):
         assert classify(value) is expected
+        assert _classes(np.array([value]), 70.0, 280.0)[0] == list(GlycemicClass).index(expected)
 
     def test_total_and_single_class(self):
         for v in np.linspace(1, 600, 241):
@@ -156,22 +201,22 @@ class TestPrf1:
 
 class TestClarke:
     def test_diagonal_is_a(self):
-        assert clarke_zone(150.0, 150.0) == "A"
+        assert zone(150.0, 150.0) == "A"
 
     def test_within_20_percent_is_a(self):
-        assert clarke_zone(150.0, 170.0) == "A"
-        assert clarke_zone(150.0, 180.0) == "A"  # exactly 20%
+        assert zone(150.0, 170.0) == "A"
+        assert zone(150.0, 180.0) == "A"  # exactly 20%
 
     def test_dangerous_hyper_miss(self):
-        assert clarke_zone(200.0, 60.0) in ("D", "E")
+        assert zone(200.0, 60.0) in ("D", "E")
 
     def test_rule_table_spot_checks(self):
-        assert clarke_zone(100.0, 215.0) == "C"  # overcorrection band
-        assert clarke_zone(50.0, 100.0) == "D"  # missed hypoglycemia
-        assert clarke_zone(250.0, 150.0) == "D"  # missed hyperglycemia
-        assert clarke_zone(160.0, 30.0) == "C"
-        assert clarke_zone(100.0, 110.0) == "A"
-        assert clarke_zone(400.0, 50.0) == "E"
+        assert zone(100.0, 215.0) == "C"  # overcorrection band
+        assert zone(50.0, 100.0) == "D"  # missed hypoglycemia
+        assert zone(250.0, 150.0) == "D"  # missed hyperglycemia
+        assert zone(160.0, 30.0) == "C"
+        assert zone(100.0, 110.0) == "A"
+        assert zone(400.0, 50.0) == "E"
 
     def test_proportions_sum_to_one(self):
         rng = np.random.default_rng(13)
@@ -187,9 +232,9 @@ class TestClarke:
 
     def test_non_positive_prediction_zoned(self):
         # a forecast at or below 0 mg/dL falls under the grid's p <= 70 rules
-        assert clarke_zone(50.0, -3.0) == "A"
-        assert clarke_zone(200.0, 0.0) == "E"
-        assert clarke_zone(100.0, -20.0) == "B"
+        assert zone(50.0, -3.0) == "A"
+        assert zone(200.0, 0.0) == "E"
+        assert zone(100.0, -20.0) == "B"
         zones = clarke_zones(np.array([[-3.0, 0.0, -20.0]]), np.array([[50.0, 200.0, 100.0]]))
         assert zones["counts"] == {"A": 1, "B": 1, "C": 0, "D": 0, "E": 1}
 

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import corpus_of
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from glyco.core import GlucoseReading
 from glyco.errors import DataError, FormatError, GlycoError
-from glyco.ingest import Corpus, synth_corpus
+from glyco.ingest import synth_corpus
 from glyco.pipeline import (
     FoldSplit,
     SequenceStore,
@@ -33,7 +34,7 @@ def readings_with_gaps(gaps, patient="p1", start=10_000):
 
 
 def segment_rows(rows):
-    return segment(Corpus.from_readings(rows))
+    return segment(corpus_of(rows))
 
 
 def make_store(*sequences, patient="p"):
@@ -371,7 +372,7 @@ def _guard_corpus(n_patients, days, seed):
     """A synth corpus with two readings dropped in every 211, which leaves gaps
     of exactly 900 s: synth dropouts alone never land on the gap limit."""
     readings = synth_corpus(n_patients, days, seed).readings
-    corpus = Corpus.from_readings(r for i, r in enumerate(readings) if i % 211 not in (5, 6))
+    corpus = corpus_of(r for i, r in enumerate(readings) if i % 211 not in (5, 6))
     assert np.any(np.diff(corpus.timestamps) == 900)
     return corpus
 
