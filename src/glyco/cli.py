@@ -1,67 +1,80 @@
 """Command-line front end.
 
 Configuration precedence (lowest first): defaults, GLYCO_SEED, --config JSON
-file, command-line flags. Failures print one machine-parsable JSON line on
+file, command-line flags. A flag whose destination names a RunConfig field is
+that field's override. Failures print one machine-parsable JSON line on
 stderr, remove the files the failed run created, and exit 2 (config), 3 (data,
-including a file that cannot be read or written), or 4 (numeric).
+including a file that cannot be read or written), 4 (numeric), 5 (out of
+memory, or a dead --jobs worker) or 130 (interrupted).
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import dataclasses
 import json
 import sys
-from typing import NoReturn
+from concurrent.futures.process import BrokenProcessPool
 
 import click
 
 from . import workflows
 from .clinical import BolusInputs, bolus as compute_bolus
-from .config import resolve_config
+from .config import RunConfig, resolve_config
 from .core import mmoll_to_mgdl
 from .errors import ConfigError, GlycoError, InvalidValueError, NumericError
 from .workflows import ALL_MODELS, OutputTracker
 
+# Exit code per failure kind, first match first; any other exception propagates.
+_EXIT_CODES = (
+    ((ConfigError, InvalidValueError), 2),
+    (NumericError, 4),
+    ((GlycoError, OSError), 3),
+    ((MemoryError, BrokenProcessPool), 5),
+    (KeyboardInterrupt, 130),
+)
 
-def _exit_code(error: GlycoError | OSError) -> int:
-    if isinstance(error, (ConfigError, InvalidValueError)):
-        return 2
-    if isinstance(error, NumericError):
-        return 4
-    return 3
-
-
-def _fail(error: GlycoError | OSError) -> NoReturn:
-    click.echo(json.dumps({"error": error.__class__.__name__, "message": str(error)}), err=True)
-    sys.exit(_exit_code(error))
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _execute(config_path, overrides, step):
+def _exit_code(error: BaseException) -> int | None:
+    return next((code for kinds, code in _EXIT_CODES if isinstance(error, kinds)), None)
+
+
+@contextlib.contextmanager
+def _guard(tracker: OutputTracker):
+    """On any failure, remove the files tracker holds; then end a mapped
+    failure as one JSON line on stderr and its exit code."""
     try:
-        config = resolve_config(config_path, overrides)
-    except (GlycoError, OSError) as error:
-        _fail(error)
-    tracker = OutputTracker()
-    try:
-        summary = step(tracker, config)
+        yield
     except BaseException as error:
-        tracker.cleanup()  # on any failure, typed or not; an untyped one propagates as it is
-        if not isinstance(error, (GlycoError, OSError)):
+        tracker.cleanup()
+        code = _exit_code(error)
+        if code is None:
             raise
-        _fail(error)
-    if summary is not None:
-        click.echo(json.dumps(summary, sort_keys=True))
+        click.echo(json.dumps({"error": type(error).__name__, "message": str(error)}), err=True)
+        sys.exit(code)
+
+
+def _execute(params: dict, step, summary=lambda result: result) -> None:
+    """Run ``step(tracker, config, **rest)`` under the guard and print its summary.
+
+    ``params`` are the command's click parameters: ``config_path`` names the
+    config file, each one named after a RunConfig field is that field's
+    override (unset when None), and the rest go to step.
+    """
+    overrides = {name: params.pop(name) for name in _CONFIG_FIELDS & params.keys()}
+    tracker = OutputTracker()
+    with _guard(tracker):
+        config = resolve_config(params.pop("config_path"), overrides)
+        result = step(tracker, config, **params)
+    click.echo(json.dumps(summary(result), sort_keys=True))
 
 
 def config_options(fn):
-    @click.option("--config", "config_path", type=click.Path(), default=None,
-                  help="JSON config file; flags override its values.")
-    @click.option("--seed", type=int, default=None, help="Random seed (default 42).")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    return wrapper
+    fn = click.option("--seed", type=int, default=None, help="Random seed (default 42).")(fn)
+    return click.option("--config", "config_path", type=click.Path(), default=None,
+                        help="JSON config file; flags override its values.")(fn)
 
 
 @click.group()
@@ -75,17 +88,10 @@ def main():
 @click.option("--days", type=int, required=True, help="Days of readings per patient.")
 @click.option("--out-cgm", type=click.Path(), default="synth_cgm.csv", show_default=True)
 @click.option("--out-patients", type=click.Path(), default="synth_patients.csv", show_default=True)
-def synth(config_path, seed, n_patients, days, out_cgm, out_patients):
+def synth(**params):
     """Generate a deterministic synthetic corpus."""
-    _execute(
-        config_path,
-        {"seed": seed},
-        lambda tracker, config: {
-            "out_cgm": out_cgm,
-            "out_patients": out_patients,
-            **workflows.run_synth(tracker, config, n_patients, days, out_cgm, out_patients),
-        },
-    )
+    outputs = {"out_cgm": params["out_cgm"], "out_patients": params["out_patients"]}
+    _execute(params, workflows.run_synth, lambda result: {**outputs, **result})
 
 
 @main.command()
@@ -93,17 +99,12 @@ def synth(config_path, seed, n_patients, days, out_cgm, out_patients):
 @click.option("--cgm", "cgm_path", type=click.Path(), required=True)
 @click.option("--patients", "patients_path", type=click.Path(), default=None)
 @click.option("--out-dir", type=click.Path(), required=True)
-@click.option("--max-malformed", type=float, default=0.01, show_default=True,
+@click.option("--max-malformed", "max_malformed_fraction", type=float, default=0.01,
+              show_default=True,
               help="Fraction of malformed rows, in [0, 1], tolerated before a hard error.")
-def ingest(config_path, seed, cgm_path, patients_path, out_dir, max_malformed):
+def ingest(**params):
     """Parse raw CSVs into a canonical corpus cache."""
-    _execute(
-        config_path,
-        {"seed": seed},
-        lambda tracker, config: workflows.run_ingest(
-            tracker, config, cgm_path, patients_path, out_dir, max_malformed
-        )["cgm"],
-    )
+    _execute(params, workflows.run_ingest, lambda result: result["cgm"])
 
 
 @main.command()
@@ -113,36 +114,22 @@ def ingest(config_path, seed, cgm_path, patients_path, out_dir, max_malformed):
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--variance-tau", type=float, default=0.0, show_default=True)
 @click.option("--max-gap-s", type=int, default=None)
-def stats(config_path, seed, cgm_path, patients_path, out_dir, variance_tau, max_gap_s):
+def stats(**params):
     """Corpus statistics, daily profile, and patient-feature matrices."""
-    _execute(
-        config_path,
-        {"seed": seed, "max_gap_s": max_gap_s},
-        lambda tracker, config: {
-            "corpus": workflows.run_stats(
-                tracker, config, cgm_path, patients_path, out_dir, variance_tau
-            )["corpus"]
-        },
-    )
+    _execute(params, workflows.run_stats, lambda result: {"corpus": result["corpus"]})
 
 
 @main.command()
 @config_options
 @click.option("--patients", "patients_path", type=click.Path(), required=True)
 @click.option("--out-dir", type=click.Path(), required=True)
-@click.option("--features", type=str, default=None,
+@click.option("--features", "cluster_features", type=str, default=None,
               help="Comma-separated patient features (default hba1c,annual_income_usd).")
 @click.option("--k", "gmm_k", type=int, default=None, help="Number of cohorts (default 3).")
-def cluster(config_path, seed, patients_path, out_dir, features, gmm_k):
+def cluster(**params):
     """Cluster patients into cohorts with a Gaussian mixture."""
     _execute(
-        config_path,
-        {"seed": seed, "cluster_features": features, "gmm_k": gmm_k},
-        lambda tracker, config: {
-            "cohort_sizes": workflows.run_cluster(tracker, config, patients_path, out_dir)[
-                "cohort_sizes"
-            ]
-        },
+        params, workflows.run_cluster, lambda result: {"cohort_sizes": result["cohort_sizes"]}
     )
 
 
@@ -156,24 +143,9 @@ def cluster(config_path, seed, patients_path, out_dir, features, gmm_k):
 @click.option("--train-step", type=int, default=None)
 @click.option("--test-step", type=int, default=None)
 @click.option("--max-gap-s", type=int, default=None)
-def prepare(config_path, seed, cgm_path, out_dir, cohorts_path, cohort, k_folds,
-            train_step, test_step, max_gap_s):
+def prepare(**params):
     """Segment, fold-split, and window the corpus into prepared sets."""
-    overrides = {
-        "seed": seed,
-        "cohort": cohort,
-        "k_folds": k_folds,
-        "train_step": train_step,
-        "test_step": test_step,
-        "max_gap_s": max_gap_s,
-    }
-    _execute(
-        config_path,
-        overrides,
-        lambda tracker, config: workflows.run_prepare(
-            tracker, config, cgm_path, out_dir, cohorts_path
-        ),
-    )
+    _execute(params, workflows.run_prepare)
 
 
 @main.command()
@@ -192,27 +164,28 @@ def prepare(config_path, seed, cgm_path, out_dir, cohorts_path, cohort, k_folds,
 @click.option("--hmm-states", type=int, default=None)
 @click.option("--hmm-max-iter", type=int, default=None)
 @click.option("--jobs", type=int, default=None, help="Folds trained in parallel.")
-def train(config_path, seed, prepared_dir, model, out_dir, k_folds, lstm_epochs, lstm_batch,
-          lstm_lr, lstm_hidden, lstm_layers, lstm_feedback, hmm_states, hmm_max_iter, jobs):
+def train(**params):
     """Train one model per prepared fold."""
-    overrides = {
-        "seed": seed,
-        "k_folds": k_folds,
-        "lstm_epochs": lstm_epochs,
-        "lstm_batch": lstm_batch,
-        "lstm_lr": lstm_lr,
-        "lstm_hidden": lstm_hidden,
-        "lstm_layers": lstm_layers,
-        "lstm_feedback": lstm_feedback,
-        "hmm_states": hmm_states,
-        "hmm_max_iter": hmm_max_iter,
-        "jobs": jobs,
-    }
-    _execute(
-        config_path,
-        overrides,
-        lambda tracker, config: workflows.run_train(tracker, config, prepared_dir, model, out_dir),
+    _execute(params, workflows.run_train)
+
+
+def _evaluate(tracker, config, mode, prepared_dir, models, models_dir, out_dir, scatter,
+              cgm_path, cohorts_path, model, fold) -> dict:
+    if mode == "cohort-compare":
+        if cgm_path is None or cohorts_path is None:
+            raise ConfigError("cohort-compare mode needs --cgm and --cohorts")
+        document = workflows.run_cohort_compare(
+            tracker, config, cgm_path, cohorts_path, model, fold, out_dir
+        )
+        click.echo(json.dumps({"warning": document["warning"]}), err=True)
+        return {"comparison": document["comparison"]}
+    if prepared_dir is None:
+        raise ConfigError("standard mode needs --prepared-dir")
+    names = [m.strip() for m in models.split(",") if m.strip()]
+    document = workflows.run_evaluate(
+        tracker, config, prepared_dir, names, models_dir, out_dir, scatter
     )
+    return {"models": {entry["model"]: entry["aggregate"]["rmse"] for entry in document["models"]}}
 
 
 @main.command()
@@ -237,39 +210,9 @@ def train(config_path, seed, prepared_dir, model, out_dir, k_folds, lstm_epochs,
 @click.option("--epochs", "lstm_epochs", type=int, default=None)
 @click.option("--hmm-states", type=int, default=None)
 @click.option("--hmm-max-iter", type=int, default=None)
-def evaluate(config_path, seed, mode, prepared_dir, models, models_dir, out_dir, scatter,
-             k_folds, cgm_path, cohorts_path, model, fold, lstm_epochs, hmm_states, hmm_max_iter):
+def evaluate(**params):
     """Score models over the shared folds, or compare pooled vs cohort training."""
-    overrides = {
-        "seed": seed,
-        "k_folds": k_folds,
-        "lstm_epochs": lstm_epochs,
-        "hmm_states": hmm_states,
-        "hmm_max_iter": hmm_max_iter,
-    }
-
-    def step(tracker, config):
-        if mode == "cohort-compare":
-            if cgm_path is None or cohorts_path is None:
-                raise ConfigError("cohort-compare mode needs --cgm and --cohorts")
-            document = workflows.run_cohort_compare(
-                tracker, config, cgm_path, cohorts_path, model, fold, out_dir
-            )
-            click.echo(json.dumps({"warning": document["warning"]}), err=True)
-            return {"comparison": document["comparison"]}
-        if prepared_dir is None:
-            raise ConfigError("standard mode needs --prepared-dir")
-        names = [m.strip() for m in models.split(",") if m.strip()]
-        document = workflows.run_evaluate(
-            tracker, config, prepared_dir, names, models_dir, out_dir, scatter
-        )
-        return {
-            "models": {
-                entry["model"]: entry["aggregate"]["rmse"] for entry in document["models"]
-            }
-        }
-
-    _execute(config_path, overrides, step)
+    _execute(params, _evaluate)
 
 
 @main.command()
@@ -280,15 +223,9 @@ def evaluate(config_path, seed, mode, prepared_dir, models, models_dir, out_dir,
 @click.option("--example", "example_index", type=int, default=0, show_default=True)
 @click.option("--split", type=click.Choice(["train", "test"]), default="test", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-def explain(config_path, seed, model_file, prepared_file, example_index, split, out_path):
+def explain(**params):
     """Export the forget-gate activation trace for one example."""
-    _execute(
-        config_path,
-        {"seed": seed},
-        lambda tracker, config: workflows.run_explain(
-            tracker, config, model_file, prepared_file, example_index, out_path, split
-        ),
-    )
+    _execute(params, workflows.run_explain)
 
 
 @main.command()
@@ -303,14 +240,12 @@ def explain(config_path, seed, model_file, prepared_file, example_index, split, 
 @click.option("--mmol", is_flag=True, help="Glucose flags (gc, gt, cf) are in mmol/L.")
 def bolus(cho, cr, gc, gt, cf, ps, iob, mmol):
     """Insulin bolus from meal carbs, measured vs target glucose, and IOB."""
-    try:
+    with _guard(OutputTracker()):  # no config: GLYCO_SEED and --config play no part here
         if mmol:
             gc, gt, cf = mmoll_to_mgdl(gc), mmoll_to_mgdl(gt), mmoll_to_mgdl(cf)
         result = compute_bolus(
             BolusInputs(cho_g=cho, cr=cr, gc_mgdl=gc, gt_mgdl=gt, cf=cf, ps=ps, iob=iob)
         )
-    except GlycoError as error:
-        _fail(error)
     click.echo(json.dumps({"units": result.units, "no_bolus_needed": result.no_bolus_needed}))
 
 

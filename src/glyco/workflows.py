@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import baselines, hmm as hmm_mod, ingest, lstm as lstm_mod, metrics, pipeline, stats
 from .config import RunConfig
-from .core import PATIENT_NUMERIC_FEATURES, atomic_write
-from .errors import ConfigError, DataError
+from .core import PATIENT_NUMERIC_FEATURES, atomic_write, is_int
+from .errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
 from .ingest import Corpus
 
 BASELINE_MODELS = ("copy_last", "linreg")
@@ -47,9 +48,13 @@ class OutputTracker:
         return path
 
     def write_json(self, path: str | Path, obj) -> Path:
+        try:
+            text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:  # NaN or an infinity, which strict JSON has no words for
+            raise NumericError(f"{path}: {exc}") from exc
         path = self.register(path)
         with atomic_write(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+            handle.write(text + "\n")
         return path
 
     def write_csv(self, path: str | Path, rows) -> Path:
@@ -119,6 +124,8 @@ def run_stats(
     out_dir: str | Path,
     variance_tau: float = 0.0,
 ) -> dict:
+    if not math.isfinite(variance_tau):
+        raise InvalidValueError(f"variance_tau must be finite, got {variance_tau}")
     out_dir = Path(out_dir)
     corpus = load_corpus(cgm_path, patients_path)
     store = pipeline.segment(corpus, config.max_gap_s)
@@ -284,14 +291,20 @@ def run_prepare(
     return document
 
 
+def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet:
+    """Fold i's prepared set from ``fold<i>.gprep``, whose provenance must name fold i."""
+    path = prepared_path(prepared_dir, fold_index)
+    if not path.exists():
+        raise DataError(f"missing prepared fold file: {path}")
+    prepared = pipeline.load_prepared(path)
+    fold = prepared.provenance.get("fold")
+    if not (is_int(fold) and fold == fold_index):
+        raise FormatError(f"{path}: provenance fold is {fold!r}, expected {fold_index}")
+    return prepared
+
+
 def load_fold_sets(prepared_dir: str | Path, k_folds: int) -> list[pipeline.PreparedSet]:
-    sets = []
-    for fold_index in range(k_folds):
-        path = prepared_path(prepared_dir, fold_index)
-        if not path.exists():
-            raise DataError(f"missing prepared fold file: {path}")
-        sets.append(pipeline.load_prepared(path))
-    return sets
+    return [load_fold(prepared_dir, fold_index) for fold_index in range(k_folds)]
 
 
 def model_path(out_dir: str | Path, model: str, fold_index: int | str) -> Path:
@@ -369,9 +382,9 @@ def train_fold(
 
 def _train_job(args: tuple) -> tuple[int, dict, list | None]:
     """Pool worker for fold-parallel training: (fold, provenance, curve)."""
-    config, model, prepared_file, out_file = args
-    prepared = pipeline.load_prepared(prepared_file)
-    return (prepared.provenance["fold"], *train_fold(config, model, prepared, Path(out_file)))
+    config, model, prepared_dir, fold_index, out_file = args
+    prepared = load_fold(prepared_dir, fold_index)
+    return (fold_index, *train_fold(config, model, prepared, Path(out_file)))
 
 
 def run_train(
@@ -390,7 +403,7 @@ def run_train(
         if not prepared_file.exists():
             raise DataError(f"missing prepared fold file: {prepared_file}")
         out = tracker.register(model_path(out_dir, model, fold_index))
-        jobs.append((config, model, str(prepared_file), str(out)))
+        jobs.append((config, model, str(prepared_dir), fold_index, str(out)))
 
     if config.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -464,10 +477,9 @@ def run_evaluate(
     # Per position in models (a model may be listed twice), fold by fold.
     fold_metrics = [[] for _ in models]
     scatter_rows = [[["reference", "predicted"]] for _ in models]
-    for prepared in fold_sets:
+    for fold_index, prepared in enumerate(fold_sets):
         # Gather the fold's test windows once, for every model.
         inputs, targets = prepared.gather("test")
-        fold_index = prepared.provenance.get("fold", 0)
         for m, model in enumerate(models):
             path = None if models_dir is None else model_path(models_dir, model, fold_index)
             predictions = load_forecaster(model, path, horizon)(inputs)

@@ -1,13 +1,23 @@
+import dataclasses
+import functools
+import inspect
 import json
+import multiprocessing
+import os
 import shutil
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from click.testing import CliRunner
 
-from glyco import hmm
+from glyco import cli, hmm, workflows
 from glyco.cli import _exit_code, main
+from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
 from glyco.lstm import load_model, save_model
+from glyco.pipeline import load_prepared, save_prepared
 
 TINY = [
     "--folds", "3", "--seed", "11",
@@ -169,6 +179,11 @@ class TestErrors:
         assert _exit_code(DataError("x")) == 3
         assert _exit_code(FormatError("x")) == 3
         assert _exit_code(NumericError("x")) == 4
+        assert _exit_code(MemoryError()) == 5
+        assert _exit_code(BrokenProcessPool("x")) == 5
+        assert _exit_code(KeyboardInterrupt()) == 130
+        assert _exit_code(RuntimeError("x")) is None
+        assert _exit_code(SystemExit(1)) is None
 
     def test_missing_cgm_is_data_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -355,8 +370,149 @@ class TestErrors:
             ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "hmm",
              "--out-dir", str(models), "--hmm-states", "3", "--hmm-max-iter", "2", *TINY],
         )
-        assert isinstance(result.exception, MemoryError) and len(calls) == 2
+        assert result.exit_code == 5 and len(calls) == 2
+        (line,) = result.output.strip().splitlines()
+        assert json.loads(line) == {"error": "MemoryError", "message": "injected"}
         assert not (models / "hmm_fold0.json").exists()
+
+    def test_interrupt_exits_130_and_removes_partial_outputs(
+        self, runner, pipeline_dir, tmp_path, monkeypatch
+    ):
+        fit, calls = hmm.baum_welch, []
+
+        def interrupt_fold1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(hmm, "baum_welch", interrupt_fold1)
+        models = tmp_path / "models"
+        result = runner.invoke(
+            main,
+            ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "hmm",
+             "--out-dir", str(models), "--hmm-states", "3", "--hmm-max-iter", "2", *TINY],
+        )
+        assert result.exit_code == 130 and len(calls) == 2
+        (line,) = result.output.strip().splitlines()
+        assert json.loads(line)["error"] == "KeyboardInterrupt"
+        assert not (models / "hmm_fold0.json").exists()
+
+    def test_dead_worker_exits_5_and_removes_partial_outputs(
+        self, runner, pipeline_dir, tmp_path, monkeypatch
+    ):
+        models = tmp_path / "models"
+        fold0_file = models / "copy_last_fold0.json"
+        fit = workflows.train_fold
+
+        def die_in_fold1(config, model, prepared, out):
+            if prepared.provenance["fold"] == 1:
+                # Fold 0 is queued first; let its file land so there is one to remove.
+                deadline = time.monotonic() + 30
+                while not fold0_file.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+            return fit(config, model, prepared, out)
+
+        monkeypatch.setattr(workflows, "train_fold", die_in_fold1)
+        fork_pool = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(workflows, "ProcessPoolExecutor", fork_pool)
+        result = runner.invoke(
+            main,
+            ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "copy_last",
+             "--out-dir", str(models), "--jobs", "2", *TINY],
+        )
+        assert result.exit_code == 5, result.output
+        (line,) = result.output.strip().splitlines()
+        assert json.loads(line)["error"] == "BrokenProcessPool"
+        assert not fold0_file.exists()
+
+    @pytest.mark.parametrize("fault", ["no-fold", "copy-of-fold0"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_fold_file_must_name_its_fold(self, runner, pipeline_dir, tmp_path, fault, command):
+        prep, out = tmp_path / "prep", tmp_path / "out"
+        shutil.copytree(pipeline_dir / "prep", prep)
+        if fault == "no-fold":
+            prepared = load_prepared(prep / "fold1.gprep")
+            provenance = {k: v for k, v in prepared.provenance.items() if k != "fold"}
+            save_prepared(dataclasses.replace(prepared, provenance=provenance), prep / "fold1.gprep")
+        else:
+            shutil.copyfile(prep / "fold0.gprep", prep / "fold1.gprep")
+        if command == "train":
+            args = ["train", "--model", "copy_last"]
+        else:
+            args = ["evaluate", "--models", "copy_last,lstm",
+                    "--models-dir", str(pipeline_dir / "models")]
+        result = runner.invoke(
+            main, [*args, "--prepared-dir", str(prep), "--out-dir", str(out), *TINY]
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError" and "fold1.gprep" in parsed["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_variance_tau_is_rejected(self, runner, pipeline_dir, tmp_path, tau):
+        out = tmp_path / "stats"
+        result = runner.invoke(
+            main,
+            ["stats", "--cgm", str(pipeline_dir / "cgm.csv"),
+             "--patients", str(pipeline_dir / "patients.csv"), "--out-dir", str(out),
+             "--variance-tau", tau],
+        )
+        assert result.exit_code == 2, result.output
+        (line,) = result.output.strip().splitlines()
+        assert json.loads(line)["error"] == "InvalidValueError"
+        assert not out.exists()
+
+
+# The step each config-resolving command runs; bolus resolves no config.
+STEPS = {
+    "synth": workflows.run_synth,
+    "ingest": workflows.run_ingest,
+    "stats": workflows.run_stats,
+    "cluster": workflows.run_cluster,
+    "prepare": workflows.run_prepare,
+    "train": workflows.run_train,
+    "evaluate": cli._evaluate,
+    "explain": workflows.run_explain,
+}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+class TestNamingRule:
+    def test_every_command_is_covered(self):
+        assert set(main.commands) == {*STEPS, "bolus"}
+
+    @pytest.mark.parametrize("command", sorted(STEPS))
+    def test_each_parameter_is_the_config_file_a_field_or_a_step_argument(self, command):
+        step_args = set(inspect.signature(STEPS[command]).parameters) - {"tracker", "config"}
+        assert not step_args & CONFIG_FIELDS
+        for param in main.commands[command].params:
+            assert param.name == "config_path" or param.name in CONFIG_FIELDS | step_args, (
+                param.name
+            )
+
+    def test_bolus_takes_no_config(self):
+        names = {param.name for param in main.commands["bolus"].params}
+        assert not names & (CONFIG_FIELDS | {"config_path"})
+
+    def test_bolus_ignores_glyco_seed(self, runner, monkeypatch):
+        monkeypatch.setenv("GLYCO_SEED", "not a number")
+        result = runner.invoke(
+            main,
+            ["bolus", "--cho", "60", "--cr", "10", "--gc", "180", "--gt", "120", "--cf", "30"],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["units"] == 8.0
+
+    @pytest.mark.parametrize("command", sorted([*STEPS, "bolus"]))
+    def test_help_exits_0(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0 and result.output.startswith("Usage: ")
 
 
 class TestBolusCommand:

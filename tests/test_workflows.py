@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glyco.config import RunConfig
-from glyco.errors import ConfigError, DataError, GlycoError
+from glyco.errors import ConfigError, DataError, GlycoError, NumericError
 from glyco.hmm import load_hmm
 from glyco.ingest import synth_corpus, write_cgm_csv, write_patient_csv
 from glyco.lstm import forget_trace, load_model
@@ -381,3 +381,11 @@ def test_output_tracker_cleanup(tmp_path):
     assert path.exists()
     tracker.cleanup()
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_rejects_non_finite_numbers(tmp_path, value):
+    tracker = OutputTracker()
+    with pytest.raises(NumericError):
+        tracker.write_json(tmp_path / "a" / "b.json", {"x": [1.0, value]})
+    assert tracker.paths == [] and not (tmp_path / "a").exists()
