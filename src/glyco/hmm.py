@@ -6,23 +6,31 @@ space over observation rows (n, T), in slices of up to E_STEP_CHUNK rows:
 renormalizing at every step keeps 100-state, 144-step products from
 underflowing, and each step is one matrix product for the whole slice. A
 probability floor keeps every trained row distribution strictly positive so
-no state or symbol becomes absorbing-zero. Models are stored as
+no state or symbol becomes absorbing-zero. A model holds
 log-probabilities, and Viterbi decoding runs in log space over batches of
 rows; a loaded model may hold exact zeros, whose logs are -inf.
+
+A model file (``.ghmm``) is framed (see ``core.write_framed``): magic
+``GLYF_HMM``, version 1. The header holds ``n_states``, ``n_symbols``,
+``quantizer_lo``, ``quantizer_hi``, ``trained_iterations`` and
+``final_log_likelihood``; the payload is the initial, transition and emission
+probabilities, each row-major. A file loads only with at least one state and
+one symbol, no negative probability, and every row summing to 1 within 1e-9.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import atomic_write, is_int, is_real, logsumexp
+from .core import finite_floats, is_int, is_real, logsumexp, read_framed, write_framed
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 
+HMM_MAGIC = b"GLYF_HMM"
+HMM_VERSION = 1
 PROB_FLOOR = 1e-10
 # Rows per E-step slice: alpha is (512, 144, 100) float64, ~60 MB, at paper scale.
 E_STEP_CHUNK = 512
@@ -285,72 +293,48 @@ def hmm_forecast(
 
 
 def save_hmm(model: HmmModel, quantizer: Quantizer, path: str | Path) -> None:
-    doc = {
-        "format": "glyco-hmm",
-        "version": 1,
+    """Framed ``.ghmm`` file (see ``core.write_framed`` and the module docstring)."""
+    header = {
         "n_states": model.n_states,
         "n_symbols": model.n_symbols,
-        "quantizer": {"n_symbols": quantizer.n_symbols, "lo": quantizer.lo, "hi": quantizer.hi},
-        "initial": model.initial.tolist(),
-        "transition": model.transition.tolist(),
-        "emission": model.emission.tolist(),
+        "quantizer_lo": quantizer.lo,
+        "quantizer_hi": quantizer.hi,
         "trained_iterations": model.trained_iterations,
         "final_log_likelihood": model.final_log_likelihood,
     }
-    with atomic_write(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, sort_keys=True))
+    payload = np.concatenate([model.initial, model.transition.ravel(), model.emission.ravel()])
+    write_framed(path, HMM_MAGIC, HMM_VERSION, header, payload)
 
 
 def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
+    version, header, payload = read_framed(path, HMM_MAGIC, "HMM model")
+    if version != HMM_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: not an HMM model file (JSON is not an object)")
-    if doc.get("format") != "glyco-hmm":
-        raise FormatError(f"{path}: not an HMM model file")
-    if doc.get("version") != 1:
-        raise FormatError(f"{path}: unsupported version {doc.get('version')!r}")
-    try:
-        matrices = [doc[key] for key in ("initial", "transition", "emission")]
-        n_states, n_symbols = doc["n_states"], doc["n_symbols"]
-        iterations, final_ll = doc["trained_iterations"], doc["final_log_likelihood"]
-        q = doc["quantizer"]
-        if not isinstance(q, dict):
-            raise FormatError(f"{path}: quantizer is not a JSON object")
-        q_symbols, lo, hi = q["n_symbols"], q["lo"], q["hi"]
+        n, m = header["n_states"], header["n_symbols"]
+        lo, hi = header["quantizer_lo"], header["quantizer_hi"]
+        iterations, final_ll = header["trained_iterations"], header["final_log_likelihood"]
     except KeyError as exc:
-        raise FormatError(f"{path}: HMM file lacks key {exc}") from exc
-    integers = (n_states, n_symbols, iterations, q_symbols)
-    if not (all(is_int(v) for v in integers) and all(is_real(v) for v in (final_ll, lo, hi))):
-        raise FormatError(f"{path}: HMM field of the wrong type")
-    if n_states < 1 or n_symbols < 1:
+        raise FormatError(f"{path}: header lacks key {exc}") from exc
+    integers, reals = (n, m, iterations), (lo, hi, final_ll)
+    if not (all(is_int(v) for v in integers) and all(is_real(v) for v in reals)):
+        raise FormatError(f"{path}: header field of the wrong type")
+    if n < 1 or m < 1:
         raise FormatError(f"{path}: HMM needs at least one state and one symbol")
-    if q_symbols != n_symbols:
-        raise FormatError(f"{path}: quantizer has {q_symbols} symbols, model has {n_symbols}")
-    try:
-        initial, transition, emission = (np.asarray(m, dtype=float) for m in matrices)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: HMM matrix is not numeric: {exc}") from exc
-    if (
-        initial.shape != (n_states,)
-        or transition.shape != (n_states, n_states)
-        or emission.shape != (n_states, n_symbols)
-    ):
-        raise FormatError(f"{path}: matrix shapes inconsistent with header")
-    matrices = (initial, transition, emission)
-    if not all(np.all(np.isfinite(m) & (m >= 0)) for m in matrices):
-        raise FormatError(f"{path}: HMM probabilities must be finite and non-negative")
+    flat = finite_floats(path, payload, n + n * n + n * m)
+    if np.any(flat < 0):
+        raise FormatError(f"{path}: HMM probabilities must be non-negative")
+    initial, transition, emission = np.split(flat, [n, n + n * n])
+    rows = (initial, transition.reshape(n, n), emission.reshape(n, m))
     with np.errstate(over="ignore", divide="ignore"):
         # A zero probability is valid (its log is -inf); a row that does not
         # sum to 1, all zeros say, is rejected before any log is taken.
-        if not all(np.allclose(m.sum(axis=-1), 1.0, atol=1e-9) for m in matrices):
+        if not all(np.allclose(r.sum(axis=-1), 1.0, atol=1e-9) for r in rows):
             raise FormatError(f"{path}: HMM rows must sum to 1 within 1e-9")
-        logs = [np.log(m) for m in matrices]
+        logs = [np.log(r) for r in rows]
     try:
         model = HmmModel(*logs, trained_iterations=iterations, final_log_likelihood=final_ll)
-        quantizer = Quantizer(q_symbols, lo, hi)
-    except InvalidValueError as exc:
+        quantizer = Quantizer(m, lo, hi)
+    except (InvalidValueError, OverflowError) as exc:  # an integer bound too large for a float
         raise FormatError(f"{path}: {exc}") from exc
     return model, quantizer

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import re
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -66,11 +67,14 @@ class OutputTracker:
         return path
 
     def cleanup(self) -> None:
+        """Remove each registered path and the temporary siblings that
+        ``atomic_write`` leaves when its process is killed mid-write."""
         for path in self.paths:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+            for leftover in [path, *path.parent.glob(f".{path.name}.*.tmp")]:
+                try:
+                    leftover.unlink(missing_ok=True)
+                except OSError:
+                    pass
 
 
 def load_corpus(cgm_path: str | Path, patients_path: str | Path | None = None) -> Corpus:
@@ -311,7 +315,7 @@ def model_path(out_dir: str | Path, model: str, fold_index: int | str) -> Path:
     """A trained model's file: ``<model>_fold<i>.<suffix>`` for fold i, or
     ``<model>_<tag>.<suffix>`` when given a cohort tag (a str)."""
     tag = fold_index if isinstance(fold_index, str) else f"fold{fold_index}"
-    suffix = "glstm" if model == "lstm" else "json"
+    suffix = {"lstm": "glstm", "hmm": "ghmm"}.get(model, "json")
     return Path(out_dir) / f"{model}_{tag}.{suffix}"
 
 
@@ -380,6 +384,12 @@ def train_fold(
     return provenance, None
 
 
+def _ignore_sigint() -> None:
+    """Pool initializer: Ctrl-C reaches the whole process group, and only the
+    parent acts on it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _train_job(args: tuple) -> tuple[int, dict, list | None]:
     """Pool worker for fold-parallel training: (fold, provenance, curve)."""
     config, model, prepared_dir, fold_index, out_file = args
@@ -406,8 +416,17 @@ def run_train(
         jobs.append((config, model, str(prepared_dir), fold_index, str(out)))
 
     if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_train_job, jobs))
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_ignore_sigint) as pool:
+            try:
+                results = list(pool.map(_train_job, jobs))
+            except BaseException:
+                # Ctrl-C or a failed fold ends the run now: the running folds'
+                # workers are ended, so the queued folds never start, and the
+                # pool's exit joins them. There is no public terminate before
+                # Python 3.14.
+                for worker in pool._processes.values():
+                    worker.terminate()
+                raise
     else:
         results = [_train_job(job) for job in jobs]
 

@@ -7,14 +7,15 @@ collect it. Run it on its own:
 
 All timings use the paper's shape, N = M = 100 with fixed seeds: one
 Baum-Welch E-step over S rows of 144 symbols (S = 12 and 512, one full
-slice), and batched Viterbi over S rows of 132 symbols (S = 1, 24 and 128).
-Divide a time by S for the per-sequence rate.
+slice), batched Viterbi over S rows of 132 symbols (S = 1, 24 and 128), and
+one ``save_hmm`` plus ``load_hmm`` of the model. Divide a time by S for the
+per-sequence rate.
 """
 
 import numpy as np
 import pytest
 
-from glyco.hmm import _e_step, _random_model, viterbi
+from glyco.hmm import Quantizer, _e_step, _random_model, load_hmm, save_hmm, viterbi
 
 N_STATES = 100
 N_SYMBOLS = 100
@@ -40,3 +41,16 @@ def test_viterbi(benchmark, model, n_rows):
     symbols = np.random.default_rng(n_rows).integers(0, N_SYMBOLS, size=(n_rows, 132))
     paths, log_probs = benchmark(viterbi, model, symbols)
     assert paths.shape == (n_rows, 132) and np.all(np.isfinite(log_probs))
+
+
+def test_save_and_load(benchmark, model, tmp_path):
+    quantizer = Quantizer(N_SYMBOLS, 40.0, 400.0)
+    path = tmp_path / "model.ghmm"
+
+    def round_trip():
+        save_hmm(model, quantizer, path)
+        return load_hmm(path)
+
+    loaded, loaded_quantizer = benchmark(round_trip)
+    assert loaded.log_transition.tobytes() == np.log(model.transition).tobytes()
+    assert loaded_quantizer == quantizer

@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -74,3 +76,19 @@ def mutate(data, raw: bytes) -> bytes:
         at = data.draw(st.integers(0, len(raw)))
         raw[at:at] = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
     return bytes(raw)
+
+
+def edit_header(path, edit=None, **fields):
+    """Rewrite a framed file's header in place, keeping its magic, version and
+    payload. The JSON header gets ``fields`` set, then ``edit`` called on it
+    to change it in place; or ``edit`` is bytes, the new header as it stands."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    blob = edit
+    if not isinstance(edit, bytes):
+        header = json.loads(raw[16 : 16 + header_len])
+        header.update(fields)
+        if edit is not None:
+            edit(header)
+        blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])

@@ -291,8 +291,8 @@ def test_c09_subcommand_determinism(tmp_path):
         names_b = [name for name, _ in outputs["b"]]
         assert names_a == names_b
         assert {
-            "models/lstm_fold2.glstm", "models/hmm_fold2.json", "eval/scatter_hmm.csv",
-            "trace.csv", "compare/hmm_b.json", "compare/cohort_compare.json",
+            "models/lstm_fold2.glstm", "models/hmm_fold2.ghmm", "eval/scatter_hmm.csv",
+            "trace.csv", "compare/hmm_b.ghmm", "compare/cohort_compare.json",
         } <= {name.as_posix() for name in names_a}
         for (name, blob_a), (_, blob_b) in zip(outputs["a"], outputs["b"]):
             assert blob_a == blob_b, f"{name} differs between identical reruns"

@@ -5,9 +5,13 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -22,6 +26,27 @@ from glyco.pipeline import load_prepared, save_prepared
 TINY = [
     "--folds", "3", "--seed", "11",
 ]
+TESTS = Path(__file__).resolve().parent
+
+# ``glyco`` with every fold stalled inside ``atomic_write``, in a fork pool so
+# the workers run the stalled step.
+STALLED_TRAIN = """
+import functools, multiprocessing, sys, time
+from concurrent.futures import ProcessPoolExecutor
+from glyco import cli, workflows
+from glyco.core import atomic_write
+
+def stall(config, model, prepared, out):
+    with atomic_write(out) as handle:
+        handle.write(b"partial")
+        handle.flush()
+        time.sleep(600)
+
+workflows.train_fold = stall
+workflows.ProcessPoolExecutor = functools.partial(
+    ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+cli.main(sys.argv[1:], prog_name="glyco")
+"""
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +398,7 @@ class TestErrors:
         assert result.exit_code == 5 and len(calls) == 2
         (line,) = result.output.strip().splitlines()
         assert json.loads(line) == {"error": "MemoryError", "message": "injected"}
-        assert not (models / "hmm_fold0.json").exists()
+        assert list(models.iterdir()) == []  # fold 0's model was written, then removed
 
     def test_interrupt_exits_130_and_removes_partial_outputs(
         self, runner, pipeline_dir, tmp_path, monkeypatch
@@ -396,7 +421,7 @@ class TestErrors:
         assert result.exit_code == 130 and len(calls) == 2
         (line,) = result.output.strip().splitlines()
         assert json.loads(line)["error"] == "KeyboardInterrupt"
-        assert not (models / "hmm_fold0.json").exists()
+        assert list(models.iterdir()) == []  # fold 0's model was written, then removed
 
     def test_dead_worker_exits_5_and_removes_partial_outputs(
         self, runner, pipeline_dir, tmp_path, monkeypatch
@@ -428,6 +453,51 @@ class TestErrors:
         (line,) = result.output.strip().splitlines()
         assert json.loads(line)["error"] == "BrokenProcessPool"
         assert not fold0_file.exists()
+
+    def test_one_ctrl_c_ends_a_parallel_train(self, pipeline_dir, tmp_path):
+        """One SIGINT to the process group of ``train --jobs 2`` ends the run at
+        once: the two running folds stop mid-write, the queued third never
+        starts, and the run exits 130 with one JSON line and nothing left."""
+        models = tmp_path / "models"
+        args = ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "copy_last",
+                "--out-dir", str(models), "--jobs", "2", *TINY]
+        path = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.Popen([sys.executable, "-c", STALLED_TRAIN, *args], env=env,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                               start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(models.glob(".*.tmp"))) < 2:
+                assert run.poll() is None, run.communicate()[1]
+                assert time.monotonic() < deadline, "the folds never started"
+                time.sleep(0.05)
+            os.killpg(run.pid, signal.SIGINT)
+            _, stderr = run.communicate(timeout=30)
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait()
+        assert run.returncode == 130, stderr
+        assert "Traceback" not in stderr
+        (line,) = stderr.strip().splitlines()
+        assert json.loads(line)["error"] == "KeyboardInterrupt"
+        assert list(models.iterdir()) == []
+
+    def test_evaluate_does_not_read_an_old_json_hmm(self, runner, pipeline_dir, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for fold in range(3):
+            (models / f"hmm_fold{fold}.json").write_text('{"format": "glyco-hmm", "version": 1}')
+        result = runner.invoke(
+            main,
+            ["evaluate", "--prepared-dir", str(pipeline_dir / "prep"), "--models", "hmm",
+             "--models-dir", str(models), "--out-dir", str(tmp_path / "eval"), *TINY],
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "DataError" and "hmm_fold0.ghmm" in parsed["message"]
 
     @pytest.mark.parametrize("fault", ["no-fold", "copy-of-fold0"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])

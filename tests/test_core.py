@@ -2,6 +2,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from conftest import one_window_prepared
 from hypothesis import given, strategies as st
@@ -12,9 +13,10 @@ from glyco.core import (
     mgdl_to_mmoll,
     mmoll_to_mgdl,
 )
-from glyco.errors import InvalidValueError
-from glyco.lstm import new_network, save_model
-from glyco.pipeline import save_prepared
+from glyco.errors import FormatError, InvalidValueError
+from glyco.hmm import HmmModel, Quantizer, load_hmm, save_hmm
+from glyco.lstm import load_model, new_network, save_model
+from glyco.pipeline import load_prepared, save_prepared
 
 
 class TestUnitConversion:
@@ -89,7 +91,7 @@ class TestPatientRecord:
 
 
 class TestFramedLayout:
-    """save_prepared and save_model write the README's layout byte for byte:
+    """save_prepared, save_model and save_hmm write the README's layout byte for byte:
     the magic, the version and header length as little-endian uint32, the
     sorted-key JSON header, then the payload as little-endian float64."""
 
@@ -119,3 +121,37 @@ class TestFramedLayout:
         values += [*net.head_weights.tolist(), float(net.head_bias)]
         save_model(net, tmp_path / "m.glstm")
         assert (tmp_path / "m.glstm").read_bytes() == self.framed(b"GLYFLSTM", 1, header, values)
+
+    def test_hmm_model(self, tmp_path):
+        initial, transition, emission = [0.25, 0.75], [[0.5, 0.5], [0.0, 1.0]], [[1.0], [1.0]]
+        with np.errstate(divide="ignore"):
+            model = HmmModel(*(np.log(np.array(p)) for p in (initial, transition, emission)),
+                             trained_iterations=3, final_log_likelihood=-12.5)
+        header = {"n_states": 2, "n_symbols": 1, "quantizer_lo": 40.0, "quantizer_hi": 400.0,
+                  "trained_iterations": 3, "final_log_likelihood": -12.5}
+        save_hmm(model, Quantizer(1, 40.0, 400.0), tmp_path / "m.ghmm")
+        values = [0.25, 0.75, 0.5, 0.5, 0.0, 1.0, 1.0, 1.0]
+        assert (tmp_path / "m.ghmm").read_bytes() == self.framed(b"GLYF_HMM", 1, header, values)
+
+
+def _save_each_kind(tmp_path) -> dict:
+    """One small file of each framed kind, by suffix."""
+    paths = {suffix: tmp_path / f"f.{suffix}" for suffix in ("gprep", "glstm", "ghmm")}
+    save_prepared(one_window_prepared([[1.0, 2.0]], [[3.0, 4.0]], 1), paths["gprep"])
+    save_model(new_network(2, 1, seed=0), paths["glstm"])
+    model = HmmModel(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
+    save_hmm(model, Quantizer(1, 0.0, 1.0), paths["ghmm"])
+    return paths
+
+
+LOADERS = {"gprep": load_prepared, "glstm": load_model, "ghmm": load_hmm}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_each_framed_loader_refuses_the_other_kinds_by_magic(tmp_path, kind):
+    paths = _save_each_kind(tmp_path)
+    LOADERS[kind](paths[kind])  # its own kind loads
+    for other, path in paths.items():
+        if other != kind:
+            with pytest.raises(FormatError, match="bad magic"):
+                LOADERS[kind](path)

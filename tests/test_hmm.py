@@ -1,14 +1,15 @@
 import itertools
-import json
-import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from conftest import edit_header
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glyco import hmm
+from glyco.core import write_framed
 from glyco.errors import DataError, FormatError, GlycoError, InvalidValueError, NumericError
 from glyco.hmm import (
     HmmModel,
@@ -440,13 +441,17 @@ class TestRoundTrip:
         obs = rng.integers(0, 5, size=(2, 80))
         model = baum_welch(obs, n_states=4, n_symbols=5, max_iter=15, seed=4)
         q = Quantizer(5, 40.0, 400.0)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ghmm"
         save_hmm(model, q, path)
         loaded, loaded_q = load_hmm(path)
-        np.testing.assert_allclose(loaded.transition, model.transition, atol=1e-12)
-        np.testing.assert_allclose(loaded.emission, model.emission, atol=1e-12)
-        np.testing.assert_allclose(loaded.initial, model.initial, atol=1e-12)
+        # The file holds the probabilities, so the logs are those of np.log(model.initial) etc.
+        for name in ("initial", "transition", "emission"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+            log = getattr(loaded, f"log_{name}")
+            assert log.tobytes() == np.log(getattr(model, name)).tobytes()
         assert loaded_q == q
+        assert loaded.trained_iterations == model.trained_iterations
+        assert loaded.final_log_likelihood == model.final_log_likelihood
 
         values = rng.uniform(50, 390, size=(1, 40))
         np.testing.assert_array_equal(
@@ -454,61 +459,60 @@ class TestRoundTrip:
         )
 
     def test_bad_payload(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text("{\"format\": \"other\"}", encoding="utf-8")
-        with pytest.raises(FormatError):
+        # A JSON model file, as glyco wrote before the framed format, is not read.
+        path = tmp_path / "x.ghmm"
+        path.write_text("{\"format\": \"glyco-hmm\", \"version\": 1}", encoding="utf-8")
+        with pytest.raises(FormatError, match="bad magic"):
             load_hmm(path)
 
     def test_version_mismatch(self, tmp_path):
-        model = near_deterministic_model(np.eye(2), np.eye(2))
-        path = tmp_path / "m.json"
-        save_hmm(model, Quantizer(2, 0.0, 2.0), path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "m.ghmm"
+        _hand_made_model_file(path)
+        raw = bytearray(path.read_bytes())
+        raw[8] = 99  # version field follows the 8-byte magic
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
             load_hmm(path)
 
     def test_missing_key_is_format_error(self, tmp_path):
-        path = tmp_path / "m.json"
-        save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
-        doc = json.loads(path.read_text())
-        del doc["initial"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="initial"):
+        path = tmp_path / "m.ghmm"
+        _hand_made_model_file(path)
+        edit_header(path, lambda header: header.pop("quantizer_lo"))
+        with pytest.raises(FormatError, match="quantizer_lo"):
             load_hmm(path)
 
     @pytest.mark.parametrize("payload", ["[1, 2]", "7", "null", "\"glyco-hmm\""])
     def test_non_object_json_is_format_error(self, tmp_path, payload):
-        path = tmp_path / "m.json"
-        path.write_text(payload, encoding="utf-8")
-        with pytest.raises(FormatError, match="not an HMM model file"):
+        path = tmp_path / "m.ghmm"
+        _hand_made_model_file(path)
+        edit_header(path, payload.encode())
+        with pytest.raises(FormatError, match="not a JSON object"):
             load_hmm(path)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("quantizer", [2, 0.0, 2.0]),
-            ("initial", "abc"),
-            ("transition", {"a": 1}),
+            ("quantizer_lo", [0.0]),
+            ("n_states", "2"),
+            ("n_symbols", {"a": 1}),
             ("trained_iterations", 1.5),
-            ("quantizer", {"n_symbols": "2", "lo": 0.0, "hi": 2.0}),
-            ("quantizer", {"n_symbols": 2, "lo": "0", "hi": 2.0}),
+            ("n_symbols", True),
+            ("quantizer_hi", "2"),
+            ("final_log_likelihood", None),
         ],
     )
     def test_wrongly_typed_field_is_format_error(self, tmp_path, field, value):
-        path = tmp_path / "m.json"
-        save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
-        doc = json.loads(path.read_text())
-        doc[field] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError):
+        path = tmp_path / "m.ghmm"
+        _hand_made_model_file(path)
+        edit_header(path, **{field: value})
+        with pytest.raises(FormatError, match="wrong type"):
             load_hmm(path)
 
     def test_non_utf8_file_is_format_error(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_bytes(b'{"format": "glyco-hmm", "note": "\xff\xfe"}')
-        with pytest.raises(FormatError):
+        path = tmp_path / "m.ghmm"
+        _hand_made_model_file(path)
+        edit_header(path, b'{"n_states": "\xff\xfe"}')
+        with pytest.raises(FormatError, match="corrupt header"):
             load_hmm(path)
 
     def test_sequence_log_likelihood_finite(self):
@@ -520,30 +524,39 @@ class TestRoundTrip:
         "changes",
         [
             # zero symbols: the row-sum check would take the max of an empty row
-            {"n_states": 1, "n_symbols": 0, "initial": [1.0], "transition": [[1.0]],
-             "emission": [[]], "quantizer": {"n_symbols": 0, "lo": 0.0, "hi": 2.0}},
-            {"quantizer": {"n_symbols": 3, "lo": 0.0, "hi": 2.0}},
-            {"quantizer": {"n_symbols": 2, "lo": -1e308, "hi": 1e308}},
-            {"transition": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
-            {"emission": [[2.0, -1.0], [0.0, 1.0]]},
-            {"initial": [0.5, 0.6]},
+            ({"n_symbols": 0, "emission": [[], []]}, "at least one"),
+            ({"n_symbols": 3}, "payload"),  # the header disagrees with the payload
+            ({"quantizer_lo": -1e308, "quantizer_hi": 1e308}, "width"),
+            ({"transition": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "payload"),
+            ({"emission": [[2.0, -1.0], [0.0, 1.0]]}, "non-negative"),
+            ({"initial": [0.5, 0.6]}, "sum to 1"),
+            ({"quantizer_hi": 10**400}, "too large"),
+            ({"quantizer_lo": 2.0, "quantizer_hi": 0.0}, "lo < hi"),
         ],
     )
     def test_inconsistent_model_is_format_error(self, tmp_path, changes):
-        path = tmp_path / "m.json"
-        save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
-        doc = json.loads(path.read_text())
-        doc.update(changes)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError):
+        fields, message = changes
+        path = tmp_path / "m.ghmm"
+        _hand_made_model_file(path, **fields)
+        with pytest.raises(FormatError, match=message):
             load_hmm(path)
 
 
-FUZZ_VALUES = st.sampled_from(
-    [0, -1, 1e400, -1e400, float("nan"), 1e308, 2**64, 1.5, None, True, "x",
-     [], [[]], [1.0], [[0.5, 0.5], [1.0]], [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], {}]
+def _hand_made_model_file(path, **changes):
+    """A framed HMM file of two states and two symbols (identity rows) with
+    some header fields or probability rows replaced; nothing is checked."""
+    rows = {"initial": [1.0, 0.0], "transition": np.eye(2), "emission": np.eye(2)}
+    header = {"n_states": 2, "n_symbols": 2, "quantizer_lo": 0.0, "quantizer_hi": 2.0,
+              "trained_iterations": 0, "final_log_likelihood": 0.0}
+    for key, value in changes.items():
+        (rows if key in rows else header)[key] = value
+    payload = np.concatenate([np.ravel(rows[key]) for key in ("initial", "transition", "emission")])
+    write_framed(path, hmm.HMM_MAGIC, hmm.HMM_VERSION, header, payload)
+
+
+FUZZ_HEADER_VALUES = st.sampled_from(
+    [0, -1, 1.5, float("nan"), float("inf"), None, True, "x", [], {}, 2**31, 10**400]
 )
-FUZZ_TOKENS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1", "0", "[]", "null"])
 
 
 @settings(
@@ -551,55 +564,47 @@ FUZZ_TOKENS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1", "0
 )
 @given(data=st.data())
 def test_load_hmm_fuzz_raises_only_glyco_errors(tmp_path, data):
-    """Truncated, bit-flipped, re-valued and zero-size model files load or raise a GlycoError."""
-    path = tmp_path / "m.json"
+    """Truncated, bit-flipped, re-valued and non-finite model files load or raise a GlycoError.
+
+    A size in the header is checked against the payload length before
+    anything is allocated, so 2**31 states fail without asking for 32 EiB.
+    Whatever loads must forecast, or fail with a GlycoError.
+    """
+    path = tmp_path / "m.ghmm"
     save_hmm(random_model(np.random.default_rng(0), 2, 3), Quantizer(3, 40.0, 400.0), path)
     raw = bytearray(path.read_bytes())
-    mutation = data.draw(
-        st.sampled_from(["truncate", "flip", "token", "field", "nested", "zero_symbols"])
-    )
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "header", "payload"]))
     if mutation == "truncate":
-        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw) - 1))]))
     elif mutation == "flip":
         for _ in range(data.draw(st.integers(1, 4))):
-            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
-    elif mutation == "token":
-        text = raw.decode()
-        numbers = [m.span() for m in re.finditer(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", text)]
-        lo, hi = data.draw(st.sampled_from(numbers))
-        raw = bytearray((text[:lo] + data.draw(FUZZ_TOKENS) + text[hi:]).encode())
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+            raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+    elif mutation == "header":
+        keys = st.sampled_from(["n_states", "n_symbols", "quantizer_lo", "quantizer_hi",
+                                "trained_iterations", "final_log_likelihood"])
+        edit_header(path, **data.draw(st.dictionaries(keys, FUZZ_HEADER_VALUES, min_size=1)))
     else:
-        doc = json.loads(raw)
-        key = data.draw(st.sampled_from(sorted(doc)))
-        if mutation == "field":
-            doc[key] = data.draw(FUZZ_VALUES)
-        elif mutation == "zero_symbols":  # a zero size the header and matrices agree on
-            doc["n_symbols"] = doc["quantizer"]["n_symbols"] = 0
-            doc["emission"] = [[] for _ in doc["emission"]]
-        else:
-            doc["quantizer"][data.draw(st.sampled_from(["n_symbols", "lo", "hi"]))] = data.draw(
-                FUZZ_VALUES
-            )
-        raw = bytearray(json.dumps(doc).encode())
-    path.write_bytes(bytes(raw))
+        position = len(raw) - 8 * data.draw(st.integers(1, 2 + 4 + 6))
+        raw[position : position + 8] = struct.pack("<d", data.draw(st.sampled_from(
+            [float("nan"), float("inf"), -float("inf"), -0.5, 2.0])))
+        path.write_bytes(bytes(raw))
     try:
-        load_hmm(path)
+        model, quantizer = load_hmm(path)
+    except GlycoError:
+        return
+    try:
+        assert hmm_forecast(model, quantizer, np.full((2, 6), 150.0), horizon=3).shape == (2, 3)
     except GlycoError:
         pass
-
-
-def _hand_made_model_file(path, initial, transition, emission):
-    save_hmm(near_deterministic_model(np.eye(2), np.eye(2)), Quantizer(2, 0.0, 2.0), path)
-    doc = json.loads(path.read_text())
-    doc.update(initial=initial, transition=transition, emission=emission)
-    path.write_text(json.dumps(doc))
 
 
 def test_zero_probabilities_load_and_forecast(tmp_path):
     # Exact zeros are valid: their logs are -inf, and Viterbi and the greedy
     # forecast take max/argmax over them without a numeric warning.
-    path = tmp_path / "m.json"
-    _hand_made_model_file(path, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    path = tmp_path / "m.ghmm"
+    _hand_made_model_file(path, transition=[[0.0, 1.0], [1.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model, q = load_hmm(path)
@@ -609,8 +614,8 @@ def test_zero_probabilities_load_and_forecast(tmp_path):
 
 
 def test_all_zero_row_is_format_error(tmp_path):
-    path = tmp_path / "m.json"
-    _hand_made_model_file(path, [1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    path = tmp_path / "m.ghmm"
+    _hand_made_model_file(path, transition=[[0.0, 0.0], [1.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FormatError, match="sum to 1"):

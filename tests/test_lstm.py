@@ -1,5 +1,4 @@
 import itertools
-import json
 import re
 import struct
 import tracemalloc
@@ -7,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import one_window_prepared
+from conftest import edit_header, one_window_prepared
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -423,26 +422,11 @@ class TestSaveLoad:
             load_model(path)
 
 
-def edit_header(path, **fields):
-    """Rewrite a saved model's JSON header with some fields replaced."""
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", raw, 12)
-    header = json.loads(raw[16 : 16 + header_len])
-    header.update(fields)
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
-
-
 def test_missing_header_key_is_format_error(tmp_path):
     net = new_network(hidden_size=3, n_layers=1, seed=17)
     path = tmp_path / "model.glstm"
     save_model(net, path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", raw, 12)
-    header = json.loads(raw[16 : 16 + header_len])
-    del header["n_layers"]
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+    edit_header(path, lambda header: header.pop("n_layers"))
     with pytest.raises(FormatError, match="n_layers"):
         load_model(path)
 
@@ -465,9 +449,7 @@ def test_non_object_header_is_format_error(tmp_path):
     net = new_network(hidden_size=3, n_layers=1, seed=17)
     path = tmp_path / "model.glstm"
     save_model(net, path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", raw, 12)
-    path.write_bytes(raw[:12] + struct.pack("<I", 3) + b"[1]" + raw[16 + header_len :])
+    edit_header(path, b"[1]")
     with pytest.raises(FormatError, match="not a JSON object"):
         load_model(path)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import corpus_of
+from conftest import corpus_of, edit_header
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from glyco.core import GlucoseReading
@@ -406,16 +406,6 @@ def test_prepared_bytes_identical_to_object_reference(tmp_path, guard_corpus, st
         assert_same_content(load_prepared(path), arrays, provenance)
 
 
-def rewrite_metadata(path, edit):
-    """Apply edit to a saved prepared set's metadata, keeping the payload."""
-    raw = path.read_bytes()
-    (meta_len,) = struct.unpack_from("<I", raw, 12)
-    meta = json.loads(raw[16 : 16 + meta_len])
-    edit(meta)
-    blob = json.dumps(meta).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len :])
-
-
 # Metadata edits that leave every field well typed but the index inconsistent.
 INDEX_EDITS = {
     "unsorted": (lambda m: m["train_seq_ids"].reverse(), "sorted"),
@@ -486,16 +476,14 @@ class TestPreparedRoundTrip:
     def test_missing_metadata_key(self, tmp_path, small_store):
         path = tmp_path / "fold.gprep"
         save_prepared(self.build(small_store), path)
-        rewrite_metadata(path, lambda meta: meta.pop("test_counts"))
+        edit_header(path, lambda meta: meta.pop("test_counts"))
         with pytest.raises(FormatError, match="test_counts"):
             load_prepared(path)
 
     def test_non_object_metadata_is_format_error(self, tmp_path, small_store):
         path = tmp_path / "fold.gprep"
         save_prepared(self.build(small_store), path)
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", raw, 12)
-        path.write_bytes(raw[:12] + struct.pack("<I", 3) + b"[1]" + raw[16 + meta_len :])
+        edit_header(path, b"[1]")
         with pytest.raises(FormatError, match="not a JSON object"):
             load_prepared(path)
 
@@ -513,7 +501,7 @@ class TestPreparedRoundTrip:
 
         path = tmp_path / "fold.gprep"
         save_prepared(self.build(small_store), path)
-        rewrite_metadata(path, edit)
+        edit_header(path, edit)
         with pytest.raises(FormatError):
             load_prepared(path)
 
@@ -521,7 +509,7 @@ class TestPreparedRoundTrip:
     def test_inconsistent_index_is_format_error(self, tmp_path, small_store, edit, message):
         path = tmp_path / "fold.gprep"
         save_prepared(self.build(small_store), path)
-        rewrite_metadata(path, edit)
+        edit_header(path, edit)
         with pytest.raises(FormatError, match=message):
             load_prepared(path)
 

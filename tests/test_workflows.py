@@ -307,8 +307,8 @@ def test_hmm_quantizer_bounds_come_from_the_windows(tmp_path, step):
     assert (400.0 in loaded.readings) == (step > 144)
 
     config = RunConfig(**{**SMALL, "hmm_states": 4, "hmm_max_iter": 2})
-    train_fold(config, "hmm", loaded, tmp_path / "hmm.json")
-    _, quantizer = load_hmm(tmp_path / "hmm.json")
+    train_fold(config, "hmm", loaded, tmp_path / "hmm.ghmm")
+    _, quantizer = load_hmm(tmp_path / "hmm.ghmm")
     windows = np.concatenate([loaded.train_inputs, loaded.train_targets], axis=1)
     assert windows.shape == (2, 144)
     assert (quantizer.lo, quantizer.hi) == (windows.min(), windows.max())
