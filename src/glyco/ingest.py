@@ -399,6 +399,14 @@ def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseRepor
     return [records[p] for p in sorted(records)], report
 
 
+def read_cohorts(path: str | Path) -> dict[str, str]:
+    """Patient-to-cohort labels from a ``patient_id,cohort`` CSV; a row
+    without two cells or without an id is skipped. Read failures raise
+    ``FormatError``, as for the other input CSVs."""
+    rows = _data_rows(path, ["patient_id", "cohort"], ParseReport(path=str(path)))
+    return {pid: row[1].strip() for _, row, pid in rows}
+
+
 class _CsvCells(dict):
     """Patient id -> its cell as ``csv.writer`` writes it, formatted once."""
 

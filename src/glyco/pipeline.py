@@ -7,9 +7,13 @@ step = window size depending on protocol.
 
 Windows are lazy. A prepared fold keeps each windowed sequence's readings
 once, plus a per-side index of (sequence id, window count, step); a window is
-gathered from the readings when a caller asks for it. At step 1 one reading
-sits in up to 144 windows, so storing the readings instead of the windows
-makes a fold about 144 times smaller, in memory and in its ``.gprep`` file.
+cut from the readings when a caller asks for it. At step 1 one reading sits
+in up to 144 windows, so storing the readings instead of the windows makes a
+fold about 144 times smaller, in memory and in its ``.gprep`` file.
+
+One cutter, ``PreparedSet._cut``, serves every window view, also from an
+elementwise transform of the readings (the LSTM's scaled readings, the HMM's
+symbols), which gives the same bits as transforming the windows.
 """
 
 from __future__ import annotations
@@ -175,70 +179,52 @@ class PreparedSet:
     def n_test(self) -> int:
         return len(self.test)
 
-    def _index(self, side: str) -> WindowIndex:
-        return {"train": self.train, "test": self.test}[side]
+    def _cut(self, side: str, rows=None, values=None, cols: slice = np.s_[:]) -> np.ndarray:
+        """Columns ``cols`` of the given rows' windows of one side (every row
+        by default) as a new row-major array.
 
-    def _window_starts(self, side: str, rows=None) -> np.ndarray:
-        """Position in ``readings`` of each row's window (every row by default)."""
-        index = self._index(side)
+        values defaults to ``readings``; an elementwise transform of it (the
+        LSTM's scaled readings, the HMM's symbols) gives the same bits as
+        transforming the cut windows.
+        """
+        index = getattr(self, side)
         n = len(index)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
         if rows.size and not (0 <= rows.min() and rows.max() < n):
             raise DataError(f"{side} rows must lie in [0, {n})")
+        values = self.readings if values is None else values
+        if not rows.size:
+            return np.empty((0, len(range(self.total)[cols])), dtype=values.dtype)
         spans = index.spans(self.total)
         first = np.cumsum(spans) - spans
         if side == "test":
             first += int(self.train.spans(self.total).sum())
         i, offsets = index.locate(rows)
-        return first[i] + offsets
-
-    def _cut(self, starts: np.ndarray, values, cols: slice) -> np.ndarray:
-        """Columns ``cols`` of the windows starting at ``starts`` in values.
-
-        values defaults to ``readings``; an elementwise transform of it (the
-        LSTM's scaled readings) gives the same bits as transforming the
-        gathered windows.
-        """
-        if not starts.size:
-            return np.empty((0, len(range(self.total)[cols])))
-        values = self.readings if values is None else values
         view = np.lib.stride_tricks.sliding_window_view(values, self.total)
-        return np.ascontiguousarray(view[starts, cols])
+        return np.ascontiguousarray(view[first[i] + offsets, cols])
 
-    def windows(self, side: str) -> np.ndarray:
-        """Every (input + target) window of one side as an (n, total) array."""
-        return self._cut(self._window_starts(side), None, np.s_[:])
+    def windows(self, side: str, values=None) -> np.ndarray:
+        """Every (input + target) window of one side as an (n, total) array,
+        cut from values (``readings`` by default)."""
+        return self._cut(side, values=values)
 
     def gather(self, side: str, rows=None, values=None) -> tuple[np.ndarray, np.ndarray]:
         """(inputs, targets) of the given rows of one side (every row by default)."""
-        starts = self._window_starts(side, rows)
         return (
-            self._cut(starts, values, np.s_[: self.input_len]),
-            self._cut(starts, values, np.s_[self.input_len :]),
+            self._cut(side, rows, values, np.s_[: self.input_len]),
+            self._cut(side, rows, values, np.s_[self.input_len :]),
         )
 
-    def _seq_ids(self, side: str) -> np.ndarray:
-        index = self._index(side)
-        return np.repeat(index.seq_ids, index.counts)
-
-    def _offsets(self, side: str) -> np.ndarray:
-        index = self._index(side)
-        return index.locate(np.arange(len(index)))[1]
-
-    def _inputs(self, side: str) -> np.ndarray:
-        return self._cut(self._window_starts(side), None, np.s_[: self.input_len])
-
-    def _targets(self, side: str) -> np.ndarray:
-        return self._cut(self._window_starts(side), None, np.s_[self.input_len :])
-
-    train_inputs = property(lambda self: self._inputs("train"))
-    train_targets = property(lambda self: self._targets("train"))
-    train_seq_ids = property(lambda self: self._seq_ids("train"))
-    train_offsets = property(lambda self: self._offsets("train"))
-    test_inputs = property(lambda self: self._inputs("test"))
-    test_targets = property(lambda self: self._targets("test"))
-    test_seq_ids = property(lambda self: self._seq_ids("test"))
-    test_offsets = property(lambda self: self._offsets("test"))
+    # Each property cuts only its own columns: a whole-window cut sliced
+    # afterwards would hold the unused columns at the peak.
+    train_inputs = property(lambda self: self._cut("train", cols=np.s_[: self.input_len]))
+    train_targets = property(lambda self: self._cut("train", cols=np.s_[self.input_len :]))
+    train_seq_ids = property(lambda self: np.repeat(self.train.seq_ids, self.train.counts))
+    train_offsets = property(lambda self: self.train.locate(np.arange(len(self.train)))[1])
+    test_inputs = property(lambda self: self._cut("test", cols=np.s_[: self.input_len]))
+    test_targets = property(lambda self: self._cut("test", cols=np.s_[self.input_len :]))
+    test_seq_ids = property(lambda self: np.repeat(self.test.seq_ids, self.test.counts))
+    test_offsets = property(lambda self: self.test.locate(np.arange(len(self.test)))[1])
 
 
 def _window_index(store: SequenceStore, ids: frozenset[int], total: int, step: int) -> WindowIndex:
@@ -304,7 +290,7 @@ def save_prepared(prepared: PreparedSet, path: str | Path) -> None:
         "horizon": prepared.horizon,
     }
     for side in SIDES:
-        index = prepared._index(side)
+        index = getattr(prepared, side)
         meta[f"{side}_seq_ids"] = index.seq_ids.tolist()
         meta[f"{side}_counts"] = index.counts.tolist()
         meta[f"{side}_step"] = index.step

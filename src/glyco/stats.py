@@ -28,7 +28,6 @@ class FeatureMatrix:
     patient_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
     values: np.ndarray
-    normalized: bool
     excluded_patients: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -69,7 +68,7 @@ def build_feature_matrix(
             if sd[j] == 0.0:
                 raise DataError(f"feature {name!r} has zero variance, cannot normalize")
         values = (values - values.mean(axis=0)) / sd
-    return FeatureMatrix(tuple(kept_ids), names, values, normalize, tuple(excluded))
+    return FeatureMatrix(tuple(kept_ids), names, values, tuple(excluded))
 
 
 def covariance_matrix(m: FeatureMatrix) -> np.ndarray:

@@ -24,7 +24,7 @@ from . import baselines, hmm as hmm_mod, ingest, lstm as lstm_mod, metrics, pipe
 from .config import RunConfig
 from .core import PATIENT_NUMERIC_FEATURES, atomic_write, is_int
 from .errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
-from .ingest import Corpus
+from .ingest import Corpus, read_cohorts
 
 BASELINE_MODELS = ("copy_last", "linreg")
 TRAINED_MODELS = ("lstm", "hmm")
@@ -205,21 +205,6 @@ def run_cluster(
     return document
 
 
-def read_cohorts(path: str | Path) -> dict[str, str]:
-    """Patient-to-cohort labels from a cohorts CSV; rows without two cells are skipped.
-
-    An unreadable file (bad header, undecodable text, an oversized field) is a
-    FormatError, as for the other input CSVs.
-    """
-    assignments: dict[str, str] = {}
-    handle, reader = ingest._open_rows(path, ["patient_id", "cohort"])
-    with handle, ingest._typed_read_errors(Path(path), reader):
-        for row in reader:
-            if len(row) == 2 and row[0].strip():
-                assignments[row[0].strip()] = row[1].strip()
-    return assignments
-
-
 def _cohort_pool(
     store: pipeline.SequenceStore, assignments: dict[str, str], cohort: str
 ) -> np.ndarray:
@@ -307,10 +292,6 @@ def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet
     return prepared
 
 
-def load_fold_sets(prepared_dir: str | Path, k_folds: int) -> list[pipeline.PreparedSet]:
-    return [load_fold(prepared_dir, fold_index) for fold_index in range(k_folds)]
-
-
 def model_path(out_dir: str | Path, model: str, fold_index: int | str) -> Path:
     """A trained model's file: ``<model>_fold<i>.<suffix>`` for fold i, or
     ``<model>_<tag>.<suffix>`` when given a cohort tag (a str)."""
@@ -358,10 +339,11 @@ def train_fold(
     if model == "hmm":
         # The quantizer bounds come from the windows, never from the stored
         # readings, which at step > total include readings no window uses.
-        windows = prepared.windows("train")
-        quantizer = hmm_mod.Quantizer.from_values(windows, config.hmm_states)
+        # The symbol rows are cut from the encoded readings, so no float
+        # window outlives the bounds.
+        quantizer = hmm_mod.Quantizer.from_values(prepared.windows("train"), config.hmm_states)
         hmodel = hmm_mod.baum_welch(
-            quantizer.encode(windows),
+            prepared.windows("train", values=quantizer.encode(prepared.readings)),
             n_states=config.hmm_states,
             n_symbols=config.hmm_states,  # one observation symbol per state
             max_iter=config.hmm_max_iter,
@@ -479,7 +461,7 @@ def run_evaluate(
     if unknown:
         raise ConfigError(f"unknown models: {', '.join(unknown)}")
     out_dir = Path(out_dir)
-    fold_sets = load_fold_sets(prepared_dir, config.k_folds)
+    fold_sets = [load_fold(prepared_dir, i) for i in range(config.k_folds)]
     horizon = fold_sets[0].horizon
     protocol = {
         "k_folds": config.k_folds,

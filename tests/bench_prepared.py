@@ -7,14 +7,17 @@ collect it. Run it on its own:
 
 One fold of a seeded synth corpus (14 patients x 10 days, about 35k
 readings), prepared with train and test windows at step 1. The timings are
-one ``save_prepared``, one ``load_prepared``, and gathering a 128-row train
-minibatch of (132, 12) windows. The JSON's ``extra_info`` holds the
-``.gprep`` bytes per corpus reading and the gather time per window.
+one ``save_prepared``, one ``load_prepared``, gathering a 128-row train
+minibatch of (132, 12) windows, and cutting every train window's symbol row
+from the encoded readings, as HMM training does. The JSON's ``extra_info``
+holds the ``.gprep`` bytes per corpus reading and the gather and cut times
+per window.
 """
 
 import numpy as np
 import pytest
 
+from glyco.hmm import Quantizer
 from glyco.ingest import synth_corpus
 from glyco.pipeline import kfold_split, load_prepared, prepare, save_prepared, segment
 
@@ -51,3 +54,11 @@ def test_gather_minibatch(benchmark, prepared):
     assert inputs.shape == (BATCH, 132) and targets.shape == (BATCH, 12)
     if benchmark.stats:  # None under --benchmark-disable
         benchmark.extra_info["us_per_window"] = benchmark.stats.stats.median / BATCH * 1e6
+
+
+def test_cut_hmm_symbols(benchmark, prepared):
+    encoded = Quantizer.from_values(prepared.windows("train"), 100).encode(prepared.readings)
+    symbols = benchmark(prepared.windows, "train", values=encoded)
+    assert symbols.shape == (prepared.n_train, 144) and symbols.dtype == np.int64
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_window"] = benchmark.stats.stats.median / prepared.n_train * 1e6

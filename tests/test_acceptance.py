@@ -148,9 +148,7 @@ def test_c05_gmm_em_purity():
         centers = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         points = np.concatenate([rng.normal(c, 0.05, (60, 2)) for c in centers])
         truth = np.repeat(np.arange(3), 60)
-        matrix = FeatureMatrix(
-            tuple(f"p{i}" for i in range(len(points))), ("x", "y"), points, False
-        )
+        matrix = FeatureMatrix(tuple(f"p{i}" for i in range(len(points))), ("x", "y"), points)
         model = gmm_fit(matrix, k=3, n_init=20, max_iter=200, seed=5)
         history = np.array(model.log_likelihood_history)
         assert np.all(np.diff(history) >= -1e-8)

@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from glyco.core import GlucoseReading
 from glyco.errors import DataError, FormatError, GlycoError
+from glyco.hmm import Quantizer
 from glyco.ingest import synth_corpus
+from glyco.lstm import Scaler
 from glyco.pipeline import (
     FoldSplit,
     SequenceStore,
@@ -607,6 +609,49 @@ class TestGather:
         inputs, targets = prepared.gather("test")
         assert inputs.shape == (0, 132) and targets.shape == (0, 12)
         assert prepared.train_seq_ids.shape == prepared.test_offsets.shape == (0,)
+
+
+@pytest.mark.parametrize("step", [1, 7, 144, 200])
+def test_cuts_from_transformed_readings_are_the_transformed_windows(small_store, step):
+    """The LSTM's scaling and the HMM's encoding are elementwise, so cutting
+    from the transformed readings gives the transformed windows, bit for bit."""
+    fold = kfold_split(small_store, k=5, seed=7)[1]
+    prepared = prepare(small_store, fold, train_step=step, test_step=step)
+    quantizer = Quantizer.from_values(prepared.windows("train"), 100)
+    for side in ("train", "test"):
+        windows = prepared.windows(side)
+        n = len(windows)
+        assert n > 0
+        for f in (Scaler().scale, quantizer.encode):
+            values = f(prepared.readings)
+            cut = prepared.windows(side, values=values)
+            assert cut.dtype == f(windows).dtype and cut.tobytes() == f(windows).tobytes()
+            for rows in ([], [n - 1, 0, n // 2, n - 1, 0]):
+                inputs, targets = prepared.gather(side, rows, values)
+                expected = f(windows[np.array(rows, dtype=np.int64)])
+                assert inputs.shape == (len(rows), 132) and targets.shape == (len(rows), 12)
+                assert inputs.tobytes() == expected[:, :132].tobytes()
+                assert targets.tobytes() == expected[:, 132:].tobytes()
+
+
+@pytest.mark.parametrize("step", [1, 7, 144, 200])
+def test_each_property_cuts_only_its_own_columns(small_store, step):
+    """A property equals its half of ``gather``, is row-major, and never holds
+    the whole window: for the 12 target columns that would be 12 times the result."""
+    fold = kfold_split(small_store, k=5, seed=7)[1]
+    prepared = prepare(small_store, fold, train_step=step, test_step=step)
+    for side in ("train", "test"):
+        halves = dict(zip(("inputs", "targets"), prepared.gather(side)))
+        for name, expected in halves.items():
+            tracemalloc.start()
+            try:
+                actual = getattr(prepared, f"{side}_{name}")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert actual.flags.c_contiguous and actual.base is None
+            assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+            assert peak < 2 * actual.nbytes + 10_000, f"{side}_{name} peak {peak} B"
 
 
 def test_prepare_and_save_build_no_window_matrix(tmp_path):

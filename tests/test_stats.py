@@ -18,11 +18,11 @@ from glyco.stats import (
 )
 
 
-def matrix(values, names=None, normalized=False):
+def matrix(values, names=None):
     values = np.asarray(values, dtype=float)
     names = names or tuple(f"f{j}" for j in range(values.shape[1]))
     ids = tuple(f"p{i}" for i in range(values.shape[0]))
-    return FeatureMatrix(ids, tuple(names), values, normalized)
+    return FeatureMatrix(ids, tuple(names), values)
 
 
 def normalize(values):
@@ -102,7 +102,7 @@ class TestCovariance:
 class TestCorrelation:
     def test_proportional_columns_fully_correlated(self):
         values = normalize([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        corr = correlation_matrix(matrix(values, normalized=True))
+        corr = correlation_matrix(matrix(values))
         assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_anticorrelated(self):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import mutate, one_window_prepared
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from glyco import hmm as hmm_mod
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError, GlycoError, NumericError
 from glyco.hmm import load_hmm
@@ -313,6 +315,30 @@ def test_hmm_quantizer_bounds_come_from_the_windows(tmp_path, step):
     assert windows.shape == (2, 144)
     assert (quantizer.lo, quantizer.hi) == (windows.min(), windows.max())
     assert quantizer.hi < 400.0
+
+
+def test_hmm_training_enters_baum_welch_with_only_the_symbol_rows(monkeypatch, tmp_path):
+    """At step 1 the float windows would double the traced memory at
+    Baum-Welch entry; the symbol rows are cut from the encoded readings."""
+    store = segment(synth_corpus(3, 3, seed=5))
+    prepared = prepare(store, kfold_split(store, k=3, seed=5)[0], train_step=1, test_step=144)
+    seen = {}
+    fit = hmm_mod.baum_welch
+
+    def traced_fit(symbols, *args, **kwargs):
+        seen["traced"], _ = tracemalloc.get_traced_memory()
+        seen["symbols"] = symbols.nbytes
+        return fit(symbols, *args, **kwargs)
+
+    monkeypatch.setattr(hmm_mod, "baum_welch", traced_fit)
+    config = RunConfig(**{**SMALL, "hmm_states": 4, "hmm_max_iter": 1})
+    tracemalloc.start()
+    try:
+        train_fold(config, "hmm", prepared, tmp_path / "hmm.ghmm")
+    finally:
+        tracemalloc.stop()
+    assert seen["symbols"] == 8 * 144 * prepared.n_train > 1e6
+    assert seen["traced"] < 1.5 * seen["symbols"], f"{seen['traced'] / seen['symbols']:.3f}x"
 
 
 SYNTH = synth_corpus(2, 1, seed=3)
