@@ -2,7 +2,9 @@
 
 The EM fit runs from several seeded random initializations and keeps the one
 with the highest final log-likelihood; within one run the log-likelihood is
-non-decreasing up to floating-point tolerance.
+non-decreasing up to floating-point tolerance. The restarts are stepped
+together along a leading run axis, and each run keeps the arithmetic it
+would have alone, so its result does not depend on the others.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .core import PatientRecord, logsumexp
 from .errors import DataError, NumericError
 
 COVARIANCE_FLOOR = 1e-6
+# Restarts stepped together hold at most this many k x n x d elements per array.
+EM_BATCH_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -125,73 +129,125 @@ class GmmModel:
 
 
 def _log_gaussians(x: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-component log N(x | mean_k, cov_k); shape (n, k). Raises on non-SPD."""
-    n, d = x.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for j in range(k):
-        chol = np.linalg.cholesky(covs[j])  # LinAlgError propagates to caller
-        diff = x - means[j]
-        z = np.linalg.solve(chol, diff.T)
-        maha = np.sum(z * z, axis=0)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
-    return out
+    """Per-component log N(x | mean_k, cov_k) for means (..., k, d) and covs
+    (..., k, d, d); a C-contiguous (..., n, k) array. Raises on non-SPD.
+
+    The work runs in a (..., k, d, n) layout. The result is copied to C order
+    because the M-step sums it over the points, and a transposed view would
+    sum along a contiguous axis in another (pairwise) order.
+    """
+    d = x.shape[1]
+    chol = np.linalg.cholesky(covs)  # LinAlgError propagates to caller
+    # solve, not a triangular solve: gesv on these values keeps every bit.
+    z = np.linalg.solve(chol, x.T - means[..., :, None])
+    maha = np.sum(z * z, axis=-2)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    log_n = -0.5 * (d * np.log(2.0 * np.pi) + log_det[..., None] + maha)
+    return np.ascontiguousarray(np.swapaxes(log_n, -1, -2))
 
 
 def gmm_responsibilities(
     x: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """E-step: posterior responsibilities and total log-likelihood."""
-    log_prob = _log_gaussians(x, means, covs) + np.log(weights)
-    norm = logsumexp(log_prob, axis=1)
-    resp = np.exp(log_prob - norm[:, None])
-    return resp, float(norm.sum())
+) -> tuple[np.ndarray, np.ndarray | np.float64]:
+    """E-step: posterior responsibilities (..., n, k) and total log-likelihood.
+
+    Leading axes of weights (..., k), means and covs stack independent runs;
+    the log-likelihood has those axes (an ``np.float64`` for one run), and each
+    run's numbers are the bits it would get alone.
+    """
+    log_prob = _log_gaussians(x, means, covs) + np.log(weights)[..., None, :]
+    norm = logsumexp(log_prob, axis=-1)
+    resp = np.exp(log_prob - norm[..., None])
+    return resp, norm.sum(axis=-1)
 
 
-def _em_single(
-    x: np.ndarray, k: int, max_iter: int, tol: float, rng: np.random.Generator
-) -> GmmModel | None:
+def _e_step_fails(x: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> bool:
+    try:
+        gmm_responsibilities(x, weights, means, covs)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _em_batch(
+    x: np.ndarray, k: int, max_iter: int, tol: float, rngs: list[np.random.Generator]
+) -> list[GmmModel | None]:
+    """EM from one initialization per generator, all runs stepped in lockstep.
+
+    Runs lie along a leading axis and each keeps the arithmetic it would have
+    alone, so no run's bits depend on the others. A run leaves the batch at its
+    convergence test (after that iteration's M-step), or as None when it
+    degenerates: a covariance that is not SPD or a component with no weight.
+    """
     n, d = x.shape
-    idx = rng.choice(n, size=k, replace=False)
-    means = x[idx].copy()
+    means = np.stack([x[rng.choice(n, size=k, replace=False)] for rng in rngs])
     base_cov = np.cov(x, rowvar=False, bias=True).reshape(d, d) + COVARIANCE_FLOOR * np.eye(d)
-    covs = np.repeat(base_cov[None, :, :], k, axis=0)
-    weights = np.full(k, 1.0 / k)
+    covs = np.tile(base_cov, (len(rngs), k, 1, 1))
+    weights = np.full((len(rngs), k), 1.0 / k)
 
-    prev_ll = -np.inf
-    history: list[float] = []
+    results: list[GmmModel | None] = [None] * len(rngs)
+    histories: list[list[float]] = [[] for _ in rngs]
+    active = np.arange(len(rngs))  # run index of each row of the arrays
+    prev_ll = np.full(len(rngs), -np.inf)
+    diagonal = np.arange(d)
+
+    def finish(rows: np.ndarray, n_iter: int) -> None:
+        for row in np.flatnonzero(rows):
+            ll = float(prev_ll[row])
+            results[active[row]] = GmmModel(
+                k=k,
+                weights=weights[row].copy(),
+                means=means[row].copy(),
+                covariances=covs[row].copy(),
+                final_log_likelihood=ll,
+                per_point_log_likelihood=ll / n,
+                n_iter=n_iter,
+                seed=-1,
+                log_likelihood_history=tuple(histories[active[row]]),
+            )
+
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         try:
             resp, ll = gmm_responsibilities(x, weights, means, covs)
-        except np.linalg.LinAlgError:
-            return None  # degenerate component; caller restarts this init
-        history.append(ll)
-        nk = resp.sum(axis=0)
-        if np.any(nk < 1e-12):
-            return None
+        except np.linalg.LinAlgError:  # raised for the whole stack: drop the runs that fail
+            keep = ~np.array([_e_step_fails(x, *run) for run in zip(weights, means, covs)])
+            active, weights, means, covs, prev_ll = (
+                a[keep] for a in (active, weights, means, covs, prev_ll)
+            )
+            if not active.size:
+                break
+            resp, ll = gmm_responsibilities(x, weights, means, covs)
+        for run, value in zip(active, ll.tolist()):
+            histories[run].append(value)
+        nk = resp.sum(axis=-2)
+        keep = ~np.any(nk < 1e-12, axis=-1)
+        if not keep.all():
+            active, resp, ll, nk, prev_ll = (a[keep] for a in (active, resp, ll, nk, prev_ll))
+            if not active.size:
+                break
         weights = nk / n
-        means = (resp.T @ x) / nk[:, None]
-        for j in range(k):
-            diff = x - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-            covs[j][np.diag_indices(d)] += COVARIANCE_FLOOR
-        if ll - prev_ll < tol and n_iter > 1:
-            prev_ll = ll
-            break
+        resp_t = np.swapaxes(resp, -1, -2)
+        means = (resp_t @ x) / nk[..., None]
+        diff_t = x.T - means[..., None]
+        weighted_t = resp_t[..., None, :] * diff_t
+        # Same gemm as a lone run's weighted.T @ diff on C-ordered (n, d) operands.
+        diff = np.ascontiguousarray(np.swapaxes(diff_t, -1, -2))
+        weighted = np.ascontiguousarray(np.swapaxes(weighted_t, -1, -2))
+        covs = np.swapaxes(weighted, -1, -2) @ diff / nk[..., None, None]
+        covs[..., diagonal, diagonal] += COVARIANCE_FLOOR
+        converged = (ll - prev_ll < tol) & (n_iter > 1)
         prev_ll = ll
-    return GmmModel(
-        k=k,
-        weights=weights,
-        means=means,
-        covariances=covs,
-        final_log_likelihood=prev_ll,
-        per_point_log_likelihood=prev_ll / n,
-        n_iter=n_iter,
-        seed=-1,
-        log_likelihood_history=tuple(history),
-    )
+        if converged.any():
+            finish(converged, n_iter)
+            keep = ~converged
+            active, weights, means, covs, prev_ll = (
+                a[keep] for a in (active, weights, means, covs, prev_ll)
+            )
+            if not active.size:
+                break
+    finish(np.ones(active.size, dtype=bool), n_iter)
+    return results
 
 
 def gmm_fit(
@@ -207,19 +263,27 @@ def gmm_fit(
     Initialization draws component means from distinct data points, starts
     every covariance at the data covariance, and weights uniform. The winner
     is the run with the highest final log-likelihood (ties: lowest init
-    index), so parallel execution of runs could not change the result.
+    index). Runs are stepped together in groups of at most EM_BATCH_ELEMENTS
+    / (k n d) runs; each run's numbers do not depend on its group, so neither
+    does the result. A run that degenerates restarts from a derived seed,
+    up to 10 attempts.
     """
     x = m.values
-    if x.shape[0] < k:
-        raise DataError(f"need at least k={k} rows, got {x.shape[0]}")
+    n, d = x.shape
+    if n < k:
+        raise DataError(f"need at least k={k} rows, got {n}")
+    group = max(1, EM_BATCH_ELEMENTS // (k * n * d))
+    models: list[GmmModel | None] = [None] * n_init
+    pending = list(range(n_init))
+    for attempt in range(10):  # restart a degenerate init with a derived seed
+        for lo in range(0, len(pending), group):
+            inits = pending[lo : lo + group]
+            rngs = [np.random.default_rng([seed, i, attempt]) for i in inits]
+            for init_index, model in zip(inits, _em_batch(x, k, max_iter, tol, rngs)):
+                models[init_index] = model
+        pending = [i for i in pending if models[i] is None]
     best: GmmModel | None = None
-    for init_index in range(n_init):
-        model = None
-        for attempt in range(10):  # restart a degenerate init with a derived seed
-            rng = np.random.default_rng([seed, init_index, attempt])
-            model = _em_single(x, k, max_iter, tol, rng)
-            if model is not None:
-                break
+    for model in models:
         if model is None:
             continue
         if best is None or model.final_log_likelihood > best.final_log_likelihood:

@@ -14,7 +14,7 @@ TESTS = Path(__file__).resolve().parent
 def test_micro_benchmarks_run_once():
     pytest.importorskip("pytest_benchmark")
     modules = sorted(str(p) for p in TESTS.glob("bench_*.py"))
-    assert len(modules) == 4
+    assert len(modules) == 5
     path = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from glyco.core import PatientRecord
-from glyco.errors import DataError
+from glyco import stats
+from glyco.core import PatientRecord, logsumexp
+from glyco.errors import DataError, NumericError
 from glyco.stats import (
     FeatureMatrix,
     GmmModel,
@@ -250,3 +252,171 @@ class TestGmmAssign:
         model = gmm_fit(m, k=3, n_init=10, max_iter=200, seed=8)
         labels = gmm_assign(model, m)
         assert permutation_purity(labels, truth, 3) >= 0.99
+
+
+# Frozen reference EM: the one-run-at-a-time fit that the batched EM in
+# glyco.stats replaced. Every restart of the batch must reproduce it bit for
+# bit, since gmm.json and cohorts.csv are compared byte for byte across versions.
+
+
+def ref_log_gaussians(x, means, covs):
+    n, d = x.shape
+    k = means.shape[0]
+    out = np.empty((n, k))
+    for j in range(k):
+        chol = np.linalg.cholesky(covs[j])
+        diff = x - means[j]
+        z = np.linalg.solve(chol, diff.T)
+        maha = np.sum(z * z, axis=0)
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
+    return out
+
+
+def ref_responsibilities(x, weights, means, covs):
+    log_prob = ref_log_gaussians(x, means, covs) + np.log(weights)
+    norm = logsumexp(log_prob, axis=1)
+    resp = np.exp(log_prob - norm[:, None])
+    return resp, float(norm.sum())
+
+
+def ref_em_single(x, k, max_iter, tol, rng):
+    n, d = x.shape
+    idx = rng.choice(n, size=k, replace=False)
+    means = x[idx].copy()
+    base_cov = np.cov(x, rowvar=False, bias=True).reshape(d, d) + 1e-6 * np.eye(d)
+    covs = np.repeat(base_cov[None, :, :], k, axis=0)
+    weights = np.full(k, 1.0 / k)
+    prev_ll = -np.inf
+    history = []
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        try:
+            resp, ll = ref_responsibilities(x, weights, means, covs)
+        except np.linalg.LinAlgError:
+            return None
+        history.append(ll)
+        nk = resp.sum(axis=0)
+        if np.any(nk < 1e-12):
+            return None
+        weights = nk / n
+        means = (resp.T @ x) / nk[:, None]
+        for j in range(k):
+            diff = x - means[j]
+            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
+            covs[j][np.diag_indices(d)] += 1e-6
+        if ll - prev_ll < tol and n_iter > 1:
+            prev_ll = ll
+            break
+        prev_ll = ll
+    return GmmModel(k, weights, means, covs, prev_ll, prev_ll / n, n_iter, -1, tuple(history))
+
+
+def ref_gmm_fit(m, k, n_init, max_iter, seed, tol=1e-6):
+    """The reference fit and the number of degenerate runs it restarted."""
+    x = m.values
+    best, restarts = None, 0
+    for init_index in range(n_init):
+        model = None
+        for attempt in range(10):
+            rng = np.random.default_rng([seed, init_index, attempt])
+            model = ref_em_single(x, k, max_iter, tol, rng)
+            if model is not None:
+                break
+            restarts += 1
+        if model is None:
+            continue
+        if best is None or model.final_log_likelihood > best.final_log_likelihood:
+            best = model
+    if best is None:
+        raise NumericError("every GMM initialization degenerated")
+    return replace(best, seed=seed), restarts
+
+
+def sweep_matrices():
+    """Seeded shapes (n 3-60, d 1-4: Gaussian, blobs, scaled columns, rounded
+    duplicates), then integer grids scaled by 1e6, where runs degenerate: a
+    component loses every point, or a covariance stops being SPD."""
+    for s in range(12):
+        rng = np.random.default_rng(s)
+        n, d = int(rng.integers(3, 60)), int(rng.integers(1, 5))
+        kind = s % 4
+        if kind == 0:
+            values = rng.normal(size=(n, d))
+        elif kind == 1:
+            centers = rng.normal(0, 5, (3, d))
+            values = centers[rng.integers(0, 3, n)] + rng.normal(0, 0.3, (n, d))
+        elif kind == 2:
+            values = rng.normal(size=(n, d)) * np.array([1.0, 100.0, 0.01, 1e3])[:d]
+        else:
+            values = np.round(rng.normal(size=(n, d)), 1)
+        yield matrix(values)
+    for s in range(6):
+        rng = np.random.default_rng(100 + s)
+        n, d = int(rng.integers(6, 20)), int(rng.integers(1, 3))
+        yield matrix(rng.integers(0, 3, (n, d)) * 1e6)
+
+
+def fit_bytes(model, m):
+    return (
+        repr(model.to_dict()),
+        repr(model.log_likelihood_history),
+        gmm_assign(model, m).tobytes(),
+    )
+
+
+class TestBatchedEm:
+    def test_bit_identical_to_reference(self):
+        def outcome(fit, *args, **kwargs):
+            try:
+                return fit(*args, **kwargs)
+            except NumericError:
+                return None
+
+        restarts = 0
+        for m in sweep_matrices():
+            for k, seed in itertools.product((1, 2, 3, 5), (0, 7)):
+                if k > m.values.shape[0]:
+                    continue
+                want = outcome(ref_gmm_fit, m, k, n_init=5, max_iter=30, seed=seed)
+                got = outcome(gmm_fit, m, k=k, n_init=5, max_iter=30, seed=seed)
+                if want is None:
+                    assert got is None
+                    continue
+                want, ref_restarts = want
+                assert fit_bytes(got, m) == fit_bytes(want, m)
+                restarts += ref_restarts
+        assert restarts > 0, "the sweep never exercised a degenerate restart"
+
+    def test_every_init_degenerate_raises(self):
+        m = matrix([[0.0, 0.0]] * 10 + [[1e6, 1e6]] * 10)
+        with pytest.raises(NumericError, match="every GMM initialization degenerated"):
+            ref_gmm_fit(m, k=3, n_init=20, max_iter=200, seed=42)
+        with pytest.raises(NumericError, match="every GMM initialization degenerated"):
+            gmm_fit(m, k=3)
+
+    def test_stacked_responsibilities_equal_single_runs(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(37, 3))
+        runs, k = 4, 3
+        weights = rng.dirichlet(np.ones(k), size=runs)
+        means = rng.normal(size=(runs, k, 3))
+        factors = rng.normal(size=(runs, k, 3, 3))
+        covs = factors @ np.swapaxes(factors, -1, -2) + 0.1 * np.eye(3)
+        resp, ll = gmm_responsibilities(x, weights, means, covs)
+        assert resp.shape == (runs, 37, k) and resp.flags.c_contiguous
+        for r in range(runs):
+            one_resp, one_ll = gmm_responsibilities(x, weights[r], means[r], covs[r])
+            assert isinstance(one_ll, np.float64)
+            assert one_resp.flags.c_contiguous
+            assert resp[r].tobytes() == one_resp.tobytes()
+            assert ll[r].tobytes() == one_ll.tobytes()
+            ref_resp, ref_ll = ref_responsibilities(x, weights[r], means[r], covs[r])
+            assert one_resp.tobytes() == ref_resp.tobytes() and float(one_ll) == ref_ll
+
+    def test_result_does_not_depend_on_group_size(self, monkeypatch):
+        m, _ = blobs(seed=3, spread=0.8)
+        whole = gmm_fit(m, k=3, n_init=12, max_iter=100, seed=4)
+        monkeypatch.setattr(stats, "EM_BATCH_ELEMENTS", 1)  # one run per group
+        alone = gmm_fit(m, k=3, n_init=12, max_iter=100, seed=4)
+        assert fit_bytes(alone, m) == fit_bytes(whole, m)
