@@ -2,10 +2,10 @@
 
 Configuration precedence (lowest first): defaults, GLYCO_SEED, --config JSON
 file, command-line flags. A flag whose destination names a RunConfig field is
-that field's override. Failures print one machine-parsable JSON line on
-stderr, remove the files the failed run created, and exit 2 (config), 3 (data,
-including a file that cannot be read or written), 4 (numeric), 5 (out of
-memory, or a dead --jobs worker) or 130 (interrupted).
+that field's override. A failed step's staged outputs are removed, never
+committed; it prints one machine-parsable JSON line on stderr and exits 2
+(config), 3 (data, including a file that cannot be read or written), 4
+(numeric), 5 (out of memory, or a dead --jobs worker) or 130 (interrupted).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _exit_code(error: BaseException) -> int | None:
 
 @contextlib.contextmanager
 def _guard(tracker: OutputTracker):
-    """On any failure, remove the files tracker holds; then end a mapped
+    """On any failure, remove the tracker's staged outputs; then end a mapped
     failure as one JSON line on stderr and its exit code."""
     try:
         yield

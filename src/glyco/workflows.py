@@ -1,9 +1,9 @@
 """End-to-end workflow steps shared by the CLI.
 
-Every step writes its outputs through an OutputTracker so a failing run can
-remove partial files, and embeds the resolved configuration in its reports.
-All randomness is seeded; per-fold seeds are derived as seed + fold_index so
-fold-level parallelism cannot change any result.
+Each step stages its outputs in an OutputTracker and commits them, report
+last, as its final act; a failed step leaves none of its own files. Reports
+embed the resolved configuration. All randomness is seeded; per-fold seeds
+are seed + fold_index so fold-level parallelism cannot change any result.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import shutil
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import baselines, hmm as hmm_mod, ingest, lstm as lstm_mod, metrics, pipeline, stats
 from .config import RunConfig
-from .core import PATIENT_NUMERIC_FEATURES, atomic_write, is_int
+from .core import PATIENT_NUMERIC_FEATURES, is_int
 from .errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
 from .ingest import Corpus, read_cohorts
 
@@ -32,49 +34,45 @@ ALL_MODELS = BASELINE_MODELS + TRAINED_MODELS
 
 
 class OutputTracker:
-    """Records the files a run creates so a failed run leaves none behind.
+    """Stages a step's outputs so that they appear together or not at all.
 
-    A path that already exists when it is registered belongs to an earlier
-    run and is never removed.
+    ``register(path)`` names path's staged copy in ``.glyco-stage-<pid>/``
+    beside it (a path registered twice is staged once). ``commit`` renames
+    every staged file into place in registration order; ``cleanup`` removes
+    the stage directories, so a failed step leaves earlier files as they were.
     """
 
     def __init__(self) -> None:
-        self.paths: list[Path] = []
+        self.staged: dict[Path, Path] = {}  # final path -> staged path
 
     def register(self, path: str | Path) -> Path:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if not path.exists():
-            self.paths.append(path)
-        return path
+        if path not in self.staged:
+            stage = path.parent / f".glyco-stage-{os.getpid()}"
+            stage.mkdir(parents=True, exist_ok=True)
+            self.staged[path] = stage / path.name
+        return self.staged[path]
 
-    def write_json(self, path: str | Path, obj) -> Path:
+    def write_json(self, path: str | Path, obj) -> None:
         try:
             text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:  # NaN or an infinity, which strict JSON has no words for
             raise NumericError(f"{path}: {exc}") from exc
-        path = self.register(path)
-        with atomic_write(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        return path
+        self.register(path).write_text(text + "\n", encoding="utf-8")
 
-    def write_csv(self, path: str | Path, rows) -> Path:
-        path = self.register(path)
-        with atomic_write(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            for row in rows:
-                writer.writerow(row)
-        return path
+    def write_csv(self, path: str | Path, rows) -> None:
+        with self.register(path).open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+
+    def commit(self) -> None:
+        for path, staged in self.staged.items():
+            os.replace(staged, path)
+        self.cleanup()
 
     def cleanup(self) -> None:
-        """Remove each registered path and the temporary siblings that
-        ``atomic_write`` leaves when its process is killed mid-write."""
-        for path in self.paths:
-            for leftover in [path, *path.parent.glob(f".{path.name}.*.tmp")]:
-                try:
-                    leftover.unlink(missing_ok=True)
-                except OSError:
-                    pass
+        for stage in {staged.parent for staged in self.staged.values()}:
+            shutil.rmtree(stage, ignore_errors=True)
+        self.staged.clear()
 
 
 def load_corpus(cgm_path: str | Path, patients_path: str | Path | None = None) -> Corpus:
@@ -97,6 +95,7 @@ def run_synth(
     ingest.write_cgm_csv(corpus, tracker.register(out_cgm))
     if out_patients is not None:
         ingest.write_patient_csv(corpus.patients, tracker.register(out_patients))
+    tracker.commit()
     return {"readings": len(corpus), "patients": len(corpus.patients)}
 
 
@@ -117,6 +116,7 @@ def run_ingest(
         ingest.write_patient_csv(patients, tracker.register(out_dir / "patients.csv"))
         reports["patients"] = patient_report.to_dict()
     tracker.write_json(out_dir / "ingest_report.json", {"config": config.to_dict(), **reports})
+    tracker.commit()
     return reports
 
 
@@ -143,9 +143,8 @@ def run_stats(
     profile = ingest.daily_profile(corpus)
     rows = [["slot", "time", "mean_mgdl", "sd_mgdl", "count"]]
     for slot, label, mean, sd, count in profile.rows():
-        rows.append(
-            [slot, label, "" if mean is None else repr(mean), "" if sd is None else repr(sd), count]
-        )
+        cells = ["" if value is None else repr(value) for value in (mean, sd)]
+        rows.append([slot, label, *cells, count])
     tracker.write_csv(out_dir / "daily_profile.csv", rows)
 
     if corpus.patients:
@@ -171,6 +170,7 @@ def run_stats(
             },
         }
     tracker.write_json(out_dir / "stats.json", document)
+    tracker.commit()
     return document
 
 
@@ -202,6 +202,7 @@ def run_cluster(
         "patients_excluded": list(matrix.excluded_patients),
     }
     tracker.write_json(out_dir / "gmm.json", document)
+    tracker.commit()
     return document
 
 
@@ -277,6 +278,7 @@ def run_prepare(
         "folds": fold_summaries,
     }
     tracker.write_json(out_dir / "prepare_report.json", document)
+    tracker.commit()
     return document
 
 
@@ -361,15 +363,8 @@ def train_fold(
         curve += [[i + 1, repr(v)] for i, v in enumerate(hmodel.log_likelihood_history)]
         return provenance, curve
     provenance = {"model": model, "fold": fold_index}
-    with atomic_write(out, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(provenance, sort_keys=True) + "\n")
+    out.write_text(json.dumps(provenance, sort_keys=True) + "\n", encoding="utf-8")
     return provenance, None
-
-
-def _ignore_sigint() -> None:
-    """Pool initializer: Ctrl-C reaches the whole process group, and only the
-    parent acts on it."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _train_job(args: tuple) -> tuple[int, dict, list | None]:
@@ -398,14 +393,15 @@ def run_train(
         jobs.append((config, model, str(prepared_dir), fold_index, str(out)))
 
     if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_ignore_sigint) as pool:
+        # Ctrl-C reaches the whole process group: the workers ignore it, the parent acts.
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             try:
                 results = list(pool.map(_train_job, jobs))
             except BaseException:
-                # Ctrl-C or a failed fold ends the run now: the running folds'
-                # workers are ended, so the queued folds never start, and the
-                # pool's exit joins them. There is no public terminate before
-                # Python 3.14.
+                # Ctrl-C or a failed fold ends the run now: the running folds' workers
+                # are ended (their partial files lie in the stage), so no queued fold
+                # starts, and the pool's exit joins them. No public terminate before 3.14.
                 for worker in pool._processes.values():
                     worker.terminate()
                 raise
@@ -419,6 +415,7 @@ def run_train(
         folds.append(provenance)
     document = {"config": config.to_dict(), "model": model, "folds": folds}
     tracker.write_json(out_dir / f"train_{model}_report.json", document)
+    tracker.commit()
     return document
 
 
@@ -513,8 +510,9 @@ def run_evaluate(
         "protocol": protocol,
         "models": [r.to_dict() for r in reports],
     }
-    tracker.write_json(out_dir / "eval_report.json", document)
     tracker.write_csv(out_dir / "eval_flat.csv", flat_rows)
+    tracker.write_json(out_dir / "eval_report.json", document)
+    tracker.commit()
     return document
 
 
@@ -599,6 +597,7 @@ def run_cohort_compare(
         "warning": CONTAMINATION_WARNING,
     }
     tracker.write_json(out_dir / "cohort_compare.json", document)
+    tracker.commit()
     return document
 
 
@@ -623,6 +622,7 @@ def run_explain(
     net, provenance = lstm_mod.load_model(model_file)
     trace = lstm_mod.forget_trace(net, inputs, horizon=prepared.horizon)
     tracker.write_csv(out_path, trace.to_csv_rows())
+    tracker.commit()
     return {
         "model_provenance": provenance,
         "example_index": example_index,

@@ -92,3 +92,41 @@ def edit_header(path, edit=None, **fields):
             edit(header)
         blob = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :])
+
+
+# Acceptance criterion C09's CLI sequence at tiny sizes, one argument list per
+# command; "{base}" is the run's directory and protocol_args adds the seed.
+# ingest is left out: its report names its input path, which differs by run.
+PROTOCOL = [
+    ["synth", "--patients", "3", "--days", "6",
+     "--out-cgm", "{base}/cgm.csv", "--out-patients", "{base}/patients.csv"],
+    ["stats", "--cgm", "{base}/cgm.csv", "--patients", "{base}/patients.csv",
+     "--out-dir", "{base}/stats"],
+    ["cluster", "--patients", "{base}/patients.csv", "--out-dir", "{base}/cluster", "--k", "2"],
+    ["prepare", "--cgm", "{base}/cgm.csv", "--out-dir", "{base}/prep",
+     "--folds", "3", "--train-step", "12", "--test-step", "144"],
+    *(["train", "--prepared-dir", "{base}/prep", "--model", model, "--out-dir", "{base}/models",
+       "--folds", "3", "--epochs", "1", "--hidden", "2", "--layers", "1",
+       "--hmm-states", "4", "--hmm-max-iter", "2"] for model in ("lstm", "hmm")),
+    ["evaluate", "--prepared-dir", "{base}/prep", "--models", "copy_last,linreg,lstm,hmm",
+     "--models-dir", "{base}/models", "--out-dir", "{base}/eval", "--folds", "3", "--scatter"],
+    ["explain", "--model", "{base}/models/lstm_fold0.glstm", "--prepared", "{base}/prep/fold0.gprep",
+     "--example", "1", "--out", "{base}/trace.csv"],
+    ["evaluate", "--mode", "cohort-compare", "--cgm", "{base}/cgm.csv",
+     "--cohorts", "{base}/cohorts.csv", "--model", "hmm", "--fold", "0", "--folds", "3",
+     "--hmm-states", "4", "--hmm-max-iter", "2", "--out-dir", "{base}/compare"],
+]
+PROTOCOL_COHORTS = "patient_id,cohort\nsynth000,a\nsynth001,b\nsynth002,a\n"
+
+
+def protocol_args(command, base, seed):
+    """One PROTOCOL command's arguments for a run in base with the given seed."""
+    return [arg.format(base=base) for arg in command] + ["--seed", str(seed)]
+
+
+def leftovers(base):
+    """Every stage directory and temporary file under base."""
+    return [
+        p for p in base.rglob("*")
+        if p.name.startswith(".glyco-stage-") or p.name.endswith(".tmp")
+    ]

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import PROTOCOL, PROTOCOL_COHORTS, leftovers, protocol_args
 
 from glyco.baselines import copy_last, linreg_forecast
 from glyco.cli import main as cli_main
@@ -258,30 +259,11 @@ def test_c09_subcommand_determinism(tmp_path):
         outputs = {}
         for tag in ("a", "b"):
             base = tmp_path / tag
-            run(["synth", "--patients", "3", "--days", "6", "--seed", "21",
-                 "--out-cgm", str(base / "cgm.csv"), "--out-patients", str(base / "patients.csv")])
-            run(["stats", "--cgm", str(base / "cgm.csv"), "--patients", str(base / "patients.csv"),
-                 "--out-dir", str(base / "stats"), "--seed", "21"])
-            run(["prepare", "--cgm", str(base / "cgm.csv"), "--out-dir", str(base / "prep"),
-                 "--folds", "3", "--seed", "21", "--train-step", "12", "--test-step", "144"])
-            for model in ("lstm", "hmm"):
-                run(["train", "--prepared-dir", str(base / "prep"), "--model", model,
-                     "--out-dir", str(base / "models"), "--folds", "3", "--seed", "21",
-                     "--epochs", "1", "--hidden", "2", "--layers", "1",
-                     "--hmm-states", "4", "--hmm-max-iter", "2"])
-            run(["evaluate", "--prepared-dir", str(base / "prep"),
-                 "--models", "copy_last,linreg,lstm,hmm", "--models-dir", str(base / "models"),
-                 "--out-dir", str(base / "eval"), "--folds", "3", "--seed", "21", "--scatter"])
-            run(["explain", "--model", str(base / "models" / "lstm_fold0.glstm"),
-                 "--prepared", str(base / "prep" / "fold0.gprep"), "--example", "1",
-                 "--out", str(base / "trace.csv")])
-            (base / "cohorts.csv").write_text(
-                "patient_id,cohort\nsynth000,a\nsynth001,b\nsynth002,a\n"
-            )
-            run(["evaluate", "--mode", "cohort-compare", "--cgm", str(base / "cgm.csv"),
-                 "--cohorts", str(base / "cohorts.csv"), "--model", "hmm", "--fold", "0",
-                 "--folds", "3", "--seed", "21", "--hmm-states", "4", "--hmm-max-iter", "2",
-                 "--out-dir", str(base / "compare")])
+            base.mkdir()
+            (base / "cohorts.csv").write_text(PROTOCOL_COHORTS)
+            for command in PROTOCOL:
+                run(protocol_args(command, base, 21))
+            assert not leftovers(base)
             outputs[tag] = sorted(
                 (p.relative_to(base), p.read_bytes()) for p in base.rglob("*") if p.is_file()
             )

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import functools
 import inspect
+import itertools
 import json
 import multiprocessing
 import os
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import PROTOCOL, PROTOCOL_COHORTS, leftovers, protocol_args
 
 from glyco import cli, hmm, workflows
 from glyco.cli import _exit_code, main
@@ -269,6 +272,23 @@ class TestErrors:
         assert result.exit_code == 3
         assert {p.name: p.read_bytes() for p in models.iterdir()} == before
 
+    def test_failed_rerun_changes_no_earlier_model(self, runner, pipeline_dir, tmp_path):
+        # Fold 0 trains anew before the corrupt fold 1 fails the rerun.
+        prep, models = tmp_path / "prep", tmp_path / "models"
+        shutil.copytree(pipeline_dir / "prep", prep)
+        args = ["train", "--prepared-dir", str(prep), "--model", "lstm", "--out-dir", str(models),
+                "--hidden", "2", "--layers", "1", *TINY]
+        assert runner.invoke(main, [*args, "--epochs", "1"]).exit_code == 0
+        before = {p.name: p.read_bytes() for p in models.iterdir()}
+        assert "lstm_fold0.glstm" in before and "train_lstm_report.json" in before
+        (prep / "fold1.gprep").write_bytes(b"garbage")
+        result = runner.invoke(main, [*args, "--epochs", "2"])
+        assert result.exit_code == 3, result.output
+        (line,) = result.stderr.strip().splitlines()
+        assert json.loads(line)["error"] == "FormatError"
+        assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+        assert not leftovers(models)
+
     def test_unknown_model_is_config_error(self, runner, pipeline_dir, tmp_path):
         root = pipeline_dir
         result = runner.invoke(
@@ -333,8 +353,8 @@ class TestErrors:
         )
         assert result.exit_code == 3
         parsed = json.loads(result.output.strip().splitlines()[-1])
-        assert parsed["error"] == "FileExistsError"
-        assert not cgm.exists()  # written before the failure, then removed
+        assert parsed["error"] == "NotADirectoryError"  # the stage cannot go under a file
+        assert not cgm.exists()  # staged before the failure, never committed
 
     def test_unreadable_config_is_reported(self, runner, tmp_path):
         result = runner.invoke(
@@ -432,9 +452,11 @@ class TestErrors:
 
         def die_in_fold1(config, model, prepared, out):
             if prepared.provenance["fold"] == 1:
-                # Fold 0 is queued first; let its file land so there is one to remove.
+                # Fold 0 is queued first; let its staged file land so there is one to remove.
                 deadline = time.monotonic() + 30
-                while not fold0_file.exists() and time.monotonic() < deadline:
+                while not list(models.glob(".glyco-stage-*/copy_last_fold0.json")) and (
+                    time.monotonic() < deadline
+                ):
                     time.sleep(0.01)
                 os._exit(1)
             return fit(config, model, prepared, out)
@@ -452,7 +474,7 @@ class TestErrors:
         assert result.exit_code == 5, result.output
         (line,) = result.output.strip().splitlines()
         assert json.loads(line)["error"] == "BrokenProcessPool"
-        assert not fold0_file.exists()
+        assert not fold0_file.exists() and list(models.iterdir()) == []
 
     def test_one_ctrl_c_ends_a_parallel_train(self, pipeline_dir, tmp_path):
         """One SIGINT to the process group of ``train --jobs 2`` ends the run at
@@ -468,7 +490,7 @@ class TestErrors:
                                start_new_session=True)
         try:
             deadline = time.monotonic() + 60
-            while len(list(models.glob(".*.tmp"))) < 2:
+            while len(list(models.glob(".glyco-stage-*/.*.tmp"))) < 2:
                 assert run.poll() is None, run.communicate()[1]
                 assert time.monotonic() < deadline, "the folds never started"
                 time.sleep(0.05)
@@ -537,6 +559,64 @@ class TestErrors:
         (line,) = result.output.strip().splitlines()
         assert json.loads(line)["error"] == "InvalidValueError"
         assert not out.exists()
+
+
+# The faults injected into the k-th OutputTracker.register call, rotated with
+# k, and the exit code each must end in.
+FAULTS = [
+    (lambda: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 3),
+    (lambda: MemoryError("injected"), 5),
+    (KeyboardInterrupt, 130),
+]
+
+
+def _tree(base):
+    """Every entry under base: a file's bytes, None for a directory."""
+    return {p.relative_to(base): p.read_bytes() if p.is_file() else None for p in base.rglob("*")}
+
+
+def test_a_failed_step_leaves_the_tree_as_it_was(runner, tmp_path, monkeypatch):
+    """Run the protocol once, then rerun each command with another seed and
+    its k-th output registration failing, for every k: each rerun must end
+    in its exit code and one JSON line, with every entry as it was."""
+    base = tmp_path / "run"
+    base.mkdir()
+    (base / "cohorts.csv").write_text(PROTOCOL_COHORTS)
+    register, registered = workflows.OutputTracker.register, []
+
+    def counted(self, path):
+        registered.append(path)
+        return register(self, path)
+
+    monkeypatch.setattr(workflows.OutputTracker, "register", counted)
+    counts = []
+    for command in PROTOCOL:
+        registered.clear()
+        result = runner.invoke(main, protocol_args(command, base, 21))
+        assert result.exit_code == 0, result.output
+        counts.append(len(registered))
+    before = _tree(base)
+
+    for command, count in zip(PROTOCOL, counts):
+        assert count > 0, command[0]
+        for k in range(1, count + 1):
+            fault, code = FAULTS[(k - 1) % len(FAULTS)]
+            calls = itertools.count(1)
+
+            def failing(self, path, k=k, fault=fault, calls=calls):
+                if next(calls) == k:
+                    raise fault()
+                return register(self, path)
+
+            monkeypatch.setattr(workflows.OutputTracker, "register", failing)
+            result = runner.invoke(main, protocol_args(command, base, 22))
+            where = f"{command[0]} with registration {k} of {count} failing"
+            assert result.exit_code == code, (where, result.output)
+            assert result.stdout == "", where
+            (line,) = result.stderr.splitlines()
+            assert json.loads(line)["error"] == type(fault()).__name__, where
+            assert not leftovers(base), where
+            assert _tree(base) == before, where
 
 
 # The step each config-resolving command runs; bolus resolves no config.

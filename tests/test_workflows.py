@@ -190,6 +190,21 @@ def test_evaluate_linreg_with_non_positive_forecast(tmp_path):
         assert sum(fold["zone_proportions"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_model_listed_twice_is_staged_once(workspace, tmp_path):
+    # The second listing rewrites the same scatter file; it must be committed once.
+    root, config = workspace
+    for out, models in (("once", ["copy_last"]), ("twice", ["copy_last", "copy_last"])):
+        run_evaluate(OutputTracker(), config, root / "prep", models, None, tmp_path / out,
+                     scatter=True)
+    once, twice = (tmp_path / "once", tmp_path / "twice")
+    assert (twice / "scatter_copy_last.csv").read_bytes() == (
+        once / "scatter_copy_last.csv"
+    ).read_bytes()
+    entries = {d: json.loads((d / "eval_report.json").read_text())["models"] for d in (once, twice)}
+    assert entries[twice] == entries[once] * 2
+    assert not list(tmp_path.rglob(".glyco-stage-*"))
+
+
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_cohort_compare_baseline(workspace, tmp_path, model):
     root, config = workspace
@@ -242,7 +257,7 @@ def test_cohort_compare_rejects_unsafe_labels_before_writing(workspace, tmp_path
         run_cohort_compare(
             tracker, config, root / "cgm.csv", cohorts, "hmm", 0, tmp_path / "out" / "cc"
         )
-    assert tracker.paths == []
+    assert tracker.staged == {}
     assert [p.name for p in tmp_path.rglob("*")] == ["cohorts.csv"]
 
 
@@ -341,9 +356,20 @@ def test_hmm_training_enters_baum_welch_with_only_the_symbol_rows(monkeypatch, t
     assert seen["traced"] < 1.5 * seen["symbols"], f"{seen['traced'] / seen['symbols']:.3f}x"
 
 
+def _tracked_csv(rows, path):
+    """A step's CSV write: staged, then committed; a failure drops the stage."""
+    tracker = OutputTracker()
+    try:
+        tracker.write_csv(path, rows)
+    except BaseException:
+        tracker.cleanup()
+        raise
+    tracker.commit()
+
+
 SYNTH = synth_corpus(2, 1, seed=3)
 CSV_WRITERS = {
-    "tracker": (lambda rows, path: OutputTracker().write_csv(path, rows), [["a", 1], ["b", 2]]),
+    "tracker": (_tracked_csv, [["a", 1], ["b", 2]]),
     "cgm": (write_cgm_csv, SYNTH.readings),
     "patients": (write_patient_csv, SYNTH.patients),
 }
@@ -403,10 +429,26 @@ def test_evaluate_rejects_unknown_models_before_reading_folds(
 
 def test_output_tracker_cleanup(tmp_path):
     tracker = OutputTracker()
-    path = tracker.write_json(tmp_path / "a" / "b.json", {"x": 1})
-    assert path.exists()
+    tracker.write_json(tmp_path / "a" / "b.json", {"x": 1})
+    (staged,) = (tmp_path / "a").glob(".glyco-stage-*/b.json")
+    assert not (tmp_path / "a" / "b.json").exists()
     tracker.cleanup()
-    assert not path.exists()
+    assert not staged.exists() and list((tmp_path / "a").iterdir()) == []
+
+
+def test_output_tracker_commit_moves_every_staged_file_into_place(tmp_path):
+    (tmp_path / "b.json").write_text("an earlier run's report\n")
+    tracker = OutputTracker()
+    tracker.write_csv(tmp_path / "a" / "rows.csv", [["x", 1]])
+    tracker.write_json(tmp_path / "b.json", {"x": 1})
+    assert (tmp_path / "b.json").read_text() == "an earlier run's report\n"
+    tracker.commit()
+    assert tracker.staged == {}
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "a", "a/rows.csv", "b.json"
+    ]
+    assert (tmp_path / "a" / "rows.csv").read_text() == "x,1\n"
+    assert json.loads((tmp_path / "b.json").read_text()) == {"x": 1}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -414,4 +456,4 @@ def test_write_json_rejects_non_finite_numbers(tmp_path, value):
     tracker = OutputTracker()
     with pytest.raises(NumericError):
         tracker.write_json(tmp_path / "a" / "b.json", {"x": [1.0, value]})
-    assert tracker.paths == [] and not (tmp_path / "a").exists()
+    assert tracker.staged == {} and not (tmp_path / "a").exists()
