@@ -5,15 +5,14 @@ The raw input format is CSV with header ``patient_id,timestamp,glucose_mgdl``
 annual_income_usd,education_level,sex``). Empty cells are missing values.
 
 A CGM file goes straight to the columns of a ``Corpus``, with no object per
-reading. A clean file takes a vectorised path over blocks of lines: split the
-fields, convert them with ``float`` (the row loop's conversion), code each
-patient id by its rank among the sorted ids, ``lexsort`` and check for
-repeated keys. The first anomaly (a quote, carriage return or NUL, a line
-without exactly three fields, an empty or padded id, a non-numeric or
-out-of-range field, a repeated (patient, timestamp) key, text that is not
-UTF-8) hands the whole file to the row loop, which records every rejection by
-row number and counts duplicates and conflicts in row order. Both give the
-same columns and the same report. Read failures raise ``FormatError``.
+reading, in one pass over blocks of lines. Lines without a quote, CR or NUL
+are split at their commas; ``csv.reader`` reads the others, from the first in
+a block to the record that ends the line of the last, on into the next block
+while a quoted field is open. Each block is checked as vectors (three fields,
+an unpadded id, in-range ``float`` fields); only the records that fail go
+through one row checker, which records each rejection by row number. Repeated
+keys are resolved after the ``lexsort``, in row order. Read failures raise
+``FormatError``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +49,8 @@ PATIENT_HEADER = [
 ]
 SLOTS_PER_DAY = 86400 // 300  # 288 five-minute slots
 
-_READ_BLOCK_CHARS = 1 << 18  # fast-path read size, about 9k rows
+_READ_BLOCK_CHARS = 1 << 18  # CGM parse read size, about 9k rows
 _WRITE_BLOCK_ROWS = 1 << 14
-_ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +130,7 @@ class ParseReport:
 
     def to_dict(self) -> dict:
         return {
-            "path": self.path,
+            "path": Path(self.path).name,  # the file name alone: a rerun elsewhere matches
             "total_rows": self.total_rows,
             "kept": self.kept,
             "rejected_count": len(self.rejected),
@@ -187,29 +185,26 @@ def _open_rows(path: str | Path, expected_header: list[str]):
     return handle, reader
 
 
-def _data_rows(path: str | Path, header: list[str], report: ParseReport):
-    """(row number, cells, patient id) of each data row with the header's
-    field count and a non-empty patient_id.
+def _checked_rows(numbered_rows, width: int, report: ParseReport):
+    """(row number, cells, stripped patient id) of each row with ``width`` fields and an id.
+    Blank rows are skipped; ``report`` counts every other and records each it rejects."""
+    for row_number, row in numbered_rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        report.total_rows += 1
+        if len(row) != width:
+            report.rejected.append((row_number, f"expected {width} fields, got {len(row)}"))
+        elif not (pid := row[0].strip()):
+            report.rejected.append((row_number, "empty patient_id"))
+        else:
+            yield row_number, row, pid
 
-    Blank rows are skipped; every other row counts in ``report.total_rows``,
-    and one with the wrong field count or an empty id goes to
-    ``report.rejected``.
-    """
+
+def _data_rows(path: str | Path, header: list[str], report: ParseReport):
+    """``_checked_rows`` of a CSV's data rows, numbered from 2."""
     handle, reader = _open_rows(path, header)
     with handle, _typed_read_errors(Path(path), reader):
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            report.total_rows += 1
-            if len(row) != len(header):
-                message = f"expected {len(header)} fields, got {len(row)}"
-                report.rejected.append((row_number, message))
-                continue
-            pid = row[0].strip()
-            if not pid:
-                report.rejected.append((row_number, "empty patient_id"))
-                continue
-            yield row_number, row, pid
+        yield from _checked_rows(enumerate(reader, start=2), len(header), report)
 
 
 def parse_cgm_csv(
@@ -217,142 +212,147 @@ def parse_cgm_csv(
 ) -> tuple[Corpus, ParseReport]:
     """Parse a CGM CSV into a corpus sorted by (patient_id, timestamp).
 
-    Malformed rows are counted per row number. If more than
-    ``max_malformed_fraction`` of the data rows are malformed the whole parse
-    fails. Exact duplicate rows collapse to one; conflicting values for the
-    same (patient, timestamp) keep the smallest value so the result does not
-    depend on row order. A clean file takes the block-wise fast path; any
-    other goes through the row loop (see the module docstring).
+    Malformed rows are counted per row number (records from the header's 1,
+    blank ones too). If more than ``max_malformed_fraction`` of the data rows
+    are malformed the whole parse fails. Exact duplicate rows collapse to one;
+    conflicting values for the same (patient, timestamp) keep the smallest.
     """
     if not 0.0 <= max_malformed_fraction <= 1.0:
         raise InvalidValueError(
             f"max malformed fraction must lie in [0, 1], got {max_malformed_fraction!r}"
         )
-    handle, _ = _open_rows(path, CGM_HEADER)
-    with handle:
-        parsed = _parse_cgm_fast(handle, str(path))
-    return parsed or _parse_cgm_rows(path, max_malformed_fraction)
-
-
-def _parse_cgm_fast(handle, path: str) -> tuple[Corpus, ParseReport] | None:
-    """The rows after the header, block by block; None on the first anomaly."""
-    table: dict[str, int] = {}  # patient id -> code, in order of first sight
-    blocks = []
-    try:
-        for text in _line_blocks(handle):
-            block = _cgm_block(text, table)
-            if block is None:
-                return None
-            blocks.append(block)
-    except UnicodeDecodeError:
-        return None
-    names = sorted(table)
-    rank = np.empty(len(names), np.int64)
-    rank[[table[name] for name in names]] = np.arange(len(names))
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # dtypes for no rows
-    codes, stamps, values = (np.concatenate(parts) for parts in zip(empty, *blocks))
-    del blocks
-    codes = rank[codes]
-    order = np.lexsort((stamps, codes))
-    codes, stamps, values = codes[order], stamps[order], values[order]
-    if np.any((np.diff(codes) == 0) & (np.diff(stamps) == 0)):
-        return None  # a repeated key: its duplicate and conflict counts follow row order
-    corpus = Corpus(np.array(names, dtype=object)[codes], stamps, values)
-    return corpus, ParseReport(path=path, total_rows=len(corpus), kept=len(corpus))
-
-
-def _line_blocks(handle):
-    """The rest of the file in blocks of whole lines, each ending in a newline."""
-    tail = ""
-    while chunk := handle.read(_READ_BLOCK_CHARS):
-        text = tail + chunk
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield text[:cut]
-        tail = text[cut:]
-    if tail:
-        yield tail + "\n"
-
-
-def _cgm_block(text: str, table: dict[str, int]):
-    """(codes, timestamps, values) of whole lines of clean rows, else None.
-
-    New patient ids get the next code in ``table``.
-    """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    raw = np.frombuffer(text.encode(), np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # every field's end
-    n = len(ends) // 3
-    if len(ends) != 3 * n or np.any(raw[ends].reshape(n, 3) != _ROW_SEPARATORS):
-        return None  # a blank line, or one without exactly three fields
-    if n and np.diff(ends, prepend=-1).max() > csv.field_size_limit():
-        return None  # a field the csv reader refuses (bytes bound characters)
-    fields = text.replace("\n", ",").split(",")
-    pids = fields[0:-1:3]
-    for name in set(pids).difference(table):
-        if not name or name != name.strip():
-            return None
-        table[name] = len(table)
-    try:
-        stamps = np.fromiter(map(float, fields[1::3]), float, n)
-        values = np.fromiter(map(float, fields[2::3]), float, n)
-    except ValueError:
-        return None
-    # int(float(cell)) lies in [1, 2**63) exactly when float(cell) does.
-    if not (
-        np.all((stamps >= 1.0) & (stamps < 2.0**63))
-        and np.all((values > GLUCOSE_MIN_MGDL) & (values <= GLUCOSE_MAX_MGDL))
-    ):
-        return None
-    codes = np.fromiter(map(table.__getitem__, pids), np.int64, n)
-    return codes, stamps.astype(np.int64), values
-
-
-def _parse_cgm_rows(path: str | Path, max_malformed_fraction: float) -> tuple[Corpus, ParseReport]:
-    """The row loop: any file, every rejection and count exact."""
     report = ParseReport(path=str(path))
-    by_key: dict[tuple[str, int], float] = {}
-    for row_number, row, pid in _data_rows(path, CGM_HEADER, report):
-        try:
-            ts = int(float(row[1]))
-            value = float(row[2])
-        except (ValueError, OverflowError):  # int(inf) overflows
-            report.rejected.append((row_number, f"non-numeric field in {row!r}"))
-            continue
-        if ts <= 0:
-            report.rejected.append((row_number, f"non-positive timestamp {ts}"))
-            continue
-        if ts >= 2**63:
-            report.rejected.append((row_number, f"timestamp {ts} beyond the int64 range"))
-            continue
-        if not math.isfinite(value) or not (GLUCOSE_MIN_MGDL < value <= GLUCOSE_MAX_MGDL):
-            report.rejected.append((row_number, f"glucose {value!r} out of range"))
-            continue
-        key = (pid, ts)
-        if key in by_key:
-            if by_key[key] == value:
-                report.duplicates += 1
-            else:
-                report.conflicts += 1
-                by_key[key] = min(by_key[key], value)
-        else:
-            by_key[key] = value
+    table: dict[str, int] = {}  # patient id -> code (its order of first sight), or -1
+    handle, reader = _open_rows(path, CGM_HEADER)
+    with handle, _typed_read_errors(Path(path), reader):  # text that is not UTF-8
+        blocks = [_cgm_block(*p, table, report) for p in _record_blocks(handle, Path(path), reader)]
     if report.total_rows and len(report.rejected) > max_malformed_fraction * report.total_rows:
         rows = ", ".join(str(n) for n, _ in report.rejected[:20])
         raise DataError(
             f"{path}: {len(report.rejected)} of {report.total_rows} rows malformed "
             f"(limit {max_malformed_fraction:.2%}); rows {rows}"
         )
-    keys = sorted(by_key)
-    names: dict[str, str] = {}  # one str object per patient, shared by its readings
-    corpus = Corpus(
-        [names.setdefault(pid, pid) for pid, _ in keys],
-        [ts for _, ts in keys],
-        list(map(by_key.__getitem__, keys)),
-    )
+    names = sorted(name for name, code in table.items() if code >= 0)
+    rank = np.empty(len(table), np.int64)
+    rank[[table[name] for name in names]] = np.arange(len(names))
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))  # dtypes for no rows
+    codes, stamps, values = (np.concatenate(parts) for parts in zip(empty, *blocks))
+    del blocks
+    codes = rank[codes]
+    order = np.lexsort((stamps, codes))  # stable: a repeated key's rows stay in row order
+    codes, stamps, values = codes[order], stamps[order], values[order]
+    repeats = np.flatnonzero((np.diff(codes) == 0) & (np.diff(stamps) == 0)) + 1
+    for at in repeats.tolist():  # each key's last row gets its smallest value
+        if values[at] != values[at - 1]:
+            report.conflicts += 1
+            values[at] = min(values[at - 1], values[at])
+    report.duplicates = len(repeats) - report.conflicts
+    if repeats.size:
+        codes, stamps, values = (np.delete(c, repeats - 1) for c in (codes, stamps, values))
+    corpus = Corpus(np.array(names, dtype=object)[codes], stamps, values)
     report.kept = len(corpus)
     return corpus, report
+
+
+def _record_blocks(handle, path: Path, header):
+    """(cells, field count of each record, first row number) of the rest of the
+    file after the ``header`` csv reader's lines, in blocks of whole lines."""
+    texts = iter(lambda: handle.read(_READ_BLOCK_CHARS) + handle.readline(), "")
+    buffers, row_number, line = [], 2, header.line_num  # line: physical lines read so far
+
+    def buffered(chunks):  # the lines of each chunk; buffers[-1] holds the unread rest
+        for chunk in chunks:
+            buffers.append(io.StringIO(chunk, newline=""))
+            yield from buffers[-1]
+
+    for text in texts:
+        while text:
+            found = [at for at in map(text.find, '"\r\0') if at >= 0]
+            cut = text.rfind("\n", 0, min(found)) + 1 if found else len(text)
+            if cut and (part := _split_lines(text[:cut])):
+                text, lines = text[cut:], len(part[1])
+            else:  # csv reads until a record ends at or after stop, a line end
+                stop = cut or text.find("\n", max(map(text.rfind, '"\r\0'))) + 1 or len(text)
+                lines = len(io.StringIO(text[:stop], newline="").readlines())
+                buffers.clear()
+                reader = csv.reader(buffered(chain((text,), texts)))
+                try:  # each record takes at least one line
+                    rows = list(islice(reader, lines))
+                except csv.Error as exc:
+                    raise FormatError(f"{path}: line {line + reader.line_num}: {exc}") from exc
+                part = list(chain.from_iterable(rows)), np.array(list(map(len, rows)), np.int64)
+                text, lines = buffers[-1].read(), reader.line_num
+            yield *part, row_number
+            line, row_number = line + lines, row_number + len(part[1])
+
+
+def _split_lines(text: str):
+    """(cells, field count of each line) of plain lines; None if a field may be too long for csv."""
+    text += "" if text.endswith("\n") else "\n"
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # every field's end
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():  # bytes bound characters
+        return None
+    widths = np.diff(np.flatnonzero(raw[ends] == ord("\n")), prepend=-1)
+    return text.replace("\n", ",").split(","), widths
+
+
+def _cgm_block(cells: list[str], widths, row_number: int, table: dict[str, int], report):
+    """(codes, timestamps, values) of a part's kept records, in record order;
+    ``row_number`` is the first record's. New patient ids get a code in ``table``."""
+    n = len(widths)
+    if (widths == 3).all():
+        pids, stamps, values = cells[0 : 3 * n : 3], cells[1 : 3 * n : 3], cells[2 : 3 * n : 3]
+    else:  # any other record reads an empty id, timestamp 1 and value 1
+        at = np.where(widths == 3, np.cumsum(widths) - 3, len(cells))
+        column = np.array([*cells, "", "1", "1"], dtype=object)
+        pids, stamps, values = (column[at + k].tolist() for k in range(3))
+    for name in set(pids).difference(table):
+        table[name] = len(table) if name and name == name.strip() else -1  # -1: empty or padded
+    codes = np.fromiter(map(table.__getitem__, pids), np.int64, n)
+    stamps, values = _floats(stamps), _floats(values)
+    # int(float(cell)) lies in [1, 2**63) exactly when float(cell) does.
+    kept = (codes >= 0) & (stamps >= 1.0) & (stamps < 2.0**63) & (values <= GLUCOSE_MAX_MGDL)
+    kept &= values > GLUCOSE_MIN_MGDL
+    flagged = np.flatnonzero(~kept)  # each goes through _checked_rows and the checks below
+    stamps[flagged] = 1.0  # each is replaced or dropped below
+    stamps = stamps.astype(np.int64)
+    report.total_rows += n - len(flagged)
+    ends = np.cumsum(widths)[flagged]
+    spans = zip((row_number + flagged).tolist(), (ends - widths[flagged]).tolist(), ends.tolist())
+    for number, row, pid in _checked_rows(((i, cells[a:b]) for i, a, b in spans), 3, report):
+        try:
+            ts, value = int(float(row[1])), float(row[2])
+        except (ValueError, OverflowError):  # int(inf) overflows
+            report.rejected.append((number, f"non-numeric field in {row!r}"))
+            continue
+        if ts <= 0:
+            report.rejected.append((number, f"non-positive timestamp {ts}"))
+        elif ts >= 2**63:
+            report.rejected.append((number, f"timestamp {ts} beyond the int64 range"))
+        elif not GLUCOSE_MIN_MGDL < value <= GLUCOSE_MAX_MGDL:  # NaN fails too
+            report.rejected.append((number, f"glucose {value!r} out of range"))
+        else:
+            at = number - row_number
+            codes[at], stamps[at], values[at] = table.setdefault(pid, len(table)), ts, value
+            kept[at] = True
+    cells.clear()  # frees the block's text before the next is read
+    return (codes, stamps, values) if kept.all() else (codes[kept], stamps[kept], values[kept])
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    """``float`` of each cell, NaN for one it refuses (cell by cell once the column fails)."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, cells), float, len(cells))
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def _opt_float(cell: str) -> float | None:

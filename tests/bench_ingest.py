@@ -6,13 +6,17 @@ collect it. Run it on its own:
     PYTHONPATH=src python -m pytest tests/bench_ingest.py --benchmark-json=out.json
 
 The corpus is 100 patients x 3,000 five-minute readings with seeded values.
-``parse`` runs on the clean CSV (the block-wise fast path) and on the same
-CSV with one conflicting repeat of a key appended (the row loop); ``write``
-writes the parsed corpus. The JSON's ``extra_info`` holds µs per row.
+``parse`` runs on the clean CSV; on the same CSV with one conflicting repeat
+of a key appended (resolved after the sort); and on the same rows with 0.1%
+mixed anomalies inserted (``conftest.mix_anomalies``: malformed, blank,
+quoted and out-of-range rows, repeated and conflicting keys), each flagged
+row going through the row checker. ``write`` writes the parsed corpus. The
+JSON's ``extra_info`` holds µs per row.
 """
 
 import numpy as np
 import pytest
+from conftest import mix_anomalies
 
 from glyco.ingest import parse_cgm_csv, write_cgm_csv
 
@@ -41,11 +45,23 @@ def conflict_csv(clean_csv):
     return path
 
 
-@pytest.mark.parametrize("which", ["clean", "conflict"])
+@pytest.fixture(scope="module")
+def mixed_csv(clean_csv):
+    path = clean_csv.with_name("mixed.csv")
+    header, *lines = clean_csv.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *mix_anomalies(lines, 0.001, seed=1)]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("which", ["clean", "conflict", "mixed"])
 def test_parse_cgm_csv(benchmark, request, which):
     path = request.getfixturevalue(f"{which}_csv")
     corpus, report = benchmark(parse_cgm_csv, path)
-    assert len(corpus) == ROWS and report.conflicts == (which == "conflict")
+    if which == "mixed":
+        assert report.rejected and report.duplicates and report.conflicts
+    else:
+        assert len(corpus) == ROWS and report.conflicts == (which == "conflict")
     if benchmark.stats:  # None under --benchmark-disable
         benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6
 

@@ -48,6 +48,33 @@ def one_window_prepared(train_windows, test_windows, input_len, provenance=None)
     return prepared
 
 
+# One of each kind of malformed or odd CGM data row: blank, wrong field
+# count, padded or empty id, non-numeric or out-of-range field, quote, NUL.
+ANOMALIES = [
+    "", "  ", ",,", " , , ", "p1,1", "p1,1,2,3", " p1,5,6", "p1 ,5,6", ",5,6", "p1,abc,5",
+    "p1,nan,5", "p1,inf,3", "p1,1e400,2", "p1,5,1e400", "p1,5,nan", "p1,0,5", "p1,0.5,5",
+    "p1,-3,5", "p1,1e30,5", '"p1",5,6', 'p"1,5,6', "p1,5,0", "p1,5,-1", "p1,5,1000.5",
+    "p1,5,\x00",
+]
+
+
+def mix_anomalies(lines, rate, seed):
+    """CGM data lines with about ``rate`` as many anomalous lines inserted at
+    seeded places: each kind in ANOMALIES, an exact repeat of an earlier line
+    and an earlier key with a larger value, in turn."""
+    rng = np.random.default_rng(seed)
+    kinds = [*ANOMALIES, "repeat", "conflict"]
+    places = np.sort(rng.integers(1, len(lines), round(rate * len(lines))))[::-1].tolist()
+    mixed = list(lines)
+    for k, at in enumerate(places):
+        earlier = lines[rng.integers(0, at)]
+        pid, ts, value = earlier.split(",")
+        kind = kinds[k % len(kinds)]
+        row = {"repeat": earlier, "conflict": f"{pid},{ts},{float(value) + 1.0!r}"}.get(kind, kind)
+        mixed.insert(at, row)
+    return mixed
+
+
 FUZZ_CELLS = st.sampled_from(
     ["nan", "inf", "-inf", "1e400", "-1e400", "", " ", '"', '"a,b"', "\r", "﻿", "\x00",
      "1" * 200_000, "0", "-1", "1e-400", "9" * 5000]
@@ -100,6 +127,8 @@ def edit_header(path, edit=None, **fields):
 PROTOCOL = [
     ["synth", "--patients", "3", "--days", "6",
      "--out-cgm", "{base}/cgm.csv", "--out-patients", "{base}/patients.csv"],
+    ["ingest", "--cgm", "{base}/cgm.csv", "--patients", "{base}/patients.csv",
+     "--out-dir", "{base}/ingest"],
     ["stats", "--cgm", "{base}/cgm.csv", "--patients", "{base}/patients.csv",
      "--out-dir", "{base}/stats"],
     ["cluster", "--patients", "{base}/patients.csv", "--out-dir", "{base}/cluster", "--k", "2"],

@@ -7,12 +7,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import corpus_of, mutate
+from conftest import ANOMALIES, corpus_of, mix_anomalies, mutate
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from glyco import ingest
-from glyco.core import GlucoseReading
+from glyco.core import GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, GlucoseReading
 from glyco.errors import DataError, FormatError, GlycoError
 from glyco.ingest import (
     PATIENT_HEADER,
@@ -274,26 +274,69 @@ class TestSynthCorpus:
         assert lengths[0] < 144 <= lengths[-1]  # mix of short and windowable runs
 
 
-# -- columnar ingest: fast path, row loop, writer, failures ------------------
+# -- columnar ingest: the parser against the row-loop oracle, writer, failures -
 
 HEADER = "patient_id,timestamp,glucose_mgdl\n"
 
 
+def parse_cgm_rows(path, max_malformed_fraction):
+    """The reference parse: csv.reader row by row, with a dict of every
+    (patient, timestamp) key. Every rejection and count is exact, by
+    construction; ``parse_cgm_csv`` must give the same corpus, report and
+    errors."""
+    report = ingest.ParseReport(path=str(path))
+    by_key: dict[tuple[str, int], float] = {}
+    for row_number, row, pid in ingest._data_rows(path, ingest.CGM_HEADER, report):
+        try:
+            ts = int(float(row[1]))
+            value = float(row[2])
+        except (ValueError, OverflowError):  # int(inf) overflows
+            report.rejected.append((row_number, f"non-numeric field in {row!r}"))
+            continue
+        if ts <= 0:
+            report.rejected.append((row_number, f"non-positive timestamp {ts}"))
+            continue
+        if ts >= 2**63:
+            report.rejected.append((row_number, f"timestamp {ts} beyond the int64 range"))
+            continue
+        if not math.isfinite(value) or not (GLUCOSE_MIN_MGDL < value <= GLUCOSE_MAX_MGDL):
+            report.rejected.append((row_number, f"glucose {value!r} out of range"))
+            continue
+        key = (pid, ts)
+        if key in by_key:
+            if by_key[key] == value:
+                report.duplicates += 1
+            else:
+                report.conflicts += 1
+                by_key[key] = min(by_key[key], value)
+        else:
+            by_key[key] = value
+    if report.total_rows and len(report.rejected) > max_malformed_fraction * report.total_rows:
+        rows = ", ".join(str(n) for n, _ in report.rejected[:20])
+        raise DataError(
+            f"{path}: {len(report.rejected)} of {report.total_rows} rows malformed "
+            f"(limit {max_malformed_fraction:.2%}); rows {rows}"
+        )
+    keys = sorted(by_key)
+    names: dict[str, str] = {}  # one str object per patient, shared by its readings
+    corpus = Corpus(
+        [names.setdefault(pid, pid) for pid, _ in keys],
+        [ts for _, ts in keys],
+        list(map(by_key.__getitem__, keys)),
+    )
+    report.kept = len(corpus)
+    return corpus, report
+
+
 def parse_both(path, max_malformed_fraction=1.0):
-    """parse_cgm_csv and the row loop on one file: (result or error) each."""
+    """parse_cgm_csv and the row-loop oracle on one file: (result or error) each."""
     results = []
-    for parse in (parse_cgm_csv, ingest._parse_cgm_rows):
+    for parse in (parse_cgm_csv, parse_cgm_rows):
         try:
             results.append(parse(path, max_malformed_fraction))
         except GlycoError as exc:
             results.append((type(exc), str(exc)))
     return results
-
-
-def fast_path(path):
-    handle, _ = ingest._open_rows(path, ingest.CGM_HEADER)
-    with handle:
-        return ingest._parse_cgm_fast(handle, str(path))
 
 
 def assert_same_parse(a, b):
@@ -306,16 +349,11 @@ def assert_same_parse(a, b):
         column_a, column_b = getattr(corpus_a, name), getattr(corpus_b, name)
         assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes()
     assert report_a.to_dict() == report_b.to_dict()
+    assert report_a.rejected == report_b.rejected
 
 
 CLEAN_IDS = ["p1", "p2", "p10", "a b", "Zé"]
 CLEAN_VALUES = ["5", "3", "100.5", "180.0", "1000", "0.25", "4e2", "1_0"]
-ANOMALIES = [
-    "", "  ", ",,", " , , ", "p1,1", "p1,1,2,3", " p1,5,6", "p1 ,5,6", ",5,6", "p1,abc,5",
-    "p1,nan,5", "p1,inf,3", "p1,1e400,2", "p1,5,1e400", "p1,5,nan", "p1,0,5", "p1,0.5,5",
-    "p1,-3,5", "p1,1e30,5", '"p1",5,6', 'p"1,5,6', "p1,5,0", "p1,5,-1", "p1,5,1000.5",
-    "p1,5,\x00",
-]
 
 
 @st.composite
@@ -338,20 +376,24 @@ def cgm_files(draw):
     return text
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=cgm_files(), block=st.sampled_from([8, 37, 1 << 18]))
-def test_fast_path_equals_row_loop(tmp_path, text, block):
+@st.composite
+def clean_cgm_files(draw):
+    """Unique keys (exact as floats) in any order with well-formed fields."""
+    keys = draw(st.sets(st.tuples(st.sampled_from(CLEAN_IDS), st.integers(1, 2**53)), max_size=60))
+    rows = [f"{pid},{ts},{draw(st.sampled_from(CLEAN_VALUES))}" for pid, ts in keys]
+    return HEADER + "\n".join(draw(st.permutations(rows)))
+
+
+@settings(max_examples=550, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(cgm_files(), clean_cgm_files()), block=st.sampled_from([8, 16, 37, 1 << 18]))
+def test_parse_equals_row_loop_oracle(tmp_path, text, block):
     """Blank and malformed rows, duplicates and conflicts in any order, CRLF,
-    BOM, quotes and padded ids, in one read block or many."""
+    BOM, quotes and padded ids, and clean files of unique keys, in one read
+    block or many: the parse equals the row-loop oracle's."""
     path = tmp_path / "a.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with patch.object(ingest, "_READ_BLOCK_CHARS", block):
-        whole, rows = parse_both(path)
-        assert_same_parse(whole, rows)
-        if isinstance(rows[0], Corpus) and "﻿" not in text:
-            fast = fast_path(path)
-            if fast is not None:
-                assert_same_parse(fast, rows)
+        assert_same_parse(*parse_both(path))
 
 
 @pytest.mark.parametrize("anomaly", ANOMALIES)
@@ -360,26 +402,20 @@ def test_each_anomaly_parses_as_the_row_loop(tmp_path, anomaly, at):
     rows = ["p1,1,5", "p2,1,7", "p1,2,9"]
     rows.insert(at, anomaly)
     path = write(tmp_path, "a.csv", HEADER + "\n".join(rows) + "\n")
-    assert fast_path(path) is None
     assert_same_parse(*parse_both(path))
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    keys=st.sets(st.tuples(st.sampled_from(CLEAN_IDS), st.integers(1, 2**53)), max_size=60),
-    data=st.data(),
-)
-def test_fast_path_takes_clean_files(tmp_path, keys, data):
-    """Unique keys (exact as floats) in any order with well-formed fields: the
-    fast path parses them, across read blocks, exactly as the row loop does."""
-    rows = [f"{pid},{ts},{data.draw(st.sampled_from(CLEAN_VALUES))}" for pid, ts in keys]
-    rows = data.draw(st.permutations(rows))
-    path = tmp_path / "a.csv"
-    path.write_text(HEADER + "\n".join(rows), encoding="utf-8")
-    with patch.object(ingest, "_READ_BLOCK_CHARS", data.draw(st.sampled_from([16, 1 << 18]))):
-        fast = fast_path(path)
-    assert fast is not None
-    assert_same_parse(fast, ingest._parse_cgm_rows(path, 0.0))
+@pytest.mark.parametrize("block", [1 << 12, 1 << 18])
+def test_seeded_anomalies_parse_as_the_row_loop(tmp_path, block):
+    """About 50k rows with 0.1% mixed anomalies (every kind in ANOMALIES,
+    repeated and conflicting keys) spread over many blocks: the same corpus
+    and report, every (row, message) included."""
+    path = tmp_path / "mixed.csv"
+    _clean_csv(path, 50_000, anomalies=0.001)
+    with patch.object(ingest, "_READ_BLOCK_CHARS", block):
+        (corpus, report), oracle = parse_both(path)
+    assert_same_parse((corpus, report), oracle)
+    assert report.rejected and report.duplicates and report.conflicts
 
 
 @pytest.mark.parametrize(
@@ -445,31 +481,35 @@ def test_corpus_rejects_out_of_range_columns():
         Corpus(["p1", "p1"], [1], [100.0])
 
 
-def _clean_csv(path, rows, patients=100):
+def _clean_csv(path, rows, patients=100, anomalies=0.0):
+    """A CGM CSV of ``rows`` seeded readings, with ``mix_anomalies`` at the
+    given rate; returns the clean row count."""
     per = rows // patients
     rng = np.random.default_rng(0)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(HEADER)
-        for p in range(patients):
-            values = rng.uniform(40.0, 400.0, per).tolist()
-            handle.write("".join(f"pat{p:04d},{1_600_000_000 + 300 * i},{v!r}\n"
-                                 for i, v in enumerate(values)))
+    lines = []
+    for p in range(patients):
+        values = rng.uniform(40.0, 400.0, per).tolist()
+        lines += [f"pat{p:04d},{1_600_000_000 + 300 * i},{v!r}" for i, v in enumerate(values)]
+    path.write_text(HEADER + "\n".join(mix_anomalies(lines, anomalies, seed=1)) + "\n",
+                    encoding="utf-8", newline="")
     return per * patients
 
 
 def test_clean_parse_peak_memory_per_row(tmp_path):
-    """The fast path holds no object per reading: a tracemalloc peak under
-    160 B per row on a clean file of 200k rows."""
-    path = tmp_path / "big.csv"
-    rows = _clean_csv(path, 200_000)
-    tracemalloc.start()
-    try:
-        corpus, report = parse_cgm_csv(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(corpus) == report.kept == rows
-    assert peak / rows < 160, f"{peak / rows:.0f} B per row"
+    """The parse holds no object per reading: a tracemalloc peak under 160 B
+    per row on a file of 200k rows, clean or with 0.1% mixed anomalies."""
+    for name, anomalies in (("clean.csv", 0.0), ("mixed.csv", 0.001)):
+        path = tmp_path / name
+        rows = _clean_csv(path, 200_000, anomalies=anomalies)
+        tracemalloc.start()
+        try:
+            corpus, report = parse_cgm_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == report.kept
+        assert report.kept == rows if not anomalies else report.rejected and report.conflicts
+        assert peak / rows < 160, f"{name}: {peak / rows:.0f} B per row"
 
 
 def test_load_and_segment_build_no_reading_objects(tmp_path, monkeypatch, small_corpus):
@@ -520,10 +560,13 @@ def fuzz_csvs(small_corpus, tmp_path_factory):
 @given(data=st.data())
 def test_csv_parsers_fuzz_raise_only_glyco_errors(tmp_path, fuzz_csvs, data):
     """Mutated CGM and patient files parse, with rejections, or raise a GlycoError;
-    a parsed patient file yields only finite numbers."""
+    a mutated CGM file parses as the row-loop oracle does, and a parsed patient
+    file yields only finite numbers."""
     which = data.draw(st.sampled_from([0, 1]))
     path = tmp_path / "f.csv"
     path.write_bytes(mutate(data, fuzz_csvs[which]))
+    if which == 0:
+        assert_same_parse(*parse_both(path))
     try:
         if which == 0:
             corpus, _ = parse_cgm_csv(path, max_malformed_fraction=1.0)
