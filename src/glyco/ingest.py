@@ -5,13 +5,14 @@ The raw input format is CSV with header ``patient_id,timestamp,glucose_mgdl``
 annual_income_usd,education_level,sex``). Empty cells are missing values.
 
 A CGM file goes straight to the columns of a ``Corpus``, with no object per
-reading, in one pass over blocks of lines. Lines without a quote, CR or NUL
-are split at their commas; ``csv.reader`` reads the others, from the first in
-a block to the record that ends the line of the last, on into the next block
-while a quoted field is open. Each block is checked as vectors (three fields,
-an unpadded id, in-range ``float`` fields); only the records that fail go
-through one row checker, which records each rejection by row number. Repeated
-keys are resolved after the ``lexsort``, in row order. Read failures raise
+reading, in one pass over blocks of lines. Lines without a quote, NUL or lone
+CR (one that does not end a CRLF line end) are split at their commas;
+``csv.reader`` reads the others, from the first in a block to the record that
+ends the line of the last, on into the next block while a quoted field is
+open. Each block is checked as vectors (three fields, an unpadded id,
+in-range ``float`` fields); only the records that fail go through one row
+checker, which records each rejection by row number. Repeated keys are
+resolved after the ``lexsort``, in row order. Read failures raise
 ``FormatError``.
 """
 
@@ -21,6 +22,7 @@ import csv
 import functools
 import io
 import math
+import re
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -254,9 +256,15 @@ def parse_cgm_csv(
     return corpus, report
 
 
+# Only csv.reader reads a quote, a NUL or a lone CR, one that does not end a
+# CRLF line end; the comma split reads every other line.
+_LONE_CR = re.compile("\r(?!\n)")
+
+
 def _record_blocks(handle, path: Path, header):
-    """(cells, field count of each record, first row number) of the rest of the
-    file after the ``header`` csv reader's lines, in blocks of whole lines."""
+    """(cells, field count of each record, first row number, crlf) of the rest of
+    the file after the ``header`` csv reader's lines, in blocks of whole lines.
+    With crlf, a record's last cell may end in the CR of its CRLF line end."""
     texts = iter(lambda: handle.read(_READ_BLOCK_CHARS) + handle.readline(), "")
     buffers, row_number, line = [], 2, header.line_num  # line: physical lines read so far
 
@@ -267,12 +275,18 @@ def _record_blocks(handle, path: Path, header):
 
     for text in texts:
         while text:
-            found = [at for at in map(text.find, '"\r\0') if at >= 0]
+            cr = text.find("\r")
+            lone = _LONE_CR.search(text, cr) if cr >= 0 else None  # an LF text runs no regex
+            found = [at for at in map(text.find, '"\0') if at >= 0]
+            found += [lone.start()] if lone else []
             cut = text.rfind("\n", 0, min(found)) + 1 if found else len(text)
+            crlf = 0 <= cr < cut
             if cut and (part := _split_lines(text[:cut])):
                 text, lines = text[cut:], len(part[1])
             else:  # csv reads until a record ends at or after stop, a line end
-                stop = cut or text.find("\n", max(map(text.rfind, '"\r\0'))) + 1 or len(text)
+                # to the line of the last quote or NUL, or of the first lone CR if later
+                last = max(*map(text.rfind, '"\0'), lone.start() if lone else -1)
+                stop = cut or text.find("\n", last) + 1 or len(text)
                 lines = len(io.StringIO(text[:stop], newline="").readlines())
                 buffers.clear()
                 reader = csv.reader(buffered(chain((text,), texts)))
@@ -281,13 +295,14 @@ def _record_blocks(handle, path: Path, header):
                 except csv.Error as exc:
                     raise FormatError(f"{path}: line {line + reader.line_num}: {exc}") from exc
                 part = list(chain.from_iterable(rows)), np.array(list(map(len, rows)), np.int64)
-                text, lines = buffers[-1].read(), reader.line_num
-            yield *part, row_number
+                text, lines, crlf = buffers[-1].read(), reader.line_num, False
+            yield *part, row_number, crlf
             line, row_number = line + lines, row_number + len(part[1])
 
 
 def _split_lines(text: str):
-    """(cells, field count of each line) of plain lines; None if a field may be too long for csv."""
+    """(cells, field count of each line) of plain lines; None if a field may be too long for csv.
+    A line that ends in CRLF keeps the CR in its last cell."""
     text += "" if text.endswith("\n") else "\n"
     raw = np.frombuffer(text.encode(), np.uint8)
     ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # every field's end
@@ -297,9 +312,12 @@ def _split_lines(text: str):
     return text.replace("\n", ",").split(","), widths
 
 
-def _cgm_block(cells: list[str], widths, row_number: int, table: dict[str, int], report):
+def _cgm_block(
+    cells: list[str], widths, row_number: int, crlf: bool, table: dict[str, int], report
+):
     """(codes, timestamps, values) of a part's kept records, in record order;
-    ``row_number`` is the first record's. New patient ids get a code in ``table``."""
+    ``row_number`` is the first record's. New patient ids get a code in ``table``.
+    With crlf, ``float`` ignores the CR that may end a record's last cell."""
     n = len(widths)
     if (widths == 3).all():
         pids, stamps, values = cells[0 : 3 * n : 3], cells[1 : 3 * n : 3], cells[2 : 3 * n : 3]
@@ -324,6 +342,8 @@ def _cgm_block(cells: list[str], widths, row_number: int, table: dict[str, int],
         try:
             ts, value = int(float(row[1])), float(row[2])
         except (ValueError, OverflowError):  # int(inf) overflows
+            if crlf:  # the cells as csv reads them
+                row[-1] = row[-1].removesuffix("\r")
             report.rejected.append((number, f"non-numeric field in {row!r}"))
             continue
         if ts <= 0:
@@ -471,73 +491,33 @@ def corpus_stats(corpus: Corpus) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DailyProfile:
-    """Per five-minute-slot mean/s.d./count over all days, 288 slots."""
-
-    mean: tuple[float | None, ...]
-    sd: tuple[float | None, ...]
-    count: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("mean", "sd", "count"):
-            if len(getattr(self, name)) != SLOTS_PER_DAY:
-                raise DataError(f"daily profile {name} must have {SLOTS_PER_DAY} slots")
-
-    def rows(self):
-        """(slot, hh:mm label, mean, sd, count) tuples for CSV export."""
-        for slot in range(SLOTS_PER_DAY):
-            minutes = slot * 5
-            label = f"{minutes // 60:02d}:{minutes % 60:02d}"
-            yield slot, label, self.mean[slot], self.sd[slot], self.count[slot]
-
-
-def daily_profile(corpus: Corpus) -> DailyProfile:
-    """Group readings by five-minute slot of day; per-slot mean and population s.d."""
+def daily_profile(corpus: Corpus) -> list[tuple[float | None, float | None, int]]:
+    """(mean, population s.d., count) of the readings in each five-minute slot
+    of the day, for all 288 slots in order; an empty slot's mean and s.d. are None."""
     slots = (corpus.timestamps % 86400) // 300
     by_slot = corpus.values[np.argsort(slots, kind="stable")]
-    counts = np.bincount(slots, minlength=SLOTS_PER_DAY).tolist()
-    means: list[float | None] = []
-    sds: list[float | None] = []
-    lo = 0
-    for count in counts:
+    profile, lo = [], 0
+    for count in np.bincount(slots, minlength=SLOTS_PER_DAY).tolist():
         bucket = by_slot[lo : lo + count]
         lo += count
-        means.append(float(bucket.mean()) if count else None)
-        sds.append(float(bucket.std()) if count else None)
-    return DailyProfile(tuple(means), tuple(sds), tuple(counts))
+        mean_sd = (float(bucket.mean()), float(bucket.std())) if count else (None, None)
+        profile.append((*mean_sd, count))
+    return profile
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
-    """Exact sequence-length counts plus the share long enough to window."""
-
-    counts: dict[int, int]
-    threshold: int
-    eligible_count: int
-    total: int
-
-    @property
-    def eligible_fraction(self) -> float:
-        return self.eligible_count / self.total if self.total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "lengths": {str(k): v for k, v in sorted(self.counts.items())},
-            "total_sequences": self.total,
-            "threshold": self.threshold,
-            "eligible_count": self.eligible_count,
-            "eligible_fraction": self.eligible_fraction,
-        }
-
-
-def sequence_length_histogram(lengths, threshold: int = 144) -> LengthHistogram:
-    """Histogram of sequence lengths, e.g. ``SequenceStore.lengths``."""
+def sequence_length_histogram(lengths, threshold: int = 144) -> dict:
+    """Exact counts of sequence lengths (e.g. ``SequenceStore.lengths``, keyed
+    by the length as a str) and the number and share at least threshold long."""
     lengths = np.asarray(lengths, dtype=np.int64)
     sizes, counts = np.unique(lengths, return_counts=True)
     eligible = int(np.count_nonzero(lengths >= threshold))
-    counts_by_length = dict(zip(sizes.tolist(), counts.tolist()))
-    return LengthHistogram(counts_by_length, threshold, eligible, len(lengths))
+    return {
+        "lengths": dict(zip(map(str, sizes.tolist()), counts.tolist())),
+        "total_sequences": len(lengths),
+        "threshold": threshold,
+        "eligible_count": eligible,
+        "eligible_fraction": eligible / len(lengths) if len(lengths) else 0.0,
+    }
 
 
 # Synthetic corpus generator. A test fixture calibrated to the real corpus

@@ -27,7 +27,10 @@ the operands, order and BLAS call of the per-cell kernel it replaced, so
 every model, curve, report and trace keeps its bytes.
 
 Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
-``forget_trace`` is the same run on one window with every step kept.
+``forget_trace`` is the same run on one window with every step kept, and
+returns its forget-gate activations as one (layers, steps, h) array.
+``train`` returns plain values: the best epoch's network, that epoch and the
+per-epoch curve rows; the workflow step writes them.
 """
 
 from __future__ import annotations
@@ -218,21 +221,6 @@ def _schedule(n_layers: int, t_wave: int, t_total: int) -> list[tuple[int, int, 
     return steps
 
 
-@dataclass
-class ForgetTrace:
-    """Forget-gate activations for one prediction run: (layers, steps, h)."""
-
-    values: np.ndarray
-    phases: tuple[str, ...]  # "observed" or "recursive" per processed step
-
-    def to_csv_rows(self):
-        n_layers, n_steps, h = self.values.shape
-        yield ["layer", "timestep", "phase"] + [f"unit{u}" for u in range(h)]
-        for layer in range(n_layers):
-            for t in range(n_steps):
-                yield [layer, t, self.phases[t]] + [repr(float(v)) for v in self.values[layer, t]]
-
-
 class _Unroll:
     """Forward pass over observed steps plus recursive feedback steps.
 
@@ -267,7 +255,7 @@ class _Unroll:
         horizon, n_batch = len(xs) - t_in, xs.shape[1]
         t_total = t_in + horizon - 1
         n_layers, h_size = net.n_layers, net.hidden_size
-        self.t_in, self.t_total = t_in, t_total
+        self.t_total = t_total
         if teacher:
             preds = np.empty((horizon, n_batch))
             self.steps = _schedule(n_layers, t_total, t_total)
@@ -293,16 +281,6 @@ class _Unroll:
             if hi == n_layers and t >= t_in - 1:
                 preds[t - (t_in - 1)] = net.head_weights @ hs[1 - k, -1] + net.head_bias
         return preds
-
-    def trace(self) -> ForgetTrace:
-        h_size, t_total = self.net.hidden_size, self.t_total
-        # Cell (t, l) sits at diagonal t + l; the inference batch is 1.
-        forget = np.stack([
-            self.gates[l : l + t_total, l, h_size : 2 * h_size, 0]
-            for l in range(self.net.n_layers)
-        ])
-        phases = tuple("observed" if t < self.t_in else "recursive" for t in range(t_total))
-        return ForgetTrace(values=forget, phases=phases)
 
 
 def _checked_forecast(
@@ -337,12 +315,21 @@ def rollout_batch(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> np
     return _checked_forecast(net, np.asarray(inputs, dtype=float), horizon, keep_steps=False)[0]
 
 
-def forget_trace(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> ForgetTrace:
-    """Forget-gate activations of every step of one window's rollout, inputs (1, T)."""
+def forget_trace(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> np.ndarray:
+    """Forget-gate activations of every step of one window's rollout, inputs (1, T).
+
+    Returns a (layers, steps, h) array; steps before T read the window, the
+    later ones read fed-back predictions.
+    """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] != 1:
         raise DataError(f"forget_trace takes one window of shape (1, T), got {inputs.shape}")
-    return _checked_forecast(net, inputs, horizon, keep_steps=True)[1].trace()
+    unroll = _checked_forecast(net, inputs, horizon, keep_steps=True)[1]
+    # Cell (t, l) sits at diagonal t + l; the batch is 1.
+    h = net.hidden_size
+    return np.stack([
+        unroll.gates[l : l + unroll.t_total, l, h : 2 * h, 0] for l in range(net.n_layers)
+    ])
 
 
 def _loss_and_gradients_batch(
@@ -477,31 +464,6 @@ class AdamOptimizer:
         net.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
-@dataclass
-class Checkpoint:
-    epoch: int
-    network: LstmNetwork
-    train_mse_scaled: float
-    train_rmse_mgdl: float
-    heuristic_rmse_mgdl: float
-
-
-@dataclass
-class TrainResult:
-    checkpoints: list[Checkpoint]
-    best_epoch: int  # 1-based epoch number of the selected checkpoint
-
-    @property
-    def best(self) -> Checkpoint:
-        return self.checkpoints[self.best_epoch - 1]
-
-    def curve_rows(self):
-        columns = ("train_mse_scaled", "train_rmse_mgdl", "heuristic_rmse_mgdl")
-        yield ["epoch", *columns]
-        for cp in self.checkpoints:
-            yield [cp.epoch, *(repr(getattr(cp, name)) for name in columns)]
-
-
 def train(
     net: LstmNetwork,
     prepared: PreparedSet,
@@ -512,13 +474,15 @@ def train(
     seed: int = 42,
     clip_norm: float | None = 5.0,
     feedback: str = "recursive",
-) -> TrainResult:
+) -> tuple[LstmNetwork, int, list[tuple[float, float, float]]]:
     """Minibatch Adam training with a per-epoch held-out heuristic.
 
     Each epoch reshuffles the training examples with the seeded generator,
     averages gradients over each minibatch, and then scores RMSE (mg/dL) on a
-    fixed seeded sample of at most heuristic_test_n test examples. The best
-    checkpoint is the epoch with the lowest heuristic RMSE, earliest on ties.
+    fixed seeded sample of at most heuristic_test_n test examples. Returns a
+    copy of the network at the best epoch (the lowest heuristic RMSE, earliest
+    on ties), that 1-based epoch, and one (train_mse_scaled, train_rmse_mgdl,
+    heuristic_rmse_mgdl) row per epoch; ``net`` ends at the last epoch.
     """
     if prepared.n_train == 0:
         raise DataError("training set is empty")
@@ -535,7 +499,8 @@ def train(
     readings_scaled = net.scaler.scale(prepared.readings)
 
     optimizer = AdamOptimizer(net, lr=lr)
-    checkpoints: list[Checkpoint] = []
+    curve: list[tuple[float, float, float]] = []
+    best, best_epoch = net, 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(prepared.n_train)
         epoch_loss = 0.0
@@ -553,18 +518,10 @@ def train(
 
         preds = rollout_batch(net, sample_inputs, horizon)
         heuristic = float(np.sqrt(np.mean((preds - sample_targets) ** 2)))
-        checkpoints.append(
-            Checkpoint(
-                epoch=epoch,
-                network=replace(net, params=net.params.copy()),
-                train_mse_scaled=epoch_loss,
-                train_rmse_mgdl=math.sqrt(epoch_loss) * net.scaler.span,
-                heuristic_rmse_mgdl=heuristic,
-            )
-        )
-
-    best_epoch = min(checkpoints, key=lambda cp: (cp.heuristic_rmse_mgdl, cp.epoch)).epoch
-    return TrainResult(checkpoints=checkpoints, best_epoch=best_epoch)
+        curve.append((epoch_loss, math.sqrt(epoch_loss) * net.scaler.span, heuristic))
+        if best_epoch == 0 or heuristic < curve[best_epoch - 1][2]:
+            best, best_epoch = replace(net, params=net.params.copy()), epoch
+    return best, best_epoch, curve
 
 
 def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = None) -> None:

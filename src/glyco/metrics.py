@@ -1,4 +1,4 @@
-"""Forecast quality metrics and fold-level report aggregation.
+"""Forecast quality metrics, per fold and aggregated across folds.
 
 Classification thresholds put boundary values in the Normal class; the
 positive class for precision/recall is "abnormal" (hypo or hyper). Curvature
@@ -8,13 +8,14 @@ forecast, and a zero-curvature reference makes the ratio undefined: NaN in
 the per-row ratios of ``esod_n``, None (never NaN) in reports.
 
 Every metric takes ``(predicted, reference)`` arrays of shape (n, horizon),
-one row per forecast window, with finite values.
+one row per forecast window, with finite values. ``score_pairs`` returns one
+fold's metrics as a dict and ``aggregate`` the across-fold block of a list of
+them; the evaluate step builds its report from these dicts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,73 +153,47 @@ def clarke_zones(predicted: np.ndarray, reference: np.ndarray) -> dict:
     }
 
 
-@dataclass
-class FoldMetrics:
-    fold: int
-    n_examples: int
-    rmse: float
-    esod_mean: float | None
-    esod_defined: int
-    esod_undefined: int
-    classification: dict
-    zone_proportions: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class EvalReport:
-    """Per-fold metrics for one model plus across-fold mean and population s.d."""
-
-    model_name: str
-    folds: list[FoldMetrics]
-    protocol: dict = field(default_factory=dict)
-
-    def aggregate(self) -> dict:
-        def mean_sd(values: list[float]) -> dict:
-            arr = np.asarray(values, dtype=float)
-            return {"mean": float(arr.mean()), "sd": float(arr.std())}
-
-        out: dict = {"rmse": mean_sd([f.rmse for f in self.folds])}
-        esods = [f.esod_mean for f in self.folds if f.esod_mean is not None]
-        out["esod"] = mean_sd(esods) if esods else {"mean": None, "sd": None}
-        out["esod_undefined_folds"] = sum(1 for f in self.folds if f.esod_mean is None)
-        for metric in ("precision", "recall", "f1"):
-            values = [
-                f.classification["abnormal"][metric]
-                for f in self.folds
-                if f.classification["abnormal"][metric] is not None
-            ]
-            out[metric] = mean_sd(values) if values else {"mean": None, "sd": None}
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "protocol": self.protocol,
-            "folds": [f.to_dict() for f in self.folds],
-            "aggregate": self.aggregate(),
-        }
-
-
 def score_pairs(
     predicted: np.ndarray,
     reference: np.ndarray,
     fold: int,
     hypo: float = HYPO_MGDL,
     hyper: float = HYPER_MGDL,
-) -> FoldMetrics:
+) -> dict:
     """Every metric for one fold's (n, horizon) predictions and references."""
     ratios = esod_n(predicted, reference)
     defined = ratios[~np.isnan(ratios)]
-    return FoldMetrics(
-        fold=fold,
-        n_examples=len(ratios),
-        rmse=rmse(predicted, reference),
-        esod_mean=float(np.mean(defined)) if defined.size else None,
-        esod_defined=int(defined.size),
-        esod_undefined=len(ratios) - int(defined.size),
-        classification=prf1(predicted, reference, hypo, hyper),
-        zone_proportions=clarke_zones(predicted, reference)["proportions"],
-    )
+    return {
+        "fold": fold,
+        "n_examples": len(ratios),
+        "rmse": rmse(predicted, reference),
+        "esod_mean": float(np.mean(defined)) if defined.size else None,
+        "esod_defined": int(defined.size),
+        "esod_undefined": len(ratios) - int(defined.size),
+        "classification": prf1(predicted, reference, hypo, hyper),
+        "zone_proportions": clarke_zones(predicted, reference)["proportions"],
+    }
+
+
+def aggregate(folds: list[dict]) -> dict:
+    """Across-fold mean and population s.d. of ``score_pairs`` dicts: the RMSE,
+    the mean curvature ratio and the abnormal-class precision, recall and F1.
+    Folds where a metric is undefined (None) are left out of its mean and
+    s.d., which are None when no fold defines it."""
+
+    def mean_sd(values: list[float]) -> dict:
+        if not values:
+            return {"mean": None, "sd": None}
+        arr = np.asarray(values, dtype=float)
+        return {"mean": float(arr.mean()), "sd": float(arr.std())}
+
+    esods = [f["esod_mean"] for f in folds if f["esod_mean"] is not None]
+    out = {
+        "rmse": mean_sd([f["rmse"] for f in folds]),
+        "esod": mean_sd(esods),
+        "esod_undefined_folds": len(folds) - len(esods),
+    }
+    for metric in ("precision", "recall", "f1"):
+        values = [f["classification"]["abnormal"][metric] for f in folds]
+        out[metric] = mean_sd([v for v in values if v is not None])
+    return out

@@ -1,9 +1,11 @@
 """End-to-end workflow steps shared by the CLI.
 
 Each step stages its outputs in an OutputTracker and commits them, report
-last, as its final act; a failed step leaves none of its own files. Reports
-embed the resolved configuration. All randomness is seeded; per-fold seeds
-are seed + fold_index so fold-level parallelism cannot change any result.
+last, as its final act; a failed step leaves none of its own files. Each
+step builds its reports and CSVs from the plain values the library returns
+(curves, fold metric dicts, trace arrays). Reports embed the resolved
+configuration. All randomness is seeded; per-fold seeds are seed +
+fold_index so fold-level parallelism cannot change any result.
 """
 
 from __future__ import annotations
@@ -137,14 +139,14 @@ def run_stats(
     document: dict = {
         "config": config.to_dict(),
         "corpus": ingest.corpus_stats(corpus),
-        "sequence_lengths": histogram.to_dict(),
+        "sequence_lengths": histogram,
     }
 
-    profile = ingest.daily_profile(corpus)
     rows = [["slot", "time", "mean_mgdl", "sd_mgdl", "count"]]
-    for slot, label, mean, sd, count in profile.rows():
+    for slot, (mean, sd, count) in enumerate(ingest.daily_profile(corpus)):
+        hours, minutes = divmod(slot * 5, 60)
         cells = ["" if value is None else repr(value) for value in (mean, sd)]
-        rows.append([slot, label, *cells, count])
+        rows.append([slot, f"{hours:02d}:{minutes:02d}", *cells, count])
     tracker.write_csv(out_dir / "daily_profile.csv", rows)
 
     if corpus.patients:
@@ -272,9 +274,9 @@ def run_prepare(
     document = {
         "config": config.to_dict(),
         "cohort": label,
-        "sequences_total": histogram.total,
-        "sequences_eligible": histogram.eligible_count,
-        "eligible_fraction": histogram.eligible_fraction,
+        "sequences_total": histogram["total_sequences"],
+        "sequences_eligible": histogram["eligible_count"],
+        "eligible_fraction": histogram["eligible_fraction"],
         "folds": fold_summaries,
     }
     tracker.write_json(out_dir / "prepare_report.json", document)
@@ -316,7 +318,7 @@ def train_fold(
         net = lstm_mod.new_network(
             hidden_size=config.lstm_hidden, n_layers=config.lstm_layers, seed=seed
         )
-        result = lstm_mod.train(
+        best, best_epoch, curve = lstm_mod.train(
             net,
             prepared,
             epochs=config.lstm_epochs,
@@ -333,11 +335,13 @@ def train_fold(
             "seed": seed,
             "epochs": config.lstm_epochs,
             "feedback": config.lstm_feedback,
-            "best_epoch": result.best_epoch,
-            "heuristic_rmse_mgdl": result.best.heuristic_rmse_mgdl,
+            "best_epoch": best_epoch,
+            "heuristic_rmse_mgdl": curve[best_epoch - 1][2],
         }
-        lstm_mod.save_model(result.best.network, out, provenance=provenance)
-        return provenance, list(result.curve_rows())
+        lstm_mod.save_model(best, out, provenance=provenance)
+        rows = [["epoch", "train_mse_scaled", "train_rmse_mgdl", "heuristic_rmse_mgdl"]]
+        rows += [[epoch, *map(repr, row)] for epoch, row in enumerate(curve, start=1)]
+        return provenance, rows
     if model == "hmm":
         # The quantizer bounds come from the windows, never from the stored
         # readings, which at step > total include readings no window uses.
@@ -459,6 +463,16 @@ def run_evaluate(
         raise ConfigError(f"unknown models: {', '.join(unknown)}")
     out_dir = Path(out_dir)
     fold_sets = [load_fold(prepared_dir, i) for i in range(config.k_folds)]
+    # One protocol per report: every fold must come from fold 0's prepare run.
+    first = fold_sets[0].provenance
+    for fold_index, prepared in enumerate(fold_sets[1:], start=1):
+        other = prepared.provenance
+        for key in sorted((first.keys() | other.keys()) - {"fold"}):
+            if key not in first or key not in other or first[key] != other[key]:
+                raise FormatError(
+                    f"{prepared_path(prepared_dir, fold_index)}: provenance {key!r} is "
+                    f"{other.get(key)!r}, fold 0's is {first.get(key)!r}"
+                )
     horizon = fold_sets[0].horizon
     protocol = {
         "k_folds": config.k_folds,
@@ -489,26 +503,26 @@ def run_evaluate(
             if scatter:
                 points = zip(targets.ravel().tolist(), predictions.ravel().tolist())
                 scatter_rows[m].extend([repr(ref), repr(pred)] for ref, pred in points)
-    reports = []
     flat_rows = [["model", "fold", "metric", "value"]]
-    for m, model in enumerate(models):
-        report = metrics.EvalReport(model_name=model, folds=fold_metrics[m], protocol=protocol)
-        reports.append(report)
-        for fm in report.folds:
-            flat_rows.append([model, fm.fold, "rmse", repr(fm.rmse)])
-            if fm.esod_mean is not None:
-                flat_rows.append([model, fm.fold, "esod", repr(fm.esod_mean)])
+    for model, folds, points in zip(models, fold_metrics, scatter_rows):
+        for fm in folds:
+            flat_rows.append([model, fm["fold"], "rmse", repr(fm["rmse"])])
+            if fm["esod_mean"] is not None:
+                flat_rows.append([model, fm["fold"], "esod", repr(fm["esod_mean"])])
             for metric_name in ("precision", "recall", "f1"):
-                value = fm.classification["abnormal"][metric_name]
+                value = fm["classification"]["abnormal"][metric_name]
                 if value is not None:
-                    flat_rows.append([model, fm.fold, metric_name, repr(value)])
+                    flat_rows.append([model, fm["fold"], metric_name, repr(value)])
         if scatter:
-            tracker.write_csv(out_dir / f"scatter_{model}.csv", scatter_rows[m])
+            tracker.write_csv(out_dir / f"scatter_{model}.csv", points)
 
     document = {
         "config": config.to_dict(),
         "protocol": protocol,
-        "models": [r.to_dict() for r in reports],
+        "models": [
+            dict(model=model, protocol=protocol, folds=folds, aggregate=metrics.aggregate(folds))
+            for model, folds in zip(models, fold_metrics)
+        ],
     }
     tracker.write_csv(out_dir / "eval_flat.csv", flat_rows)
     tracker.write_json(out_dir / "eval_report.json", document)
@@ -620,14 +634,21 @@ def run_explain(
         )
     inputs, _ = prepared.gather(split, [example_index])
     net, provenance = lstm_mod.load_model(model_file)
-    trace = lstm_mod.forget_trace(net, inputs, horizon=prepared.horizon)
-    tracker.write_csv(out_path, trace.to_csv_rows())
+    forget = lstm_mod.forget_trace(net, inputs, horizon=prepared.horizon)
+    n_layers, n_steps, hidden = forget.shape
+    rows = [["layer", "timestep", "phase"] + [f"unit{u}" for u in range(hidden)]]
+    for layer in range(n_layers):
+        for t in range(n_steps):
+            # Steps before the window's length read it; later ones read fed-back predictions.
+            phase = "observed" if t < inputs.shape[1] else "recursive"
+            rows.append([layer, t, phase, *map(repr, forget[layer, t].tolist())])
+    tracker.write_csv(out_path, rows)
     tracker.commit()
     return {
         "model_provenance": provenance,
         "example_index": example_index,
         "split": split,
-        "layers": trace.values.shape[0],
-        "steps": trace.values.shape[1],
-        "hidden": trace.values.shape[2],
+        "layers": n_layers,
+        "steps": n_steps,
+        "hidden": hidden,
     }

@@ -51,4 +51,4 @@ def test_rollout_batch_40(benchmark, net):
 def test_forget_trace_1(benchmark, net):
     inputs = np.random.default_rng(2).uniform(40, 400, (1, INPUT_LEN))
     trace = benchmark(forget_trace, net, inputs, HORIZON)
-    assert trace.values.shape == (3, INPUT_LEN + HORIZON - 1, 8)
+    assert trace.shape == (3, INPUT_LEN + HORIZON - 1, 8)

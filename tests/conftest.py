@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -49,12 +50,13 @@ def one_window_prepared(train_windows, test_windows, input_len, provenance=None)
 
 
 # One of each kind of malformed or odd CGM data row: blank, wrong field
-# count, padded or empty id, non-numeric or out-of-range field, quote, NUL.
+# count, padded or empty id, non-numeric or out-of-range field, quote, NUL,
+# a lone CR, and a CR before the line end (a CRLF line, or with CRLF ends a lone CR).
 ANOMALIES = [
     "", "  ", ",,", " , , ", "p1,1", "p1,1,2,3", " p1,5,6", "p1 ,5,6", ",5,6", "p1,abc,5",
     "p1,nan,5", "p1,inf,3", "p1,1e400,2", "p1,5,1e400", "p1,5,nan", "p1,0,5", "p1,0.5,5",
     "p1,-3,5", "p1,1e30,5", '"p1",5,6', 'p"1,5,6', "p1,5,0", "p1,5,-1", "p1,5,1000.5",
-    "p1,5,\x00",
+    "p1,5,\x00", "p1,5\r,6", "p1,5,abc\r",
 ]
 
 
@@ -123,7 +125,6 @@ def edit_header(path, edit=None, **fields):
 
 # Acceptance criterion C09's CLI sequence at tiny sizes, one argument list per
 # command; "{base}" is the run's directory and protocol_args adds the seed.
-# ingest is left out: its report names its input path, which differs by run.
 PROTOCOL = [
     ["synth", "--patients", "3", "--days", "6",
      "--out-cgm", "{base}/cgm.csv", "--out-patients", "{base}/patients.csv"],
@@ -151,6 +152,15 @@ PROTOCOL_COHORTS = "patient_id,cohort\nsynth000,a\nsynth001,b\nsynth002,a\n"
 def protocol_args(command, base, seed):
     """One PROTOCOL command's arguments for a run in base with the given seed."""
     return [arg.format(base=base) for arg in command] + ["--seed", str(seed)]
+
+
+def protocol_digests(base):
+    """{path relative to base, with / separators: SHA-256 hex digest} of every
+    file under base, such as the files a PROTOCOL run left there."""
+    return {
+        p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(base.rglob("*")) if p.is_file()
+    }
 
 
 def leftovers(base):

@@ -546,6 +546,30 @@ class TestErrors:
         assert parsed["error"] == "FormatError" and "fold1.gprep" in parsed["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    def test_evaluate_refuses_folds_of_two_prepare_runs(self, runner, pipeline_dir, tmp_path):
+        # Fold 1 of a run with another test step and seed replaces fold 1. It
+        # still names fold 1, so only fold 0's provenance can tell it apart.
+        first, second, out = tmp_path / "first", tmp_path / "second", tmp_path / "eval"
+        for prep, test_step, seed in ((first, "144", "1"), (second, "12", "2")):
+            result = runner.invoke(
+                main,
+                ["prepare", "--cgm", str(pipeline_dir / "cgm.csv"), "--out-dir", str(prep),
+                 "--folds", "2", "--test-step", test_step, "--seed", seed],
+            )
+            assert result.exit_code == 0, result.output
+        shutil.copyfile(second / "fold1.gprep", first / "fold1.gprep")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--prepared-dir", str(first), "--models", "copy_last",
+             "--out-dir", str(out), "--folds", "2"],
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError"
+        assert "fold1.gprep" in parsed["message"] and "'seed' is 2" in parsed["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_variance_tau_is_rejected(self, runner, pipeline_dir, tmp_path, tau):
         out = tmp_path / "stats"

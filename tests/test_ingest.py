@@ -202,9 +202,10 @@ class TestDailyProfile:
         # 00:02 falls in slot 0
         corpus = corpus_of((GlucoseReading("p1", 86400 + 120, 150.0),))
         profile = daily_profile(corpus)
-        assert profile.count[0] == 1 and profile.mean[0] == 150.0
-        assert sum(profile.count) == 1
-        assert profile.mean[1] is None
+        assert len(profile) == 288
+        assert profile[0] == (150.0, 0.0, 1)
+        assert sum(count for _, _, count in profile) == 1
+        assert profile[1] == (None, None, 0)
 
     def test_same_slot_across_days(self):
         slot_ts = 7 * 3600 + 5 * 60  # 07:05 -> slot 85
@@ -212,13 +213,13 @@ class TestDailyProfile:
             GlucoseReading("p1", 86400 + slot_ts, 190.0),
             GlucoseReading("p1", 2 * 86400 + slot_ts, 194.0),
         )
-        profile = daily_profile(corpus_of(readings))
-        assert profile.mean[85] == 192.0
-        assert profile.count[85] == 2
+        mean, _, count = daily_profile(corpus_of(readings))[85]
+        assert mean == 192.0
+        assert count == 2
 
     def test_counts_sum_to_readings(self, small_corpus):
         profile = daily_profile(small_corpus)
-        assert sum(profile.count) == len(small_corpus.readings)
+        assert sum(count for _, _, count in profile) == len(small_corpus.readings)
 
     def test_identical_to_bucket_loop(self):
         # the per-reading bucket loop the column version replaced
@@ -227,23 +228,24 @@ class TestDailyProfile:
         for r in corpus.readings:
             buckets[(r.timestamp % 86400) // 300].append(r.value)
         profile = daily_profile(corpus)
-        for slot, bucket in enumerate(buckets):
+        for (mean, sd, count), bucket in zip(profile, buckets, strict=True):
             arr = np.array(bucket)
-            assert profile.count[slot] == len(bucket)
-            assert profile.mean[slot] == (float(arr.mean()) if bucket else None)
-            assert profile.sd[slot] == (float(arr.std()) if bucket else None)
+            assert count == len(bucket)
+            assert mean == (float(arr.mean()) if bucket else None)
+            assert sd == (float(arr.std()) if bucket else None)
 
 
 class TestLengthHistogram:
     def test_direct_count(self):
         hist = sequence_length_histogram([10, 150, 150])
-        assert hist.counts == {10: 1, 150: 2}
-        assert hist.eligible_count == 2
-        assert hist.eligible_fraction == pytest.approx(2 / 3)
+        assert hist["lengths"] == {"10": 1, "150": 2}
+        assert (hist["total_sequences"], hist["threshold"]) == (3, 144)
+        assert hist["eligible_count"] == 2
+        assert hist["eligible_fraction"] == pytest.approx(2 / 3)
 
     def test_empty(self):
         hist = sequence_length_histogram([])
-        assert hist.counts == {} and hist.eligible_fraction == 0.0
+        assert hist["lengths"] == {} and hist["eligible_fraction"] == 0.0
 
 
 class TestSynthCorpus:
@@ -408,14 +410,16 @@ def test_each_anomaly_parses_as_the_row_loop(tmp_path, anomaly, at):
 @pytest.mark.parametrize("block", [1 << 12, 1 << 18])
 def test_seeded_anomalies_parse_as_the_row_loop(tmp_path, block):
     """About 50k rows with 0.1% mixed anomalies (every kind in ANOMALIES,
-    repeated and conflicting keys) spread over many blocks: the same corpus
-    and report, every (row, message) included."""
+    repeated and conflicting keys) spread over many blocks, with LF line ends
+    and again with CRLF: the same corpus and report, every (row, message) included."""
     path = tmp_path / "mixed.csv"
     _clean_csv(path, 50_000, anomalies=0.001)
-    with patch.object(ingest, "_READ_BLOCK_CHARS", block):
-        (corpus, report), oracle = parse_both(path)
-    assert_same_parse((corpus, report), oracle)
-    assert report.rejected and report.duplicates and report.conflicts
+    for newline in (b"\n", b"\r\n"):
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        with patch.object(ingest, "_READ_BLOCK_CHARS", block):
+            (corpus, report), oracle = parse_both(path)
+        assert_same_parse((corpus, report), oracle)
+        assert report.rejected and report.duplicates and report.conflicts
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,10 @@ from conftest import edit_header, one_window_prepared
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from glyco import lstm
 from glyco.errors import DataError, FormatError, GlycoError, NumericError
 from glyco.lstm import (
     AdamOptimizer,
-    ForgetTrace,
     forget_trace,
     load_model,
     new_network,
@@ -203,13 +203,9 @@ class TestRollout:
     def test_trace_shape_and_range(self):
         net = new_network(hidden_size=8, n_layers=3, seed=4)
         trace = forget_trace(net, np.linspace(80, 300, 132)[None], horizon=12)
-        assert trace.values.shape == (3, 143, 8)
-        assert np.all(trace.values > 0.0) and np.all(trace.values < 1.0)
-        assert trace.phases[:132] == ("observed",) * 132
-        assert trace.phases[132:] == ("recursive",) * 11
-        rows = list(trace.to_csv_rows())
-        assert rows[0] == ["layer", "timestep", "phase"] + [f"unit{u}" for u in range(8)]
-        assert len(rows) == 1 + 3 * 143
+        # 132 observed steps, then 11 that read fed-back predictions
+        assert trace.shape == (3, 143, 8)
+        assert np.all(trace > 0.0) and np.all(trace < 1.0)
 
     def test_deterministic(self):
         net = new_network(hidden_size=8, n_layers=2, seed=5)
@@ -321,9 +317,11 @@ class TestTrain:
     def test_loss_declines_on_sinusoids(self):
         prepared = sinusoid_prepared()
         net = new_network(hidden_size=6, n_layers=2, seed=21)
-        result = train(net, prepared, epochs=5, batch=32, lr=0.005, heuristic_test_n=40, seed=3)
-        assert len(result.checkpoints) == 5
-        assert result.checkpoints[4].train_mse_scaled < result.checkpoints[0].train_mse_scaled
+        _, _, curve = train(
+            net, prepared, epochs=5, batch=32, lr=0.005, heuristic_test_n=40, seed=3
+        )
+        assert len(curve) == 5
+        assert curve[4][0] < curve[0][0]  # train_mse_scaled
 
     def test_deterministic(self):
         prepared = sinusoid_prepared(n_train=64, n_test=16)
@@ -337,10 +335,34 @@ class TestTrain:
     def test_best_checkpoint_is_heuristic_argmin(self):
         prepared = sinusoid_prepared(n_train=64, n_test=16)
         net = new_network(hidden_size=4, n_layers=1, seed=6)
-        result = train(net, prepared, epochs=4, batch=16, lr=0.01, heuristic_test_n=8, seed=2)
-        scores = [cp.heuristic_rmse_mgdl for cp in result.checkpoints]
-        assert result.best_epoch == int(np.argmin(scores)) + 1
-        assert result.best.heuristic_rmse_mgdl == min(scores)
+        best, best_epoch, curve = train(
+            net, prepared, epochs=4, batch=16, lr=0.01, heuristic_test_n=8, seed=2
+        )
+        scores = [heuristic for _, _, heuristic in curve]
+        assert best_epoch == int(np.argmin(scores)) + 1
+        assert curve[best_epoch - 1][2] == min(scores)
+        # the best network is that epoch's: its rollout scores the heuristic again
+        sample = np.random.default_rng([2, 1]).choice(prepared.n_test, size=8, replace=False)
+        inputs, targets = prepared.gather("test", sample)
+        preds = rollout_batch(best, inputs, prepared.horizon)
+        assert float(np.sqrt(np.mean((preds - targets) ** 2))) == min(scores)
+
+    def test_ties_keep_the_earliest_epoch(self, monkeypatch):
+        prepared = sinusoid_prepared(n_train=64, n_test=16)
+        after_one = new_network(hidden_size=4, n_layers=1, seed=6)
+        train(after_one, prepared, epochs=1, batch=16, lr=0.01, heuristic_test_n=8, seed=2)
+        def constant(net, inputs, horizon):  # every epoch's heuristic ties
+            return np.full((len(inputs), horizon), 150.0)
+
+        monkeypatch.setattr(lstm, "rollout_batch", constant)
+        net = new_network(hidden_size=4, n_layers=1, seed=6)
+        best, best_epoch, curve = train(
+            net, prepared, epochs=3, batch=16, lr=0.01, heuristic_test_n=8, seed=2
+        )
+        assert len({heuristic for _, _, heuristic in curve}) == 1
+        assert best_epoch == 1
+        np.testing.assert_array_equal(best.params, after_one.params)
+        assert best is not net and not np.array_equal(net.params, best.params)
 
     def test_empty_train_rejected(self):
         prepared = sinusoid_prepared(n_train=1, n_test=4)
@@ -352,11 +374,11 @@ class TestTrain:
     def test_teacher_forcing_mode_runs(self):
         prepared = sinusoid_prepared(n_train=32, n_test=8)
         net = new_network(hidden_size=3, n_layers=1, seed=7)
-        result = train(
+        _, best_epoch, curve = train(
             net, prepared, epochs=1, batch=16, lr=0.01, heuristic_test_n=8, seed=1,
             feedback="teacher",
         )
-        assert len(result.checkpoints) == 1
+        assert best_epoch == 1 and len(curve) == 1
 
 
 def test_gathered_minibatches_bit_identical_to_one_window_sequences(tmp_path, small_store):
@@ -374,10 +396,12 @@ def test_gathered_minibatches_bit_identical_to_one_window_sequences(tmp_path, sm
     outputs = []
     for name, prepared in (("overlapping", overlapping), ("separate", separate)):
         net = new_network(hidden_size=4, n_layers=2, seed=3)
-        result = train(net, prepared, epochs=2, batch=64, lr=0.01, heuristic_test_n=8, seed=3)
+        best, best_epoch, curve = train(
+            net, prepared, epochs=2, batch=64, lr=0.01, heuristic_test_n=8, seed=3
+        )
         path = tmp_path / f"{name}.glstm"
-        save_model(result.best.network, path, provenance={"best_epoch": result.best_epoch})
-        outputs.append((path.read_bytes(), list(result.curve_rows())))
+        save_model(best, path, provenance={"best_epoch": best_epoch})
+        outputs.append((path.read_bytes(), [list(map(repr, row)) for row in curve]))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
 
@@ -721,10 +745,7 @@ def test_kernel_bit_identical_to_reference(
     trace = forget_trace(net, inputs[-1:], horizon)
     ref_predictions, ref_forget = ref_rollout_trace(net, inputs[-1], horizon)
     assert same_bits(predictions, ref_predictions)
-    assert same_bits(trace.values, ref_forget)
-    assert list(trace.to_csv_rows())[1:] == list(
-        ForgetTrace(values=ref_forget, phases=trace.phases).to_csv_rows()
-    )[1:]
+    assert same_bits(trace, ref_forget)
 
 
 def test_rollout_batch_of_no_rows_matches_reference():

@@ -8,9 +8,8 @@ import pytest
 from glyco.baselines import copy_last
 from glyco.errors import DataError, InvalidValueError
 from glyco.metrics import (
-    EvalReport,
-    FoldMetrics,
     _classes,
+    aggregate,
     clarke_zones,
     esod_n,
     prf1,
@@ -87,7 +86,7 @@ class TestArrayInputs:
     def test_length(self):
         predicted, reference = arrays((range(1, 13), range(2, 14)))
         scores = score_pairs(predicted, reference, fold=0)
-        assert scores.n_examples == 1
+        assert scores["n_examples"] == 1
         assert sum(clarke_zones(predicted, reference)["counts"].values()) == 12
 
     def test_non_finite_rejected(self):
@@ -245,30 +244,31 @@ class TestClarke:
             clarke_zones(np.array([[math.inf]]), np.array([[100.0]]))
 
 
-class TestEvalReport:
+class TestAggregate:
     def _fold(self, index, value):
-        return FoldMetrics(
-            fold=index,
-            n_examples=10,
-            rmse=value,
-            esod_mean=None,
-            esod_defined=0,
-            esod_undefined=10,
-            classification={"abnormal": {"precision": None, "recall": None, "f1": None}},
-            zone_proportions={z: 0.2 for z in "ABCDE"},
-        )
+        return {
+            "fold": index,
+            "n_examples": 10,
+            "rmse": value,
+            "esod_mean": None,
+            "esod_defined": 0,
+            "esod_undefined": 10,
+            "classification": {"abnormal": {"precision": None, "recall": None, "f1": None}},
+            "zone_proportions": {z: 0.2 for z in "ABCDE"},
+        }
 
     def test_identical_folds_have_zero_sd(self):
-        report = EvalReport("m", [self._fold(0, 30.0), self._fold(1, 30.0)])
-        agg = report.aggregate()
+        agg = aggregate([self._fold(0, 30.0), self._fold(1, 30.0)])
         assert agg["rmse"]["mean"] == 30.0
         assert agg["rmse"]["sd"] == 0.0
 
     def test_hand_mean_sd(self):
-        report = EvalReport("m", [self._fold(0, 28.0), self._fold(1, 30.0)])
-        agg = report.aggregate()
+        agg = aggregate([self._fold(0, 28.0), self._fold(1, 30.0)])
         assert agg["rmse"]["mean"] == pytest.approx(29.0, abs=1e-12)
         assert agg["rmse"]["sd"] == pytest.approx(1.0, abs=1e-12)  # population s.d.
+        # no fold defines the curvature ratio or the abnormal-class scores
+        assert agg["esod"] == agg["f1"] == {"mean": None, "sd": None}
+        assert agg["esod_undefined_folds"] == 2
 
 
 def test_score_pairs_copy_last_esod_undefined_reported():
@@ -277,9 +277,9 @@ def test_score_pairs_copy_last_esod_undefined_reported():
     targets = rng.uniform(80, 300, (6, 12))
     metrics = score_pairs(copy_last(inputs), targets, fold=0)
     # copy-last output has zero curvature: every defined ratio is exactly 0
-    assert metrics.esod_mean == 0.0 or metrics.esod_mean is None
-    assert metrics.esod_defined + metrics.esod_undefined == 6
-    assert metrics.rmse > 0
+    assert metrics["esod_mean"] == 0.0 or metrics["esod_mean"] is None
+    assert metrics["esod_defined"] + metrics["esod_undefined"] == 6
+    assert metrics["rmse"] > 0
 
 
 def boundary_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +314,8 @@ def row_energy(v: np.ndarray) -> float:
     return float(np.sum(dd * dd))
 
 
-def per_row_oracle(predicted, reference, fold, hypo=70.0, hyper=280.0) -> FoldMetrics:
-    """FoldMetrics from one row and one point at a time, summed left to right."""
+def per_row_oracle(predicted, reference, fold, hypo=70.0, hyper=280.0) -> dict:
+    """``score_pairs``'s dict from one row and one point at a time, summed left to right."""
     total = 0.0
     ratios = []
     confusion = {name: dict(tp=0, fp=0, fn=0, tn=0) for name in ("abnormal", "hypo", "hyper")}
@@ -347,16 +347,16 @@ def per_row_oracle(predicted, reference, fold, hypo=70.0, hyper=280.0) -> FoldMe
         )
         return {**c, "precision": precision, "recall": recall, "f1": f1}
 
-    return FoldMetrics(
-        fold=fold,
-        n_examples=len(predicted),
-        rmse=math.sqrt(total / points),
-        esod_mean=float(np.mean(ratios)) if ratios else None,
-        esod_defined=len(ratios),
-        esod_undefined=len(predicted) - len(ratios),
-        classification={name: scores(c) for name, c in confusion.items()},
-        zone_proportions={z: zones[z] / points for z in "ABCDE"},
-    )
+    return {
+        "fold": fold,
+        "n_examples": len(predicted),
+        "rmse": math.sqrt(total / points),
+        "esod_mean": float(np.mean(ratios)) if ratios else None,
+        "esod_defined": len(ratios),
+        "esod_undefined": len(predicted) - len(ratios),
+        "classification": {name: scores(c) for name, c in confusion.items()},
+        "zone_proportions": {z: zones[z] / points for z in "ABCDE"},
+    }
 
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (7, 1), (500, 2), (3000, 3)])
@@ -375,6 +375,6 @@ def test_score_pairs_bit_identical_to_per_row_oracle(n, seed):
         for p, r in zip(predicted, reference)
     ]
     np.testing.assert_array_equal(esod_n(column_major, reference), expected)
-    assert json.dumps(result.to_dict()) == json.dumps(oracle.to_dict())
-    assert type(result.rmse) is float
-    assert result.esod_mean is None or type(result.esod_mean) is float
+    assert json.dumps(result) == json.dumps(oracle)
+    assert type(result["rmse"]) is float
+    assert result["esod_mean"] is None or type(result["esod_mean"]) is float

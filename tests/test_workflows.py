@@ -289,8 +289,12 @@ def test_explain_trace(workspace, tmp_path):
     )
     net, _ = load_model(tmp_path / "models" / "lstm_fold0.glstm")
     trace = forget_trace(net, prepared.train_inputs[last:], horizon=prepared.horizon)
+    expected = [["layer", "timestep", "phase"] + [f"unit{u}" for u in range(config.lstm_hidden)]]
+    for layer, t in np.ndindex(trace.shape[:2]):
+        phase = "observed" if t < prepared.input_len else "recursive"
+        expected.append([str(layer), str(t), phase, *(repr(float(v)) for v in trace[layer, t])])
     with (tmp_path / "trace3.csv").open(newline="") as handle:
-        assert list(csv.reader(handle)) == [list(map(str, row)) for row in trace.to_csv_rows()]
+        assert list(csv.reader(handle)) == expected
 
 
 def test_explain_rejects_a_bad_split_before_reading(tmp_path):
