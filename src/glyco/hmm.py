@@ -34,6 +34,8 @@ HMM_VERSION = 1
 PROB_FLOOR = 1e-10
 # Rows per E-step slice: alpha is (512, 144, 100) float64, ~60 MB, at paper scale.
 E_STEP_CHUNK = 512
+# Gamma rows summed per block when the emission accumulator is updated: ~3.3 MB at N = 100.
+SYMBOL_SUM_BLOCK = 4096
 # Rows per Viterbi batch: the (rows, N, N) step scores stay ~1.3 MB, in cache, at N = 100.
 VITERBI_CHUNK = 16
 
@@ -180,8 +182,31 @@ def _e_step(
             beta = weighted @ a.T
         alpha[:, 0] *= beta
         pi_acc += alpha[:, 0].sum(axis=0)
-        np.add.at(b_acc, chunk.ravel(), alpha.reshape(-1, n_states))
+        _add_by_symbol(b_acc, chunk.ravel(), alpha.reshape(-1, n_states))
     return log_likelihoods, pi_acc, a * xi_acc, b_acc.T
+
+
+def _add_by_symbol(acc: np.ndarray, symbols: np.ndarray, rows: np.ndarray) -> None:
+    """Add each of rows to acc's row for its symbol, in row order: the sums of
+    ``np.add.at(acc, symbols, rows)``, bit for bit.
+
+    A stable argsort groups each symbol's rows in row order. ``np.add.reduce``
+    along axis 0 of a block holding the running row and then up to
+    SYMBOL_SUM_BLOCK - 1 of those rows adds them one after another, as add.at
+    does. (With one column the reduce sums pairwise; an HMM with one state
+    has gamma rows of exactly 1, whose sums are exact in any order.)
+    """
+    order = np.argsort(symbols, kind="stable")
+    grouped = symbols[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1)).tolist()  # symbols are >= 0
+    block = np.empty((SYMBOL_SUM_BLOCK, rows.shape[1]))
+    for lo, hi in zip(starts, [*starts[1:], len(order)]):
+        target = acc[grouped[lo]]
+        for start in range(lo, hi, SYMBOL_SUM_BLOCK - 1):
+            part = block[: min(hi - start, SYMBOL_SUM_BLOCK - 1) + 1]
+            part[0] = target
+            np.take(rows, order[start : start + len(part) - 1], axis=0, out=part[1:])
+            np.add.reduce(part, axis=0, out=target)
 
 
 def baum_welch(

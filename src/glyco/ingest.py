@@ -14,13 +14,26 @@ in-range ``float`` fields); only the records that fail go through one row
 checker, which records each rejection by row number. Repeated keys are
 resolved after the ``lexsort``, in row order. Read failures raise
 ``FormatError``.
+
+``write_cgm_csv`` returns the SHA-256 of the bytes it wrote, and the steps
+that write a CGM CSV (``synth``, ``ingest``) keep the corpus beside it in
+``<csv>.gcorpus``: a framed file (see ``core.write_framed``), magic
+``GLYFCORP``, version 1. Its header holds ``csv_sha256`` (the CSV's bytes),
+``patients`` (each patient id with its reading count, in corpus order) and
+``sha256`` (the rest of the header as sorted-key JSON, then the payload);
+the payload is the timestamps' high and low 32-bit halves, then the values.
+``load_cgm_corpus`` reads the sidecar only when it is well-formed and both
+hashes match, and parses the CSV otherwise, so a missing, stale or corrupt
+sidecar is never an error and deleting one is always safe.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
+import json
 import math
 import re
 from collections.abc import Iterable
@@ -33,7 +46,7 @@ import numpy as np
 
 from .core import (
     GLUCOSE_MAX_MGDL, GLUCOSE_MIN_MGDL, PATIENT_NUMERIC_FEATURES, GlucoseReading, PatientRecord,
-    atomic_write,
+    atomic_write, is_int, read_framed, write_framed,
 )
 from .errors import DataError, FormatError, InvalidValueError
 
@@ -53,6 +66,10 @@ SLOTS_PER_DAY = 86400 // 300  # 288 five-minute slots
 
 _READ_BLOCK_CHARS = 1 << 18  # CGM parse read size, about 9k rows
 _WRITE_BLOCK_ROWS = 1 << 14
+_HASH_BLOCK_BYTES = 1 << 20
+
+CORPUS_MAGIC = b"GLYFCORP"
+CORPUS_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,19 +466,114 @@ def _cgm_row_blocks(rows):
         yield [r.patient_id for r in block], [r.timestamp for r in block], [r.value for r in block]
 
 
-def write_cgm_csv(rows: Corpus | Iterable[GlucoseReading], path: str | Path) -> None:
-    """Write a corpus, or readings in the order given, as a CGM CSV.
+def write_cgm_csv(rows: Corpus | Iterable[GlucoseReading], path: str | Path) -> str:
+    """Write a corpus, or readings in the order given, as a CGM CSV; returns
+    the SHA-256 hex digest of the bytes written.
 
     Each row is ``patient_id,timestamp,repr(value)``, the bytes ``csv.writer``
-    gives for it.
+    gives for it, encoded as UTF-8.
     """
     cells = _CsvCells()
-    with atomic_write(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(CGM_HEADER) + "\n")
-        for pids, stamps, values in _cgm_row_blocks(rows):
-            handle.write(
-                "".join([f"{cells[p]},{t},{v!r}\n" for p, t, v in zip(pids, stamps, values)])
-            )
+    digest = hashlib.sha256()
+    texts = (
+        "".join([f"{cells[p]},{t},{v!r}\n" for p, t, v in zip(pids, stamps, values)])
+        for pids, stamps, values in _cgm_row_blocks(rows)
+    )
+    with atomic_write(path) as handle:
+        for text in chain([",".join(CGM_HEADER) + "\n"], texts):
+            data = text.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+    return digest.hexdigest()
+
+
+def corpus_sidecar(csv_path: str | Path) -> Path:
+    """The sidecar that keeps the corpus of a CGM CSV: ``<csv>.gcorpus``."""
+    path = Path(csv_path)
+    return path.with_name(path.name + ".gcorpus")
+
+
+def _sidecar_sha256(header: dict, payload) -> str:
+    """SHA-256 of a sidecar header's other fields, as sorted-key JSON, then the payload."""
+    rest = {key: value for key, value in header.items() if key != "sha256"}
+    digest = hashlib.sha256(json.dumps(rest, sort_keys=True).encode("utf-8"))
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def write_corpus_sidecar(corpus: Corpus, csv_sha256: str, path: str | Path) -> None:
+    """Keep corpus in the sidecar at path, valid for the CSV whose bytes hash to csv_sha256.
+
+    Timestamps are stored as their high and low 32-bit halves, each exact in float64.
+    """
+    pids, stamps = corpus.patient_ids, corpus.timestamps
+    starts = np.flatnonzero(np.concatenate([[True], pids[1:] != pids[:-1]])[: len(pids)])
+    counts = np.diff(np.append(starts, len(pids)))
+    payload = np.concatenate([stamps >> 32, stamps & 0xFFFFFFFF, corpus.values], dtype="<f8")
+    header = {
+        "csv_sha256": csv_sha256,
+        "patients": [[pid, n] for pid, n in zip(pids[starts].tolist(), counts.tolist())],
+    }
+    header["sha256"] = _sidecar_sha256(header, payload)
+    write_framed(path, CORPUS_MAGIC, CORPUS_VERSION, header, payload)
+
+
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while block := handle.read(_HASH_BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_corpus_sidecar(csv_path: Path) -> Corpus | None:
+    """The corpus in csv_path's sidecar; None unless the sidecar is well-formed
+    and both its hashes match."""
+    try:
+        version, header, payload = read_framed(corpus_sidecar(csv_path), CORPUS_MAGIC, "corpus")
+    except (OSError, FormatError):
+        return None
+    patients = header.get("patients")
+    if not (
+        version == CORPUS_VERSION
+        and header.keys() == {"csv_sha256", "patients", "sha256"}
+        and isinstance(patients, list)
+        and all(
+            isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and is_int(p[1])
+            and p[1] >= 1
+            for p in patients
+        )
+    ):
+        return None
+    counts = [n for _, n in patients]
+    n = sum(counts)
+    if len(payload) != 24 * n or header["sha256"] != _sidecar_sha256(header, payload):
+        return None
+    try:
+        if header["csv_sha256"] != _file_sha256(csv_path):
+            return None
+    except OSError:
+        return None
+    high, low, values = np.frombuffer(payload, "<f8").reshape(3, n)
+    if not np.all((high >= 0) & (high < 2.0**31) & (low >= 0) & (low < 2.0**32)):
+        return None
+    stamps, low_int = high.astype(np.int64), low.astype(np.int64)
+    if not (np.array_equal(stamps, high) and np.array_equal(low_int, low)):  # whole halves
+        return None
+    stamps = stamps << 32 | low_int
+    pids = np.repeat(np.array([pid for pid, _ in patients], dtype=object), counts)
+    try:
+        return Corpus(pids, stamps, values.astype(np.float64))
+    except DataError:
+        return None
+
+
+def load_cgm_corpus(path: str | Path) -> Corpus:
+    """The corpus of a CGM CSV: from its sidecar (see ``corpus_sidecar``) when
+    the sidecar holds the corpus written as exactly these bytes, otherwise
+    from ``parse_cgm_csv`` with its default malformed-row limit."""
+    corpus = _read_corpus_sidecar(Path(path))
+    return parse_cgm_csv(path)[0] if corpus is None else corpus
 
 
 def write_patient_csv(patients, path: str | Path) -> None:

@@ -6,6 +6,13 @@ step builds its reports and CSVs from the plain values the library returns
 (curves, fold metric dicts, trace arrays). Reports embed the resolved
 configuration. All randomness is seeded; per-fold seeds are seed +
 fold_index so fold-level parallelism cannot change any result.
+
+``synth`` and ``ingest`` stage each CGM CSV they write together with its
+``<csv>.gcorpus`` sidecar, and ``stats``, ``prepare`` and cohort-compare load
+a CGM CSV's corpus from that sidecar when it matches the CSV's bytes, parsing
+the CSV otherwise (``ingest.load_cgm_corpus``). The sidecar changes no output
+byte, and deleting it is always safe. ``ingest`` itself always parses its raw
+input, since its report needs every row.
 """
 
 from __future__ import annotations
@@ -78,11 +85,19 @@ class OutputTracker:
 
 
 def load_corpus(cgm_path: str | Path, patients_path: str | Path | None = None) -> Corpus:
-    corpus, _ = ingest.parse_cgm_csv(cgm_path)
+    """The CGM corpus, from the CSV's ``.gcorpus`` sidecar when it matches the
+    CSV's bytes (see ``ingest.load_cgm_corpus``), plus the patient records."""
+    corpus = ingest.load_cgm_corpus(cgm_path)
     if patients_path is None:
         return corpus
     records, _ = ingest.parse_patient_csv(patients_path)
     return dataclasses.replace(corpus, patients=tuple(records))
+
+
+def _write_cgm(tracker: OutputTracker, corpus: Corpus, path: str | Path) -> None:
+    """Stage corpus as a CGM CSV at path and its ``.gcorpus`` sidecar beside it."""
+    digest = ingest.write_cgm_csv(corpus, tracker.register(path))
+    ingest.write_corpus_sidecar(corpus, digest, tracker.register(ingest.corpus_sidecar(path)))
 
 
 def run_synth(
@@ -94,7 +109,7 @@ def run_synth(
     out_patients: str | Path | None,
 ) -> dict:
     corpus = ingest.synth_corpus(n_patients, days, config.seed)
-    ingest.write_cgm_csv(corpus, tracker.register(out_cgm))
+    _write_cgm(tracker, corpus, out_cgm)
     if out_patients is not None:
         ingest.write_patient_csv(corpus.patients, tracker.register(out_patients))
     tracker.commit()
@@ -111,7 +126,7 @@ def run_ingest(
 ) -> dict:
     out_dir = Path(out_dir)
     corpus, report = ingest.parse_cgm_csv(cgm_path, max_malformed_fraction)
-    ingest.write_cgm_csv(corpus, tracker.register(out_dir / "corpus.csv"))
+    _write_cgm(tracker, corpus, out_dir / "corpus.csv")
     reports = {"cgm": report.to_dict()}
     if patients_path is not None:
         patients, patient_report = ingest.parse_patient_csv(patients_path)
@@ -296,6 +311,18 @@ def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet
     return prepared
 
 
+def _check_one_prepare_run(prepared_dir: str | Path, provenances: list[dict]) -> None:
+    """One protocol per run: every fold's provenance must equal fold 0's apart from ``fold``."""
+    first = provenances[0]
+    for fold_index, other in enumerate(provenances[1:], start=1):
+        for key in sorted((first.keys() | other.keys()) - {"fold"}):
+            if key not in first or key not in other or first[key] != other[key]:
+                raise FormatError(
+                    f"{prepared_path(prepared_dir, fold_index)}: provenance {key!r} is "
+                    f"{other.get(key)!r}, fold 0's is {first.get(key)!r}"
+                )
+
+
 def model_path(out_dir: str | Path, model: str, fold_index: int | str) -> Path:
     """A trained model's file: ``<model>_fold<i>.<suffix>`` for fold i, or
     ``<model>_<tag>.<suffix>`` when given a cohort tag (a str)."""
@@ -388,13 +415,12 @@ def run_train(
     if model not in ALL_MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {', '.join(ALL_MODELS)}")
     out_dir = Path(out_dir)
-    jobs = []
-    for fold_index in range(config.k_folds):
-        prepared_file = prepared_path(prepared_dir, fold_index)
-        if not prepared_file.exists():
-            raise DataError(f"missing prepared fold file: {prepared_file}")
-        out = tracker.register(model_path(out_dir, model, fold_index))
-        jobs.append((config, model, str(prepared_dir), fold_index, str(out)))
+    provenances = [load_fold(prepared_dir, i).provenance for i in range(config.k_folds)]
+    _check_one_prepare_run(prepared_dir, provenances)  # before any fold trains
+    jobs = [
+        (config, model, str(prepared_dir), i, str(tracker.register(model_path(out_dir, model, i))))
+        for i in range(config.k_folds)
+    ]
 
     if config.jobs > 1 and len(jobs) > 1:
         # Ctrl-C reaches the whole process group: the workers ignore it, the parent acts.
@@ -463,16 +489,7 @@ def run_evaluate(
         raise ConfigError(f"unknown models: {', '.join(unknown)}")
     out_dir = Path(out_dir)
     fold_sets = [load_fold(prepared_dir, i) for i in range(config.k_folds)]
-    # One protocol per report: every fold must come from fold 0's prepare run.
-    first = fold_sets[0].provenance
-    for fold_index, prepared in enumerate(fold_sets[1:], start=1):
-        other = prepared.provenance
-        for key in sorted((first.keys() | other.keys()) - {"fold"}):
-            if key not in first or key not in other or first[key] != other[key]:
-                raise FormatError(
-                    f"{prepared_path(prepared_dir, fold_index)}: provenance {key!r} is "
-                    f"{other.get(key)!r}, fold 0's is {first.get(key)!r}"
-                )
+    _check_one_prepare_run(prepared_dir, [prepared.provenance for prepared in fold_sets])
     horizon = fold_sets[0].horizon
     protocol = {
         "k_folds": config.k_folds,

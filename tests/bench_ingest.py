@@ -10,15 +10,23 @@ The corpus is 100 patients x 3,000 five-minute readings with seeded values.
 of a key appended (resolved after the sort); and on the same rows with 0.1%
 mixed anomalies inserted (``conftest.mix_anomalies``: malformed, blank,
 quoted and out-of-range rows, repeated and conflicting keys), each flagged
-row going through the row checker. ``write`` writes the parsed corpus. The
-JSON's ``extra_info`` holds µs per row.
+row going through the row checker. ``write`` writes the parsed corpus.
+``load`` reads the clean CSV's corpus through the sidecar that ``synth`` and
+``ingest`` write beside it (hashing the CSV, then reading the sidecar), for
+comparison with ``parse`` on the clean file. The JSON's ``extra_info`` holds
+µs per row.
 """
+
+import hashlib
+import shutil
 
 import numpy as np
 import pytest
 from conftest import mix_anomalies
 
-from glyco.ingest import parse_cgm_csv, write_cgm_csv
+from glyco.ingest import (
+    corpus_sidecar, load_cgm_corpus, parse_cgm_csv, write_cgm_csv, write_corpus_sidecar,
+)
 
 PATIENTS, READINGS = 100, 3_000
 ROWS = PATIENTS * READINGS
@@ -71,5 +79,17 @@ def test_write_cgm_csv(benchmark, tmp_path, clean_csv):
     path = tmp_path / "out.csv"
     benchmark(write_cgm_csv, corpus, path)
     assert path.read_bytes() == clean_csv.read_bytes()
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6
+
+
+def test_load_cgm_corpus_through_sidecar(benchmark, tmp_path, clean_csv):
+    path = tmp_path / "kept.csv"
+    shutil.copyfile(clean_csv, path)
+    corpus, _ = parse_cgm_csv(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    write_corpus_sidecar(corpus, digest, corpus_sidecar(path))
+    loaded = benchmark(load_cgm_corpus, path)
+    assert loaded.values.tobytes() == corpus.values.tobytes() and len(loaded) == ROWS
     if benchmark.stats:  # None under --benchmark-disable
         benchmark.extra_info["us_per_row"] = benchmark.stats.stats.median / ROWS * 1e6

@@ -570,6 +570,29 @@ class TestErrors:
         assert "fold1.gprep" in parsed["message"] and "'seed' is 2" in parsed["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    def test_train_refuses_folds_of_two_prepare_runs(self, runner, pipeline_dir, tmp_path):
+        # A --seed 2 fold 1 copied into a --seed 1 prepare directory: no fold trains.
+        first, second, out = tmp_path / "first", tmp_path / "second", tmp_path / "models"
+        for prep, seed in ((first, "1"), (second, "2")):
+            result = runner.invoke(
+                main,
+                ["prepare", "--cgm", str(pipeline_dir / "cgm.csv"), "--out-dir", str(prep),
+                 "--folds", "2", "--test-step", "144", "--seed", seed],
+            )
+            assert result.exit_code == 0, result.output
+        shutil.copyfile(second / "fold1.gprep", first / "fold1.gprep")
+        result = runner.invoke(
+            main,
+            ["train", "--prepared-dir", str(first), "--model", "lstm", "--out-dir", str(out),
+             "--folds", "2", "--epochs", "1", "--hidden", "2", "--layers", "1", "--seed", "1"],
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError"
+        assert "fold1.gprep" in parsed["message"] and "'seed' is 2" in parsed["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_variance_tau_is_rejected(self, runner, pipeline_dir, tmp_path, tau):
         out = tmp_path / "stats"

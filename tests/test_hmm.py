@@ -299,6 +299,37 @@ class TestScaledEStep:
             for name, g, e in zip(("log-likelihood", "pi", "A", "B"), got, expected):
                 np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=f"T={length} {name}")
 
+    @pytest.mark.parametrize(
+        "n_rows, n_states, n_symbols",
+        [(1, 2, 4), (700, 2, 3), (9_000, 3, 1), (5_000, 7, 50), (20_000, 4, 2),
+         (12 * 144, 100, 100)],
+    )
+    def test_add_by_symbol_is_add_at_bit_for_bit(self, monkeypatch, n_rows, n_states, n_symbols):
+        # Small blocks and a symbol with many rows make every run span blocks.
+        monkeypatch.setattr(hmm, "SYMBOL_SUM_BLOCK", 97)
+        rng = np.random.default_rng(n_rows)
+        rows = rng.random((n_rows, n_states)) * 10.0 ** rng.integers(-8, 8, (n_rows, 1))
+        symbols = np.minimum(rng.integers(0, 2 * n_symbols, n_rows), n_symbols - 1)
+        expected = rng.random((n_symbols, n_states))
+        got = expected.copy()
+        np.add.at(expected, symbols, rows)
+        hmm._add_by_symbol(got, symbols, rows)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_states, n_symbols", [(1, 5), (3, 4), (100, 100)])
+    def test_emission_sums_equal_add_at_bit_for_bit(self, monkeypatch, n_states, n_symbols):
+        """The whole E-step, over several slices, with np.add.at as the emission
+        accumulator: every output is the same, bit for bit."""
+        monkeypatch.setattr(hmm, "E_STEP_CHUNK", 16)
+        rng = np.random.default_rng(n_states)
+        model = random_model(rng, n_states, n_symbols)
+        symbols = rng.integers(0, n_symbols, size=(40, 144))
+        args = (model.initial, model.transition, model.emission, symbols)
+        got = _e_step(*args)
+        monkeypatch.setattr(hmm, "_add_by_symbol", np.add.at)
+        expected = _e_step(*args)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
     def test_zero_scale_is_numeric_error(self):
         pi = np.array([0.5, 0.5])
         a = np.full((2, 2), 0.5)

@@ -341,15 +341,19 @@ def parse_both(path, max_malformed_fraction=1.0):
     return results
 
 
+def assert_same_corpus(a, b):
+    assert a.patient_ids.tolist() == b.patient_ids.tolist()
+    for name in ("timestamps", "values"):
+        column_a, column_b = getattr(a, name), getattr(b, name)
+        assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes()
+
+
 def assert_same_parse(a, b):
     if not isinstance(a[0], Corpus) or not isinstance(b[0], Corpus):
         assert a == b
         return
     (corpus_a, report_a), (corpus_b, report_b) = a, b
-    assert corpus_a.patient_ids.tolist() == corpus_b.patient_ids.tolist()
-    for name in ("timestamps", "values"):
-        column_a, column_b = getattr(corpus_a, name), getattr(corpus_b, name)
-        assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes()
+    assert_same_corpus(corpus_a, corpus_b)
     assert report_a.to_dict() == report_b.to_dict()
     assert report_a.rejected == report_b.rejected
 
@@ -582,3 +586,62 @@ def test_csv_parsers_fuzz_raise_only_glyco_errors(tmp_path, fuzz_csvs, data):
                            for n in ingest.PATIENT_NUMERIC_FEATURES)
     except GlycoError:
         pass
+
+
+# -- the corpus sidecar ----------------------------------------------------------
+
+def write_with_sidecar(corpus, path):
+    """The CGM CSV and its sidecar, as synth and ingest write them."""
+    ingest.write_corpus_sidecar(corpus, write_cgm_csv(corpus, path), ingest.corpus_sidecar(path))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sidecar_corpus_equals_the_parse_of_its_csv(tmp_path, fuzz_csvs, data):
+    """For every corpus the ingest fuzz inputs yield, the sidecar written beside
+    the CSV of that corpus reads back as parse_cgm_csv reads the CSV."""
+    if data.draw(st.booleans()):
+        raw = data.draw(st.one_of(cgm_files(), clean_cgm_files())).encode()
+    else:
+        raw = mutate(data, fuzz_csvs[0])
+    source, path = tmp_path / "in.csv", tmp_path / "corpus.csv"
+    source.write_bytes(raw)
+    try:
+        corpus, _ = parse_cgm_csv(source, max_malformed_fraction=1.0)
+    except GlycoError:
+        return
+    write_with_sidecar(corpus, path)
+    kept = ingest._read_corpus_sidecar(path)
+    assert kept is not None
+    assert_same_corpus(kept, corpus)
+    assert_same_corpus(kept, parse_cgm_csv(path)[0])
+
+
+@pytest.mark.parametrize("stamp", [1, 2**32 - 1, 2**32, 2**53 + 1, 2**63 - 1])
+def test_sidecar_keeps_timestamps_exactly(tmp_path, stamp):
+    path = tmp_path / "c.csv"
+    write_with_sidecar(Corpus(["p"], [stamp], [5.0]), path)
+    assert ingest._read_corpus_sidecar(path).timestamps.tolist() == [stamp]
+
+
+def test_sidecar_of_an_empty_corpus(tmp_path):
+    path = write(tmp_path, "c.csv", HEADER)
+    corpus, _ = parse_cgm_csv(path)
+    write_with_sidecar(corpus, path)
+    assert path.read_text(encoding="utf-8") == HEADER
+    assert len(ingest._read_corpus_sidecar(path)) == 0
+
+
+def test_load_reads_the_sidecar_only_while_it_matches(tmp_path, monkeypatch, small_corpus):
+    path = tmp_path / "c.csv"
+    write_with_sidecar(small_corpus, path)
+    parses = []
+    monkeypatch.setattr(ingest, "parse_cgm_csv", lambda p: parses.append(p) or (small_corpus, None))
+    assert_same_corpus(ingest.load_cgm_corpus(path), small_corpus)
+    assert parses == []
+    with path.open("a", encoding="utf-8") as handle:  # the CSV changes; the sidecar goes stale
+        handle.write("zz,1,5.0\n")
+    ingest.load_cgm_corpus(path)
+    ingest.corpus_sidecar(path).unlink()
+    ingest.load_cgm_corpus(path)
+    assert parses == [path, path]

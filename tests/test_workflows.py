@@ -1,15 +1,16 @@
 import csv
 import dataclasses
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import mutate, one_window_prepared
+from conftest import edit_header, mutate, one_window_prepared, protocol_digests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from glyco import hmm as hmm_mod
+from glyco import hmm as hmm_mod, ingest
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError, GlycoError, NumericError
 from glyco.hmm import load_hmm
@@ -461,3 +462,96 @@ def test_write_json_rejects_non_finite_numbers(tmp_path, value):
     with pytest.raises(NumericError):
         tracker.write_json(tmp_path / "a" / "b.json", {"x": [1.0, value]})
     assert tracker.staged == {} and not (tmp_path / "a").exists()
+
+
+# -- the corpus sidecar may never change what stats and prepare write ------------
+
+SIDECAR_CONFIG = RunConfig(k_folds=2, train_step=144, test_step=144, seed=5)
+
+
+def _stats_and_prepare(cgm, out):
+    """Digests of the files stats and prepare write for cgm, or the GlycoError they raise."""
+    tracker = OutputTracker()
+    try:
+        run_stats(tracker, SIDECAR_CONFIG, cgm, None, out / "stats")
+        run_prepare(tracker, SIDECAR_CONFIG, cgm, out / "prep")
+    except GlycoError as exc:
+        return type(exc).__name__, str(exc)
+    finally:
+        tracker.cleanup()
+    return protocol_digests(out)
+
+
+@pytest.fixture(scope="module")
+def sidecar_run(tmp_path_factory):
+    """A synth corpus's CSV and sidecar bytes, and the digests of what stats
+    and prepare write for it without the sidecar."""
+    root = tmp_path_factory.mktemp("sidecar")
+    cgm, sidecar = root / "cgm.csv", root / "cgm.csv.gcorpus"
+    run_synth(OutputTracker(), SIDECAR_CONFIG, 3, 2, cgm, None)
+    csv_bytes, sidecar_bytes = cgm.read_bytes(), sidecar.read_bytes()
+    sidecar.unlink()
+    reference = _stats_and_prepare(cgm, root / "out")
+    assert isinstance(reference, dict) and len(reference) == 5
+    return csv_bytes, sidecar_bytes, reference
+
+
+def test_stats_and_prepare_read_the_sidecar(tmp_path, monkeypatch, sidecar_run):
+    csv_bytes, sidecar_bytes, reference = sidecar_run
+    (tmp_path / "cgm.csv").write_bytes(csv_bytes)
+    (tmp_path / "cgm.csv.gcorpus").write_bytes(sidecar_bytes)
+    monkeypatch.setattr(ingest, "parse_cgm_csv", lambda *a: pytest.fail("the CSV was parsed"))
+    assert _stats_and_prepare(tmp_path / "cgm.csv", tmp_path / "out") == reference
+
+
+def _rename_a_patient(header):
+    header["patients"][0][0] = "synth999"
+
+
+def _move_a_reading(header):
+    header["patients"][0][1] -= 1
+    header["patients"][1][1] += 1
+
+
+SIDECAR_HEADER_EDITS = [
+    lambda h: h.update(csv_sha256="0" * 64),
+    lambda h: h.update(sha256=h["csv_sha256"]),
+    _rename_a_patient,
+    _move_a_reading,
+    lambda h: h["patients"].reverse(),
+    lambda h: h.update(patients=None),
+    lambda h: h.pop("patients"),
+    lambda h: h.update(extra=1),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sidecar_fuzz_never_changes_stats_or_prepare(tmp_path, sidecar_run, data):
+    """A truncated, bit-flipped or header-edited sidecar, or one beside an
+    edited CSV: stats and prepare write the same bytes, or raise the same
+    error, as with no sidecar, and never raise on account of the sidecar."""
+    csv_bytes, sidecar_bytes, reference = sidecar_run
+    base = tmp_path / "run"
+    shutil.rmtree(base, ignore_errors=True)
+    base.mkdir()
+    cgm, sidecar = base / "cgm.csv", base / "cgm.csv.gcorpus"
+    cgm.write_bytes(csv_bytes)
+    sidecar.write_bytes(sidecar_bytes)
+    edit = data.draw(st.sampled_from(["truncate", "flip", "header", "csv"]))
+    if edit == "truncate":
+        sidecar.write_bytes(sidecar_bytes[: data.draw(st.integers(0, len(sidecar_bytes) - 1))])
+    elif edit == "flip":
+        raw = bytearray(sidecar_bytes)
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        sidecar.write_bytes(bytes(raw))
+    elif edit == "header":
+        edit_header(sidecar, data.draw(st.sampled_from(SIDECAR_HEADER_EDITS)))
+    else:
+        cgm.write_bytes(mutate(data, csv_bytes))
+    with_sidecar = _stats_and_prepare(cgm, base / "with")
+    sidecar.unlink()
+    assert with_sidecar == _stats_and_prepare(cgm, base / "without")
+    if edit != "csv":
+        assert with_sidecar == reference
