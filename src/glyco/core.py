@@ -7,6 +7,7 @@ seconds since epoch; sub-second precision is discarded at ingest.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -85,23 +86,38 @@ def write_framed(path: str | Path, magic: bytes, version: int, header: dict, pay
         handle.write(np.ascontiguousarray(payload, dtype="<f8").data)
 
 
-def read_framed(path: str | Path, magic: bytes, what: str) -> tuple[int, dict, memoryview]:
-    """(version, header, payload bytes) of a framed file; ``what`` names the
-    file kind in errors. The caller checks the version and the header."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != magic:
+def _read_header(handle, size: int, path, magic: bytes, what: str) -> tuple[int, dict]:
+    """(version, header) from a framed file of ``size`` bytes open at its
+    start; the handle is left at the payload."""
+    head = handle.read(16)
+    if len(head) < 16 or head[:8] != magic:
         raise FormatError(f"{path}: not a {what} file (bad magic)")
-    version, header_len = struct.unpack_from("<II", raw, 8)
-    end = 16 + header_len
-    if len(raw) < end:
+    version, header_len = struct.unpack_from("<II", head, 8)
+    # Checked against the size first, so a corrupt length allocates nothing.
+    if size < 16 + header_len:
         raise FormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[16:end].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
-    return version, header, memoryview(raw)[end:]
+    return version, header
+
+
+def read_framed_header(path: str | Path, magic: bytes, what: str) -> tuple[int, dict]:
+    """(version, header) of a framed file, without reading its payload."""
+    with Path(path).open("rb") as handle:
+        return _read_header(handle, os.fstat(handle.fileno()).st_size, path, magic, what)
+
+
+def read_framed(path: str | Path, magic: bytes, what: str) -> tuple[int, dict, memoryview]:
+    """(version, header, payload bytes) of a framed file; ``what`` names the
+    file kind in errors. The caller checks the version and the header."""
+    raw = Path(path).read_bytes()
+    handle = io.BytesIO(raw)  # shares raw's buffer: only the header is copied
+    version, header = _read_header(handle, len(raw), path, magic, what)
+    return version, header, memoryview(raw)[handle.tell() :]
 
 
 def finite_floats(path: str | Path, payload: memoryview, count: int) -> np.ndarray:

@@ -229,13 +229,14 @@ class _Unroll:
     wavefront, then the recursive phase one cell at a time. States are stored
     diagonal-major, so a diagonal is a plain slice. With keep_steps, ``cs``
     is (T+L, L, h, B) with cell (t, l) at index t + l + 1 and layer l's zero
-    initial state at index l, and ``gates`` (T+L-1, L, 4h, B) and ``tcs``
-    (tanh of the cell state, (T+L-1, L, h, B)) hold cell (t, l) at index
-    t + l; their cells before step 0 are zero. Hidden states are not kept:
-    h = o * tanh(c) is one product of kept arrays, which the backward sweep
-    recomputes bit for bit. Without keep_steps, two diagonal slots are used
-    in turn and one gate slot is overwritten, so memory does not grow with
-    the window length.
+    initial state at index l, and ``gates`` (T+L-1, L, 4h, B) holds cell
+    (t, l) at index t + l; its cells before step 0 are zero. Only the gates
+    and c are kept: tanh(c) goes to the one-diagonal scratch ``tcs``
+    (L, h, B), whose row l ends holding tanh of layer l's last cell state,
+    and h = o * tanh(c) is not kept either. The backward sweep recomputes
+    tanh(c) from c, which gives the same bits, and h from the two. Without
+    keep_steps, two diagonal slots are used in turn and one gate slot is
+    overwritten, so memory does not grow with the window length.
     """
 
     def __init__(self, net: LstmNetwork, keep_steps: bool):
@@ -267,15 +268,15 @@ class _Unroll:
         self.cs = cs = np.empty((depth, n_layers, h_size, n_batch))
         hs[:n_layers] = cs[:n_layers] = 0.0
         self.gates = gates = np.empty((depth - 1, n_layers, 4 * h_size, n_batch))
-        self.tcs = tcs = np.empty((depth - 1, n_layers, h_size, n_batch))
-        gates[: n_layers - 1] = tcs[: n_layers - 1] = 0.0
+        gates[: n_layers - 1] = 0.0
+        self.tcs = tcs = np.empty((n_layers, h_size, n_batch))
 
         for d, lo, hi in self.steps:
             k = d % 2
             prev, cur, s = (d, d + 1, d) if self.keep_steps else (k, 1 - k, 0)
             _forward_cells(
                 net, self.bias, lo, xs[d] if lo == 0 else None, hs[k], cs[prev],
-                gates[s, lo:hi], cs[cur, lo:hi], tcs[s, lo:hi], hs[1 - k, lo:hi],
+                gates[s, lo:hi], cs[cur, lo:hi], tcs[lo:hi], hs[1 - k, lo:hi],
             )
             t = d - (n_layers - 1)
             if hi == n_layers and t >= t_in - 1:
@@ -344,6 +345,9 @@ def _loss_and_gradients_batch(
     With recursive feedback the gradient of a fed-back prediction includes
     the path through every later step it influenced; with teacher forcing the
     recursive-phase inputs are the scaled targets and carry no gradient.
+    The forward pass keeps the gates and c of every cell; the reverse sweep
+    recomputes tanh(c) from c (the same bits as the forward's) once per step
+    and h = o * tanh(c) from the two.
     """
     if feedback not in ("recursive", "teacher"):
         raise InvalidValueError(f"unknown feedback mode {feedback!r}")
@@ -378,7 +382,12 @@ def _loss_and_gradients_batch(
     dh_next = np.zeros((n_layers, h_size, n_batch))
     dc_next = np.zeros((n_layers, h_size, n_batch))
     d_above = np.empty((n_layers, h_size, n_batch))  # d loss / d h from the cell above or the head
-    cs, gates, tcs = unroll.cs, unroll.gates, unroll.tcs
+    cs, gates = unroll.cs, unroll.gates
+    # Row l holds tanh(c) of the layer-l cell that the sweep reaches next.
+    # The forward leaves each layer's last cell there; each step, after its
+    # last read of tc, writes the diagonal-(d - 1) cells that it reads
+    # through h, which are the next cells of their layers.
+    tcs = unroll.tcs
     o_all = gates[:, :, 3 * h_size :]
     da_all = np.empty((n_layers, 4 * h_size, n_batch))
 
@@ -389,7 +398,7 @@ def _loss_and_gradients_batch(
         head = hi == n_layers and t_top >= t_in - 1
         if head:
             gp = d_pred[t_top - (t_in - 1)]  # (B,)
-            d_head_w += (o_all[d, top] * tcs[d, top]) @ gp
+            d_head_w += (o_all[d, top] * tcs[top]) @ gp
             d_head_b += gp.sum()
             d_above[top] = net.head_weights[:, None] * gp[None, :]
         if hi < n_layers or head:
@@ -399,7 +408,7 @@ def _loss_and_gradients_batch(
             dh[:-1] += d_above[lo : hi - 1]
         step_gates = gates[d, lo:hi]
         i, f, g, o = (step_gates[:, k * h_size : (k + 1) * h_size] for k in range(4))
-        tc = tcs[d, lo:hi]
+        tc = tcs[lo:hi]
         dc = dc_next[lo:hi] + dh * o * (1.0 - tc * tc)
         da = da_all[: hi - lo]
         da_i, da_f, da_g, da_o = (da[:, k * h_size : (k + 1) * h_size] for k in range(4))
@@ -412,7 +421,7 @@ def _loss_and_gradients_batch(
         # This step reads the hidden states of diagonal d - 1, layers lo - 1 .. hi - 1.
         below = max(lo - 1, 0)
         if d > 0:
-            h_in = o_all[d - 1, below:hi] * tcs[d - 1, below:hi]
+            h_in = o_all[d - 1, below:hi] * np.tanh(cs[d, below:hi], out=tcs[below:hi])
         else:
             h_in = np.zeros((1, h_size, n_batch))
         if lo == 0:

@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GAP_SECONDS, finite_floats, is_int, read_framed, write_framed
+from .core import (
+    MAX_GAP_SECONDS, finite_floats, is_int, read_framed, read_framed_header, write_framed,
+)
 from .errors import DataError, FormatError
 from .ingest import Corpus
 
@@ -321,8 +323,7 @@ def _read_index(path, meta: dict, side: str) -> tuple[list, list, int]:
     return ids, counts, step
 
 
-def load_prepared(path: str | Path) -> PreparedSet:
-    version, meta, payload = read_framed(path, PREPARED_MAGIC, "prepared-set")
+def _check_version(path, version: int) -> None:
     if version == 1:
         raise FormatError(
             f"{path}: prepared-set format v1 (one copy per window) is no longer read; "
@@ -330,6 +331,21 @@ def load_prepared(path: str | Path) -> PreparedSet:
         )
     if version != PREPARED_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+
+
+def load_provenance(path: str | Path) -> dict:
+    """A prepared set's provenance, read from its file's header alone."""
+    version, meta = read_framed_header(path, PREPARED_MAGIC, "prepared-set")
+    _check_version(path, version)
+    provenance = meta.get("provenance")
+    if not isinstance(provenance, dict):
+        raise FormatError(f"{path}: metadata lacks a provenance object")
+    return provenance
+
+
+def load_prepared(path: str | Path) -> PreparedSet:
+    version, meta, payload = read_framed(path, PREPARED_MAGIC, "prepared-set")
+    _check_version(path, version)
     try:
         input_len, horizon, provenance = meta["input_len"], meta["horizon"], meta["provenance"]
         sides = {side: _read_index(path, meta, side) for side in SIDES}

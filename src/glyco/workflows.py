@@ -299,20 +299,36 @@ def run_prepare(
     return document
 
 
-def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet:
-    """Fold i's prepared set from ``fold<i>.gprep``, whose provenance must name fold i."""
+def _fold_file(prepared_dir: str | Path, fold_index: int) -> Path:
     path = prepared_path(prepared_dir, fold_index)
     if not path.exists():
         raise DataError(f"missing prepared fold file: {path}")
-    prepared = pipeline.load_prepared(path)
-    fold = prepared.provenance.get("fold")
+    return path
+
+
+def _named_fold(path: Path, fold_index: int, provenance: dict) -> dict:
+    """The provenance of fold file path, which must name fold_index."""
+    fold = provenance.get("fold")
     if not (is_int(fold) and fold == fold_index):
         raise FormatError(f"{path}: provenance fold is {fold!r}, expected {fold_index}")
+    return provenance
+
+
+def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet:
+    """Fold i's prepared set from ``fold<i>.gprep``, whose provenance must name fold i."""
+    path = _fold_file(prepared_dir, fold_index)
+    prepared = pipeline.load_prepared(path)
+    _named_fold(path, fold_index, prepared.provenance)
     return prepared
 
 
-def _check_one_prepare_run(prepared_dir: str | Path, provenances: list[dict]) -> None:
-    """One protocol per run: every fold's provenance must equal fold 0's apart from ``fold``."""
+def _check_one_prepare_run(prepared_dir: str | Path, k_folds: int) -> None:
+    """One protocol per run: each fold file names its fold, and its provenance
+    equals fold 0's apart from ``fold``. Only the files' headers are read."""
+    provenances = []
+    for fold_index in range(k_folds):
+        path = _fold_file(prepared_dir, fold_index)
+        provenances.append(_named_fold(path, fold_index, pipeline.load_provenance(path)))
     first = provenances[0]
     for fold_index, other in enumerate(provenances[1:], start=1):
         for key in sorted((first.keys() | other.keys()) - {"fold"}):
@@ -415,8 +431,7 @@ def run_train(
     if model not in ALL_MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {', '.join(ALL_MODELS)}")
     out_dir = Path(out_dir)
-    provenances = [load_fold(prepared_dir, i).provenance for i in range(config.k_folds)]
-    _check_one_prepare_run(prepared_dir, provenances)  # before any fold trains
+    _check_one_prepare_run(prepared_dir, config.k_folds)  # before any fold trains
     jobs = [
         (config, model, str(prepared_dir), i, str(tracker.register(model_path(out_dir, model, i))))
         for i in range(config.k_folds)
@@ -488,27 +503,31 @@ def run_evaluate(
     if unknown:
         raise ConfigError(f"unknown models: {', '.join(unknown)}")
     out_dir = Path(out_dir)
-    fold_sets = [load_fold(prepared_dir, i) for i in range(config.k_folds)]
-    _check_one_prepare_run(prepared_dir, [prepared.provenance for prepared in fold_sets])
-    horizon = fold_sets[0].horizon
-    protocol = {
-        "k_folds": config.k_folds,
-        "input_len": fold_sets[0].input_len,
-        "horizon": horizon,
-        "train_step": fold_sets[0].provenance.get("train_step"),
-        "test_step": fold_sets[0].provenance.get("test_step"),
-        "cohort": fold_sets[0].provenance.get("cohort", "all"),
-        "hypo_mgdl": config.hypo_mgdl,
-        "hyper_mgdl": config.hyper_mgdl,
-        "error_grid": "clarke-zones",
-        "aggregate_sd": "population s.d. across folds",
-    }
+    _check_one_prepare_run(prepared_dir, config.k_folds)
     # Per position in models (a model may be listed twice), fold by fold.
     fold_metrics = [[] for _ in models]
     scatter_rows = [[["reference", "predicted"]] for _ in models]
-    for fold_index, prepared in enumerate(fold_sets):
-        # Gather the fold's test windows once, for every model.
+    for fold_index in range(config.k_folds):
+        prepared = load_fold(prepared_dir, fold_index)
+        if fold_index == 0:
+            horizon = prepared.horizon
+            protocol = {
+                "k_folds": config.k_folds,
+                "input_len": prepared.input_len,
+                "horizon": horizon,
+                "train_step": prepared.provenance.get("train_step"),
+                "test_step": prepared.provenance.get("test_step"),
+                "cohort": prepared.provenance.get("cohort", "all"),
+                "hypo_mgdl": config.hypo_mgdl,
+                "hyper_mgdl": config.hyper_mgdl,
+                "error_grid": "clarke-zones",
+                "aggregate_sd": "population s.d. across folds",
+            }
+        # Gather the fold's test windows once, for every model. The fold's
+        # arrays are dropped before the next fold is read, so one fold's
+        # windows are in memory at a time.
         inputs, targets = prepared.gather("test")
+        del prepared
         for m, model in enumerate(models):
             path = None if models_dir is None else model_path(models_dir, model, fold_index)
             predictions = load_forecaster(model, path, horizon)(inputs)
@@ -520,6 +539,7 @@ def run_evaluate(
             if scatter:
                 points = zip(targets.ravel().tolist(), predictions.ravel().tolist())
                 scatter_rows[m].extend([repr(ref), repr(pred)] for ref, pred in points)
+        del inputs, targets, predictions
     flat_rows = [["model", "fold", "metric", "value"]]
     for model, folds, points in zip(models, fold_metrics, scatter_rows):
         for fm in folds:

@@ -9,8 +9,13 @@ Every timing uses the 8x3 reference network, 132-step input windows and a
 12-step horizon, with fixed seeds: one training minibatch of forward pass
 plus BPTT at batch 128 and 32 with recursive feedback and at batch 128 with
 teacher forcing, one batched rollout of 40 windows, and the forget-gate
-trace of one window (the ``explain`` path).
+trace of one window (the ``explain`` path). Each training minibatch also
+records the tracemalloc peak of one untimed call, in MB, as
+``extra_info["peak_mb"]``: at batch 128 that is the BPTT store of the
+forward pass plus the reverse sweep's temporaries.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +44,12 @@ def test_loss_and_gradients_batch(benchmark, net, n_batch, feedback):
     inputs, targets = minibatch(net, n_batch)
     loss, grad = benchmark(_loss_and_gradients_batch, net, inputs, targets, feedback)
     assert np.isfinite(loss) and np.all(np.isfinite(grad))
+    tracemalloc.start()
+    try:
+        _loss_and_gradients_batch(net, inputs, targets, feedback)
+        benchmark.extra_info["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_rollout_batch_40(benchmark, net):

@@ -12,11 +12,13 @@ from glyco.core import (
     PatientRecord,
     mgdl_to_mmoll,
     mmoll_to_mgdl,
+    read_framed,
+    read_framed_header,
 )
 from glyco.errors import FormatError, InvalidValueError
 from glyco.hmm import HmmModel, Quantizer, load_hmm, save_hmm
 from glyco.lstm import load_model, new_network, save_model
-from glyco.pipeline import load_prepared, save_prepared
+from glyco.pipeline import load_prepared, load_provenance, save_prepared
 
 
 class TestUnitConversion:
@@ -155,3 +157,28 @@ def test_each_framed_loader_refuses_the_other_kinds_by_magic(tmp_path, kind):
         if other != kind:
             with pytest.raises(FormatError, match="bad magic"):
                 LOADERS[kind](path)
+
+
+def test_header_reader_agrees_with_the_whole_file_reader(tmp_path):
+    """read_framed_header parses the frame as read_framed does: the same
+    version and header, or the same error, for every cut of a framed file
+    and for a header length past the end of the file."""
+    path = _save_each_kind(tmp_path)["gprep"]
+    raw = path.read_bytes()
+    cuts = [raw[:n] for n in range(len(raw) + 1)]
+    cuts.append(raw[:12] + struct.pack("<I", 2**32 - 1) + raw[16:])
+    for n, blob in enumerate(cuts):
+        path.write_bytes(blob)
+        outcomes = []
+        for read in (read_framed_header, read_framed):
+            try:
+                outcomes.append(read(path, b"GLYFPREP", "prepared-set")[:2])
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], n
+    assert outcomes[0] == f"{path}: truncated header"
+    path.write_bytes(raw)
+    version, header = read_framed_header(path, b"GLYFPREP", "prepared-set")
+    assert (version, header) == read_framed(path, b"GLYFPREP", "prepared-set")[:2]
+    assert load_provenance(path) == load_prepared(path).provenance == header["provenance"]
+

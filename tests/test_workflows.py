@@ -3,6 +3,7 @@ import dataclasses
 import json
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import edit_header, mutate, one_window_prepared, protocol_digests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from glyco import hmm as hmm_mod, ingest
+from glyco import hmm as hmm_mod, ingest, pipeline as pipeline_mod
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError, GlycoError, NumericError
 from glyco.hmm import load_hmm
@@ -359,6 +360,44 @@ def test_hmm_training_enters_baum_welch_with_only_the_symbol_rows(monkeypatch, t
         tracemalloc.stop()
     assert seen["symbols"] == 8 * 144 * prepared.n_train > 1e6
     assert seen["traced"] < 1.5 * seen["symbols"], f"{seen['traced'] / seen['symbols']:.3f}x"
+
+
+def test_evaluate_holds_one_folds_windows_at_a_time(tmp_path):
+    """At test step 1 a fold's gathered test windows are most of what
+    evaluate holds; fold k's arrays are dropped before fold k + 1 is read."""
+    config = RunConfig(**{**SMALL, "k_folds": 2, "test_step": 1})
+    tracker = OutputTracker()
+    run_synth(tracker, config, 5, 5, tmp_path / "cgm.csv", tmp_path / "patients.csv")
+    run_prepare(tracker, config, tmp_path / "cgm.csv", tmp_path / "prep")
+    fold_bytes = []
+    for fold_index in range(2):
+        inputs, targets = load_prepared(prepared_path(tmp_path / "prep", fold_index)).gather("test")
+        fold_bytes.append(inputs.nbytes + targets.nbytes)
+    assert min(fold_bytes) > 1e6
+    tracemalloc.start()
+    try:
+        run_evaluate(tracker, config, tmp_path / "prep", ["copy_last"], None, tmp_path / "eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * max(fold_bytes), f"{peak / max(fold_bytes):.3f}x"
+
+
+def test_train_reads_each_fold_payload_once(workspace, monkeypatch, tmp_path):
+    """The provenance check before training reads the fold files' headers
+    only; each fold's payload is then read once, to train it."""
+    root, config = workspace
+    assert config.jobs == 1
+    reads = []
+    read_framed = pipeline_mod.read_framed
+
+    def counted(path, *args):
+        reads.append(Path(path).name)
+        return read_framed(path, *args)
+
+    monkeypatch.setattr(pipeline_mod, "read_framed", counted)
+    run_train(OutputTracker(), config, root / "prep", "linreg", tmp_path / "models")
+    assert sorted(reads) == [f"fold{i}.gprep" for i in range(config.k_folds)]
 
 
 def _tracked_csv(rows, path):
