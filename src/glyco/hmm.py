@@ -7,8 +7,9 @@ renormalizing at every step keeps 100-state, 144-step products from
 underflowing, and each step is one matrix product for the whole slice. A
 probability floor keeps every trained row distribution strictly positive so
 no state or symbol becomes absorbing-zero. A model holds
-log-probabilities, and Viterbi decoding runs in log space over batches of
-rows; a loaded model may hold exact zeros, whose logs are -inf.
+log-probabilities, and Viterbi decoding runs in log space over chunks of
+rows, one thread per usable core, with the same bytes for any number of
+cores; a loaded model may hold exact zeros, whose logs are -inf.
 
 A model file (``.ghmm``) is framed (see ``core.write_framed``): magic
 ``GLYF_HMM``, version 1. The header holds ``n_states``, ``n_symbols``,
@@ -21,6 +22,8 @@ one symbol, no negative probability, and every row summing to 1 within 1e-9.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +39,9 @@ PROB_FLOOR = 1e-10
 E_STEP_CHUNK = 512
 # Gamma rows summed per block when the emission accumulator is updated: ~3.3 MB at N = 100.
 SYMBOL_SUM_BLOCK = 4096
-# Rows per Viterbi batch: the (rows, N, N) step scores stay ~1.3 MB, in cache, at N = 100.
+# Most rows per Viterbi chunk: the (rows, N, N) step scores stay ~1.3 MB, in cache, at
+# N = 100. Fewer rows per chunk when that leaves a chunk for every usable core; chunks
+# are decoded on separate threads, with the same output bytes for any core count.
 VITERBI_CHUNK = 16
 
 
@@ -70,8 +75,10 @@ class Quantizer:
 
     def encode(self, values: np.ndarray | float) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        idx = np.floor((values - self.lo) / self.width).astype(np.int64)
-        return np.clip(idx, 0, self.n_symbols - 1)
+        if not np.all(np.isfinite(values)):
+            raise DataError("cannot quantize a non-finite glucose value")
+        idx = np.clip(np.floor((values - self.lo) / self.width), 0, self.n_symbols - 1)
+        return idx.astype(np.int64)
 
     def decode(self, symbols: np.ndarray | int) -> np.ndarray:
         symbols = np.asarray(symbols, dtype=np.int64)
@@ -151,7 +158,8 @@ def _e_step(
     underflows, gamma_t = alpha_t * beta_t and the log-likelihood is
     sum_t log c_t. Only alpha is kept for the whole slice; beta is one step
     at a time, and alpha becomes gamma as the backward pass goes. Slices are
-    reduced in row order, so results are deterministic.
+    reduced in row order, so results are deterministic for a fixed BLAS
+    thread count; the matrix products may round differently under another.
     """
     n_states = a.shape[0]
     b_by_symbol = b.T
@@ -260,6 +268,13 @@ def baum_welch(
     )
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most likely state path and its joint log-probability for each row.
 
@@ -268,30 +283,62 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (argmax returns the first maximal index). Backpointers are not stored:
     the backtrack recomputes the one column each step needs from the kept
     forward scores, with the same additions, so the result does not depend
-    on how rows are batched. Rows run in chunks of VITERBI_CHUNK to bound the
-    (rows, N, N) score array.
+    on how rows are batched.
+
+    Rows are split into chunks of min(VITERBI_CHUNK, ceil(n / cores)), and
+    with more than one usable core and more than one chunk the chunks are
+    decoded in a thread pool that lives only for this call (NumPy releases
+    the GIL inside the ufunc loops). A row's work does not depend on its
+    chunk or thread, and every score is a max over the same float64 sums,
+    which is exact in any order, so the output bytes do not depend on the
+    core count.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     if symbols.ndim != 2 or symbols.shape[1] == 0:
         raise DataError("viterbi needs observation rows of shape (n, T) with T >= 1")
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= model.n_symbols):
+        raise DataError(f"symbol outside [0, {model.n_symbols})")
     n_rows, t_max = symbols.shape
-    log_a = model.log_transition
-    emission_by_symbol = model.log_emission.T
     paths = np.empty((n_rows, t_max), dtype=np.int64)
     log_probs = np.empty(n_rows)
-    for lo in range(0, n_rows, VITERBI_CHUNK):
-        rows = symbols[lo : lo + VITERBI_CHUNK]
-        deltas = np.empty((t_max, rows.shape[0], model.n_states))
-        deltas[0] = model.log_initial + emission_by_symbol[rows[:, 0]]
-        for t in range(1, t_max):
-            scores = deltas[t - 1][:, :, None] + log_a
-            deltas[t] = scores.max(axis=1) + emission_by_symbol[rows[:, t]]
-        path = paths[lo : lo + VITERBI_CHUNK]
-        path[:, -1] = np.argmax(deltas[-1], axis=1)
-        for t in range(t_max - 1, 0, -1):
-            path[:, t - 1] = np.argmax(deltas[t - 1] + log_a[:, path[:, t]].T, axis=1)
-        log_probs[lo : lo + VITERBI_CHUNK] = deltas[-1].max(axis=1)
+    workers = _usable_cores()
+    size = max(1, min(VITERBI_CHUNK, -(-n_rows // workers)))
+    chunks = [slice(lo, lo + size) for lo in range(0, n_rows, size)]
+
+    def decode(rows: slice) -> None:
+        _viterbi_rows(model, symbols[rows], paths[rows], log_probs[rows])
+
+    threads = min(workers, len(chunks))
+    if threads <= 1:
+        for rows in chunks:
+            decode(rows)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            for _ in pool.map(decode, chunks):  # re-raises a chunk's error
+                pass
     return paths, log_probs
+
+
+def _viterbi_rows(
+    model: HmmModel, rows: np.ndarray, paths_out: np.ndarray, log_probs_out: np.ndarray
+) -> None:
+    """Decode symbol rows (r, T) into paths_out (r, T) and log_probs_out (r,).
+
+    One (r, N, N) score buffer is reused at every step.
+    """
+    log_a = model.log_transition
+    emission_by_symbol = model.log_emission.T
+    deltas = np.empty((rows.shape[1], rows.shape[0], model.n_states))
+    scores = np.empty((rows.shape[0], model.n_states, model.n_states))
+    deltas[0] = model.log_initial + emission_by_symbol[rows[:, 0]]
+    for t in range(1, rows.shape[1]):
+        np.add(deltas[t - 1][:, :, None], log_a, out=scores)
+        np.maximum.reduce(scores, axis=1, out=deltas[t])
+        deltas[t] += emission_by_symbol[rows[:, t]]
+    paths_out[:, -1] = np.argmax(deltas[-1], axis=1)
+    for t in range(rows.shape[1] - 1, 0, -1):
+        paths_out[:, t - 1] = np.argmax(deltas[t - 1] + log_a[:, paths_out[:, t]].T, axis=1)
+    log_probs_out[:] = deltas[-1].max(axis=1)
 
 
 def hmm_forecast(

@@ -1,5 +1,7 @@
 import itertools
 import struct
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -205,6 +207,18 @@ class TestQuantizer:
         with pytest.raises(InvalidValueError):
             Quantizer(2, lo, hi)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            Quantizer(10, 40.0, 400.0).encode(np.array([120.0, bad]))
+
+    def test_huge_values_clip_to_the_end_bins(self):
+        # beyond the int64 range a cast before the clip would wrap to bin 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            symbols = Quantizer(10, 40.0, 400.0).encode(np.array([1e300, -1e300]))
+        assert symbols.tolist() == [9, 0]
+
 
 class TestBaumWelch:
     def test_one_state_concentrates_emission(self):
@@ -408,6 +422,111 @@ class TestViterbi:
         paths, log_probs = viterbi(model, np.zeros((0, 5), dtype=int))
         assert paths.shape == (0, 5) and log_probs.shape == (0,)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_symbol_out_of_range(self, bad):
+        # -1 would index the last emission column, 3 would raise IndexError
+        model = random_model(np.random.default_rng(0), 2, 3)
+        with pytest.raises(DataError, match=r"symbol outside \[0, 3\)"):
+            viterbi(model, np.array([[0, 1, 2], [0, bad, 1]]))
+
+
+def zero_model(rng, n_states, n_symbols):
+    """A model whose initial, transition and emission rows hold exact zeros
+    (logs of -inf), so some rows have no possible path at all."""
+
+    def rows(shape):
+        p = rng.random(shape) * (rng.random(shape) < 0.4)
+        p[..., 0] += p.sum(axis=-1) == 0  # no all-zero row
+        return p / p.sum(axis=-1, keepdims=True)
+
+    with np.errstate(divide="ignore"):
+        return HmmModel(
+            np.log(rows(n_states)),
+            np.log(rows((n_states, n_states))),
+            np.log(rows((n_states, n_symbols))),
+        )
+
+
+class TestViterbiThreads:
+    """Rows are decoded in chunks on up to one thread per usable core; the
+    core count is patched, so no test starts more than 7 threads."""
+
+    @pytest.mark.parametrize("n_rows", [1, 10, hmm.VITERBI_CHUNK + 9, 37])
+    @pytest.mark.parametrize("kind", ["random", "zeros"])
+    def test_bytes_do_not_depend_on_the_core_count(self, monkeypatch, kind, n_rows):
+        rng = np.random.default_rng(n_rows)
+        model = (random_model if kind == "random" else zero_model)(rng, 12, 6)
+        symbols = rng.integers(0, 6, size=(n_rows, 40))
+        quantizer = Quantizer(6, 40.0, 400.0)
+        values = rng.uniform(30.0, 410.0, size=(n_rows, 40))
+        outputs = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for workers in (1, 2, 3, 7):
+                monkeypatch.setattr(hmm, "_usable_cores", lambda: workers)
+                threads = threading.active_count()
+                # the filter is process-wide, so a warning in a worker thread fails the call
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    paths, log_probs = viterbi(model, symbols)
+                    forecasts = hmm_forecast(model, quantizer, values, horizon=5)
+                assert threading.active_count() == threads
+                outputs.add((paths.tobytes(), log_probs.tobytes(), forecasts.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs) == 1
+        for row, path, log_prob in zip(symbols, paths, log_probs):
+            ref_path, ref_log_prob = ref_viterbi(model, row)
+            assert np.array_equal(path, ref_path)
+            assert np.float64(log_prob).tobytes() == np.float64(ref_log_prob).tobytes()
+
+    @pytest.mark.parametrize(
+        "workers, n_rows, sizes",
+        [
+            (1, 37, [5, 16, 16]),
+            (2, 1, [1]),
+            (2, 10, [5, 5]),
+            (3, 10, [2, 4, 4]),
+            (2, 37, [5, 16, 16]),
+            (7, 37, [1, 6, 6, 6, 6, 6, 6]),
+        ],
+    )
+    def test_chunks_and_threads(self, monkeypatch, workers, n_rows, sizes):
+        real = hmm._viterbi_rows
+        seen = []
+
+        def spy(model, rows, paths_out, log_probs_out):
+            seen.append((len(rows), threading.get_ident()))
+            real(model, rows, paths_out, log_probs_out)
+
+        monkeypatch.setattr(hmm, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(hmm, "_viterbi_rows", spy)
+        model = random_model(np.random.default_rng(3), 4, 3)
+        viterbi(model, np.random.default_rng(4).integers(0, 3, size=(n_rows, 6)))
+        assert sorted(size for size, _ in seen) == sizes
+        idents = {ident for _, ident in seen}
+        if len(sizes) == 1 or workers == 1:
+            assert idents == {threading.get_ident()}  # inline, no pool
+        else:
+            assert threading.get_ident() not in idents and len(idents) <= workers
+
+    def test_a_chunk_error_keeps_its_type(self, monkeypatch):
+        real = hmm._viterbi_rows
+
+        def fail_on_the_ragged_chunk(model, rows, paths_out, log_probs_out):
+            if len(rows) == 2:  # 10 rows on 3 cores are chunks of 4, 4 and 2
+                raise NumericError("decode failed")
+            real(model, rows, paths_out, log_probs_out)
+
+        monkeypatch.setattr(hmm, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(hmm, "_viterbi_rows", fail_on_the_ragged_chunk)
+        model = near_deterministic_model(np.eye(2), np.eye(2))
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="decode failed"):
+            hmm_forecast(model, Quantizer(2, 0.0, 2.0), np.full((10, 3), 0.5), horizon=3)
+        assert threading.active_count() == threads
+
 
 def tie_heavy_model(rng, n):
     """Hard 0/1 rows smoothed by the floor: many exactly equal scores."""
@@ -464,6 +583,12 @@ class TestForecast:
         model = near_deterministic_model(np.eye(2), np.eye(2))
         with pytest.raises(DataError):
             hmm_forecast(model, Quantizer(3, 0.0, 3.0), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        model = near_deterministic_model(np.eye(2), np.eye(2))
+        with pytest.raises(DataError, match="non-finite"):
+            hmm_forecast(model, Quantizer(2, 0.0, 2.0), np.array([[0.5, 0.5], [0.5, bad]]))
 
 
 class TestRoundTrip:
