@@ -177,7 +177,6 @@ def _evaluate(tracker, config, mode, prepared_dir, models, models_dir, out_dir, 
         document = workflows.run_cohort_compare(
             tracker, config, cgm_path, cohorts_path, model, fold, out_dir
         )
-        click.echo(json.dumps({"warning": document["warning"]}), err=True)
         return {"comparison": document["comparison"]}
     if prepared_dir is None:
         raise ConfigError("standard mode needs --prepared-dir")

@@ -438,10 +438,21 @@ def parse_patient_csv(path: str | Path) -> tuple[list[PatientRecord], ParseRepor
 
 def read_cohorts(path: str | Path) -> dict[str, str]:
     """Patient-to-cohort labels from a ``patient_id,cohort`` CSV; a row
-    without two cells or without an id is skipped. Read failures raise
-    ``FormatError``, as for the other input CSVs."""
+    without two cells or without an id is skipped, and a patient given two
+    different labels is a ``DataError``. Read failures raise ``FormatError``,
+    as for the other input CSVs."""
     rows = _data_rows(path, ["patient_id", "cohort"], ParseReport(path=str(path)))
-    return {pid: row[1].strip() for _, row, pid in rows}
+    labels: dict[str, str] = {}
+    first_rows: dict[str, int] = {}
+    for row_number, row, pid in rows:
+        label = row[1].strip()
+        if labels.setdefault(pid, label) != label:
+            raise DataError(
+                f"{path}: patient {pid!r} is in cohort {labels[pid]!r} on row "
+                f"{first_rows[pid]} and in cohort {label!r} on row {row_number}"
+            )
+        first_rows.setdefault(pid, row_number)
+    return labels
 
 
 class _CsvCells(dict):

@@ -101,18 +101,14 @@ def kfold_split(
     k: int = 5,
     seed: int = 42,
     total: int = DEFAULT_TOTAL,
-    pool: np.ndarray | None = None,
 ) -> list[FoldSplit]:
     """Deal eligible sequences (length >= total) round-robin into k folds
     after a seeded shuffle; fold i tests on fold i and trains on the rest.
 
-    pool, a per-sequence boolean mask, restricts the split to a cohort's
-    sequences; every sequence of a patient is in or out together.
+    This is the only split: a cohort's fold i is fold i restricted to the
+    cohort's sequences, so no model of fold i trains on a cohort test sequence.
     """
-    windowable = store.lengths >= total
-    if pool is not None:
-        windowable &= pool
-    eligible = np.flatnonzero(windowable)
+    eligible = np.flatnonzero(store.lengths >= total)
     if len(eligible) < k:
         raise DataError(f"need at least k={k} eligible sequences, got {len(eligible)}")
     rng = np.random.default_rng(seed)
@@ -251,8 +247,8 @@ def prepare(
     Each fold sequence of length L yields the windows of ``total`` readings
     at offsets 0, step, 2*step, ... (``window_count`` of them); trailing
     readings that do not fill a window are left out. Only the fold's
-    sequences are windowed, so a cohort's fold (see ``kfold_split``'s pool)
-    gives that cohort's windows. No window is materialised.
+    sequences are windowed, so a cohort's fold (see ``kfold_split``) gives
+    that cohort's windows. No window is materialised.
     """
     if train_step < 1 or test_step < 1:
         raise DataError(f"window steps must be >= 1, got {train_step} and {test_step}")

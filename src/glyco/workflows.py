@@ -234,6 +234,16 @@ def _cohort_pool(
     return pool
 
 
+def _cohort_fold(fold: pipeline.FoldSplit, pool: np.ndarray, cohort: str) -> pipeline.FoldSplit:
+    """The pooled fold restricted to the cohort's sequences (see ``_cohort_pool``)."""
+    members = frozenset(np.flatnonzero(pool).tolist())
+    train, test = fold.train_sequence_ids & members, fold.test_sequence_ids & members
+    if not (train and test):
+        side = "test" if train else "train"
+        raise DataError(f"cohort {cohort!r} has no {side} sequence in fold {fold.fold_index}")
+    return pipeline.FoldSplit(fold.fold_index, train, test, fold.seed)
+
+
 def prepared_path(out_dir: str | Path, fold_index: int) -> Path:
     return Path(out_dir) / f"fold{fold_index}.gprep"
 
@@ -268,9 +278,9 @@ def run_prepare(
         if cohorts_path is None:
             raise ConfigError("a cohort filter needs --cohorts (patient_id,cohort CSV)")
         pool = _cohort_pool(store, read_cohorts(cohorts_path), label)
-    folds = pipeline.kfold_split(
-        store, k=config.k_folds, seed=config.seed, total=config.window_total, pool=pool
-    )
+    folds = pipeline.kfold_split(store, config.k_folds, config.seed, config.window_total)
+    if pool is not None:
+        folds = [_cohort_fold(fold, pool, label) for fold in folds]
     fold_summaries = []
     for fold in folds:
         prepared = _prepare_fold(config, store, fold, label)
@@ -567,13 +577,6 @@ def run_evaluate(
     return document
 
 
-CONTAMINATION_WARNING = (
-    "cohort-comparison caveat: cohort test folds are drawn independently of the "
-    "pooled model's folds, so sequences used to train the pooled model can appear "
-    "in cohort test sets"
-)
-
-
 # Cohort labels become file names and report keys; "all" names the pooled model.
 _COHORT_LABEL = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
@@ -602,12 +605,12 @@ def run_cohort_compare(
             )
     corpus = load_corpus(cgm_path)
     store = pipeline.segment(corpus, config.max_gap_s)
-
-    def prepare_for(pool: np.ndarray | None, label: str) -> pipeline.PreparedSet:
-        folds = pipeline.kfold_split(
-            store, k=config.k_folds, seed=config.seed, total=config.window_total, pool=pool
-        )
-        return _prepare_fold(config, store, folds[fold_index], label)
+    fold = pipeline.kfold_split(store, config.k_folds, config.seed, config.window_total)[fold_index]
+    # Every cohort's fold is checked before anything trains.
+    cohort_folds = {
+        label: _cohort_fold(fold, _cohort_pool(store, assignments, label), label)
+        for label in cohort_labels
+    }
 
     def fitted(prepared: pipeline.PreparedSet, tag: str):
         """The forecaster trained on prepared and saved as <model>_<tag>; baselines fit nothing."""
@@ -621,12 +624,12 @@ def run_cohort_compare(
         inputs, targets = prepared.gather("test")
         return metrics.rmse(predict(inputs), targets)
 
-    pooled_prepared = prepare_for(None, "all")
+    pooled_prepared = _prepare_fold(config, store, fold, "all")
     pooled = fitted(pooled_prepared, "all")
     pooled_rows = {"all": rmse_on(pooled, pooled_prepared)}
     comparison = []
-    for label in cohort_labels:
-        prepared = prepare_for(_cohort_pool(store, assignments, label), label)
+    for label, cohort_fold in cohort_folds.items():
+        prepared = _prepare_fold(config, store, cohort_fold, label)
         cohort_rmse = rmse_on(fitted(prepared, label), prepared)
         pooled_rmse = rmse_on(pooled, prepared)
         pooled_rows[label] = pooled_rmse
@@ -645,7 +648,6 @@ def run_cohort_compare(
         "fold": fold_index,
         "pooled_model_rmse_by_testset": pooled_rows,
         "comparison": comparison,
-        "warning": CONTAMINATION_WARNING,
     }
     tracker.write_json(out_dir / "cohort_compare.json", document)
     tracker.commit()

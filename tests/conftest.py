@@ -135,6 +135,9 @@ PROTOCOL = [
     ["cluster", "--patients", "{base}/patients.csv", "--out-dir", "{base}/cluster", "--k", "2"],
     ["prepare", "--cgm", "{base}/cgm.csv", "--out-dir", "{base}/prep",
      "--folds", "3", "--train-step", "12", "--test-step", "144"],
+    ["prepare", "--cgm", "{base}/cgm.csv", "--out-dir", "{base}/prep_a",
+     "--cohorts", "{base}/cohorts.csv", "--cohort", "a",
+     "--folds", "3", "--train-step", "12", "--test-step", "144"],
     *(["train", "--prepared-dir", "{base}/prep", "--model", model, "--out-dir", "{base}/models",
        "--folds", "3", "--epochs", "1", "--hidden", "2", "--layers", "1",
        "--hmm-states", "4", "--hmm-max-iter", "2"] for model in ("lstm", "hmm")),

@@ -268,7 +268,7 @@ def test_c09_subcommand_determinism(tmp_path):
         assert {
             "models/lstm_fold2.glstm", "models/hmm_fold2.ghmm", "eval/scatter_hmm.csv",
             "trace.csv", "compare/hmm_b.ghmm", "compare/cohort_compare.json",
-            "cgm.csv.gcorpus", "ingest/corpus.csv.gcorpus",
+            "cgm.csv.gcorpus", "ingest/corpus.csv.gcorpus", "prep_a/fold2.gprep",
         } <= set(outputs["a"])
         for name, digest in outputs["a"].items():
             assert digest == outputs["b"][name], f"{name} differs between identical reruns"

@@ -6,6 +6,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -15,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import PROTOCOL, PROTOCOL_COHORTS, leftovers, protocol_args
@@ -23,6 +25,7 @@ from glyco import cli, hmm, workflows
 from glyco.cli import _exit_code, main
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError, FormatError, InvalidValueError, NumericError
+from glyco.ingest import Corpus, write_cgm_csv
 from glyco.lstm import load_model, save_model
 from glyco.pipeline import load_prepared, save_prepared
 
@@ -664,6 +667,108 @@ def test_a_failed_step_leaves_the_tree_as_it_was(runner, tmp_path, monkeypatch):
             assert json.loads(line)["error"] == type(fault()).__name__, where
             assert not leftovers(base), where
             assert _tree(base) == before, where
+
+
+def test_a_failed_rename_in_the_commit_leaves_new_files_before_it(
+    runner, pipeline_dir, tmp_path, monkeypatch
+):
+    """Fail the k-th rename of a train run's commit, for every k: the run ends
+    in exit 3 and one JSON line, the files renamed before k are the new ones,
+    the rest and the report are as they were, no stage is left, and a rerun
+    then succeeds."""
+
+    def train(out, epochs):
+        return runner.invoke(main, [
+            "train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "lstm",
+            "--out-dir", str(out), "--hidden", "2", "--layers", "1", "--epochs", str(epochs),
+            *TINY])
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    for out, epochs in ((tmp_path / "old", 1), (tmp_path / "new", 2)):
+        assert train(out, epochs).exit_code == 0
+    old, new = files(tmp_path / "old"), files(tmp_path / "new")
+    assert old.keys() == new.keys() and all(old[name] != new[name] for name in old)
+
+    commit, replace, order = workflows.OutputTracker.commit, os.replace, []
+
+    def failing_commit(self, k):
+        order[:] = [path.name for path in self.staged]
+        calls = itertools.count(1)
+
+        def failing_replace(src, dst):
+            if next(calls) == k:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing_replace)
+            commit(self)
+
+    for k in range(1, len(old) + 1):
+        out = tmp_path / f"run{k}"
+        shutil.copytree(tmp_path / "old", out)
+        monkeypatch.setattr(
+            workflows.OutputTracker, "commit", functools.partialmethod(failing_commit, k=k)
+        )
+        result = train(out, 2)
+        assert result.exit_code == 3, (k, result.output)
+        assert result.stdout == "", k
+        (line,) = result.stderr.splitlines()
+        assert json.loads(line)["error"] == "OSError", k
+        assert not leftovers(out), k
+        assert sorted(order) == sorted(old) and order[-1] == "train_lstm_report.json"
+        renamed = set(order[: k - 1])
+        assert files(out) == {name: (new if name in renamed else old)[name] for name in old}, k
+        monkeypatch.setattr(workflows.OutputTracker, "commit", commit)
+        assert train(out, 2).exit_code == 0, k
+        assert files(out) == new, k
+
+
+def _one_sequence_cohort(base):
+    """A CGM CSV in which p0 has five sequences of 150 readings and p1 one, and
+    cohorts a = {p0} and b = {p1}: b's one sequence leaves a side of every fold empty."""
+    ids, stamps = [], []
+    for pid, n_sequences in (("p0", 5), ("p1", 1)):
+        for s in range(n_sequences):
+            start = 1_000_000 + s * 100_000
+            ids += [pid] * 150
+            stamps += range(start, start + 150 * 300, 300)
+    values = 100.0 + 30.0 * np.sin(np.arange(len(ids)) / 20.0)
+    write_cgm_csv(Corpus(ids, stamps, values), base / "cgm.csv")
+    (base / "cohorts.csv").write_text("patient_id,cohort\np0,a\np1,b\n")
+
+
+@pytest.mark.parametrize(
+    "command, fold", [("prepare", 0), ("cohort-compare", 0), ("cohort-compare", 1),
+                      ("cohort-compare", 2)]
+)
+def test_a_cohort_with_an_empty_fold_side_fails_before_training(
+    runner, tmp_path, monkeypatch, command, fold
+):
+    _one_sequence_cohort(tmp_path)
+
+    def no_training(*args):
+        raise AssertionError("a model trained")
+
+    monkeypatch.setattr(workflows, "train_fold", no_training)
+    out = tmp_path / "out"
+    shared = ["--cgm", str(tmp_path / "cgm.csv"), "--cohorts", str(tmp_path / "cohorts.csv"),
+              "--out-dir", str(out), "--folds", "3"]
+    if command == "prepare":
+        args = ["prepare", *shared, "--cohort", "b"]
+    else:
+        args = ["evaluate", "--mode", "cohort-compare", *shared, "--model", "hmm",
+                "--fold", str(fold)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "DataError"
+    assert re.fullmatch(f"cohort 'b' has no (train|test) sequence in fold {fold}", error["message"])
+    assert not out.exists()
 
 
 # The step each config-resolving command runs; bolus resolves no config.

@@ -21,6 +21,7 @@ from glyco.ingest import (
     daily_profile,
     parse_cgm_csv,
     parse_patient_csv,
+    read_cohorts,
     sequence_length_histogram,
     synth_corpus,
     write_cgm_csv,
@@ -145,6 +146,17 @@ class TestParsePatients:
         write_patient_csv(small_corpus.patients, path)
         patients, _ = parse_patient_csv(path)
         assert tuple(patients) == small_corpus.patients
+
+
+class TestReadCohorts:
+    def test_a_patient_with_two_labels_is_refused(self, tmp_path):
+        text = "patient_id,cohort\nsynth000,a\nsynth001,b\nsynth000,b\n"
+        with pytest.raises(DataError, match="'synth000'.*'a' on row 2.*'b' on row 4"):
+            read_cohorts(write(tmp_path, "c.csv", text))
+
+    def test_an_identical_repeat_is_kept_once(self, tmp_path):
+        text = "patient_id,cohort\nsynth000,a\nsynth001,b\nsynth000, a\n"
+        assert read_cohorts(write(tmp_path, "c.csv", text)) == {"synth000": "a", "synth001": "b"}
 
 
 class TestCorpus:

@@ -24,6 +24,7 @@ from glyco.pipeline import (
     segment,
     window_count,
 )
+from glyco.workflows import _cohort_fold
 
 
 def readings_with_gaps(gaps, patient="p1", start=10_000):
@@ -252,15 +253,16 @@ class TestPrepare:
     def test_cohort_filter_keeps_patient_together(self, small_store):
         keep = sorted(set(small_store.patient_ids))[0]
         pool = small_store.patient_ids == keep
-        folds = kfold_split(small_store, k=2, seed=1, pool=pool)
-        prepared = prepare(small_store, folds[0], cohort_label="c0")
+        fold = _cohort_fold(kfold_split(small_store, k=2, seed=1)[0], pool, "c0")
+        prepared = prepare(small_store, fold, cohort_label="c0")
         used = set(prepared.train_seq_ids.tolist()) | set(prepared.test_seq_ids.tolist())
         assert used and all(small_store.patient_ids[sid] == keep for sid in used)
         assert prepared.provenance["cohort"] == "c0"
 
     def test_cohort_filter_empty_error(self, small_store):
-        with pytest.raises(DataError):
-            kfold_split(small_store, k=5, seed=1, pool=np.zeros(len(small_store), bool))
+        fold = kfold_split(small_store, k=5, seed=1)[2]
+        with pytest.raises(DataError, match="cohort 'c0' has no train sequence in fold 2"):
+            _cohort_fold(fold, np.zeros(len(small_store), bool), "c0")
 
     def test_fold_must_match_sequences(self):
         store = make_store(constant_values(150))
@@ -270,9 +272,9 @@ class TestPrepare:
 
 
 # Frozen copy of the object-based data path the sequence store replaced: one
-# object per sequence, segmented reading by reading, split over a filtered
-# sequence list and windowed sequence by sequence. The guard below holds the
-# store-based path to its bytes.
+# object per sequence, segmented reading by reading, split over the sequence
+# list (a cohort's fold is then the fold restricted to the cohort) and windowed
+# sequence by sequence. The guard below holds the store-based path to its bytes.
 @dataclass(frozen=True)
 class _ReferenceSequence:
     patient_id: str
@@ -343,14 +345,17 @@ def _reference_prepared(readings, k, seed, step, keep, label):
     """Per fold: the window arrays in the order (inputs, targets, seq_ids, offsets)
     for train and then test, and the provenance."""
     sequences = _reference_segment(readings)
-    pool = [s for s in sequences if keep is None or s.patient_id in keep]
     prepared = []
-    for fold in _reference_kfold(pool, k, seed):
+    for fold in _reference_kfold(sequences, k, seed):
+        if keep is not None:  # a cohort's fold: the pooled fold restricted to the cohort
+            members = {s.sequence_id for s in sequences if s.patient_id in keep}
+            fold = FoldSplit(fold.fold_index, fold.train_sequence_ids & members,
+                             fold.test_sequence_ids & members, seed)
         provenance = {"fold": fold.fold_index, "cohort": label, "train_step": step,
                       "test_step": step, "seed": seed, "total": 144, "input_len": 132}
         arrays = (
-            *_reference_window_arrays(pool, fold.train_sequence_ids, 144, 132, step),
-            *_reference_window_arrays(pool, fold.test_sequence_ids, 144, 132, step),
+            *_reference_window_arrays(sequences, fold.train_sequence_ids, 144, 132, step),
+            *_reference_window_arrays(sequences, fold.test_sequence_ids, 144, 132, step),
         )
         prepared.append((arrays, provenance))
     return prepared
@@ -393,12 +398,14 @@ def test_prepared_bytes_identical_to_object_reference(tmp_path, guard_corpus, st
     trip, hold the bytes of the frozen object path (the container's own
     bytes changed by design with format v2)."""
     store = segment(guard_corpus)
-    keep, label, k, pool = None, "all", 5, None
+    keep, label, k = None, "all", 5
     if cohort:
         keep, label, k = set(sorted(set(guard_corpus.patient_ids))[::2]), "even", 3
-        pool = np.isin(store.patient_ids, np.array(sorted(keep), dtype=object))
     expected = _reference_prepared(guard_corpus.readings, k, step, step, keep, label)
-    folds = kfold_split(store, k=k, seed=step, pool=pool)
+    folds = kfold_split(store, k=k, seed=step)
+    if cohort:
+        pool = np.isin(store.patient_ids, np.array(sorted(keep), dtype=object))
+        folds = [_cohort_fold(fold, pool, label) for fold in folds]
     assert len(folds) == len(expected) == k
     path = tmp_path / "fold.gprep"
     for fold, (arrays, provenance) in zip(folds, expected):

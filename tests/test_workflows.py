@@ -11,7 +11,7 @@ from conftest import edit_header, mutate, one_window_prepared, protocol_digests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from glyco import hmm as hmm_mod, ingest, pipeline as pipeline_mod
+from glyco import hmm as hmm_mod, ingest, pipeline as pipeline_mod, workflows
 from glyco.config import RunConfig
 from glyco.errors import ConfigError, DataError, GlycoError, NumericError
 from glyco.hmm import load_hmm
@@ -31,6 +31,7 @@ from glyco.workflows import (
     ALL_MODELS,
     TRAINED_MODELS,
     OutputTracker,
+    _cohort_fold,
     _cohort_pool,
     _prepare_fold,
     load_corpus,
@@ -221,7 +222,7 @@ def test_cohort_compare_baseline(workspace, tmp_path, model):
         assert row["difference"] == pytest.approx(
             row["pooled_model_rmse"] - row["cohort_model_rmse"]
         )
-    assert "warning" in document
+    assert "warning" not in document
 
     # Each trained model is saved as <model>_<tag> and predicts, reloaded,
     # exactly the RMSE in the report.
@@ -231,12 +232,12 @@ def test_cohort_compare_baseline(workspace, tmp_path, model):
     assert written == (saved if model in TRAINED_MODELS else set())
     store = segment(load_corpus(root / "cgm.csv"), config.max_gap_s)
     assignments = read_cohorts(cohorts)
+    pooled = kfold_split(store, k=config.k_folds, seed=config.seed, total=config.window_total)[0]
     for tag in tags:
-        pool = None if tag == "all" else _cohort_pool(store, assignments, tag)
-        folds = kfold_split(
-            store, k=config.k_folds, seed=config.seed, total=config.window_total, pool=pool
+        fold = pooled if tag == "all" else _cohort_fold(
+            pooled, _cohort_pool(store, assignments, tag), tag
         )
-        prepared = _prepare_fold(config, store, folds[0], tag)
+        prepared = _prepare_fold(config, store, fold, tag)
         inputs, targets = prepared.gather("test")
         path = model_path(tmp_path / "cc", model, tag) if model in TRAINED_MODELS else None
         predicted = load_forecaster(model, path, prepared.horizon)(inputs)
@@ -245,6 +246,71 @@ def test_cohort_compare_baseline(workspace, tmp_path, model):
             next(r["cohort_model_rmse"] for r in document["comparison"] if r["cohort"] == tag)
         )
         assert rmse(predicted, targets) == expected
+
+
+@pytest.fixture(scope="module")
+def clustered(workspace, tmp_path_factory):
+    """The workspace's cohorts file (from ``cluster``) and, per cohort label,
+    the ids of the cohort's sequences."""
+    root, config = workspace
+    cohorts = tmp_path_factory.mktemp("clus") / "cohorts.csv"
+    run_cluster(OutputTracker(), config, root / "patients.csv", cohorts.parent)
+    assignments = read_cohorts(cohorts)
+    store = segment(load_corpus(root / "cgm.csv"), config.max_gap_s)
+    members = {
+        label: {i for i, pid in enumerate(store.patient_ids) if assignments.get(pid) == label}
+        for label in set(assignments.values())
+    }
+    assert len(members) > 1
+    return cohorts, members
+
+
+def test_cohort_compare_folds_nest_in_the_pooled_fold(workspace, clustered, tmp_path, monkeypatch):
+    """For every fold, each cohort's test sequences lie on the pooled test side
+    and its train sequences on the pooled train side: the pooled model never
+    trained on a sequence it is scored on."""
+    root, config = workspace
+    cohorts, members = clustered
+    seen = {}
+    prepare_fold = workflows._prepare_fold
+
+    def recording(config, store, fold, label):
+        seen[label] = fold
+        return prepare_fold(config, store, fold, label)
+
+    monkeypatch.setattr(workflows, "_prepare_fold", recording)
+    for fold_index in range(config.k_folds):
+        seen.clear()
+        run_cohort_compare(OutputTracker(), config, root / "cgm.csv", cohorts, "copy_last",
+                           fold_index, tmp_path / "cc")
+        pooled = seen.pop("all")
+        assert set(seen) == set(members)
+        for label, fold in seen.items():
+            assert fold.fold_index == fold_index, label
+            assert fold.test_sequence_ids and fold.train_sequence_ids, label
+            assert fold.test_sequence_ids <= pooled.test_sequence_ids, (fold_index, label)
+            assert fold.train_sequence_ids <= pooled.train_sequence_ids, (fold_index, label)
+
+
+def test_prepare_cohort_holds_the_pooled_fold_restricted(workspace, clustered, tmp_path):
+    """Each ``prepare --cohort`` fold file holds exactly the pooled fold file's
+    sequence ids that belong to the cohort, side by side."""
+    root, config = workspace
+    cohorts, members = clustered
+    for label, ids in sorted(members.items()):
+        out = tmp_path / label
+        run_prepare(OutputTracker(), dataclasses.replace(config, cohort=label), root / "cgm.csv",
+                    out, cohorts)
+        for fold_index in range(config.k_folds):
+            pooled = load_prepared(prepared_path(root / "prep", fold_index))
+            cohort = load_prepared(prepared_path(out, fold_index))
+            assert cohort.provenance["cohort"] == label
+            for side in pipeline_mod.SIDES:
+                expected = set(getattr(pooled, side).seq_ids.tolist()) & ids
+                assert expected, (label, fold_index, side)
+                assert set(getattr(cohort, side).seq_ids.tolist()) == expected, (
+                    label, fold_index, side
+                )
 
 
 @pytest.mark.parametrize("label", ["", "all", "x/../../escaped", ".hidden"])
