@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import click
 
@@ -30,7 +29,7 @@ _EXIT_CODES = (
     ((ConfigError, InvalidValueError), 2),
     (NumericError, 4),
     ((GlycoError, OSError), 3),
-    ((MemoryError, BrokenProcessPool), 5),
+    (MemoryError, 5),
     (KeyboardInterrupt, 130),
 )
 
@@ -38,6 +37,11 @@ _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _exit_code(error: BaseException) -> int | None:
+    # A dead --jobs worker (5). Its module is loaded only once a pool has run,
+    # so it is looked up rather than imported, which would load multiprocessing.
+    process = sys.modules.get("concurrent.futures.process")
+    if process is not None and isinstance(error, process.BrokenProcessPool):
+        return 5
     return next((code for kinds, code in _EXIT_CODES if isinstance(error, kinds)), None)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -313,6 +312,8 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
         for rows in chunks:
             decode(rows)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only where threads run
+
         with ThreadPoolExecutor(threads) as pool:
             for _ in pool.map(decode, chunks):  # re-raises a chunk's error
                 pass

@@ -22,9 +22,11 @@ stacked NumPy calls over (L, ., B) arrays, forward and in reverse for the
 backward sweep. The recursive phase, where layer 0 at step t needs the
 prediction of step t - 1, runs one cell per diagonal. States are stored
 diagonal-major (cell (t, l) at index t + l), so each diagonal is a plain
-slice; layer 0's inputs are (T, B) rows of their own. Every product keeps
-the operands, order and BLAS call of the per-cell kernel it replaced, so
-every model, curve, report and trace keeps its bytes.
+slice; layer 0's inputs are (T, B) rows of their own. Training keeps every
+cell's gates but the cell states only at checkpoint diagonals, and the
+backward sweep rebuilds the rest with the forward's own arithmetic. Every
+product keeps the operands, order and BLAS call of the per-cell kernel it
+replaced, so every model, curve, report and trace keeps its bytes.
 
 Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
 ``forget_trace`` is the same run on one window with every step kept, and
@@ -59,13 +61,14 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     so every output bit equals ``1/(1+exp(-x))`` for x >= 0 and
     ``exp(x)/(1+exp(x))`` otherwise.
     """
-    positive = x >= 0  # before out, which may be x itself, is written
     e = np.negative(x)
     np.exp(np.minimum(x, e, out=e), out=e)
     if out is None:
         out = np.empty_like(x)
-    np.copyto(out, e)
-    np.copyto(out, 1.0, where=positive)
+    # out, which may be x itself, is written only after e: 1.0 where x >= 0,
+    # else 0.0, then max(e, .) is 1 there (e <= 1) and e (or its NaN) elsewhere.
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(e, out, out=out)
     return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
@@ -227,16 +230,19 @@ class _Unroll:
     The cells run one diagonal t + l = d at a time, in the steps of
     ``_schedule``: the whole window (every step under teacher forcing) as a
     wavefront, then the recursive phase one cell at a time. States are stored
-    diagonal-major, so a diagonal is a plain slice. With keep_steps, ``cs``
-    is (T+L, L, h, B) with cell (t, l) at index t + l + 1 and layer l's zero
-    initial state at index l, and ``gates`` (T+L-1, L, 4h, B) holds cell
-    (t, l) at index t + l; its cells before step 0 are zero. Only the gates
-    and c are kept: tanh(c) goes to the one-diagonal scratch ``tcs``
-    (L, h, B), whose row l ends holding tanh of layer l's last cell state,
-    and h = o * tanh(c) is not kept either. The backward sweep recomputes
-    tanh(c) from c, which gives the same bits, and h from the two. Without
-    keep_steps, two diagonal slots are used in turn and one gate slot is
-    overwritten, so memory does not grow with the window length.
+    diagonal-major, so a diagonal is a plain slice. The cell states c and
+    hidden states h run through two diagonal slots used in turn, and tanh(c)
+    through the one-diagonal scratch ``tcs`` (L, h, B), whose row l ends
+    holding tanh of layer l's last cell state. Without keep_steps one gate
+    slot is overwritten too, so memory does not grow with the window length.
+
+    With keep_steps, ``gates`` (T+L-1, L, 4h, B) holds cell (t, l) at index
+    t + l; its cells before step 0 or past a layer's last step are zero.
+    Of the cell states, only every ``span``-th slot is kept, in ``marks``:
+    slot j is (L, h, B) with cell (t, l) at j = t + l + 1 and layer l's zero
+    initial state at j = l, and ``marks[m]`` is slot m * span. ``c_slot``
+    rebuilds the others for the backward sweep, which also recomputes
+    tanh(c) from c and h from the two; both give the forward's bits.
     """
 
     def __init__(self, net: LstmNetwork, keep_steps: bool):
@@ -263,25 +269,65 @@ class _Unroll:
         else:
             preds = xs[t_in:]
             self.steps = _schedule(n_layers, t_in, t_total)
-        depth = t_total + n_layers if self.keep_steps else 2
-        hs = np.empty((2, n_layers, h_size, n_batch))
-        self.cs = cs = np.empty((depth, n_layers, h_size, n_batch))
-        hs[:n_layers] = cs[:n_layers] = 0.0
-        self.gates = gates = np.empty((depth - 1, n_layers, 4 * h_size, n_batch))
-        gates[: n_layers - 1] = 0.0
-        self.tcs = tcs = np.empty((n_layers, h_size, n_batch))
+        # Slot d + 1 holds the states of diagonal d; the last diagonal is
+        # t_total + n_layers - 2.
+        self.depth = depth = t_total + n_layers
+        state = (n_layers, h_size, n_batch)
+        hs, cs = np.zeros((2, *state)), np.zeros((2, *state))
+        self.tcs = tcs = np.empty(state)
+        self.gates = gates = np.empty(
+            (depth - 1 if self.keep_steps else 1, n_layers, 4 * h_size, n_batch)
+        )
+        if self.keep_steps:
+            for l in range(n_layers):  # the cells before step 0 and past the last step
+                gates[:l, l] = gates[t_total + l :, l] = 0.0
+            # K ~ sqrt(T + L) slots per mark; at least L, so that the blocks of
+            # c_slot can serve the backward sweep's revisits (see there).
+            self.span = span = max(n_layers, math.isqrt(depth))
+            self.marks = marks = np.zeros(((depth - 1) // span + 1, *state))
+            self.blocks = np.empty((2, span, *state))
+            self.held = [-1, -1]
 
         for d, lo, hi in self.steps:
             k = d % 2
-            prev, cur, s = (d, d + 1, d) if self.keep_steps else (k, 1 - k, 0)
             _forward_cells(
-                net, self.bias, lo, xs[d] if lo == 0 else None, hs[k], cs[prev],
-                gates[s, lo:hi], cs[cur, lo:hi], tcs[lo:hi], hs[1 - k, lo:hi],
+                net, self.bias, lo, xs[d] if lo == 0 else None, hs[k], cs[k],
+                gates[d if self.keep_steps else 0, lo:hi], cs[1 - k, lo:hi], tcs[lo:hi],
+                hs[1 - k, lo:hi],
             )
+            if self.keep_steps and (d + 1) % span == 0:
+                marks[(d + 1) // span, lo:hi] = cs[1 - k, lo:hi]
             t = d - (n_layers - 1)
             if hi == n_layers and t >= t_in - 1:
                 preds[t - (t_in - 1)] = net.head_weights @ hs[1 - k, -1] + net.head_bias
         return preds
+
+    def c_slot(self, j: int) -> np.ndarray:
+        """Cell-state slot j (L, h, B) of a kept run, rebuilt from its mark.
+
+        Block b is the slots b * span onwards, up to the next mark. A block
+        is rebuilt in full when first read: i * g of all its cells in one
+        call, then ``np.add(f * c_prev, i * g)`` diagonal by diagonal, the
+        forward's own operands and order, so every state keeps its bits.
+        The cells before step 0 or past a layer's last step have zero gates
+        and rebuild to zero: before step 0 that is the initial state, and
+        past the last step it is never read. Block b lives in buffer b % 2. The backward sweep reads the slots in decreasing
+        order, but its recursive phase goes back up to L - 2 slots, so it
+        still reads block b + 1 while it is in block b, and never block
+        b + 2 again, since span >= L.
+        """
+        b, r = divmod(j, self.span)
+        block = self.blocks[b % 2]
+        if self.held[b % 2] != b:
+            n, first = self.net.hidden_size, b * self.span
+            m = min(self.span, self.depth - first) - 1  # the slots after the mark
+            gates = self.gates[first : first + m]
+            block[0] = self.marks[b]
+            np.multiply(gates[:, :, :n], gates[:, :, 2 * n : 3 * n], out=block[1 : m + 1])
+            for k in range(m):
+                np.add(gates[k, :, n : 2 * n] * block[k], block[k + 1], out=block[k + 1])
+            self.held[b % 2] = b
+        return block[r]
 
 
 def _checked_forecast(
@@ -345,9 +391,10 @@ def _loss_and_gradients_batch(
     With recursive feedback the gradient of a fed-back prediction includes
     the path through every later step it influenced; with teacher forcing the
     recursive-phase inputs are the scaled targets and carry no gradient.
-    The forward pass keeps the gates and c of every cell; the reverse sweep
-    recomputes tanh(c) from c (the same bits as the forward's) once per step
-    and h = o * tanh(c) from the two.
+    The forward pass keeps the gates of every cell and c at its marks; the
+    reverse sweep rebuilds c block by block (``_Unroll.c_slot``), recomputes
+    tanh(c) from c once per step and h = o * tanh(c) from the two, all with
+    the forward's bits.
     """
     if feedback not in ("recursive", "teacher"):
         raise InvalidValueError(f"unknown feedback mode {feedback!r}")
@@ -382,7 +429,7 @@ def _loss_and_gradients_batch(
     dh_next = np.zeros((n_layers, h_size, n_batch))
     dc_next = np.zeros((n_layers, h_size, n_batch))
     d_above = np.empty((n_layers, h_size, n_batch))  # d loss / d h from the cell above or the head
-    cs, gates = unroll.cs, unroll.gates
+    gates = unroll.gates
     # Row l holds tanh(c) of the layer-l cell that the sweep reaches next.
     # The forward leaves each layer's last cell there; each step, after its
     # last read of tc, writes the diagonal-(d - 1) cells that it reads
@@ -410,18 +457,19 @@ def _loss_and_gradients_batch(
         i, f, g, o = (step_gates[:, k * h_size : (k + 1) * h_size] for k in range(4))
         tc = tcs[lo:hi]
         dc = dc_next[lo:hi] + dh * o * (1.0 - tc * tc)
+        c_prev = unroll.c_slot(d)  # diagonal d - 1: the cells' own c_prev and those below
         da = da_all[: hi - lo]
         da_i, da_f, da_g, da_o = (da[:, k * h_size : (k + 1) * h_size] for k in range(4))
         # Each product keeps its association, e.g. ((dc * g) * i) * (1 - i):
         # regrouping changes the last bits of the gradients and every model.
         np.multiply(dc * g * i, 1.0 - i, out=da_i)
-        np.multiply(dc * cs[d, lo:hi] * f, 1.0 - f, out=da_f)
+        np.multiply(dc * c_prev[lo:hi] * f, 1.0 - f, out=da_f)
         np.multiply(dc * i, 1.0 - g * g, out=da_g)
         np.multiply(dh * tc * o, 1.0 - o, out=da_o)
         # This step reads the hidden states of diagonal d - 1, layers lo - 1 .. hi - 1.
         below = max(lo - 1, 0)
         if d > 0:
-            h_in = o_all[d - 1, below:hi] * np.tanh(cs[d, below:hi], out=tcs[below:hi])
+            h_in = o_all[d - 1, below:hi] * np.tanh(c_prev[below:hi], out=tcs[below:hi])
         else:
             h_in = np.zeros((1, h_size, n_batch))
         if lo == 0:

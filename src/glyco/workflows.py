@@ -26,7 +26,6 @@ import os
 import re
 import shutil
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -172,13 +171,14 @@ def run_stats(
         constant = [n for n, v in zip(raw.feature_names, variances) if v == 0.0]
         if not usable:
             raise DataError("every patient feature is constant; nothing to correlate")
+        unscaled = stats.build_feature_matrix(corpus.patients, usable, normalize=False)
         matrix = stats.build_feature_matrix(corpus.patients, usable)
         document["patient_features"] = {
             "feature_names": list(matrix.feature_names),
             "constant_features_excluded": constant,
             "patients_used": len(matrix.patient_ids),
             "patients_excluded": list(matrix.excluded_patients),
-            "covariance": stats.covariance_matrix(matrix).tolist(),
+            "covariance": stats.covariance_matrix(unscaled).tolist(),
             "correlation": stats.correlation_matrix(matrix).tolist(),
             "raw_variances": variances.tolist(),
             "variance_threshold": {
@@ -448,6 +448,9 @@ def run_train(
     ]
 
     if config.jobs > 1 and len(jobs) > 1:
+        # Imported here: multiprocessing costs every other run memory and start time.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Ctrl-C reaches the whole process group: the workers ignore it, the parent acts.
         with ProcessPoolExecutor(max_workers=config.jobs, initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:

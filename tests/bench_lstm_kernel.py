@@ -12,7 +12,9 @@ teacher forcing, one batched rollout of 40 windows, and the forget-gate
 trace of one window (the ``explain`` path). Each training minibatch also
 records the tracemalloc peak of one untimed call, in MB, as
 ``extra_info["peak_mb"]``: at batch 128 that is the BPTT store of the
-forward pass plus the reverse sweep's temporaries.
+forward pass (every cell's gates, and c only at its checkpoint diagonals)
+plus the reverse sweep's two rebuilt blocks of c and its temporaries,
+about 15.8 MB.
 """
 
 import tracemalloc

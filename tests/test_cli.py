@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import errno
 import functools
@@ -34,10 +35,17 @@ TINY = [
 ]
 TESTS = Path(__file__).resolve().parent
 
+
+def src_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    path = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 # ``glyco`` with every fold stalled inside ``atomic_write``, in a fork pool so
 # the workers run the stalled step.
 STALLED_TRAIN = """
-import functools, multiprocessing, sys, time
+import concurrent.futures, functools, multiprocessing, sys, time
 from concurrent.futures import ProcessPoolExecutor
 from glyco import cli, workflows
 from glyco.core import atomic_write
@@ -49,7 +57,7 @@ def stall(config, model, prepared, out):
         time.sleep(600)
 
 workflows.train_fold = stall
-workflows.ProcessPoolExecutor = functools.partial(
+concurrent.futures.ProcessPoolExecutor = functools.partial(
     ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
 cli.main(sys.argv[1:], prog_name="glyco")
 """
@@ -468,7 +476,8 @@ class TestErrors:
         fork_pool = functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
         )
-        monkeypatch.setattr(workflows, "ProcessPoolExecutor", fork_pool)
+        # run_train imports the pool class from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
         result = runner.invoke(
             main,
             ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "copy_last",
@@ -486,9 +495,7 @@ class TestErrors:
         models = tmp_path / "models"
         args = ["train", "--prepared-dir", str(pipeline_dir / "prep"), "--model", "copy_last",
                 "--out-dir", str(models), "--jobs", "2", *TINY]
-        path = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        run = subprocess.Popen([sys.executable, "-c", STALLED_TRAIN, *args], env=env,
+        run = subprocess.Popen([sys.executable, "-c", STALLED_TRAIN, *args], env=src_env(),
                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                start_new_session=True)
         try:
@@ -508,6 +515,15 @@ class TestErrors:
         (line,) = stderr.strip().splitlines()
         assert json.loads(line)["error"] == "KeyboardInterrupt"
         assert list(models.iterdir()) == []
+
+    def test_cli_import_loads_no_worker_pool(self):
+        """The pools are imported where they run, so a run without --jobs or
+        threaded decoding never loads multiprocessing or the pool modules."""
+        pools = ["multiprocessing", "concurrent.futures.process", "concurrent.futures.thread"]
+        code = f"import sys, glyco.cli; print([m for m in {pools!r} if m in sys.modules])"
+        run = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
     def test_evaluate_does_not_read_an_old_json_hmm(self, runner, pipeline_dir, tmp_path):
         models = tmp_path / "models"

@@ -692,6 +692,16 @@ def test_sigmoid_bit_identical_to_masked_reference():
         assert same_bits(_sigmoid(block), np.vstack([ref_sigmoid(r) for r in np.split(block, 4)]))
 
 
+def test_sigmoid_in_place_bit_identical_to_masked_reference():
+    """The kernel activates its gate block in place, with out the input itself."""
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 746.0, -746.0,
+                1e-300, -1e-300]
+    x = np.concatenate([specials, np.random.default_rng(1).normal(scale=30.0, size=8000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref_sigmoid(x)
+        assert _sigmoid(x, out=x) is x and same_bits(x, want)
+
+
 # Each case takes one of the seeds 0-3 in turn.
 KERNEL_GRID = [
     (k % 4, *case)
@@ -755,13 +765,15 @@ def test_rollout_batch_of_no_rows_matches_reference():
 
 
 def test_training_step_peak_memory():
-    """One B=128 training step of the reference network peaks under 19.5 MB.
+    """One B=128 training step of the reference network peaks under 16.0 MB.
 
-    The step keeps five arrays per cell, the four gates and c (17.96 MB),
-    and peaks at about 18.4 MB. The kernel that also kept tanh(c) peaked
-    at 22.0 MB, and the one before the wavefront, which also kept h, at
-    24.8 MB. A padded state slot, a stored tanh(c) or leftover per-diagonal
-    temporaries would push the peak over the bound.
+    The step keeps the four gates of every cell (14.25 MB), c only at every
+    12th diagonal plus two rebuilt 12-diagonal blocks (about 0.9 MB), and
+    peaks at about 15.77 MB. The kernel that kept c of every cell peaked at
+    18.4 MB, the one that also kept tanh(c) at 22.0 MB, and the one before
+    the wavefront, which also kept h, at 24.8 MB. A full c store, a stored
+    tanh(c) or leftover per-diagonal temporaries would push the peak over
+    the bound.
     """
     net = new_network(hidden_size=8, n_layers=3, seed=42)
     rng = np.random.default_rng(0)
@@ -773,4 +785,4 @@ def test_training_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 19.5e6
+    assert peak < 16.0e6

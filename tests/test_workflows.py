@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from glyco import hmm as hmm_mod, ingest, pipeline as pipeline_mod, workflows
 from glyco.config import RunConfig
+from glyco.core import PATIENT_NUMERIC_FEATURES
 from glyco.errors import ConfigError, DataError, GlycoError, NumericError
 from glyco.hmm import load_hmm
 from glyco.ingest import synth_corpus, write_cgm_csv, write_patient_csv
@@ -89,6 +90,18 @@ def test_stats_document(workspace, tmp_path):
     names = document["patient_features"]["feature_names"]
     corr = np.asarray(document["patient_features"]["correlation"])
     assert corr.shape == (len(names), len(names))
+
+
+def test_stats_covariance_is_of_the_unscaled_features(workspace, tmp_path):
+    """The covariance is of the usable features as read, not of their z-scores
+    (which would repeat the correlation): its diagonal is their raw variances."""
+    root, config = workspace
+    document = run_stats(OutputTracker(), config, root / "cgm.csv", root / "patients.csv", tmp_path)
+    features = document["patient_features"]
+    assert features["patients_excluded"] == []  # so both cover the same patients
+    raw = dict(zip(PATIENT_NUMERIC_FEATURES, features["raw_variances"]))
+    want = [raw[name] for name in features["feature_names"]]
+    np.testing.assert_allclose(np.diag(features["covariance"]), want, rtol=1e-12)
 
 
 def test_cluster_outputs(workspace, tmp_path):
