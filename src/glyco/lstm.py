@@ -26,7 +26,15 @@ slice; layer 0's inputs are (T, B) rows of their own. Training keeps every
 cell's gates but the cell states only at checkpoint diagonals, and the
 backward sweep rebuilds the rest with the forward's own arithmetic. Every
 product keeps the operands, order and BLAS call of the per-cell kernel it
-replaced, so every model, curve, report and trace keeps its bytes.
+replaced, so within one precision every model, curve, report and trace
+keeps its bytes.
+
+The kernel computes in the dtype of ``net.params``: every state, gate, mark,
+gradient and Adam moment is allocated in it. The package builds float32
+networks (``new_network``, ``load_model``); float64 is the tests' reference
+precision of the same code. Readings are scaled in float64 and rounded once
+to the network's dtype (``_scaled``), and forecasts come back in float64
+mg/dL.
 
 Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
 ``forget_trace`` is the same run on one window with every step kept, and
@@ -48,7 +56,7 @@ from .errors import DataError, FormatError, InvalidValueError, NumericError
 from .pipeline import PreparedSet
 
 MODEL_MAGIC = b"GLYFLSTM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 SCALE_LO_MGDL = 20.0
 SCALE_HI_MGDL = 600.0
@@ -80,8 +88,9 @@ class Scaler:
     hi: float = SCALE_HI_MGDL
 
     def scale(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        v = np.subtract(np.asarray(v, dtype=float), self.lo, out=out)
-        return np.divide(v, self.hi - self.lo, out=out)
+        """v in the unit interval, computed in float64 and rounded once into out."""
+        v = np.subtract(np.asarray(v, dtype=float), self.lo)
+        return np.divide(v, self.hi - self.lo, out=v if out is None else out)
 
     def inverse(self, u: np.ndarray) -> np.ndarray:
         return self.lo + np.asarray(u, dtype=float) * (self.hi - self.lo)
@@ -137,8 +146,8 @@ def _file_order(flat: np.ndarray, hidden_size: int, n_layers: int) -> list[np.nd
 
 
 def _stacked(file_flat: np.ndarray, hidden_size: int, n_layers: int) -> np.ndarray:
-    """The parameter vector whose payload order is file_flat."""
-    params, cursor = np.empty(len(file_flat)), 0
+    """The float32 parameter vector whose payload order is file_flat."""
+    params, cursor = np.empty(len(file_flat), np.float32), 0
     for view in _file_order(params, hidden_size, n_layers):
         view[...] = file_flat[cursor : cursor + view.size].reshape(view.shape)
         cursor += view.size
@@ -149,10 +158,12 @@ def _stacked(file_flat: np.ndarray, hidden_size: int, n_layers: int) -> np.ndarr
 class LstmNetwork:
     """Stacked layers plus a scalar output head applied to the top hidden state.
 
-    Every parameter lives in the one float64 vector ``params``, in stacked
-    order, and the named attributes (``w_input0``, ``w_input``, ``w_hidden``,
-    ``b_input``, ``b_hidden``, ``head_weights``, ``head_bias``) are views
-    into it (see ``_views``): write through them, never rebind them.
+    Every parameter lives in the one vector ``params``, in stacked order, and
+    the named attributes (``w_input0``, ``w_input``, ``w_hidden``, ``b_input``,
+    ``b_hidden``, ``head_weights``, ``head_bias``) are views into it (see
+    ``_views``): write through them, never rebind them. The vector's dtype is
+    the network's precision: float32, or float64, the tests' reference
+    precision, which is kept as given. The kernel computes in it.
     """
 
     params: np.ndarray
@@ -163,7 +174,8 @@ class LstmNetwork:
 
     def __post_init__(self) -> None:
         n_params = param_count(self.hidden_size, self.n_layers)
-        self.params = np.ascontiguousarray(self.params, dtype=float)
+        dtype = np.float64 if np.asarray(self.params).dtype == np.float64 else np.float32
+        self.params = np.ascontiguousarray(self.params, dtype=dtype)
         if self.params.shape != (n_params,):
             raise InvalidValueError(f"expected {n_params} parameters, got {self.params.shape}")
         (self.w_input0, self.w_input, self.w_hidden, self.b_input, self.b_hidden,
@@ -171,12 +183,20 @@ class LstmNetwork:
 
 
 def new_network(hidden_size: int = 8, n_layers: int = 3, seed: int = 42) -> LstmNetwork:
-    """Seeded uniform initialization in +-1/sqrt(hidden_size), drawn in payload order."""
+    """Seeded uniform initialization in +-1/sqrt(hidden_size), drawn in payload
+    order in float64 and rounded to float32."""
     n_params = param_count(hidden_size, n_layers)
     bound = 1.0 / math.sqrt(hidden_size)
     draws = np.random.default_rng(seed).uniform(-bound, bound, n_params)
     params = _stacked(draws, hidden_size, n_layers)
     return LstmNetwork(params, hidden_size, n_layers, Scaler(), seed)
+
+
+def _scaled(net: LstmNetwork, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Readings in mg/dL scaled in float64 and rounded once to the network's dtype."""
+    if out is None:
+        out = np.empty(np.shape(values), net.params.dtype)
+    return net.scaler.scale(values, out=out)
 
 
 def _forward_cells(net: LstmNetwork, bias, lo: int, x, h_in, c_in, gates, c, tc, h) -> None:
@@ -261,10 +281,10 @@ class _Unroll:
         net = self.net
         horizon, n_batch = len(xs) - t_in, xs.shape[1]
         t_total = t_in + horizon - 1
-        n_layers, h_size = net.n_layers, net.hidden_size
+        n_layers, h_size, dtype = net.n_layers, net.hidden_size, net.params.dtype
         self.t_total = t_total
         if teacher:
-            preds = np.empty((horizon, n_batch))
+            preds = np.empty((horizon, n_batch), dtype)
             self.steps = _schedule(n_layers, t_total, t_total)
         else:
             preds = xs[t_in:]
@@ -273,10 +293,10 @@ class _Unroll:
         # t_total + n_layers - 2.
         self.depth = depth = t_total + n_layers
         state = (n_layers, h_size, n_batch)
-        hs, cs = np.zeros((2, *state)), np.zeros((2, *state))
-        self.tcs = tcs = np.empty(state)
+        hs, cs = np.zeros((2, *state), dtype), np.zeros((2, *state), dtype)
+        self.tcs = tcs = np.empty(state, dtype)
         self.gates = gates = np.empty(
-            (depth - 1 if self.keep_steps else 1, n_layers, 4 * h_size, n_batch)
+            (depth - 1 if self.keep_steps else 1, n_layers, 4 * h_size, n_batch), dtype
         )
         if self.keep_steps:
             for l in range(n_layers):  # the cells before step 0 and past the last step
@@ -284,8 +304,8 @@ class _Unroll:
             # K ~ sqrt(T + L) slots per mark; at least L, so that the blocks of
             # c_slot can serve the backward sweep's revisits (see there).
             self.span = span = max(n_layers, math.isqrt(depth))
-            self.marks = marks = np.zeros(((depth - 1) // span + 1, *state))
-            self.blocks = np.empty((2, span, *state))
+            self.marks = marks = np.zeros(((depth - 1) // span + 1, *state), dtype)
+            self.blocks = np.empty((2, span, *state), dtype)
             self.held = [-1, -1]
 
         for d, lo, hi in self.steps:
@@ -340,16 +360,23 @@ def _checked_forecast(
     stays in the cell state and reaches every later prediction, so one check
     of the mg/dL output covers states and predictions alike; it names the
     first bad horizon step.
+
+    A one-row batch would run every product as a matrix-vector call, whose
+    bits differ from a batch's, so one row runs as a batch of two copies of
+    itself: a window's forecast and its run then do not depend on whether it
+    is forecast alone or in a batch.
     """
     if inputs.ndim != 2 or inputs.shape[1] < 1:
         raise DataError(f"forecast inputs must have shape (n, T) with T >= 1, got {inputs.shape}")
+    n_rows, t_in = inputs.shape
+    if n_rows == 1:
+        inputs = np.repeat(inputs, 2, axis=0)
     unroll = _Unroll(net, keep_steps)
-    t_in = inputs.shape[1]
-    xs = np.empty((t_in + horizon, len(inputs)))
+    xs = np.empty((t_in + horizon, len(inputs)), net.params.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        net.scaler.scale(inputs.T, out=xs[:t_in])
+        _scaled(net, inputs.T, out=xs[:t_in])
         preds = unroll.run(xs, t_in, teacher=False)
-        out = net.scaler.inverse(preds.T)
+        out = net.scaler.inverse(preds[:, :n_rows].T)
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
         step = int(np.argmin(finite)) + 1
@@ -372,7 +399,7 @@ def forget_trace(net: LstmNetwork, inputs: np.ndarray, horizon: int = 12) -> np.
     if inputs.ndim != 2 or inputs.shape[0] != 1:
         raise DataError(f"forget_trace takes one window of shape (1, T), got {inputs.shape}")
     unroll = _checked_forecast(net, inputs, horizon, keep_steps=True)[1]
-    # Cell (t, l) sits at diagonal t + l; the batch is 1.
+    # Cell (t, l) sits at diagonal t + l; the window is batch row 0.
     h = net.hidden_size
     return np.stack([
         unroll.gates[l : l + unroll.t_total, l, h : 2 * h, 0] for l in range(net.n_layers)
@@ -403,13 +430,15 @@ def _loss_and_gradients_batch(
     n_layers, h_size = net.n_layers, net.hidden_size
 
     teacher = feedback == "teacher"
+    dtype = net.params.dtype
     unroll = _Unroll(net, keep_steps=True)
-    xs = np.empty((t_in + horizon, n_batch))
+    xs = np.empty((t_in + horizon, n_batch), dtype)
     xs[:t_in] = inputs_scaled.T
+    targets = np.asarray(targets_scaled, dtype).T
     if teacher:
-        xs[t_in:] = targets_scaled.T
+        xs[t_in:] = targets
     preds = unroll.run(xs, t_in, teacher)
-    residual = preds - targets_scaled.T  # (horizon, B)
+    residual = preds - targets  # (horizon, B)
     loss = float(np.mean(residual**2))
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
@@ -426,9 +455,9 @@ def _loss_and_gradients_batch(
     # d loss / d prediction; feedback contributions are added as the reverse
     # sweep reaches the step where each prediction was consumed as input.
     d_pred = 2.0 * residual / (horizon * n_batch)
-    dh_next = np.zeros((n_layers, h_size, n_batch))
-    dc_next = np.zeros((n_layers, h_size, n_batch))
-    d_above = np.empty((n_layers, h_size, n_batch))  # d loss / d h from the cell above or the head
+    state = (n_layers, h_size, n_batch)
+    dh_next, dc_next = np.zeros(state, dtype), np.zeros(state, dtype)
+    d_above = np.empty(state, dtype)  # d loss / d h from the cell above or the head
     gates = unroll.gates
     # Row l holds tanh(c) of the layer-l cell that the sweep reaches next.
     # The forward leaves each layer's last cell there; each step, after its
@@ -436,7 +465,7 @@ def _loss_and_gradients_batch(
     # through h, which are the next cells of their layers.
     tcs = unroll.tcs
     o_all = gates[:, :, 3 * h_size :]
-    da_all = np.empty((n_layers, 4 * h_size, n_batch))
+    da_all = np.empty((n_layers, 4 * h_size, n_batch), dtype)
 
     # The forward steps in reverse: cell (t, l) needs (t+1, l) and (t, l+1),
     # both on the next diagonal, so each layer's sums still run in decreasing t.
@@ -471,7 +500,7 @@ def _loss_and_gradients_batch(
         if d > 0:
             h_in = o_all[d - 1, below:hi] * np.tanh(c_prev[below:hi], out=tcs[below:hi])
         else:
-            h_in = np.zeros((1, h_size, n_batch))
+            h_in = np.zeros((1, h_size, n_batch), dtype)
         if lo == 0:
             x = xs[d][None, :]
             gw_input0 += da[0] @ x.T
@@ -553,7 +582,7 @@ def train(
     sample_inputs, sample_targets = prepared.gather("test", sample)
     # Scaling is elementwise, so minibatches gathered from the scaled readings
     # hold the same bits as scaled minibatches of windows.
-    readings_scaled = net.scaler.scale(prepared.readings)
+    readings_scaled = _scaled(net, prepared.readings)
 
     optimizer = AdamOptimizer(net, lr=lr)
     curve: list[tuple[float, float, float]] = []
@@ -584,7 +613,7 @@ def train(
 def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = None) -> None:
     """Framed file (see ``core.write_framed``): the header holds the sizes,
     scaler and provenance; the payload is the parameters in payload order
-    (see ``_file_order``)."""
+    (see ``_file_order``) of a float32 network, each stored exactly as float64."""
     header = {
         "hidden_size": net.hidden_size,
         "n_layers": net.n_layers,
@@ -602,6 +631,11 @@ def save_model(net: LstmNetwork, path: str | Path, provenance: dict | None = Non
 
 def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
     version, header, payload = read_framed(path, MODEL_MAGIC, "LSTM model")
+    if version == 1:
+        raise FormatError(
+            f"{path}: LSTM model format v1 (float64 parameters) is no longer read; "
+            "re-run train to rebuild it"
+        )
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     try:
@@ -622,5 +656,9 @@ def load_model(path: str | Path) -> tuple[LstmNetwork, dict]:
     if not (lo < hi and math.isfinite(hi - lo)):
         raise FormatError(f"{path}: scaler bounds must be finite with lo < hi")
     flat = finite_floats(path, payload, param_count(h, n_layers))
-    net = LstmNetwork(_stacked(flat, h, n_layers), h, n_layers, Scaler(lo, hi), seed)
+    with np.errstate(over="ignore"):  # a value past float32's range rounds to inf
+        single = flat.astype(np.float32)
+    if not np.array_equal(single, flat):
+        raise FormatError(f"{path}: a parameter is not a float32 value")
+    net = LstmNetwork(_stacked(single, h, n_layers), h, n_layers, Scaler(lo, hi), seed)
     return net, provenance

@@ -164,20 +164,23 @@ def run_stats(
     tracker.write_csv(out_dir / "daily_profile.csv", rows)
 
     if corpus.patients:
+        # Every number below covers one patient set: the patients with all the features.
         raw = stats.build_feature_matrix(corpus.patients, PATIENT_NUMERIC_FEATURES, normalize=False)
+        kept = set(raw.patient_ids)
+        complete = [p for p in corpus.patients if p.patient_id in kept]
         # constant columns cannot be normalized or correlated; keep the rest
         variances = raw.values.var(axis=0)
         usable = tuple(n for n, v in zip(raw.feature_names, variances) if v > 0.0)
         constant = [n for n, v in zip(raw.feature_names, variances) if v == 0.0]
         if not usable:
             raise DataError("every patient feature is constant; nothing to correlate")
-        unscaled = stats.build_feature_matrix(corpus.patients, usable, normalize=False)
-        matrix = stats.build_feature_matrix(corpus.patients, usable)
+        unscaled = stats.build_feature_matrix(complete, usable, normalize=False)
+        matrix = stats.build_feature_matrix(complete, usable)
         document["patient_features"] = {
             "feature_names": list(matrix.feature_names),
             "constant_features_excluded": constant,
             "patients_used": len(matrix.patient_ids),
-            "patients_excluded": list(matrix.excluded_patients),
+            "patients_excluded": list(raw.excluded_patients),
             "covariance": stats.covariance_matrix(unscaled).tolist(),
             "correlation": stats.correlation_matrix(matrix).tolist(),
             "raw_variances": variances.tolist(),

@@ -9,20 +9,23 @@ Every timing uses the 8x3 reference network, 132-step input windows and a
 12-step horizon, with fixed seeds: one training minibatch of forward pass
 plus BPTT at batch 128 and 32 with recursive feedback and at batch 128 with
 teacher forcing, one batched rollout of 40 windows, and the forget-gate
-trace of one window (the ``explain`` path). Each training minibatch also
-records the tracemalloc peak of one untimed call, in MB, as
-``extra_info["peak_mb"]``: at batch 128 that is the BPTT store of the
-forward pass (every cell's gates, and c only at its checkpoint diagonals)
-plus the reverse sweep's two rebuilt blocks of c and its temporaries,
-about 15.8 MB.
+trace of one window (the ``explain`` path). The network is float32, as the
+package builds it; the batch-128 recursive step is also timed in float64,
+the tests' reference precision. Each training minibatch also records the
+tracemalloc peak of one untimed call, in MB, as ``extra_info["peak_mb"]``:
+at batch 128 that is the BPTT store of the forward pass (every cell's gates,
+and c only at its checkpoint diagonals) plus the reverse sweep's two rebuilt
+blocks of c and its temporaries, about 7.9 MB in float32 and 15.8 MB in
+float64.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import in_float64
 
-from glyco.lstm import _loss_and_gradients_batch, forget_trace, new_network, rollout_batch
+from glyco.lstm import _loss_and_gradients_batch, _scaled, forget_trace, new_network, rollout_batch
 
 INPUT_LEN = 132
 HORIZON = 12
@@ -35,14 +38,19 @@ def net():
 
 def minibatch(net, n_batch):
     rng = np.random.default_rng(0)
-    inputs = net.scaler.scale(rng.uniform(40, 400, (n_batch, INPUT_LEN)))
-    return inputs, net.scaler.scale(rng.uniform(40, 400, (n_batch, HORIZON)))
+    inputs = _scaled(net, rng.uniform(40, 400, (n_batch, INPUT_LEN)))
+    return inputs, _scaled(net, rng.uniform(40, 400, (n_batch, HORIZON)))
 
 
 @pytest.mark.parametrize(
-    "n_batch, feedback", [(128, "recursive"), (32, "recursive"), (128, "teacher")]
+    "n_batch, feedback, dtype",
+    [(128, "recursive", "float32"), (128, "recursive", "float64"), (32, "recursive", "float32"),
+     (128, "teacher", "float32")],
 )
-def test_loss_and_gradients_batch(benchmark, net, n_batch, feedback):
+def test_loss_and_gradients_batch(benchmark, n_batch, feedback, dtype):
+    net = new_network(hidden_size=8, n_layers=3, seed=42)
+    if dtype == "float64":
+        net = in_float64(net)
     inputs, targets = minibatch(net, n_batch)
     loss, grad = benchmark(_loss_and_gradients_batch, net, inputs, targets, feedback)
     assert np.isfinite(loss) and np.all(np.isfinite(grad))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,6 +10,11 @@ from hypothesis import strategies as st
 
 from glyco.ingest import Corpus, synth_corpus
 from glyco.pipeline import segment
+
+
+def in_float64(net):
+    """The LSTM network with its parameters in float64, the tests' reference precision."""
+    return dataclasses.replace(net, params=net.params.astype(np.float64))
 
 
 def corpus_of(readings):

@@ -15,7 +15,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import PROTOCOL, PROTOCOL_COHORTS, leftovers, protocol_args, protocol_digests
+from conftest import (
+    PROTOCOL, PROTOCOL_COHORTS, in_float64, leftovers, protocol_args, protocol_digests,
+)
 
 from glyco.baselines import copy_last, linreg_forecast
 from glyco.cli import main as cli_main
@@ -70,7 +72,8 @@ def test_c02_gradient_correctness():
             n_layers = int(rng.integers(1, 3))
             seq = int(rng.integers(2, 9))
             horizon = int(rng.integers(1, 4))
-            net = new_network(hidden_size=h, n_layers=n_layers, seed=config_index)
+            # float64, the reference precision: the finite differences need its digits
+            net = in_float64(new_network(hidden_size=h, n_layers=n_layers, seed=config_index))
             values = net.scaler.scale(rng.uniform(60, 350, (1, seq)))
             target = net.scaler.scale(rng.uniform(60, 350, (1, horizon)))
             _, analytic = _loss_and_gradients_batch(net, values, target)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import PROTOCOL, PROTOCOL_COHORTS, leftovers, protocol_args
+from conftest import PROTOCOL, PROTOCOL_COHORTS, leftovers, protocol_args, protocol_digests
 
 from glyco import cli, hmm, workflows
 from glyco.cli import _exit_code, main
@@ -310,13 +310,17 @@ class TestErrors:
         assert result.exit_code == 2
 
     def test_overflowing_lstm_is_numeric_error(self, runner, pipeline_dir, tmp_path):
-        # Finite in scaled space, the forecasts overflow to inf in mg/dL.
+        # With zero weights and a saturated g gate every hidden state is
+        # positive, so the head's largest float32 weights and bias overflow.
         models = tmp_path / "models"
         models.mkdir()
         for fold in range(3):
             name = f"lstm_fold{fold}.glstm"
             net, provenance = load_model(pipeline_dir / "models" / name)
-            net.head_bias[...] = 1e306
+            h, largest = net.hidden_size, np.finfo(np.float32).max
+            net.params[:] = 0.0
+            net.b_input[:, 2 * h : 3 * h] = 30.0
+            net.head_weights[:] = net.head_bias[...] = largest
             save_model(net, models / name, provenance)
         out = tmp_path / "eval"
         result = runner.invoke(
@@ -326,6 +330,32 @@ class TestErrors:
         )
         assert result.exit_code == 4
         assert json.loads(result.output.strip().splitlines()[-1])["error"] == "NumericError"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("fault", ["version-1", "not-float32"])
+    def test_evaluate_refuses_an_unreadable_lstm_model(
+        self, runner, pipeline_dir, tmp_path, fault
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline_dir / "models", models)
+        path = models / "lstm_fold1.glstm"
+        raw = bytearray(path.read_bytes())
+        if fault == "version-1":
+            raw[8] = 1  # the version field follows the 8-byte magic
+        else:  # the head bias, one float64 step away from its float32 value
+            raw[-8:] = np.nextafter(np.frombuffer(raw[-8:], "<f8"), np.inf).tobytes()
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "eval"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--prepared-dir", str(pipeline_dir / "prep"), "--models", "copy_last,lstm",
+             "--models-dir", str(models), "--out-dir", str(out), *TINY],
+        )
+        assert result.exit_code == 3, result.output
+        parsed = json.loads(result.output.strip().splitlines()[-1])
+        assert parsed["error"] == "FormatError" and "lstm_fold1.glstm" in parsed["message"]
+        reason = {"version-1": "re-run train", "not-float32": "not a float32 value"}[fault]
+        assert reason in parsed["message"]
         assert not out.exists() or not any(out.iterdir())
 
     def test_bolus_domain_error(self, runner):
@@ -639,6 +669,35 @@ FAULTS = [
 def _tree(base):
     """Every entry under base: a file's bytes, None for a directory."""
     return {p.relative_to(base): p.read_bytes() if p.is_file() else None for p in base.rglob("*")}
+
+
+def test_lstm_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """synth, prepare, train --model lstm and evaluate --models lstm write the
+    same bytes under one and under two OpenBLAS threads, with full 128-row
+    training minibatches."""
+    commands = [
+        ["synth", "--patients", "4", "--days", "6", "--out-cgm", "{base}/cgm.csv",
+         "--out-patients", "{base}/patients.csv"],
+        ["prepare", "--cgm", "{base}/cgm.csv", "--out-dir", "{base}/prep", "--folds", "2",
+         "--train-step", "8", "--test-step", "144"],
+        ["train", "--prepared-dir", "{base}/prep", "--model", "lstm", "--out-dir",
+         "{base}/models", "--folds", "2", "--epochs", "1", "--batch", "128", "--hidden", "4",
+         "--layers", "2"],
+        ["evaluate", "--prepared-dir", "{base}/prep", "--models", "lstm", "--models-dir",
+         "{base}/models", "--out-dir", "{base}/eval", "--folds", "2"],
+    ]
+    digests = {}
+    for threads in ("1", "2"):
+        base = tmp_path / f"threads{threads}"
+        env = dict(src_env(), OPENBLAS_NUM_THREADS=threads)
+        for command in commands:
+            subprocess.run([sys.executable, "-m", "glyco.cli", *protocol_args(command, base, 5)],
+                           env=env, cwd=tmp_path, capture_output=True, check=True)
+        digests[threads] = protocol_digests(base)
+    assert {
+        "models/lstm_fold1.glstm", "models/lstm_fold1_curve.csv", "eval/eval_report.json",
+    } <= set(digests["1"])
+    assert digests["1"] == digests["2"]
 
 
 def test_a_failed_step_leaves_the_tree_as_it_was(runner, tmp_path, monkeypatch):

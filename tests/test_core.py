@@ -122,7 +122,7 @@ class TestFramedLayout:
                 values += array.ravel().tolist()
         values += [*net.head_weights.tolist(), float(net.head_bias)]
         save_model(net, tmp_path / "m.glstm")
-        assert (tmp_path / "m.glstm").read_bytes() == self.framed(b"GLYFLSTM", 1, header, values)
+        assert (tmp_path / "m.glstm").read_bytes() == self.framed(b"GLYFLSTM", 2, header, values)
 
     def test_hmm_model(self, tmp_path):
         initial, transition, emission = [0.25, 0.75], [[0.5, 0.5], [0.0, 1.0]], [[1.0], [1.0]]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import edit_header, one_window_prepared
+from conftest import edit_header, in_float64, one_window_prepared
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -50,9 +50,9 @@ def cell_forward(net, x, h_prev, c_prev):
 
     The cell is a one-layer diagonal with a batch of one: x is the (1,) input.
     """
-    n = net.hidden_size
-    gates = np.empty((1, 4 * n, 1))
-    c, tc, h = np.empty((3, 1, n, 1))
+    n, dtype = net.hidden_size, net.params.dtype
+    gates = np.empty((1, 4 * n, 1), dtype)
+    c, tc, h = np.empty((3, 1, n, 1), dtype)
     bias = (net.b_input + net.b_hidden)[:, :, None]
     _forward_cells(
         net, bias, 0, x, h_prev[None, :, None], c_prev[None, :, None], gates, c, tc, h
@@ -157,7 +157,7 @@ class TestCellForward:
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(42)
-        net = new_network(hidden_size=3, n_layers=1, seed=7)
+        net = in_float64(new_network(hidden_size=3, n_layers=1, seed=7))
         (layer,) = layers_of(net)
         for _ in range(20):
             x = rng.normal(size=1)
@@ -224,7 +224,8 @@ class TestRollout:
             np.testing.assert_allclose(batched[row], single[0], atol=1e-12)
 
     def test_non_finite_named_step(self):
-        net = new_network(hidden_size=4, n_layers=1, seed=7)
+        # In float64 a forecast can be finite when scaled and overflow in mg/dL.
+        net = in_float64(new_network(hidden_size=4, n_layers=1, seed=7))
         net.head_bias[...] = 1e308  # finite when scaled, overflows in mg/dL from the first step
         with pytest.raises(NumericError, match="horizon step 1 of 5"):
             rollout_batch(net, np.linspace(80, 300, 20)[None], horizon=5)
@@ -235,7 +236,7 @@ class TestRollout:
         # Zero weights but a saturated g gate: c = 0.5 c_prev + 0.5 and h = 0.5 tanh(c)
         # grow every step, whatever the input, so W h first overflows in mg/dL
         # (580 W h > 1.8e308) at the third horizon step.
-        net = zero_network(hidden_size=1, n_layers=1)
+        net = in_float64(zero_network(hidden_size=1, n_layers=1))
         net.b_input[0, 2] = 30.0
         net.head_weights[0] = 9.1e305
         with pytest.raises(NumericError, match="horizon step 3 of 5"):
@@ -267,7 +268,7 @@ class TestGradients:
             seq = int(rng.integers(3, 9))
             horizon = int(rng.integers(2, 4))
             feedback = "recursive" if trial % 2 == 0 else "teacher"
-            net = new_network(hidden_size=h, n_layers=n_layers, seed=trial)
+            net = in_float64(new_network(hidden_size=h, n_layers=n_layers, seed=trial))
             x = rng.uniform(60, 350, seq)
             target = rng.uniform(60, 350, horizon)
             _, analytic = scaled_loss(net, x, target, feedback=feedback)
@@ -294,7 +295,7 @@ class TestGradients:
         assert np.max(np.abs(grad)) == pytest.approx(0.0, abs=1e-15)
 
     def test_mse_homogeneity(self):
-        net = new_network(hidden_size=4, n_layers=1, seed=12)
+        net = in_float64(new_network(hidden_size=4, n_layers=1, seed=12))
         x = np.linspace(100, 180, 25)
         predictions = rollout_batch(net, x[None], horizon=3)[0]
         span = net.scaler.span
@@ -412,7 +413,7 @@ class TestSaveLoad:
         path = tmp_path / "model.glstm"
         save_model(net, path, provenance={"fold": 2, "mode": "recursive"})
         loaded, provenance = load_model(path)
-        np.testing.assert_array_equal(loaded.params, net.params)
+        assert same_bits(loaded.params, net.params) and loaded.params.dtype == np.float32
         assert provenance == {"fold": 2, "mode": "recursive"}
         assert loaded.scaler.lo == net.scaler.lo and loaded.scaler.hi == net.scaler.hi
         values = np.linspace(90, 300, 132)
@@ -433,6 +434,27 @@ class TestSaveLoad:
         path = tmp_path / "bad.glstm"
         path.write_bytes(b"NOTLSTM!" + b"\x00" * 64)
         with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_version_1_is_refused(self, tmp_path):
+        net = new_network(hidden_size=3, n_layers=1, seed=16)
+        path = tmp_path / "model.glstm"
+        save_model(net, path)
+        raw = bytearray(path.read_bytes())
+        raw[8] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="v1 .* re-run train"):
+            load_model(path)
+
+    def test_payload_value_that_is_not_float32_is_refused(self, tmp_path):
+        net = new_network(hidden_size=3, n_layers=1, seed=16)
+        path = tmp_path / "model.glstm"
+        save_model(net, path)
+        raw = bytearray(path.read_bytes())
+        (head_bias,) = struct.unpack("<d", raw[-8:])
+        raw[-8:] = struct.pack("<d", np.nextafter(head_bias, 1.0))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="not a float32 value"):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -556,9 +578,10 @@ def test_forecaster_interface():
 
 
 # Frozen reference kernel: the masked sigmoid, per-step tuple cache, copy and
-# concatenate formulation that the array kernel in glyco.lstm replaced. The
-# kernel must reproduce it bit for bit, since every model, curve, report and
-# trace file is compared byte for byte across versions.
+# concatenate formulation that the array kernel in glyco.lstm replaced. It
+# computes in the network's dtype, and the kernel must reproduce it bit for bit
+# in float32 and in float64, since every model, curve, report and trace file is
+# compared byte for byte across versions.
 
 
 def ref_sigmoid(x):
@@ -585,9 +608,10 @@ def ref_cell_step(layer, x, h_prev, c_prev):
 def ref_unroll(net, x_scaled, horizon, feedback_inputs):
     """Returns (preds (horizon, B), per-step list of per-layer tuples, forget list)."""
     n_batch, t_in = x_scaled.shape
-    hs = [np.zeros((net.hidden_size, n_batch)) for _ in range(net.n_layers)]
-    cs = [np.zeros((net.hidden_size, n_batch)) for _ in range(net.n_layers)]
-    preds = np.empty((horizon, n_batch))
+    dtype = net.params.dtype
+    hs = [np.zeros((net.hidden_size, n_batch), dtype) for _ in range(net.n_layers)]
+    cs = [np.zeros((net.hidden_size, n_batch), dtype) for _ in range(net.n_layers)]
+    preds = np.empty((horizon, n_batch), dtype)
     cache, forget = [], []
     for t in range(t_in + horizon - 1):
         if t < t_in:
@@ -613,7 +637,7 @@ def ref_unroll(net, x_scaled, horizon, feedback_inputs):
 def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
     n_batch, t_in = inputs_scaled.shape
     horizon = targets_scaled.shape[1]
-    n_layers, h_size = net.n_layers, net.hidden_size
+    n_layers, h_size, dtype = net.n_layers, net.hidden_size, net.params.dtype
     layers = layers_of(net)
     feed = targets_scaled if feedback == "teacher" else None
     preds, cache, _ = ref_unroll(net, inputs_scaled, horizon, feed)
@@ -624,11 +648,11 @@ def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
          np.zeros_like(p.b_input), np.zeros_like(p.b_hidden))
         for p in layers
     ]
-    d_head_w = np.zeros(h_size)
-    d_head_b = 0.0
+    d_head_w = np.zeros(h_size, dtype)
+    d_head_b = np.zeros((), dtype)
     d_pred = 2.0 * residual / (horizon * n_batch)
-    dh_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
-    dc_next = [np.zeros((h_size, n_batch)) for _ in range(n_layers)]
+    dh_next = [np.zeros((h_size, n_batch), dtype) for _ in range(n_layers)]
+    dc_next = [np.zeros((h_size, n_batch), dtype) for _ in range(n_layers)]
     for t in range(t_in + horizon - 2, -1, -1):
         d_from_above = None
         if t >= t_in - 1:
@@ -665,13 +689,19 @@ def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
     return loss, arrays, d_head_b
 
 
+def ref_scaled(net, values):
+    return net.scaler.scale(values).astype(net.params.dtype)
+
+
 def ref_rollout_batch(net, inputs, horizon):
-    preds, _, _ = ref_unroll(net, net.scaler.scale(inputs), horizon, None)
-    return net.scaler.inverse(preds.T)
+    # One row runs as a batch of two copies of itself, as in the kernel.
+    rows = np.repeat(inputs, 2, axis=0) if len(inputs) == 1 else inputs
+    preds, _, _ = ref_unroll(net, ref_scaled(net, rows), horizon, None)
+    return net.scaler.inverse(preds[:, : len(inputs)].T)
 
 
 def ref_rollout_trace(net, values, horizon):
-    preds, _, forget = ref_unroll(net, net.scaler.scale(values)[None, :], horizon, None)
+    preds, _, forget = ref_unroll(net, ref_scaled(net, np.stack([values, values])), horizon, None)
     values_lth = np.transpose(np.stack(forget)[:, :, :, 0], (1, 0, 2))
     return net.scaler.inverse(preds[:, 0]), values_lth
 
@@ -730,50 +760,100 @@ KERNEL_EDGES = [
 def test_kernel_bit_identical_to_reference(
     seed, n_batch, n_layers, hidden, horizon, t_in, feedback
 ):
-    """Loss, gradients, batched and traced rollouts equal the frozen kernel's bits."""
-    rng = np.random.default_rng(seed)
-    net = new_network(hidden_size=hidden, n_layers=n_layers, seed=seed)
+    """Loss, gradients, batched and traced rollouts equal the frozen kernel's
+    bits, in float32 and in float64."""
+    single = new_network(hidden_size=hidden, n_layers=n_layers, seed=seed)
     # Larger weights on some seeds drive gates into saturation.
-    net.params *= 1 + seed
-    inputs = rng.uniform(40, 400, (n_batch, t_in))
-    targets = rng.uniform(40, 400, (n_batch, horizon))
-    inputs_scaled, targets_scaled = net.scaler.scale(inputs), net.scaler.scale(targets)
+    single.params *= 1 + seed
+    for net in (single, in_float64(single)):
+        rng = np.random.default_rng(seed)
+        inputs = rng.uniform(40, 400, (n_batch, t_in))
+        targets = rng.uniform(40, 400, (n_batch, horizon))
+        inputs_scaled, targets_scaled = ref_scaled(net, inputs), ref_scaled(net, targets)
 
-    loss, grad = _loss_and_gradients_batch(net, inputs_scaled, targets_scaled, feedback)
-    ref_loss, ref_arrays, ref_head_b = ref_loss_and_gradients(
-        net, inputs_scaled, targets_scaled, feedback
+        loss, grad = _loss_and_gradients_batch(net, inputs_scaled, targets_scaled, feedback)
+        ref_loss, ref_arrays, ref_head_b = ref_loss_and_gradients(
+            net, inputs_scaled, targets_scaled, feedback
+        )
+        assert same_bits(loss, ref_loss)
+        *arrays, head_b = _file_order(grad, hidden, n_layers)
+        assert len(arrays) == len(ref_arrays)
+        for got, want in zip(arrays, ref_arrays):
+            assert same_bits(got, want)
+        assert same_bits(head_b, ref_head_b)
+
+        batched = rollout_batch(net, inputs, horizon)
+        assert same_bits(batched, ref_rollout_batch(net, inputs, horizon))
+        predictions = rollout_batch(net, inputs[-1:], horizon)[0]
+        trace = forget_trace(net, inputs[-1:], horizon)
+        ref_predictions, ref_forget = ref_rollout_trace(net, inputs[-1], horizon)
+        assert same_bits(predictions, ref_predictions)
+        assert same_bits(trace, ref_forget)
+
+
+@pytest.mark.parametrize(
+    "seed,n_batch,n_layers,hidden,horizon,t_in,feedback", KERNEL_GRID
+)
+def test_float32_loss_and_gradients_agree_with_float64(
+    seed, n_batch, n_layers, hidden, horizon, t_in, feedback
+):
+    """The same float32-exact parameters, inputs and targets give the same loss
+    and gradients in both precisions, up to float32 rounding.
+
+    Measured over this grid: the float32 loss differs from the float64 one
+    by at most 4.6e-7 of it, and the largest gradient difference is at most
+    4.6e-7 of the largest float64 gradient element, both about 3.9 float32
+    epsilons. The bound for both is 8 epsilons (9.5e-7).
+    """
+    tol = 8 * np.finfo(np.float32).eps
+    rng = np.random.default_rng(seed)
+    single = new_network(hidden_size=hidden, n_layers=n_layers, seed=seed)
+    single.params *= 1 + seed
+    double = in_float64(single)
+    inputs = lstm._scaled(single, rng.uniform(40, 400, (n_batch, t_in)))
+    targets = lstm._scaled(single, rng.uniform(40, 400, (n_batch, horizon)))
+    loss, grad = _loss_and_gradients_batch(single, inputs, targets, feedback)
+    ref_loss, ref_grad = _loss_and_gradients_batch(
+        double, inputs.astype(np.float64), targets.astype(np.float64), feedback
     )
-    assert same_bits(loss, ref_loss)
-    *arrays, head_b = _file_order(grad, hidden, n_layers)
-    assert len(arrays) == len(ref_arrays)
-    for got, want in zip(arrays, ref_arrays):
-        assert same_bits(got, want)
-    assert same_bits(head_b, ref_head_b)
+    assert grad.dtype == np.float32 and ref_grad.dtype == np.float64
+    assert abs(loss - ref_loss) <= tol * ref_loss
+    assert np.max(np.abs(grad - ref_grad)) <= tol * np.max(np.abs(ref_grad))
 
-    assert same_bits(rollout_batch(net, inputs, horizon), ref_rollout_batch(net, inputs, horizon))
-    predictions = rollout_batch(net, inputs[-1:], horizon)[0]
-    trace = forget_trace(net, inputs[-1:], horizon)
-    ref_predictions, ref_forget = ref_rollout_trace(net, inputs[-1], horizon)
-    assert same_bits(predictions, ref_predictions)
-    assert same_bits(trace, ref_forget)
+
+def test_float32_forecasts_do_not_depend_on_the_batch():
+    """A window's float32 forecast has the same bits alone, in any chunk of
+    rows and at any position in a batch, so a model's held-out heuristic
+    during training scores exactly what evaluate scores."""
+    net = new_network(hidden_size=8, n_layers=3, seed=7)
+    rng = np.random.default_rng(7)
+    inputs = rng.uniform(40, 400, (120, 132))
+    whole = rollout_batch(net, inputs)
+    for size in (1, 2, 3, 7, 16, 50):
+        chunks = [rollout_batch(net, inputs[i : i + size]) for i in range(0, len(inputs), size)]
+        assert same_bits(np.concatenate(chunks), whole)
+    order = rng.permutation(len(inputs))
+    assert same_bits(rollout_batch(net, inputs[order]), whole[order])
 
 
 def test_rollout_batch_of_no_rows_matches_reference():
-    net = new_network(hidden_size=8, n_layers=3, seed=1)
-    inputs = np.empty((0, 132))
-    assert same_bits(rollout_batch(net, inputs, 12), ref_rollout_batch(net, inputs, 12))
+    single = new_network(hidden_size=8, n_layers=3, seed=1)
+    for net in (single, in_float64(single)):
+        inputs = np.empty((0, 132))
+        assert same_bits(rollout_batch(net, inputs, 12), ref_rollout_batch(net, inputs, 12))
 
 
 def test_training_step_peak_memory():
-    """One B=128 training step of the reference network peaks under 16.0 MB.
+    """One B=128 training step of the float32 reference network peaks under 8.0 MB.
 
-    The step keeps the four gates of every cell (14.25 MB), c only at every
-    12th diagonal plus two rebuilt 12-diagonal blocks (about 0.9 MB), and
-    peaks at about 15.77 MB. The kernel that kept c of every cell peaked at
-    18.4 MB, the one that also kept tanh(c) at 22.0 MB, and the one before
-    the wavefront, which also kept h, at 24.8 MB. A full c store, a stored
-    tanh(c) or leftover per-diagonal temporaries would push the peak over
-    the bound.
+    The step keeps the four gates of every cell (7.13 MB), c only at every
+    12th diagonal (0.16 MB) plus two rebuilt 12-diagonal blocks (0.29 MB),
+    and peaks at about 7.89 MB. The float64 kernel peaked at 15.76 MB, the
+    one that kept c of every cell at 18.4 MB, the one that also kept tanh(c)
+    at 22.0 MB, and the one before the wavefront, which also kept h, at
+    24.8 MB. A float64 block in the store (the marks or the rebuilt blocks of
+    c promoted by a float64 operand, say), a full c store, a stored tanh(c)
+    or leftover per-diagonal temporaries would push the peak over the bound.
     """
     net = new_network(hidden_size=8, n_layers=3, seed=42)
     rng = np.random.default_rng(0)
@@ -785,4 +865,4 @@ def test_training_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16.0e6
+    assert peak < 8.0e6

@@ -104,6 +104,29 @@ def test_stats_covariance_is_of_the_unscaled_features(workspace, tmp_path):
     np.testing.assert_allclose(np.diag(features["covariance"]), want, rtol=1e-12)
 
 
+def test_stats_covers_one_patient_set(workspace, tmp_path):
+    """With a feature missing for one patient, every patient_features number
+    covers the patients that have every feature: here education_level is 3 for
+    three patients, constant over them, and missing for the fourth."""
+    root, config = workspace
+    with (root / "patients.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    column = rows[0].index("education_level")
+    for row, level in zip(rows[1:], ["3", "3", "3", ""]):
+        row[column] = level
+    patients = tmp_path / "patients.csv"
+    with patients.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    document = run_stats(OutputTracker(), config, root / "cgm.csv", patients, tmp_path / "out")
+    features = document["patient_features"]
+    assert features["constant_features_excluded"] == ["education_level"]
+    assert features["patients_used"] == 3
+    assert features["patients_excluded"] == [rows[4][0]]
+    raw = dict(zip(PATIENT_NUMERIC_FEATURES, features["raw_variances"]))
+    want = [raw[name] for name in features["feature_names"]]
+    np.testing.assert_allclose(np.diag(features["covariance"]), want, rtol=1e-12)
+
+
 def test_cluster_outputs(workspace, tmp_path):
     root, config = workspace
     tracker = OutputTracker()
