@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -91,9 +92,12 @@ def main():
 @click.option("--patients", "n_patients", type=int, required=True, help="Number of patients.")
 @click.option("--days", type=int, required=True, help="Days of readings per patient.")
 @click.option("--out-cgm", type=click.Path(), default="synth_cgm.csv", show_default=True)
-@click.option("--out-patients", type=click.Path(), default="synth_patients.csv", show_default=True)
+@click.option("--out-patients", type=click.Path(), default=None,
+              help="Patient CSV [default: synth_patients.csv beside --out-cgm].")
 def synth(**params):
     """Generate a deterministic synthetic corpus."""
+    if params["out_patients"] is None:
+        params["out_patients"] = str(Path(params["out_cgm"]).parent / "synth_patients.csv")
     outputs = {"out_cgm": params["out_cgm"], "out_patients": params["out_patients"]}
     _execute(params, workflows.run_synth, lambda result: {**outputs, **result})
 

@@ -252,9 +252,14 @@ def prepared_path(out_dir: str | Path, fold_index: int) -> Path:
 
 
 def _prepare_fold(
-    config: RunConfig, store: pipeline.SequenceStore, fold: pipeline.FoldSplit, label: str
+    config: RunConfig,
+    store: pipeline.SequenceStore,
+    fold: pipeline.FoldSplit,
+    label: str,
+    readings: pipeline.ReadingStore | None = None,
 ) -> pipeline.PreparedSet:
-    """One fold's windows with the configured window lengths and steps."""
+    """One fold's windows with the configured window lengths and steps, over
+    readings (the fold's own by default)."""
     return pipeline.prepare(
         store,
         fold,
@@ -263,6 +268,7 @@ def _prepare_fold(
         train_step=config.train_step,
         test_step=config.test_step,
         cohort_label=label,
+        readings=readings,
     )
 
 
@@ -284,10 +290,19 @@ def run_prepare(
     folds = pipeline.kfold_split(store, config.k_folds, config.seed, config.window_total)
     if pool is not None:
         folds = [_cohort_fold(fold, pool, label) for fold in folds]
+    # Each reading is stored once per run, in fold 0; the other folds name it.
+    readings = pipeline.run_store(
+        store, folds, config.window_total, config.train_step, config.test_step
+    )
+    store_file = prepared_path(out_dir, 0).name
     fold_summaries = []
     for fold in folds:
-        prepared = _prepare_fold(config, store, fold, label)
-        pipeline.save_prepared(prepared, tracker.register(prepared_path(out_dir, fold.fold_index)))
+        prepared = _prepare_fold(config, store, fold, label, readings)
+        pipeline.save_prepared(
+            prepared,
+            tracker.register(prepared_path(out_dir, fold.fold_index)),
+            store_file=None if fold.fold_index == 0 else store_file,
+        )
         fold_summaries.append(
             {
                 "fold": fold.fold_index,
@@ -336,20 +351,26 @@ def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet
 
 
 def _check_one_prepare_run(prepared_dir: str | Path, k_folds: int) -> None:
-    """One protocol per run: each fold file names its fold, and its provenance
-    equals fold 0's apart from ``fold``. Only the files' headers are read."""
-    provenances = []
+    """One protocol per run: each fold file names its fold, its provenance
+    equals fold 0's apart from ``fold``, and it names fold 0's store digest.
+    Only the files' headers are read; each fold's load then checks the store's
+    readings against that digest, so a corrupt store fails the first load."""
+    headers = []
     for fold_index in range(k_folds):
         path = _fold_file(prepared_dir, fold_index)
-        provenances.append(_named_fold(path, fold_index, pipeline.load_provenance(path)))
-    first = provenances[0]
-    for fold_index, other in enumerate(provenances[1:], start=1):
+        provenance, digest = pipeline.load_header(path)
+        headers.append((_named_fold(path, fold_index, provenance), digest))
+    first, first_digest = headers[0]
+    for fold_index, (other, digest) in enumerate(headers[1:], start=1):
+        path = prepared_path(prepared_dir, fold_index)
         for key in sorted((first.keys() | other.keys()) - {"fold"}):
             if key not in first or key not in other or first[key] != other[key]:
                 raise FormatError(
-                    f"{prepared_path(prepared_dir, fold_index)}: provenance {key!r} is "
-                    f"{other.get(key)!r}, fold 0's is {first.get(key)!r}"
+                    f"{path}: provenance {key!r} is {other.get(key)!r}, "
+                    f"fold 0's is {first.get(key)!r}"
                 )
+        if digest != first_digest:
+            raise FormatError(f"{path}: store SHA-256 is {digest}, fold 0's is {first_digest}")
 
 
 def model_path(out_dir: str | Path, model: str, fold_index: int | str) -> Path:

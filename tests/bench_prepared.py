@@ -12,6 +12,11 @@ minibatch of (132, 12) windows, and cutting every train window's symbol row
 from the encoded readings, as HMM training does. The JSON's ``extra_info``
 holds the ``.gprep`` bytes per corpus reading and the gather and cut times
 per window.
+
+A whole ``prepare`` run (one store for every fold, held in ``fold0.gprep``)
+is saved at k = 2 and k = 5; its ``extra_info`` holds the bytes of all its
+``.gprep`` files per corpus reading. The last fold of each run is then
+loaded, which reads the store from ``fold0.gprep`` and checks its SHA-256.
 """
 
 import numpy as np
@@ -19,7 +24,9 @@ import pytest
 
 from glyco.hmm import Quantizer
 from glyco.ingest import synth_corpus
-from glyco.pipeline import kfold_split, load_prepared, prepare, save_prepared, segment
+from glyco.pipeline import (
+    kfold_split, load_prepared, prepare, run_store, save_prepared, segment,
+)
 
 BATCH = 128
 
@@ -46,6 +53,31 @@ def test_load_prepared(benchmark, tmp_path, prepared):
     save_prepared(prepared, path)
     loaded = benchmark(load_prepared, path)
     assert loaded.n_train == prepared.n_train
+
+
+def save_run(store, k, directory):
+    """Every fold of a k-fold run at step 1, as ``workflows.run_prepare`` writes them."""
+    folds = kfold_split(store, k=k, seed=5)
+    readings = run_store(store, folds)
+    for fold in folds:
+        i = fold.fold_index
+        prepared = prepare(store, fold, train_step=1, test_step=1, readings=readings)
+        save_prepared(prepared, directory / f"fold{i}.gprep",
+                      store_file=None if i == 0 else "fold0.gprep")
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_save_prepare_run(benchmark, tmp_path, store, k):
+    benchmark(save_run, store, k, tmp_path)
+    size = sum(path.stat().st_size for path in tmp_path.glob("*.gprep"))
+    benchmark.extra_info["run_gprep_bytes_per_reading"] = size / store.starts[-1]
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_load_last_fold_of_a_run(benchmark, tmp_path, store, k):
+    save_run(store, k, tmp_path)
+    loaded = benchmark(load_prepared, tmp_path / f"fold{k - 1}.gprep")
+    assert loaded.provenance["fold"] == k - 1
 
 
 def test_gather_minibatch(benchmark, prepared):

@@ -110,6 +110,20 @@ def test_shared_folds_across_models(runner, pipeline_dir):
     assert fold_ids[0] == fold_ids[1]
 
 
+def test_synth_writes_patients_beside_the_cgm_file(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(
+        main, ["synth", "--patients", "1", "--days", "1", "--out-cgm", "sub/cgm.csv"],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["out_patients"] == str(Path("sub", "synth_patients.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == [
+        "cgm.csv", "cgm.csv.gcorpus", "synth_patients.csv"
+    ]
+
+
 def test_explain_command(runner, pipeline_dir):
     root = pipeline_dir
     result = runner.invoke(
@@ -640,6 +654,80 @@ class TestErrors:
         parsed = json.loads(line)
         assert parsed["error"] == "FormatError"
         assert "fold1.gprep" in parsed["message"] and "'seed' is 2" in parsed["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_corrupt_store_fails_before_any_fold_trains(
+        self, runner, pipeline_dir, tmp_path, monkeypatch
+    ):
+        # The lowest mantissa bit of the last reading in fold 0's store: the
+        # value stays finite, so only the store's SHA-256 can tell.
+        prep, out = tmp_path / "prep", tmp_path / "models"
+        shutil.copytree(pipeline_dir / "prep", prep)
+        path = prep / "fold0.gprep"
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 1  # little-endian: the last reading's lowest byte
+        path.write_bytes(bytes(raw))
+        calls = []
+        monkeypatch.setattr(workflows, "train_fold", lambda *args: calls.append(args))
+        result = runner.invoke(
+            main, ["train", "--prepared-dir", str(prep), "--model", "lstm", "--out-dir", str(out),
+                   "--epochs", "1", "--hidden", "2", "--layers", "1", *TINY],
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError" and "SHA-256" in parsed["message"]
+        assert calls == []
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_train_refuses_a_fold_of_another_corpus(
+        self, runner, pipeline_dir, tmp_path, monkeypatch
+    ):
+        # The same flags on two corpora: the provenances agree, the store digests do not.
+        first, second, out = tmp_path / "first", tmp_path / "second", tmp_path / "models"
+        other = tmp_path / "other.csv"
+        result = runner.invoke(
+            main, ["synth", "--patients", "4", "--days", "8", "--seed", "12",
+                   "--out-cgm", str(other), "--out-patients", str(tmp_path / "patients.csv")],
+        )
+        assert result.exit_code == 0, result.output
+        for prep, cgm in ((first, pipeline_dir / "cgm.csv"), (second, other)):
+            result = runner.invoke(
+                main, ["prepare", "--cgm", str(cgm), "--out-dir", str(prep), "--folds", "2",
+                       "--test-step", "144", "--seed", "1"],
+            )
+            assert result.exit_code == 0, result.output
+        shutil.copyfile(second / "fold1.gprep", first / "fold1.gprep")
+        calls = []
+        monkeypatch.setattr(workflows, "train_fold", lambda *args: calls.append(args))
+        result = runner.invoke(
+            main, ["train", "--prepared-dir", str(first), "--model", "copy_last",
+                   "--out-dir", str(out), "--folds", "2", "--seed", "1"],
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError"
+        assert "fold1.gprep: store SHA-256" in parsed["message"]
+        assert calls == []
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_evaluate_refuses_a_v2_fold(self, runner, pipeline_dir, tmp_path):
+        prep, out = tmp_path / "prep", tmp_path / "eval"
+        shutil.copytree(pipeline_dir / "prep", prep)
+        path = prep / "fold1.gprep"
+        raw = bytearray(path.read_bytes())
+        raw[8] = 2  # the version field follows the 8-byte magic
+        path.write_bytes(bytes(raw))
+        result = runner.invoke(
+            main, ["evaluate", "--prepared-dir", str(prep), "--models", "copy_last",
+                   "--out-dir", str(out), *TINY],
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError" and "fold1.gprep" in parsed["message"]
+        assert "re-run prepare" in parsed["message"]
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])

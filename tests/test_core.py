@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -18,7 +19,7 @@ from glyco.core import (
 from glyco.errors import FormatError, InvalidValueError
 from glyco.hmm import HmmModel, Quantizer, load_hmm, save_hmm
 from glyco.lstm import load_model, new_network, save_model
-from glyco.pipeline import load_prepared, load_provenance, save_prepared
+from glyco.pipeline import load_header, load_prepared, save_prepared
 
 
 class TestUnitConversion:
@@ -104,13 +105,21 @@ class TestFramedLayout:
         return magic + struct.pack("<II", version, len(blob)) + blob + floats
 
     def test_prepared_set(self, tmp_path):
+        # A file holding its store, and one naming the store held beside it.
         prepared = one_window_prepared([[101.0, 102.0, 103.0]], [[201.0, 202.0, 203.0]], 2)
+        values = [101.0, 102.0, 103.0, 201.0, 202.0, 203.0]
         header = {"provenance": prepared.provenance, "input_len": 2, "horizon": 1,
                   "train_seq_ids": [0], "train_counts": [1], "train_step": 1,
-                  "test_seq_ids": [1], "test_counts": [1], "test_step": 1}
+                  "test_seq_ids": [1], "test_counts": [1], "test_step": 1,
+                  "store_sha256": hashlib.sha256(struct.pack("<6d", *values)).hexdigest()}
         save_prepared(prepared, tmp_path / "f.gprep")
-        expected = self.framed(b"GLYFPREP", 2, header, [101.0, 102.0, 103.0, 201.0, 202.0, 203.0])
+        expected = self.framed(
+            b"GLYFPREP", 3, {**header, "store_ids": [0, 1], "store_spans": [3, 3]}, values
+        )
         assert (tmp_path / "f.gprep").read_bytes() == expected
+        save_prepared(prepared, tmp_path / "g.gprep", store_file="f.gprep")
+        expected = self.framed(b"GLYFPREP", 3, {**header, "store_file": "f.gprep"}, [])
+        assert (tmp_path / "g.gprep").read_bytes() == expected
 
     def test_lstm_model(self, tmp_path):
         net = new_network(2, 2, seed=0)
@@ -180,5 +189,7 @@ def test_header_reader_agrees_with_the_whole_file_reader(tmp_path):
     path.write_bytes(raw)
     version, header = read_framed_header(path, b"GLYFPREP", "prepared-set")
     assert (version, header) == read_framed(path, b"GLYFPREP", "prepared-set")[:2]
-    assert load_provenance(path) == load_prepared(path).provenance == header["provenance"]
+    provenance, digest = load_header(path)
+    assert provenance == load_prepared(path).provenance == header["provenance"]
+    assert digest == load_prepared(path).store.sha256 == header["store_sha256"]
 

@@ -18,8 +18,10 @@ from glyco.pipeline import (
     FoldSplit,
     SequenceStore,
     kfold_split,
+    load_header,
     load_prepared,
     prepare,
+    run_store,
     save_prepared,
     segment,
     window_count,
@@ -424,6 +426,11 @@ INDEX_EDITS = {
         lambda m: m["train_counts"].__setitem__(0, m["train_counts"][0] + 1), "payload"),
     "step-beyond-payload": (lambda m: m.__setitem__("train_step", m["train_step"] + 1), "payload"),
     "ragged": (lambda m: m["test_counts"].pop(), "equal-length"),
+    "store-unsorted": (lambda m: m["store_ids"].reverse(), "sorted"),
+    "store-span-beyond-payload": (
+        lambda m: m["store_spans"].__setitem__(0, m["store_spans"][0] + 1), "payload"),
+    "absent-from-store": (
+        lambda m: m.__setitem__("store_ids", [i + 10**6 for i in m["store_ids"]]), "payload"),
 }
 
 
@@ -471,16 +478,24 @@ class TestPreparedRoundTrip:
             load_prepared(path)
 
     def test_v1_file_asks_for_prepare(self, tmp_path):
-        # A v1 header (per-row ids and offsets) with one window per side.
-        meta = {"provenance": {}, "n_train": 1, "n_test": 1, "input_len": 2, "horizon": 1,
+        # A v1 header (per-row ids and offsets) and a v2 header (per-side
+        # window indexes, readings held per fold), each with one window per side.
+        old_headers = {
+            1: {"provenance": {}, "n_train": 1, "n_test": 1, "input_len": 2, "horizon": 1,
                 "train_seq_ids": [0], "train_offsets": [0],
-                "test_seq_ids": [1], "test_offsets": [0]}
-        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        path = tmp_path / "old.gprep"
-        path.write_bytes(b"GLYFPREP" + struct.pack("<II", 1, len(blob)) + blob
-                         + np.arange(6.0).astype("<f8").tobytes())
-        with pytest.raises(FormatError, match="re-run prepare"):
-            load_prepared(path)
+                "test_seq_ids": [1], "test_offsets": [0]},
+            2: {"provenance": {}, "input_len": 2, "horizon": 1,
+                "train_seq_ids": [0], "train_counts": [1], "train_step": 1,
+                "test_seq_ids": [1], "test_counts": [1], "test_step": 1},
+        }
+        for version, meta in old_headers.items():
+            blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+            path = tmp_path / f"v{version}.gprep"
+            path.write_bytes(b"GLYFPREP" + struct.pack("<II", version, len(blob)) + blob
+                             + np.arange(6.0).astype("<f8").tobytes())
+            for load in (load_prepared, load_header):
+                with pytest.raises(FormatError, match=f"v{version} .*re-run prepare"):
+                    load(path)
 
     def test_missing_metadata_key(self, tmp_path, small_store):
         path = tmp_path / "fold.gprep"
@@ -538,6 +553,103 @@ class TestPreparedRoundTrip:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(FormatError):
+            load_prepared(path)
+
+
+class TestRunStore:
+    """A prepare run keeps each reading once: fold 0 holds the run's store and
+    every other fold names it by file name and SHA-256."""
+
+    @staticmethod
+    def save_run(store, directory, train_step=12):
+        folds = kfold_split(store, k=3, seed=7)
+        readings = run_store(store, folds, train_step=train_step, test_step=144)
+        sets = [prepare(store, fold, train_step=train_step, test_step=144, readings=readings)
+                for fold in folds]
+        for i, prepared in enumerate(sets):
+            save_prepared(prepared, directory / f"fold{i}.gprep",
+                          store_file=None if i == 0 else "fold0.gprep")
+        return folds, sets
+
+    def test_each_fold_cuts_the_windows_of_its_own_readings(self, tmp_path, small_store):
+        folds, sets = self.save_run(small_store, tmp_path)
+        for i, (fold, prepared) in enumerate(zip(folds, sets)):
+            alone = prepare(small_store, fold, train_step=12, test_step=144)
+            loaded = load_prepared(tmp_path / f"fold{i}.gprep")
+            assert loaded.readings.tobytes() == sets[0].readings.tobytes()
+            assert len(alone.readings) <= len(loaded.readings)
+            for name in ARRAY_NAMES:
+                for other in (prepared, loaded):
+                    assert getattr(other, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert loaded.provenance == alone.provenance
+
+    def test_only_fold_0_holds_readings(self, tmp_path, small_store):
+        _, sets = self.save_run(small_store, tmp_path)
+        for i in range(3):
+            raw = (tmp_path / f"fold{i}.gprep").read_bytes()
+            (meta_len,) = struct.unpack_from("<I", raw, 12)
+            assert len(raw) - 16 - meta_len == (8 * len(sets[0].readings) if i == 0 else 0)
+
+    def test_span_is_the_longest_any_fold_needs(self):
+        # Length 300 at total 144: test step 144 covers 288 readings, train step 8 covers 296.
+        store = make_store(*(constant_values(300) for _ in range(3)))
+        folds = kfold_split(store, k=3, seed=1)
+        readings = run_store(store, folds, train_step=8, test_step=144)
+        assert readings.ids.tolist() == [0, 1, 2] and readings.spans.tolist() == [296] * 3
+        for fold in folds:
+            prepared = prepare(store, fold, train_step=8, test_step=144, readings=readings)
+            assert prepared.test.spans(144).tolist() == [288]
+
+    def test_a_store_that_lacks_a_fold_is_data_error(self, small_store):
+        folds = kfold_split(small_store, k=3, seed=7)
+        readings = run_store(small_store, folds, train_step=144, test_step=144)
+        with pytest.raises(DataError, match="fold 1: train windows .* need"):
+            prepare(small_store, folds[1], train_step=12, test_step=144, readings=readings)
+
+    def test_a_changed_reading_is_format_error_for_every_fold(self, tmp_path, small_store):
+        # The lowest mantissa bit of one reading: still finite, so only the digest tells.
+        self.save_run(small_store, tmp_path)
+        path = tmp_path / "fold0.gprep"
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 1
+        path.write_bytes(bytes(raw))
+        for i in range(3):
+            with pytest.raises(FormatError, match="SHA-256"):
+                load_prepared(tmp_path / f"fold{i}.gprep")
+
+    def test_a_store_of_another_run_is_format_error(self, tmp_path, small_store):
+        first, second = tmp_path / "first", tmp_path / "second"
+        for directory, step in ((first, 12), (second, 8)):
+            directory.mkdir()
+            self.save_run(small_store, directory, train_step=step)
+        (second / "fold0.gprep").replace(first / "fold0.gprep")
+        with pytest.raises(FormatError, match="different prepare runs"):
+            load_prepared(first / "fold1.gprep")
+
+    def test_a_missing_store_is_data_error(self, tmp_path, small_store):
+        self.save_run(small_store, tmp_path)
+        (tmp_path / "fold0.gprep").unlink()
+        with pytest.raises(DataError, match="fold0.gprep, which is missing"):
+            load_prepared(tmp_path / "fold1.gprep")
+
+    @pytest.mark.parametrize("name", ["", "..", "../fold0.gprep", "sub/fold0.gprep", 3, None])
+    def test_store_file_must_be_a_file_name(self, tmp_path, small_store, name):
+        self.save_run(small_store, tmp_path)
+        edit_header(tmp_path / "fold1.gprep", store_file=name)
+        with pytest.raises(FormatError, match="file name"):
+            load_prepared(tmp_path / "fold1.gprep")
+
+    def test_the_named_file_must_hold_its_store(self, tmp_path, small_store):
+        self.save_run(small_store, tmp_path)
+        edit_header(tmp_path / "fold1.gprep", store_file="fold2.gprep")
+        with pytest.raises(FormatError, match="holds no store of its own"):
+            load_prepared(tmp_path / "fold1.gprep")
+
+    def test_a_file_naming_its_store_holds_no_readings(self, tmp_path, small_store):
+        self.save_run(small_store, tmp_path)
+        path = tmp_path / "fold1.gprep"
+        path.write_bytes(path.read_bytes() + struct.pack("<d", 100.0))
+        with pytest.raises(FormatError, match="payload"):
             load_prepared(path)
 
 

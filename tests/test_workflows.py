@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import shutil
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -485,9 +486,30 @@ def test_evaluate_holds_one_folds_windows_at_a_time(tmp_path):
     assert peak < 1.5 * max(fold_bytes), f"{peak / max(fold_bytes):.3f}x"
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_prepare_stores_each_reading_once(tmp_path, k):
+    """The payloads of a run's fold files sum to one copy of its store's
+    readings, whatever the number of folds."""
+    config = RunConfig(**{**SMALL, "k_folds": k, "train_step": 1})
+    tracker = OutputTracker()
+    run_synth(tracker, config, 6, 4, tmp_path / "cgm.csv", None)
+    run_prepare(tracker, config, tmp_path / "cgm.csv", tmp_path / "prep")
+    payload_bytes = 0
+    for path in sorted((tmp_path / "prep").glob("*.gprep")):
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 12)
+        payload_bytes += len(raw) - 16 - header_len
+    readings = load_prepared(prepared_path(tmp_path / "prep", k - 1)).readings
+    # At train step 1 the store is every eligible sequence whole.
+    lengths = segment(load_corpus(tmp_path / "cgm.csv")).lengths
+    assert len(readings) == lengths[lengths >= 144].sum()
+    assert payload_bytes == 8 * len(readings)
+
+
 def test_train_reads_each_fold_payload_once(workspace, monkeypatch, tmp_path):
     """The provenance check before training reads the fold files' headers
-    only; each fold's payload is then read once, to train it."""
+    only; each fold's file is then read once, to train it, and with it the
+    run's store in fold 0 (fold 0 itself holds the store)."""
     root, config = workspace
     assert config.jobs == 1
     reads = []
@@ -499,7 +521,8 @@ def test_train_reads_each_fold_payload_once(workspace, monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline_mod, "read_framed", counted)
     run_train(OutputTracker(), config, root / "prep", "linreg", tmp_path / "models")
-    assert sorted(reads) == [f"fold{i}.gprep" for i in range(config.k_folds)]
+    folds = [f"fold{i}.gprep" for i in range(1, config.k_folds)]
+    assert reads == ["fold0.gprep", *(name for fold in folds for name in (fold, "fold0.gprep"))]
 
 
 def _tracked_csv(rows, path):
@@ -544,8 +567,11 @@ def test_failed_prepared_rewrite_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "fold.gprep"
     save_prepared(prepared, path)
     before = path.read_bytes()
-    # The header is written before the readings fail to convert.
-    broken = dataclasses.replace(prepared, readings=np.array(["x"] * 288, dtype=object))
+    # The store's digest is cached, so the header is written before the
+    # readings fail to convert.
+    store = dataclasses.replace(prepared.store, readings=np.array(["x"] * 288, dtype=object))
+    vars(store)["sha256"] = prepared.store.sha256
+    broken = dataclasses.replace(prepared, store=store)
     with pytest.raises(ValueError):
         save_prepared(broken, path)
     assert path.read_bytes() == before
