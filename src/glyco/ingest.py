@@ -39,7 +39,7 @@ import re
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -660,6 +660,7 @@ _MEAL_AMPLITUDE = (40.0, 100.0)
 _CLIP_LO = 40.0
 _CLIP_HI = 600.0
 _GAP_RATE = 0.004  # per-reading chance that a dropout gap starts
+_GAP_BLOCK = 256  # uniforms drawn at a time; about one gap per 250 steps
 
 
 def _daily_curve(hours: np.ndarray) -> np.ndarray:
@@ -694,24 +695,35 @@ def _synth_patient(rng: np.random.Generator, days: int, start_ts: int):
 
     # AR(1) noise with the stationary marginal s.d., started at equilibrium.
     innovation_sd = _AR1_MARGINAL_SD * math.sqrt(1.0 - _AR1_PHI**2)
-    noise = np.empty(n)
-    noise[0] = rng.normal(0.0, _AR1_MARGINAL_SD)
-    shocks = rng.normal(0.0, innovation_sd, size=n - 1)
-    for i in range(1, n):
-        noise[i] = _AR1_PHI * noise[i - 1] + shocks[i - 1]
+    first = rng.normal(0.0, _AR1_MARGINAL_SD)
+    shocks = rng.normal(0.0, innovation_sd, size=n - 1).tolist()
+    noise = np.fromiter(
+        accumulate(shocks, lambda prev, shock: _AR1_PHI * prev + shock, initial=first), float, n
+    )
 
     values = np.clip(signal + bumps + noise, _CLIP_LO, _CLIP_HI)
 
-    # Dropout gaps with heavy-tailed lengths (lognormal steps).
-    kept = []
+    # Dropout gaps with heavy-tailed lengths (lognormal steps): each step
+    # draws one uniform, and a hit drops a lognormal number of steps from
+    # there. The uniforms come in blocks; at a hit the generator is rewound
+    # to just after it (a uniform is one 64-bit output), so every draw is
+    # the one a draw per step would make.
+    kept = np.ones(n, dtype=bool)
+    bits = rng.bit_generator
     i = 0
     while i < n:
-        if rng.random() < _GAP_RATE:
-            gap = max(4, int(rng.lognormal(mean=3.0, sigma=1.2)))
-            i += gap
+        state = bits.state
+        draws = rng.random(min(_GAP_BLOCK, n - i))
+        hits = np.flatnonzero(draws < _GAP_RATE)
+        if hits.size == 0:
+            i += draws.size
             continue
-        kept.append(i)
-        i += 1
+        bits.state = state
+        bits.advance(int(hits[0]) + 1)
+        i += int(hits[0])
+        gap = max(4, int(rng.lognormal(mean=3.0, sigma=1.2)))
+        kept[i : i + gap] = False
+        i += gap
     return start_ts + t[kept] * 300, values[kept]
 
 

@@ -24,10 +24,19 @@ prediction of step t - 1, runs one cell per diagonal. States are stored
 diagonal-major (cell (t, l) at index t + l), so each diagonal is a plain
 slice; layer 0's inputs are (T, B) rows of their own. Training keeps every
 cell's gates but the cell states only at checkpoint diagonals, and the
-backward sweep rebuilds the rest with the forward's own arithmetic. Every
-product keeps the operands, order and BLAS call of the per-cell kernel it
-replaced, so within one precision every model, curve, report and trace
-keeps its bytes.
+backward sweep rebuilds the rest with the forward's own arithmetic.
+
+The gates are fused as in cuDNN (Appleyard, Kocisky and Blunsom,
+arXiv:1604.01946): layer l's input and recurrent weights are one (4h, 2h)
+block of a stack W (L, 4h, 2h), layer 0's one input column padded with
+zeros, so one stacked matmul over the [input; h_prev] pairs gives every
+pre-activation of a diagonal. The sigmoid gates take sigmoid(a) =
+1/2 + tanh(a/2)/2 with their rows of W and of the bias halved, which is
+exact, so one tanh covers all four gates: 11 NumPy calls per diagonal
+forward. The reverse sweep makes one da @ [input; h_prev]^T for both weight
+gradients and one W^T @ da for both input gradients, about 25 calls per
+diagonal. The tests hold the kernel bit for bit to a per-cell reference of
+the same arithmetic, in float32 and in float64.
 
 The kernel computes in the dtype of ``net.params``: every state, gate, mark,
 gradient and Adam moment is allocated in it. The package builds float32
@@ -60,24 +69,6 @@ MODEL_VERSION = 2
 
 SCALE_LO_MGDL = 20.0
 SCALE_HI_MGDL = 600.0
-
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|x|.
-
-    ``minimum(x, -x)`` rather than ``-abs(x)`` keeps the sign of a NaN input,
-    so every output bit equals ``1/(1+exp(-x))`` for x >= 0 and
-    ``exp(x)/(1+exp(x))`` otherwise.
-    """
-    e = np.negative(x)
-    np.exp(np.minimum(x, e, out=e), out=e)
-    if out is None:
-        out = np.empty_like(x)
-    # out, which may be x itself, is written only after e: 1.0 where x >= 0,
-    # else 0.0, then max(e, .) is 1 there (e <= 1) and e (or its NaN) elsewhere.
-    np.greater_equal(x, 0.0, out=out)
-    np.maximum(e, out, out=out)
-    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 @dataclass
@@ -199,34 +190,13 @@ def _scaled(net: LstmNetwork, values: np.ndarray, out: np.ndarray | None = None)
     return net.scaler.scale(values, out=out)
 
 
-def _forward_cells(net: LstmNetwork, bias, lo: int, x, h_in, c_in, gates, c, tc, h) -> None:
-    """One stacked step over the cells (d - l, l) of a diagonal d, layers lo..lo+m-1.
-
-    Every array carries a trailing batch axis. ``h_in`` and ``c_in`` hold the
-    previous diagonal for all L layers, so layer l reads its own state of the
-    previous step at index l and the state below it at index l-1. ``x`` is
-    layer 0's (B,) input row, read when lo is 0. Writes the activated gates
-    (i, f, g, o stacked as (m, 4h, B)), the cell state c, tanh(c) and
-    h = o * tanh(c) of the m cells into the given arrays. ``bias`` is the
-    (L, 4h, 1) sum b_input + b_hidden.
-    """
-    n, hi = net.hidden_size, lo + len(gates)
-    # The pre-activation a = W_i x + W_h h_prev + bias, in that order of adds
-    # for every layer, is built in the gate array and activated in place.
-    if lo == 0:
-        np.multiply(net.w_input0, x, out=gates[0])  # the (4h, 1) @ (1, B) product, bit for bit
-    up = max(lo, 1)
-    if hi > up:
-        np.matmul(net.w_input[up - 1 : hi - 1], h_in[up - 1 : hi - 1], out=gates[up - lo :])
-    gates += np.matmul(net.w_hidden[lo:hi], h_in[lo:hi])
-    gates += bias[lo:hi]
-    i, f, g, o = (gates[:, k * n : (k + 1) * n] for k in range(4))
-    g_act = np.tanh(g)
-    _sigmoid(gates, out=gates)
-    np.copyto(g, g_act)
-    np.add(f * c_in[lo:hi], i * g, out=c)
-    np.tanh(c, out=tc)
-    np.multiply(o, tc, out=h)
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """The overlapping (L, 2h, B) view of a state slot z (L+1, h, B) whose item
+    l is slots l and l + 1: layer l's input stacked on its own previous h."""
+    n_slots, h, n_batch = z.shape
+    return np.lib.stride_tricks.as_strided(
+        z, (n_slots - 1, 2 * h, n_batch), z.strides, writeable=False
+    )
 
 
 def _schedule(n_layers: int, t_wave: int, t_total: int) -> list[tuple[int, int, int]]:
@@ -250,11 +220,12 @@ class _Unroll:
     The cells run one diagonal t + l = d at a time, in the steps of
     ``_schedule``: the whole window (every step under teacher forcing) as a
     wavefront, then the recursive phase one cell at a time. States are stored
-    diagonal-major, so a diagonal is a plain slice. The cell states c and
-    hidden states h run through two diagonal slots used in turn, and tanh(c)
-    through the one-diagonal scratch ``tcs`` (L, h, B), whose row l ends
-    holding tanh of layer l's last cell state. Without keep_steps one gate
-    slot is overwritten too, so memory does not grow with the window length.
+    diagonal-major, so a diagonal is a plain slice. The cell states c run
+    through two diagonal slots used in turn, the hidden states through two
+    state slots (L+1, h, B) (see ``cells``), and tanh(c) through the
+    one-diagonal scratch ``tcs`` (L, h, B), whose row l ends holding tanh of
+    layer l's last cell state. Without keep_steps one gate slot is
+    overwritten too, so memory does not grow with the window length.
 
     With keep_steps, ``gates`` (T+L-1, L, 4h, B) holds cell (t, l) at index
     t + l; its cells before step 0 or past a layer's last step are zero.
@@ -268,7 +239,47 @@ class _Unroll:
     def __init__(self, net: LstmNetwork, keep_steps: bool):
         self.net = net
         self.keep_steps = keep_steps
-        self.bias = (net.b_input + net.b_hidden)[:, :, None]
+        n, dtype = net.hidden_size, net.params.dtype
+        # The fused stack W (L, 4h, 2h): input weights in columns :h (layer
+        # 0's one column, zeros beside it), w_hidden in columns h:.
+        self.w = w = np.zeros((net.n_layers, 4 * n, 2 * n), dtype)
+        w[0, :, :1] = net.w_input0
+        w[1:, :, :n] = net.w_input
+        w[:, :, n:] = net.w_hidden
+        # sigmoid(a) = 1/2 + tanh(a/2)/2, and halving is exact: the i, f and
+        # o rows of W and of the summed bias are halved, and the tanh of all
+        # four gates is mapped by * scale + shift; g's shift is -0, which
+        # keeps every bit of tanh. ``affine`` is (bias, scale, shift), each
+        # (L, 4h, 1).
+        scale, shift = np.full((2, 4 * n, 1), 0.5, dtype)
+        scale[2 * n : 3 * n], shift[2 * n : 3 * n] = 1.0, -0.0
+        self.w_half = w * scale
+        bias = (net.b_input + net.b_hidden)[:, :, None] * scale
+        self.affine = [bias] + [np.broadcast_to(a, bias.shape) for a in (scale, shift)]
+
+    def cells(self, lo: int, affine, pairs, c_in, gates, c, tc, h) -> None:
+        """One stacked step over the cells (d - l, l) of a diagonal d, layers lo..lo+m-1.
+
+        Every array carries a trailing batch axis. ``pairs`` is the (m, 2h, B)
+        view (see ``_pairs``) of the state slot of diagonal d - 1, which holds
+        layer 0's input row in row 0 of slot 0 (its other rows zero) and
+        layer l's h in slot l + 1; ``c_in`` is diagonal d - 1's cell states
+        of all L layers; ``affine`` is ``self.affine`` or a copy of it
+        broadcast to (L, 4h, B). Writes the gates (i, f, g, o stacked as
+        (m, 4h, B)), the cell state c, tanh(c) and h = o * tanh(c) of the m
+        cells.
+        """
+        n, hi = self.net.hidden_size, lo + len(gates)
+        bias, scale, shift = affine
+        np.matmul(self.w_half[lo:hi], pairs, out=gates)
+        gates += bias[lo:hi]
+        np.tanh(gates, out=gates)
+        gates *= scale[lo:hi]
+        gates += shift[lo:hi]
+        i, f, g, o = (gates[:, k * n : (k + 1) * n] for k in range(4))
+        np.add(f * c_in[lo:hi], i * g, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
 
     def run(self, xs: np.ndarray, t_in: int, teacher: bool) -> np.ndarray:
         """Scaled predictions of shape (horizon, B) for layer 0's input rows xs.
@@ -293,7 +304,12 @@ class _Unroll:
         # t_total + n_layers - 2.
         self.depth = depth = t_total + n_layers
         state = (n_layers, h_size, n_batch)
-        hs, cs = np.zeros((2, *state), dtype), np.zeros((2, *state), dtype)
+        zs, cs = np.zeros((2, n_layers + 1, h_size, n_batch), dtype), np.zeros((2, *state), dtype)
+        pairs = [_pairs(z) for z in zs]
+        # Copied to the full (L, 4h, B) size: a broadcast operand costs two to
+        # three times as much per call.
+        full = (n_layers, 4 * h_size, n_batch)
+        affine = [np.broadcast_to(a, full).copy() for a in self.affine]
         self.tcs = tcs = np.empty(state, dtype)
         self.gates = gates = np.empty(
             (depth - 1 if self.keep_steps else 1, n_layers, 4 * h_size, n_batch), dtype
@@ -305,21 +321,22 @@ class _Unroll:
             # c_slot can serve the backward sweep's revisits (see there).
             self.span = span = max(n_layers, math.isqrt(depth))
             self.marks = marks = np.zeros(((depth - 1) // span + 1, *state), dtype)
-            self.blocks = np.empty((2, span, *state), dtype)
+            self.blocks = None  # allocated by c_slot, so the forward's peak does not hold them
             self.held = [-1, -1]
 
         for d, lo, hi in self.steps:
             k = d % 2
-            _forward_cells(
-                net, self.bias, lo, xs[d] if lo == 0 else None, hs[k], cs[k],
-                gates[d if self.keep_steps else 0, lo:hi], cs[1 - k, lo:hi], tcs[lo:hi],
-                hs[1 - k, lo:hi],
+            if lo == 0:
+                zs[k, 0, 0] = xs[d]
+            self.cells(
+                lo, affine, pairs[k][lo:hi], cs[k], gates[d if self.keep_steps else 0, lo:hi],
+                cs[1 - k, lo:hi], tcs[lo:hi], zs[1 - k, lo + 1 : hi + 1],
             )
             if self.keep_steps and (d + 1) % span == 0:
                 marks[(d + 1) // span, lo:hi] = cs[1 - k, lo:hi]
             t = d - (n_layers - 1)
             if hi == n_layers and t >= t_in - 1:
-                preds[t - (t_in - 1)] = net.head_weights @ hs[1 - k, -1] + net.head_bias
+                preds[t - (t_in - 1)] = net.head_weights @ zs[1 - k, -1] + net.head_bias
         return preds
 
     def c_slot(self, j: int) -> np.ndarray:
@@ -337,6 +354,8 @@ class _Unroll:
         b + 2 again, since span >= L.
         """
         b, r = divmod(j, self.span)
+        if self.blocks is None:
+            self.blocks = np.empty((2, self.span, *self.marks.shape[1:]), self.marks.dtype)
         block = self.blocks[b % 2]
         if self.held[b % 2] != b:
             n, first = self.net.hidden_size, b * self.span
@@ -443,29 +462,38 @@ def _loss_and_gradients_batch(
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
 
-    top = n_layers - 1
+    top, n = n_layers - 1, h_size
     grad = np.zeros_like(net.params)
     # gb is the b_input gradient; b_hidden's is the same and copied at the end.
     gw_input0, gw_input, gw_hidden, gb, gb_hidden, d_head_w, d_head_b = _views(
         grad, h_size, n_layers
     )
-    # Transposed views of the stacks, never contiguous copies (see _views).
-    w_input_t, w_hidden_t = net.w_input.transpose(0, 2, 1), net.w_hidden.transpose(0, 2, 1)
+    gw = np.zeros_like(unroll.w)  # the fused stack's gradient, split at the end
+    w_t = unroll.w.transpose(0, 2, 1)  # a view, never a contiguous copy (see _views)
 
     # d loss / d prediction; feedback contributions are added as the reverse
     # sweep reaches the step where each prediction was consumed as input.
     d_pred = 2.0 * residual / (horizon * n_batch)
-    state = (n_layers, h_size, n_batch)
-    dh_next, dc_next = np.zeros(state, dtype), np.zeros(state, dtype)
-    d_above = np.empty(state, dtype)  # d loss / d h from the cell above or the head
+    # dz[l] is W^T da of layer l's last swept cell: rows :h are d loss / d
+    # input, for the layer below, and rows h: d loss / d h_prev, for layer l's
+    # previous step. Rows :h of dz[L] hold the head's gradient during a head
+    # step and -0 otherwise, which adds nothing, not even to a signed zero.
+    dz = np.zeros((n_layers + 1, 2 * n, n_batch), dtype)
+    dz[-1, :n] = -0.0
+    dc_next = np.zeros((n_layers, n, n_batch), dtype)
+    # The state slot of the diagonal before the step, laid out as the
+    # forward's (see _Unroll.cells), with its h recomputed from c.
+    z = np.zeros((n_layers + 1, n, n_batch), dtype)
+    pairs = _pairs(z)
     gates = unroll.gates
     # Row l holds tanh(c) of the layer-l cell that the sweep reaches next.
     # The forward leaves each layer's last cell there; each step, after its
     # last read of tc, writes the diagonal-(d - 1) cells that it reads
     # through h, which are the next cells of their layers.
     tcs = unroll.tcs
-    o_all = gates[:, :, 3 * h_size :]
-    da_all = np.empty((n_layers, 4 * h_size, n_batch), dtype)
+    o_all = gates[:, :, 3 * n :]
+    da_all = np.empty((n_layers, 4 * n, n_batch), dtype)
+    ones = np.ones(n_batch, dtype)
 
     # The forward steps in reverse: cell (t, l) needs (t+1, l) and (t, l+1),
     # both on the next diagonal, so each layer's sums still run in decreasing t.
@@ -476,48 +504,44 @@ def _loss_and_gradients_batch(
             gp = d_pred[t_top - (t_in - 1)]  # (B,)
             d_head_w += (o_all[d, top] * tcs[top]) @ gp
             d_head_b += gp.sum()
-            d_above[top] = net.head_weights[:, None] * gp[None, :]
-        if hi < n_layers or head:
-            dh = dh_next[lo:hi] + d_above[lo:hi]
-        else:  # the top cell has no head gradient: dh_next as it is, signed zeros kept
-            dh = dh_next[lo:hi].copy()
-            dh[:-1] += d_above[lo : hi - 1]
+            np.multiply(net.head_weights[:, None], gp, out=dz[-1, :n])
+        dh = np.add(dz[lo:hi, n:], dz[lo + 1 : hi + 1, :n], out=dz[lo:hi, n:])
+        if head:
+            dz[-1, :n] = -0.0
         step_gates = gates[d, lo:hi]
-        i, f, g, o = (step_gates[:, k * h_size : (k + 1) * h_size] for k in range(4))
+        i, f, g, o = (step_gates[:, k * n : (k + 1) * n] for k in range(4))
         tc = tcs[lo:hi]
-        dc = dc_next[lo:hi] + dh * o * (1.0 - tc * tc)
+        dc = np.add(dc_next[lo:hi], dh * o * (1.0 - tc * tc), out=dc_next[lo:hi])
         c_prev = unroll.c_slot(d)  # diagonal d - 1: the cells' own c_prev and those below
+        # da: s (1 - s) taken once over the gates, with 1 - g * g in g's
+        # rows, times dc * g, dc * c_prev, dc * i and dh * tc.
         da = da_all[: hi - lo]
-        da_i, da_f, da_g, da_o = (da[:, k * h_size : (k + 1) * h_size] for k in range(4))
-        # Each product keeps its association, e.g. ((dc * g) * i) * (1 - i):
-        # regrouping changes the last bits of the gradients and every model.
-        np.multiply(dc * g * i, 1.0 - i, out=da_i)
-        np.multiply(dc * c_prev[lo:hi] * f, 1.0 - f, out=da_f)
-        np.multiply(dc * i, 1.0 - g * g, out=da_g)
-        np.multiply(dh * tc * o, 1.0 - o, out=da_o)
+        np.subtract(1.0, step_gates, out=da)
+        da *= step_gates
+        np.subtract(1.0, g * g, out=da[:, 2 * n : 3 * n])
+        da *= np.concatenate([dc * g, dc * c_prev[lo:hi], dc * i, dh * tc], axis=1)
         # This step reads the hidden states of diagonal d - 1, layers lo - 1 .. hi - 1.
         below = max(lo - 1, 0)
         if d > 0:
-            h_in = o_all[d - 1, below:hi] * np.tanh(c_prev[below:hi], out=tcs[below:hi])
-        else:
-            h_in = np.zeros((1, h_size, n_batch), dtype)
+            np.multiply(
+                o_all[d - 1, below:hi], np.tanh(c_prev[below:hi], out=tcs[below:hi]),
+                out=z[below + 1 : hi + 1],
+            )
+        else:  # layer 0's zero initial state
+            z[1] = 0.0
         if lo == 0:
-            x = xs[d][None, :]
-            gw_input0 += da[0] @ x.T
-            if not teacher and d >= t_in:
-                # Route into the fed-back prediction that was this step's input.
-                d_pred[d - t_in] += (net.w_input0.T @ da[0])[0]
-        up = max(lo, 1)
-        if hi > up:
-            da_up = da[up - lo :]
-            h_below = h_in[up - 1 - below : hi - 1 - below]
-            gw_input[up - 1 : hi - 1] += np.matmul(da_up, h_below.transpose(0, 2, 1))
-            np.matmul(w_input_t[up - 1 : hi - 1], da_up, out=d_above[up - 1 : hi - 1])
-        gw_hidden[lo:hi] += np.matmul(da, h_in[lo - below :].transpose(0, 2, 1))
-        gb[lo:hi] += da.sum(axis=2)
-        np.matmul(w_hidden_t[lo:hi], da, out=dh_next[lo:hi])
+            z[0, 0] = xs[d]
+        gw[lo:hi] += np.matmul(da, pairs[lo:hi].transpose(0, 2, 1))
+        gb[lo:hi] += da @ ones  # one gemv per layer, about a third of da.sum(axis=2)
+        np.matmul(w_t[lo:hi], da, out=dz[lo:hi])
+        if lo == 0 and not teacher and d >= t_in:
+            # Route into the fed-back prediction that was this step's input.
+            d_pred[d - t_in] += dz[0, 0]
         np.multiply(dc, f, out=dc_next[lo:hi])
 
+    gw_input0[...] = gw[0, :, :1]
+    gw_input[...] = gw[1:, :, :n]
+    gw_hidden[...] = gw[:, :, n:]
     gb_hidden[...] = gb
     return loss, grad
 

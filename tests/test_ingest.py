@@ -260,7 +260,54 @@ class TestLengthHistogram:
         assert hist["lengths"] == {} and hist["eligible_fraction"] == 0.0
 
 
+def draw_loop_patient(rng, days, start_ts):
+    """The per-step draw loop that ``ingest._synth_patient`` vectorised: AR(1)
+    noise one step at a time, and one ``rng.random()`` call per dropout step."""
+    n = days * ingest.SLOTS_PER_DAY
+    t = np.arange(n)
+    hours = ((start_ts + t * 300) % 86400) / 3600.0
+    signal = ingest._BASELINE_MGDL + ingest._daily_curve(hours)
+    bumps = np.zeros(n)
+    decay = np.exp(-np.arange(36) / 12.0)
+    for day in range(days):
+        for _ in range(ingest._MEALS_PER_DAY):
+            onset = day * ingest.SLOTS_PER_DAY + int(rng.integers(0, ingest.SLOTS_PER_DAY))
+            amplitude = rng.uniform(*ingest._MEAL_AMPLITUDE)
+            tail = min(36, n - onset)
+            if tail > 0:
+                bumps[onset : onset + tail] += amplitude * decay[:tail]
+    innovation_sd = ingest._AR1_MARGINAL_SD * math.sqrt(1.0 - ingest._AR1_PHI**2)
+    noise = np.empty(n)
+    noise[0] = rng.normal(0.0, ingest._AR1_MARGINAL_SD)
+    shocks = rng.normal(0.0, innovation_sd, size=n - 1)
+    for i in range(1, n):
+        noise[i] = ingest._AR1_PHI * noise[i - 1] + shocks[i - 1]
+    values = np.clip(signal + bumps + noise, ingest._CLIP_LO, ingest._CLIP_HI)
+    kept = []
+    i = 0
+    while i < n:
+        if rng.random() < ingest._GAP_RATE:
+            i += max(4, int(rng.lognormal(mean=3.0, sigma=1.2)))
+            continue
+        kept.append(i)
+        i += 1
+    return start_ts + t[kept] * 300, values[kept]
+
+
 class TestSynthCorpus:
+    @pytest.mark.parametrize(
+        "n_patients,days,seed", [(16, 12, 1001), (20, 30, 1), (8, 10, 7), (1, 1, 7), (150, 2, 3)]
+    )
+    def test_identical_to_the_draw_loop(self, n_patients, days, seed):
+        corpus = synth_corpus(n_patients, days, seed)
+        with patch.object(ingest, "_synth_patient", draw_loop_patient):
+            oracle = synth_corpus(n_patients, days, seed)
+        assert corpus.patients == oracle.patients
+        for name in ("patient_ids", "timestamps", "values"):
+            got, want = getattr(corpus, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert corpus.values.tobytes() == oracle.values.tobytes()
+
     def test_deterministic(self):
         a = synth_corpus(1, 1, seed=7)
         b = synth_corpus(1, 1, seed=7)

@@ -22,9 +22,9 @@ from glyco.lstm import (
     save_model,
     train,
     _file_order,
-    _forward_cells,
     _loss_and_gradients_batch,
-    _sigmoid,
+    _pairs,
+    _Unroll,
 )
 from glyco.pipeline import kfold_split, prepare
 
@@ -51,12 +51,12 @@ def cell_forward(net, x, h_prev, c_prev):
     The cell is a one-layer diagonal with a batch of one: x is the (1,) input.
     """
     n, dtype = net.hidden_size, net.params.dtype
+    unroll = _Unroll(net, keep_steps=False)
+    z = np.zeros((2, n, 1), dtype)  # the state slot: the input row, then h_prev
+    z[0, 0], z[1, :, 0] = x, h_prev
     gates = np.empty((1, 4 * n, 1), dtype)
     c, tc, h = np.empty((3, 1, n, 1), dtype)
-    bias = (net.b_input + net.b_hidden)[:, :, None]
-    _forward_cells(
-        net, bias, 0, x, h_prev[None, :, None], c_prev[None, :, None], gates, c, tc, h
-    )
+    unroll.cells(0, unroll.affine, _pairs(z), c_prev[None, :, None], gates, c, tc, h)
     named = {key: gates[0, k * n : (k + 1) * n, 0] for k, key in enumerate("ifgo")}
     return h[0, :, 0], c[0, :, 0], named
 
@@ -577,32 +577,38 @@ def test_forecaster_interface():
     np.testing.assert_allclose(batch[0], out[0], atol=1e-12)
 
 
-# Frozen reference kernel: the masked sigmoid, per-step tuple cache, copy and
-# concatenate formulation that the array kernel in glyco.lstm replaced. It
-# computes in the network's dtype, and the kernel must reproduce it bit for bit
-# in float32 and in float64, since every model, curve, report and trace file is
-# compared byte for byte across versions.
+# Frozen reference kernel: the fused per-cell arithmetic, one cell at a time
+# with a per-step tuple cache, copies and concatenations, which the wavefront
+# kernel in glyco.lstm stacks. It computes in the network's dtype, and the
+# kernel must reproduce it bit for bit in float32 and in float64, since every
+# model, curve, report and trace file is compared byte for byte across runs.
 
 
-def ref_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def ref_fused(layer):
+    """The layer's fused weights W (4h, 2h), [w_input padded to h columns |
+    w_hidden]; W and the summed bias with the i, f and o rows halved; and the
+    scale and shift that map tanh of the halved pre-activation to the gates."""
+    h, dtype = layer.hidden_size, layer.w_hidden.dtype
+    w = np.zeros((4 * h, 2 * h), dtype)
+    w[:, : layer.w_input.shape[1]] = layer.w_input
+    w[:, h:] = layer.w_hidden
+    scale, shift = np.full((4 * h, 1), 0.5, dtype), np.full((4 * h, 1), 0.5, dtype)
+    scale[2 * h : 3 * h], shift[2 * h : 3 * h] = 1.0, -0.0
+    bias = (layer.b_input + layer.b_hidden)[:, None] * scale
+    return w, w * scale, bias, scale, shift
 
 
 def ref_cell_step(layer, x, h_prev, c_prev):
     h = layer.hidden_size
-    a = layer.w_input @ x + layer.w_hidden @ h_prev + (layer.b_input + layer.b_hidden)[:, None]
-    i = ref_sigmoid(a[:h])
-    f = ref_sigmoid(a[h : 2 * h])
-    g = np.tanh(a[2 * h : 3 * h])
-    o = ref_sigmoid(a[3 * h :])
+    _, w_half, bias, scale, shift = ref_fused(layer)
+    x_padded = np.zeros_like(h_prev)
+    x_padded[: len(x)] = x
+    z = np.concatenate([x_padded, h_prev])
+    gates = np.tanh(w_half @ z + bias) * scale + shift
+    i, f, g, o = (gates[k * h : (k + 1) * h] for k in range(4))
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    return i, f, g, o, c, tc, o * tc
+    return z, i, f, g, o, c, tc, o * tc
 
 
 def ref_unroll(net, x_scaled, horizon, feedback_inputs):
@@ -622,8 +628,8 @@ def ref_unroll(net, x_scaled, horizon, feedback_inputs):
             x = preds[t - t_in][None, :]
         step_cache, step_forget = [], []
         for l, layer in enumerate(layers_of(net)):
-            i, f, g, o, c, tc, h = ref_cell_step(layer, x, hs[l], cs[l])
-            step_cache.append((x, hs[l], cs[l], i, f, g, o, c, tc))
+            z, i, f, g, o, c, tc, h = ref_cell_step(layer, x, hs[l], cs[l])
+            step_cache.append((z, cs[l], i, f, g, o, c, tc))
             step_forget.append(f)
             hs[l], cs[l] = h, c
             x = h
@@ -643,11 +649,9 @@ def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
     preds, cache, _ = ref_unroll(net, inputs_scaled, horizon, feed)
     residual = preds - targets_scaled.T
     loss = float(np.mean(residual**2))
-    grads = [
-        (np.zeros_like(p.w_input), np.zeros_like(p.w_hidden),
-         np.zeros_like(p.b_input), np.zeros_like(p.b_hidden))
-        for p in layers
-    ]
+    fused = [ref_fused(layer)[0] for layer in layers]
+    grads = [(np.zeros_like(w), np.zeros(4 * h_size, dtype)) for w in fused]
+    ones = np.ones(n_batch, dtype)
     d_head_w = np.zeros(h_size, dtype)
     d_head_b = np.zeros((), dtype)
     d_pred = 2.0 * residual / (horizon * n_batch)
@@ -657,36 +661,34 @@ def ref_loss_and_gradients(net, inputs_scaled, targets_scaled, feedback):
         d_from_above = None
         if t >= t_in - 1:
             gp = d_pred[t - (t_in - 1)]
-            top_h = cache[t][n_layers - 1][6] * cache[t][n_layers - 1][8]
+            top_h = cache[t][n_layers - 1][5] * cache[t][n_layers - 1][7]
             d_head_w += top_h @ gp
             d_head_b += float(gp.sum())
             d_from_above = net.head_weights[:, None] * gp[None, :]
         for l in range(n_layers - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, c, tc = cache[t][l]
+            z, c_prev, i, f, g, o, c, tc = cache[t][l]
             dh = dh_next[l].copy()
             if d_from_above is not None:
                 dh += d_from_above
             dc = dc_next[l] + dh * o * (1.0 - tc * tc)
-            do = dh * tc
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            da = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)]
-            )
-            gw_i, gw_h, gb_i, gb_h = grads[l]
-            gw_i += da @ x.T
-            gw_h += da @ h_prev.T
-            db = da.sum(axis=1)
-            gb_i += db
-            gb_h += db
-            d_from_above = layers[l].w_input.T @ da
-            dh_next[l] = layers[l].w_hidden.T @ da
+            # s (1 - s) taken once over the four gates, 1 - g * g in g's rows,
+            # times the gradient that reaches each gate.
+            ds = (1.0 - np.concatenate([i, f, g, o])) * np.concatenate([i, f, g, o])
+            ds[2 * h_size : 3 * h_size] = 1.0 - g * g
+            da = ds * np.concatenate([dc * g, dc * c_prev, dc * i, dh * tc])
+            gw, gb = grads[l]
+            gw += da @ z.T
+            gb += da @ ones
+            dz = fused[l].T @ da
+            d_from_above = dz[:h_size]
+            dh_next[l] = dz[h_size:]
             dc_next[l] = dc * f
         if feedback == "recursive" and t >= t_in:
             d_pred[t - t_in] += d_from_above[0]
-    arrays = [a for layer_grads in grads for a in layer_grads] + [d_head_w]
-    return loss, arrays, d_head_b
+    arrays = []
+    for layer, (gw, gb) in zip(layers, grads):
+        arrays += [gw[:, : layer.w_input.shape[1]], gw[:, h_size:], gb, gb]
+    return loss, arrays + [d_head_w], d_head_b
 
 
 def ref_scaled(net, values):
@@ -711,25 +713,16 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_sigmoid_bit_identical_to_masked_reference():
-    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 746.0, -746.0,
-                1e-300, -1e-300]
-    rng = np.random.default_rng(0)
-    x = np.concatenate([specials, rng.normal(scale=20.0, size=4000), rng.normal(size=4000)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(_sigmoid(x), ref_sigmoid(x))
-        block = x[: 32 * 125].reshape(32, 125)
-        assert same_bits(_sigmoid(block), np.vstack([ref_sigmoid(r) for r in np.split(block, 4)]))
-
-
-def test_sigmoid_in_place_bit_identical_to_masked_reference():
-    """The kernel activates its gate block in place, with out the input itself."""
-    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 746.0, -746.0,
-                1e-300, -1e-300]
-    x = np.concatenate([specials, np.random.default_rng(1).normal(scale=30.0, size=8000)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = ref_sigmoid(x)
-        assert _sigmoid(x, out=x) is x and same_bits(x, want)
+def test_fused_activation_keeps_gates_in_range():
+    """sigmoid(a) = 1/2 + tanh(a/2)/2 maps pre-activations of +-1e4 to exactly
+    1 and 0, never outside [0, 1], and NaN to NaN; g is tanh(a)."""
+    for net in (zero_network(n_layers=1), in_float64(zero_network(n_layers=1))):
+        net.b_input[0] = np.tile([1e4, -1e4, np.nan, 0.0], 4)  # each gate's four rows
+        with np.errstate(invalid="ignore"):
+            _, _, gates = cell_forward(net, np.array([0.5]), np.zeros(4), np.zeros(4))
+        for key in "ifo":
+            np.testing.assert_array_equal(gates[key], [1.0, 0.0, np.nan, 0.5])
+        np.testing.assert_array_equal(gates["g"], [1.0, -1.0, np.nan, 0.0])
 
 
 # Each case takes one of the seeds 0-3 in turn.
@@ -848,12 +841,13 @@ def test_training_step_peak_memory():
 
     The step keeps the four gates of every cell (7.13 MB), c only at every
     12th diagonal (0.16 MB) plus two rebuilt 12-diagonal blocks (0.29 MB),
-    and peaks at about 7.89 MB. The float64 kernel peaked at 15.76 MB, the
-    one that kept c of every cell at 18.4 MB, the one that also kept tanh(c)
-    at 22.0 MB, and the one before the wavefront, which also kept h, at
-    24.8 MB. A float64 block in the store (the marks or the rebuilt blocks of
-    c promoted by a float64 operand, say), a full c store, a stored tanh(c)
-    or leftover per-diagonal temporaries would push the peak over the bound.
+    and peaks at about 7.94 MB (7.89 MB before the gates were fused). The
+    float64 kernel peaks at 15.84 MB, the one that kept c of every cell at
+    18.4 MB, the one that also kept tanh(c) at 22.0 MB, and the one before
+    the wavefront, which also kept h, at 24.8 MB. A float64 block in the
+    store (the marks or the rebuilt blocks of c promoted by a float64
+    operand, say), a full c store, a stored tanh(c) or leftover per-diagonal
+    temporaries would push the peak over the bound.
     """
     net = new_network(hidden_size=8, n_layers=3, seed=42)
     rng = np.random.default_rng(0)
