@@ -42,11 +42,6 @@ SYMBOL_SUM_BLOCK = 4096
 # N = 100. Fewer rows per chunk when that leaves a chunk for every usable core; chunks
 # are decoded on separate threads, with the same output bytes for any core count.
 VITERBI_CHUNK = 16
-# Fewest rows decoded in a thread pool. Below it the pool loses: median ms pooled / on
-# the calling thread at N = 100, T = 132 on 2 cores with one BLAS thread were 13.1 / 12.3
-# at 6 rows and 89.1 / 139.0 at 48. The benchmark's hmm_100 folds (10-14 rows) ran 11%
-# slower end to end with a threshold of 24, so the pool starts at 8 rows.
-VITERBI_POOL_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -290,13 +285,12 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     on how rows are batched.
 
     Rows are split into chunks of min(VITERBI_CHUNK, ceil(n / cores)), and
-    with at least VITERBI_POOL_ROWS rows, more than one usable core and more
-    than one chunk the chunks are decoded in a thread pool that lives only
-    for this call (NumPy releases the GIL inside the ufunc loops). Fewer rows
-    are decoded on the calling thread, as on one core. A row's work does not
-    depend on its chunk or thread, and every score is a max over the same
-    float64 sums, which is exact in any order, so the output bytes do not
-    depend on the core count.
+    with more than one usable core and more than one chunk the chunks are
+    decoded in a thread pool that lives only for this call (NumPy releases
+    the GIL inside the ufunc loops). A row's work does not depend on its
+    chunk or thread, and every score is a max over the same float64 sums,
+    which is exact in any order, so the output bytes do not depend on the
+    core count.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     if symbols.ndim != 2 or symbols.shape[1] == 0:
@@ -306,7 +300,7 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     n_rows, t_max = symbols.shape
     paths = np.empty((n_rows, t_max), dtype=np.int64)
     log_probs = np.empty(n_rows)
-    workers = _usable_cores() if n_rows >= VITERBI_POOL_ROWS else 1
+    workers = _usable_cores()
     size = max(1, min(VITERBI_CHUNK, -(-n_rows // workers)))
     chunks = [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 

@@ -660,7 +660,6 @@ _MEAL_AMPLITUDE = (40.0, 100.0)
 _CLIP_LO = 40.0
 _CLIP_HI = 600.0
 _GAP_RATE = 0.004  # per-reading chance that a dropout gap starts
-_GAP_BLOCK = 256  # uniforms drawn at a time; about one gap per 250 steps
 
 
 def _daily_curve(hours: np.ndarray) -> np.ndarray:
@@ -703,27 +702,16 @@ def _synth_patient(rng: np.random.Generator, days: int, start_ts: int):
 
     values = np.clip(signal + bumps + noise, _CLIP_LO, _CLIP_HI)
 
-    # Dropout gaps with heavy-tailed lengths (lognormal steps): each step
-    # draws one uniform, and a hit drops a lognormal number of steps from
-    # there. The uniforms come in blocks; at a hit the generator is rewound
-    # to just after it (a uniform is one 64-bit output), so every draw is
-    # the one a draw per step would make.
-    kept = np.ones(n, dtype=bool)
-    bits = rng.bit_generator
+    # Dropout gaps with heavy-tailed lengths (lognormal steps).
+    kept = []
     i = 0
     while i < n:
-        state = bits.state
-        draws = rng.random(min(_GAP_BLOCK, n - i))
-        hits = np.flatnonzero(draws < _GAP_RATE)
-        if hits.size == 0:
-            i += draws.size
+        if rng.random() < _GAP_RATE:
+            gap = max(4, int(rng.lognormal(mean=3.0, sigma=1.2)))
+            i += gap
             continue
-        bits.state = state
-        bits.advance(int(hits[0]) + 1)
-        i += int(hits[0])
-        gap = max(4, int(rng.lognormal(mean=3.0, sigma=1.2)))
-        kept[i : i + gap] = False
-        i += gap
+        kept.append(i)
+        i += 1
     return start_ts + t[kept] * 300, values[kept]
 
 

@@ -45,7 +45,8 @@ precision of the same code. Readings are scaled in float64 and rounded once
 to the network's dtype (``_scaled``), and forecasts come back in float64
 mg/dL.
 
-Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``;
+Forecasts have one entry point, ``rollout_batch(net, inputs (n, T))``,
+which runs the kernel on ROLLOUT_CHUNK windows at a time;
 ``forget_trace`` is the same run on one window with every step kept, and
 returns its forget-gate activations as one (layers, steps, h) array.
 ``train`` returns plain values: the best epoch's network, that epoch and the
@@ -69,6 +70,9 @@ MODEL_VERSION = 2
 
 SCALE_LO_MGDL = 20.0
 SCALE_HI_MGDL = 600.0
+# Windows per kernel run of a forecast: at 8 x 3 in float32 a full run peaks at
+# about 3.7 MB, and larger chunks ran no faster on one BLAS thread.
+ROLLOUT_CHUNK = 1024
 
 
 @dataclass
@@ -348,10 +352,11 @@ class _Unroll:
         forward's own operands and order, so every state keeps its bits.
         The cells before step 0 or past a layer's last step have zero gates
         and rebuild to zero: before step 0 that is the initial state, and
-        past the last step it is never read. Block b lives in buffer b % 2. The backward sweep reads the slots in decreasing
-        order, but its recursive phase goes back up to L - 2 slots, so it
-        still reads block b + 1 while it is in block b, and never block
-        b + 2 again, since span >= L.
+        past the last step it is never read. Block b lives in buffer b % 2.
+        The backward sweep reads the slots in decreasing order, but its
+        recursive phase goes back up to L - 2 slots, so it still reads block
+        b + 1 while it is in block b, and never block b + 2 again, since
+        span >= L.
         """
         b, r = divmod(j, self.span)
         if self.blocks is None:
@@ -372,7 +377,7 @@ class _Unroll:
 def _checked_forecast(
     net: LstmNetwork, inputs: np.ndarray, horizon: int, keep_steps: bool
 ) -> tuple[np.ndarray, _Unroll]:
-    """Recursive forecasts in mg/dL for rows of inputs (n, T), and the run behind them.
+    """Recursive forecasts in mg/dL for rows of inputs (n, T), and the last run behind them.
 
     Each row's observed window is consumed first; each prediction is then fed
     back as the next input until the horizon is filled. A non-finite state
@@ -380,22 +385,23 @@ def _checked_forecast(
     of the mg/dL output covers states and predictions alike; it names the
     first bad horizon step.
 
-    A one-row batch would run every product as a matrix-vector call, whose
-    bits differ from a batch's, so one row runs as a batch of two copies of
-    itself: a window's forecast and its run then do not depend on whether it
-    is forecast alone or in a batch.
+    The rows run ROLLOUT_CHUNK at a time, so the kernel's working set does
+    not grow with n. A one-row batch would run every product as a
+    matrix-vector call, whose bits differ from a batch's, so one row runs as
+    a batch of two copies of itself: a window's forecast and its run then do
+    not depend on whether it is forecast alone, in a batch or in a chunk.
     """
     if inputs.ndim != 2 or inputs.shape[1] < 1:
         raise DataError(f"forecast inputs must have shape (n, T) with T >= 1, got {inputs.shape}")
     n_rows, t_in = inputs.shape
-    if n_rows == 1:
-        inputs = np.repeat(inputs, 2, axis=0)
-    unroll = _Unroll(net, keep_steps)
-    xs = np.empty((t_in + horizon, len(inputs)), net.params.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _scaled(net, inputs.T, out=xs[:t_in])
-        preds = unroll.run(xs, t_in, teacher=False)
-        out = net.scaler.inverse(preds[:, :n_rows].T)
+    unroll, out = _Unroll(net, keep_steps), np.empty((n_rows, horizon))
+    for lo in range(0, n_rows, ROLLOUT_CHUNK):
+        rows = inputs[lo : lo + ROLLOUT_CHUNK]
+        xs = np.empty((t_in + horizon, max(len(rows), 2)), net.params.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _scaled(net, np.repeat(rows, 2, axis=0).T if len(rows) == 1 else rows.T, out=xs[:t_in])
+            preds = unroll.run(xs, t_in, teacher=False)
+            out[lo : lo + len(rows)] = net.scaler.inverse(preds[:, : len(rows)].T)
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
         step = int(np.argmin(finite)) + 1

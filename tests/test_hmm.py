@@ -447,40 +447,9 @@ def zero_model(rng, n_states, n_symbols):
         )
 
 
-POOL_ROWS = hmm.VITERBI_POOL_ROWS
-
-
 class TestViterbiThreads:
     """Rows are decoded in chunks on up to one thread per usable core; the
-    core count is patched, so no test starts more than 7 threads. The pool's
-    row threshold is patched to 1, so that a few rows exercise the pool,
-    except where a test sets it."""
-
-    @pytest.fixture(autouse=True)
-    def pool_from_one_row(self, monkeypatch):
-        monkeypatch.setattr(hmm, "VITERBI_POOL_ROWS", 1)
-
-    @pytest.mark.parametrize(
-        "n_rows, pooled", [(1, False), (POOL_ROWS - 1, False), (POOL_ROWS, True)]
-    )
-    def test_fewer_rows_than_the_threshold_decode_inline(self, monkeypatch, n_rows, pooled):
-        monkeypatch.setattr(hmm, "VITERBI_POOL_ROWS", POOL_ROWS)
-        monkeypatch.setattr(hmm, "_usable_cores", lambda: 2)
-        real, idents = hmm._viterbi_rows, set()
-
-        def spy(model, rows, paths_out, log_probs_out):
-            idents.add(threading.get_ident())
-            real(model, rows, paths_out, log_probs_out)
-
-        monkeypatch.setattr(hmm, "_viterbi_rows", spy)
-        model = random_model(np.random.default_rng(5), 4, 3)
-        symbols = np.random.default_rng(6).integers(0, 3, size=(n_rows, 6))
-        paths, log_probs = viterbi(model, symbols)
-        assert (threading.get_ident() not in idents) == pooled
-        monkeypatch.setattr(hmm, "_usable_cores", lambda: 1)
-        one_core = viterbi(model, symbols)
-        assert paths.tobytes() == one_core[0].tobytes()
-        assert log_probs.tobytes() == one_core[1].tobytes()
+    core count is patched, so no test starts more than 7 threads."""
 
     @pytest.mark.parametrize("n_rows", [1, 10, hmm.VITERBI_CHUNK + 9, 37])
     @pytest.mark.parametrize("kind", ["random", "zeros"])

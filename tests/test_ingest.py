@@ -261,8 +261,8 @@ class TestLengthHistogram:
 
 
 def draw_loop_patient(rng, days, start_ts):
-    """The per-step draw loop that ``ingest._synth_patient`` vectorised: AR(1)
-    noise one step at a time, and one ``rng.random()`` call per dropout step."""
+    """``ingest._synth_patient`` with its AR(1) noise computed one step at a
+    time into a float64 array: the oracle for its ``itertools.accumulate`` form."""
     n = days * ingest.SLOTS_PER_DAY
     t = np.arange(n)
     hours = ((start_ts + t * 300) % 86400) / 3600.0

@@ -814,9 +814,10 @@ def test_float32_loss_and_gradients_agree_with_float64(
     assert np.max(np.abs(grad - ref_grad)) <= tol * np.max(np.abs(ref_grad))
 
 
-def test_float32_forecasts_do_not_depend_on_the_batch():
+def test_float32_forecasts_do_not_depend_on_the_batch(monkeypatch):
     """A window's float32 forecast has the same bits alone, in any chunk of
-    rows and at any position in a batch, so a model's held-out heuristic
+    rows, in kernel runs of any size (the last run of 120 rows in 7s holds
+    one row) and at any position in a batch, so a model's held-out heuristic
     during training scores exactly what evaluate scores."""
     net = new_network(hidden_size=8, n_layers=3, seed=7)
     rng = np.random.default_rng(7)
@@ -825,8 +826,29 @@ def test_float32_forecasts_do_not_depend_on_the_batch():
     for size in (1, 2, 3, 7, 16, 50):
         chunks = [rollout_batch(net, inputs[i : i + size]) for i in range(0, len(inputs), size)]
         assert same_bits(np.concatenate(chunks), whole)
+        with monkeypatch.context() as patched:
+            patched.setattr(lstm, "ROLLOUT_CHUNK", size)
+            assert same_bits(rollout_batch(net, inputs), whole)
     order = rng.permutation(len(inputs))
     assert same_bits(rollout_batch(net, inputs[order]), whole[order])
+
+
+def test_rollout_peak_grows_only_with_its_output(monkeypatch):
+    """With 64-row kernel runs, going from 128 to 1,024 windows adds no more
+    than twice the forecast array's growth to the peak; one run over every
+    window would add about 3 KB per window."""
+    monkeypatch.setattr(lstm, "ROLLOUT_CHUNK", 64)
+    net = new_network(hidden_size=8, n_layers=3, seed=7)
+    inputs = np.random.default_rng(7).uniform(40, 400, (1024, 132))
+    peaks = []
+    for n_rows in (128, 1024):
+        tracemalloc.start()
+        try:
+            rollout_batch(net, inputs[:n_rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * (1024 - 128) * 12 * 8
 
 
 def test_rollout_batch_of_no_rows_matches_reference():
