@@ -6,10 +6,11 @@ space over observation rows (n, T), in slices of up to E_STEP_CHUNK rows:
 renormalizing at every step keeps 100-state, 144-step products from
 underflowing, and each step is one matrix product for the whole slice. A
 probability floor keeps every trained row distribution strictly positive so
-no state or symbol becomes absorbing-zero. A model holds
-log-probabilities, and Viterbi decoding runs in log space over chunks of
-rows, one thread per usable core, with the same bytes for any number of
-cores; a loaded model may hold exact zeros, whose logs are -inf.
+no state or symbol becomes absorbing-zero. A model holds the
+probabilities EM computes; Viterbi takes their logs once per call and
+decodes in log space over chunks of rows, one thread per usable core, with
+the same bytes for any number of cores. A loaded model may hold exact
+zeros, whose logs are -inf.
 
 A model file (``.ghmm``) is framed (see ``core.write_framed``): magic
 ``GLYF_HMM``, version 1. The header holds ``n_states``, ``n_symbols``,
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import finite_floats, is_int, is_real, logsumexp, read_framed, write_framed
+from .core import finite_floats, is_int, is_real, read_framed, write_framed
 from .errors import DataError, FormatError, InvalidValueError, NumericError
 
 HMM_MAGIC = b"GLYF_HMM"
@@ -88,49 +89,37 @@ class Quantizer:
 
 @dataclass(frozen=True)
 class HmmModel:
-    """Initial/transition/emission distributions, stored as log-probabilities."""
+    """Initial/transition/emission probabilities: every row non-negative and
+    summing to 1 within 1e-9 (exact zeros allowed)."""
 
-    log_initial: np.ndarray
-    log_transition: np.ndarray
-    log_emission: np.ndarray
+    initial: np.ndarray
+    transition: np.ndarray
+    emission: np.ndarray
     trained_iterations: int = 0
     final_log_likelihood: float = math.nan
     log_likelihood_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        n = self.log_initial.shape[0]
-        if self.log_transition.shape != (n, n):
+        n = self.initial.shape[0]
+        if self.transition.shape != (n, n):
             raise InvalidValueError("transition matrix shape mismatch")
-        if self.log_emission.shape[0] != n:
+        if self.emission.shape[0] != n:
             raise InvalidValueError("emission matrix shape mismatch")
-        for name, arr, axis in (
-            ("initial", self.log_initial, None),
-            ("transition", self.log_transition, 1),
-            ("emission", self.log_emission, 1),
-        ):
-            sums = np.exp(logsumexp(arr, axis=axis))
-            if not np.allclose(sums, 1.0, atol=1e-9):
-                raise InvalidValueError(f"{name} rows must sum to 1 within 1e-9")
+        for name in ("initial", "transition", "emission"):
+            rows = getattr(self, name)
+            if np.any(rows < 0):
+                raise InvalidValueError(f"{name} probabilities must be non-negative")
+            with np.errstate(over="ignore"):  # huge entries sum to inf, which is refused
+                if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-9):  # so is a NaN
+                    raise InvalidValueError(f"{name} rows must sum to 1 within 1e-9")
 
     @property
     def n_states(self) -> int:
-        return self.log_initial.shape[0]
+        return self.initial.shape[0]
 
     @property
     def n_symbols(self) -> int:
-        return self.log_emission.shape[1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return np.exp(self.log_initial)
-
-    @property
-    def transition(self) -> np.ndarray:
-        return np.exp(self.log_transition)
-
-    @property
-    def emission(self) -> np.ndarray:
-        return np.exp(self.log_emission)
+        return self.emission.shape[1]
 
 
 def _floor_normalize(rows: np.ndarray) -> np.ndarray:
@@ -143,7 +132,7 @@ def _random_model(n_states: int, n_symbols: int, rng: np.random.Generator) -> Hm
     pi = _floor_normalize(rng.random(n_states))
     a = _floor_normalize(rng.random((n_states, n_states)))
     b = _floor_normalize(rng.random((n_states, n_symbols)))
-    return HmmModel(np.log(pi), np.log(a), np.log(b))
+    return HmmModel(pi, a, b)
 
 
 def _e_step(
@@ -257,14 +246,7 @@ def baum_welch(
             break
         prev_ll = total_ll
 
-    return HmmModel(
-        log_initial=np.log(pi),
-        log_transition=np.log(a),
-        log_emission=np.log(b),
-        trained_iterations=iterations,
-        final_log_likelihood=prev_ll,
-        log_likelihood_history=tuple(history),
-    )
+    return HmmModel(pi, a, b, iterations, prev_ll, tuple(history))
 
 
 def _usable_cores() -> int:
@@ -303,9 +285,11 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     workers = _usable_cores()
     size = max(1, min(VITERBI_CHUNK, -(-n_rows // workers)))
     chunks = [slice(lo, lo + size) for lo in range(0, n_rows, size)]
+    with np.errstate(divide="ignore"):  # a loaded exact zero has a log of -inf
+        logs = (np.log(model.initial), np.log(model.transition), np.log(model.emission).T)
 
     def decode(rows: slice) -> None:
-        _viterbi_rows(model, symbols[rows], paths[rows], log_probs[rows])
+        _viterbi_rows(logs, symbols[rows], paths[rows], log_probs[rows])
 
     threads = min(workers, len(chunks))
     if threads <= 1:
@@ -321,17 +305,18 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _viterbi_rows(
-    model: HmmModel, rows: np.ndarray, paths_out: np.ndarray, log_probs_out: np.ndarray
+    logs: tuple, rows: np.ndarray, paths_out: np.ndarray, log_probs_out: np.ndarray
 ) -> None:
-    """Decode symbol rows (r, T) into paths_out (r, T) and log_probs_out (r,).
+    """Decode symbol rows (r, T) into paths_out (r, T) and log_probs_out (r,),
+    given the model's logs: initial (N,), transition (N, N) and emission by
+    symbol (M, N).
 
     One (r, N, N) score buffer is reused at every step.
     """
-    log_a = model.log_transition
-    emission_by_symbol = model.log_emission.T
-    deltas = np.empty((rows.shape[1], rows.shape[0], model.n_states))
-    scores = np.empty((rows.shape[0], model.n_states, model.n_states))
-    deltas[0] = model.log_initial + emission_by_symbol[rows[:, 0]]
+    log_pi, log_a, emission_by_symbol = logs
+    deltas = np.empty((rows.shape[1], rows.shape[0], len(log_pi)))
+    scores = np.empty((rows.shape[0], *log_a.shape))
+    deltas[0] = log_pi + emission_by_symbol[rows[:, 0]]
     for t in range(1, rows.shape[1]):
         np.add(deltas[t - 1][:, :, None], log_a, out=scores)
         np.maximum.reduce(scores, axis=1, out=deltas[t])
@@ -360,8 +345,8 @@ def hmm_forecast(
     tails = np.empty((model.n_states, horizon))
     state = np.arange(model.n_states)
     for step in range(horizon):
-        state = np.argmax(model.log_transition[state], axis=1)
-        tails[:, step] = quantizer.decode(np.argmax(model.log_emission[state], axis=1))
+        state = np.argmax(model.transition[state], axis=1)
+        tails[:, step] = quantizer.decode(np.argmax(model.emission[state], axis=1))
     return tails[paths[:, -1]]
 
 
@@ -395,18 +380,10 @@ def load_hmm(path: str | Path) -> tuple[HmmModel, Quantizer]:
     if n < 1 or m < 1:
         raise FormatError(f"{path}: HMM needs at least one state and one symbol")
     flat = finite_floats(path, payload, n + n * n + n * m)
-    if np.any(flat < 0):
-        raise FormatError(f"{path}: HMM probabilities must be non-negative")
     initial, transition, emission = np.split(flat, [n, n + n * n])
     rows = (initial, transition.reshape(n, n), emission.reshape(n, m))
-    with np.errstate(over="ignore", divide="ignore"):
-        # A zero probability is valid (its log is -inf); a row that does not
-        # sum to 1, all zeros say, is rejected before any log is taken.
-        if not all(np.allclose(r.sum(axis=-1), 1.0, atol=1e-9) for r in rows):
-            raise FormatError(f"{path}: HMM rows must sum to 1 within 1e-9")
-        logs = [np.log(r) for r in rows]
     try:
-        model = HmmModel(*logs, trained_iterations=iterations, final_log_likelihood=final_ll)
+        model = HmmModel(*rows, trained_iterations=iterations, final_log_likelihood=final_ll)
         quantizer = Quantizer(m, lo, hi)
     except (InvalidValueError, OverflowError) as exc:  # an integer bound too large for a float
         raise FormatError(f"{path}: {exc}") from exc

@@ -236,7 +236,7 @@ def _em_batch(
         weighted = np.ascontiguousarray(np.swapaxes(weighted_t, -1, -2))
         covs = np.swapaxes(weighted, -1, -2) @ diff / nk[..., None, None]
         covs[..., diagonal, diagonal] += COVARIANCE_FLOOR
-        converged = (ll - prev_ll < tol) & (n_iter > 1)
+        converged = ((ll - prev_ll) / n < tol) & (n_iter > 1)
         prev_ll = ll
         if converged.any():
             finish(converged, n_iter)
@@ -261,7 +261,10 @@ def gmm_fit(
     """Fit by EM from n_init seeded initializations; keep the best run.
 
     Initialization draws component means from distinct data points, starts
-    every covariance at the data covariance, and weights uniform. The winner
+    every covariance at the data covariance, and weights uniform. A run stops
+    at max_iter, or once its log-likelihood gain per point (the total gain
+    divided by n) drops below tol, as Baum-Welch's gain per observation does,
+    so the rule does not depend on the number of points. The winner
     is the run with the highest final log-likelihood (ties: lowest init
     index). Runs are stepped together in groups of at most EM_BATCH_ELEMENTS
     / (k n d) runs; each run's numbers do not depend on its group, so neither

@@ -298,6 +298,7 @@ def run_prepare(
     fold_summaries = []
     for fold in folds:
         prepared = _prepare_fold(config, store, fold, label, readings)
+        prepared.provenance["k_folds"] = config.k_folds  # train and evaluate check it
         pipeline.save_prepared(
             prepared,
             tracker.register(prepared_path(out_dir, fold.fold_index)),
@@ -351,15 +352,23 @@ def load_fold(prepared_dir: str | Path, fold_index: int) -> pipeline.PreparedSet
 
 
 def _check_one_prepare_run(prepared_dir: str | Path, k_folds: int) -> None:
-    """One protocol per run: each fold file names its fold, its provenance
-    equals fold 0's apart from ``fold``, and it names fold 0's store digest.
-    Only the files' headers are read; each fold's load then checks the store's
-    readings against that digest, so a corrupt store fails the first load."""
+    """One protocol per run: each fold file names its fold and its run's fold
+    count, which must be k_folds, its provenance equals fold 0's apart from
+    ``fold``, and it names fold 0's store digest. Only the files' headers are
+    read; each fold's load then checks the store's readings against that
+    digest, so a corrupt store fails the first load."""
     headers = []
     for fold_index in range(k_folds):
         path = _fold_file(prepared_dir, fold_index)
         provenance, digest = pipeline.load_header(path)
-        headers.append((_named_fold(path, fold_index, provenance), digest))
+        run_folds = _named_fold(path, fold_index, provenance).get("k_folds")
+        if not is_int(run_folds):
+            raise FormatError(f"{path}: provenance has no fold count; re-run prepare to rebuild it")
+        if run_folds != k_folds:
+            raise ConfigError(
+                f"{path} is a fold of a {run_folds}-fold prepare run, but k_folds is {k_folds}"
+            )
+        headers.append((provenance, digest))
     first, first_digest = headers[0]
     for fold_index, (other, digest) in enumerate(headers[1:], start=1):
         path = prepared_path(prepared_dir, fold_index)

@@ -100,18 +100,19 @@ def test_c03_viterbi_oracle_equivalence():
             m = int(rng.integers(2, 5))
             t = int(rng.integers(1, 9))
             model = HmmModel(
-                np.log(_floor_normalize(rng.random(n))),
-                np.log(_floor_normalize(rng.random((n, n)))),
-                np.log(_floor_normalize(rng.random((n, m)))),
+                _floor_normalize(rng.random(n)),
+                _floor_normalize(rng.random((n, n))),
+                _floor_normalize(rng.random((n, m))),
             )
             symbols = rng.integers(0, m, size=t)
             (path,), (log_prob,) = viterbi(model, symbols[None])
 
+            log_pi, log_a, log_b = map(np.log, (model.initial, model.transition, model.emission))
             paths = np.array(list(itertools.product(range(n), repeat=t)), dtype=np.int64)
-            scores = model.log_initial[paths[:, 0]] + model.log_emission[paths[:, 0], symbols[0]]
+            scores = log_pi[paths[:, 0]] + log_b[paths[:, 0], symbols[0]]
             for step in range(1, t):
-                scores = scores + model.log_transition[paths[:, step - 1], paths[:, step]]
-                scores = scores + model.log_emission[paths[:, step], symbols[step]]
+                scores = scores + log_a[paths[:, step - 1], paths[:, step]]
+                scores = scores + log_b[paths[:, step], symbols[step]]
             best = float(np.max(scores))
             assert log_prob == pytest.approx(best, abs=1e-9)
             # the returned path must be one of the exact argmax paths; ties

@@ -730,6 +730,53 @@ class TestErrors:
         assert "re-run prepare" in parsed["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("folds", ["2", "4"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_another_fold_count_is_refused_before_any_fold_runs(
+        self, runner, pipeline_dir, tmp_path, monkeypatch, command, folds
+    ):
+        # The run has 3 folds: 2 would score a subset of them, 4 a missing fold.
+        out = tmp_path / "out"
+        calls = []
+        monkeypatch.setattr(workflows, "train_fold", lambda *args: calls.append(args))
+        monkeypatch.setattr(workflows, "load_fold", lambda *args: calls.append(args))
+        args = ["train", "--model", "copy_last"] if command == "train" else [
+            "evaluate", "--models", "copy_last"]
+        result = runner.invoke(
+            main, [*args, "--prepared-dir", str(pipeline_dir / "prep"), "--out-dir", str(out),
+                   "--folds", folds],
+        )
+        assert result.exit_code == 2, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "ConfigError"
+        assert "3-fold" in parsed["message"] and f"k_folds is {folds}" in parsed["message"]
+        assert calls == []
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("fold", [0, 1])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_fold_without_a_fold_count_is_refused(
+        self, runner, pipeline_dir, tmp_path, command, fold
+    ):
+        prep, out = tmp_path / "prep", tmp_path / "out"
+        shutil.copytree(pipeline_dir / "prep", prep)
+        path = prep / f"fold{fold}.gprep"
+        prepared = load_prepared(path)
+        provenance = {k: v for k, v in prepared.provenance.items() if k != "k_folds"}
+        save_prepared(dataclasses.replace(prepared, provenance=provenance), path)
+        args = ["train", "--model", "copy_last"] if command == "train" else [
+            "evaluate", "--models", "copy_last"]
+        result = runner.invoke(
+            main, [*args, "--prepared-dir", str(prep), "--out-dir", str(out), *TINY]
+        )
+        assert result.exit_code == 3, result.output
+        (line,) = result.output.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "FormatError" and f"fold{fold}.gprep" in parsed["message"]
+        assert "re-run prepare" in parsed["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_variance_tau_is_rejected(self, runner, pipeline_dir, tmp_path, tau):
         out = tmp_path / "stats"

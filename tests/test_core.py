@@ -135,9 +135,8 @@ class TestFramedLayout:
 
     def test_hmm_model(self, tmp_path):
         initial, transition, emission = [0.25, 0.75], [[0.5, 0.5], [0.0, 1.0]], [[1.0], [1.0]]
-        with np.errstate(divide="ignore"):
-            model = HmmModel(*(np.log(np.array(p)) for p in (initial, transition, emission)),
-                             trained_iterations=3, final_log_likelihood=-12.5)
+        model = HmmModel(*(np.array(p) for p in (initial, transition, emission)),
+                         trained_iterations=3, final_log_likelihood=-12.5)
         header = {"n_states": 2, "n_symbols": 1, "quantizer_lo": 40.0, "quantizer_hi": 400.0,
                   "trained_iterations": 3, "final_log_likelihood": -12.5}
         save_hmm(model, Quantizer(1, 40.0, 400.0), tmp_path / "m.ghmm")
@@ -150,7 +149,7 @@ def _save_each_kind(tmp_path) -> dict:
     paths = {suffix: tmp_path / f"f.{suffix}" for suffix in ("gprep", "glstm", "ghmm")}
     save_prepared(one_window_prepared([[1.0, 2.0]], [[3.0, 4.0]], 1), paths["gprep"])
     save_model(new_network(2, 1, seed=0), paths["glstm"])
-    model = HmmModel(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
+    model = HmmModel(np.ones(1), np.ones((1, 1)), np.ones((1, 1)))
     save_hmm(model, Quantizer(1, 0.0, 1.0), paths["ghmm"])
     return paths
 

@@ -31,6 +31,12 @@ from glyco.hmm import (
 # it cannot underflow, and the scaled E-step must match it within 1e-12.
 
 
+def logs(model):
+    """The model's initial, transition and emission log-probabilities."""
+    with np.errstate(divide="ignore"):  # an exact zero has a log of -inf
+        return np.log(model.initial), np.log(model.transition), np.log(model.emission)
+
+
 def ref_logsumexp(a, axis=None):
     m = np.max(a, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
@@ -39,21 +45,23 @@ def ref_logsumexp(a, axis=None):
 
 def log_forward(model, symbols):
     """Log alpha matrix, shape (T, N)."""
+    log_pi, log_a, log_b = logs(model)
     t_max = symbols.shape[0]
     la = np.empty((t_max, model.n_states))
-    la[0] = model.log_initial + model.log_emission[:, symbols[0]]
+    la[0] = log_pi + log_b[:, symbols[0]]
     for t in range(1, t_max):
-        la[t] = ref_logsumexp(la[t - 1][:, None] + model.log_transition, axis=0)
-        la[t] += model.log_emission[:, symbols[t]]
+        la[t] = ref_logsumexp(la[t - 1][:, None] + log_a, axis=0)
+        la[t] += log_b[:, symbols[t]]
     return la
 
 
 def log_backward(model, symbols):
     """Log beta matrix, shape (T, N)."""
+    _, log_a, log_b = logs(model)
     t_max = symbols.shape[0]
     lb = np.zeros((t_max, model.n_states))
     for t in range(t_max - 2, -1, -1):
-        inner = model.log_transition + model.log_emission[:, symbols[t + 1]][None, :]
+        inner = log_a + log_b[:, symbols[t + 1]][None, :]
         lb[t] = ref_logsumexp(inner + lb[t + 1][None, :], axis=1)
     return lb
 
@@ -65,6 +73,7 @@ def sequence_log_likelihood(model, symbols):
 def ref_expectations(model, sequences):
     """Per-sequence log-likelihoods and pi/A/B accumulators, one sequence at a time."""
     n, m = model.n_states, model.n_symbols
+    _, log_a, log_b = logs(model)
     pi_acc, a_acc, b_acc = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     log_likelihoods = []
     for symbols in sequences:
@@ -76,10 +85,10 @@ def ref_expectations(model, sequences):
         pi_acc += gamma[0]
         np.add.at(b_acc.T, symbols, gamma)
         if symbols.shape[0] > 1:
-            emit_next = model.log_emission[:, symbols[1:]].T
+            emit_next = log_b[:, symbols[1:]].T
             xi = np.exp(
                 la[:-1, :, None]
-                + model.log_transition[None, :, :]
+                + log_a[None, :, :]
                 + (emit_next + lb[1:])[:, None, :]
                 - ll
             )
@@ -95,14 +104,15 @@ def ref_expectations(model, sequences):
 
 def ref_viterbi(model, symbols):
     symbols = np.asarray(symbols, dtype=np.int64)
+    log_pi, log_a, log_b = logs(model)
     t_max = symbols.shape[0]
-    delta = model.log_initial + model.log_emission[:, symbols[0]]
+    delta = log_pi + log_b[:, symbols[0]]
     backpointers = np.empty((t_max, model.n_states), dtype=np.int64)
     for t in range(1, t_max):
-        scores = delta[:, None] + model.log_transition
+        scores = delta[:, None] + log_a
         backpointers[t] = np.argmax(scores, axis=0)
         delta = scores[backpointers[t], np.arange(model.n_states)]
-        delta = delta + model.log_emission[:, symbols[t]]
+        delta = delta + log_b[:, symbols[t]]
     path = np.empty(t_max, dtype=np.int64)
     path[-1] = int(np.argmax(delta))
     for t in range(t_max - 1, 0, -1):
@@ -116,8 +126,8 @@ def ref_hmm_forecast(model, quantizer, values, horizon=12):
     state = int(path[-1])
     out = np.empty(horizon)
     for step in range(horizon):
-        state = int(np.argmax(model.log_transition[state]))
-        symbol = int(np.argmax(model.log_emission[state]))
+        state = int(np.argmax(model.transition[state]))
+        symbol = int(np.argmax(model.emission[state]))
         out[step] = float(quantizer.decode(symbol))
     return out
 
@@ -126,7 +136,7 @@ def random_model(rng, n_states, n_symbols):
     pi = _floor_normalize(rng.random(n_states))
     a = _floor_normalize(rng.random((n_states, n_states)))
     b = _floor_normalize(rng.random((n_states, n_symbols)))
-    return HmmModel(np.log(pi), np.log(a), np.log(b))
+    return HmmModel(pi, a, b)
 
 
 def near_deterministic_model(a, b, pi=None):
@@ -135,27 +145,29 @@ def near_deterministic_model(a, b, pi=None):
     b = _floor_normalize(np.asarray(b, dtype=float))
     n = a.shape[0]
     pi = _floor_normalize(np.asarray(pi if pi is not None else np.full(n, 1.0 / n)))
-    return HmmModel(np.log(pi), np.log(a), np.log(b))
+    return HmmModel(pi, a, b)
 
 
 def brute_force_path(model, symbols):
     """Exhaustive argmax over all state paths, in lexicographic order."""
     n, t = model.n_states, len(symbols)
+    log_pi, log_a, log_b = logs(model)
     paths = np.array(list(itertools.product(range(n), repeat=t)), dtype=np.int64)
-    lp = model.log_initial[paths[:, 0]] + model.log_emission[paths[:, 0], symbols[0]]
+    lp = log_pi[paths[:, 0]] + log_b[paths[:, 0], symbols[0]]
     for i in range(1, t):
-        lp = lp + model.log_transition[paths[:, i - 1], paths[:, i]]
-        lp = lp + model.log_emission[paths[:, i], symbols[i]]
+        lp = lp + log_a[paths[:, i - 1], paths[:, i]]
+        lp = lp + log_b[paths[:, i], symbols[i]]
     best = int(np.argmax(lp))
     return paths[best], float(lp[best])
 
 
 def path_score(model, path, symbols):
     """Joint log-probability of one explicit state path."""
-    total = model.log_initial[path[0]] + model.log_emission[path[0], symbols[0]]
+    log_pi, log_a, log_b = logs(model)
+    total = log_pi[path[0]] + log_b[path[0], symbols[0]]
     for i in range(1, len(symbols)):
-        total += model.log_transition[path[i - 1], path[i]]
-        total += model.log_emission[path[i], symbols[i]]
+        total += log_a[path[i - 1], path[i]]
+        total += log_b[path[i], symbols[i]]
     return float(total)
 
 
@@ -252,8 +264,8 @@ class TestBaumWelch:
         obs = rng.integers(0, 3, size=(3, 40))
         a = baum_welch(obs, n_states=2, n_symbols=3, max_iter=25, seed=9)
         b = baum_welch(obs, n_states=2, n_symbols=3, max_iter=25, seed=9)
-        np.testing.assert_array_equal(a.log_transition, b.log_transition)
-        np.testing.assert_array_equal(a.log_emission, b.log_emission)
+        np.testing.assert_array_equal(a.transition, b.transition)
+        np.testing.assert_array_equal(a.emission, b.emission)
 
     def test_rows_stay_normalized(self):
         rng = np.random.default_rng(6)
@@ -267,9 +279,8 @@ class TestBaumWelch:
         # a symbol never observed would otherwise drive its emission to zero
         obs = np.zeros((1, 40), dtype=int)
         model = baum_welch(obs, n_states=2, n_symbols=4, max_iter=20, seed=3)
-        assert np.all(np.isfinite(model.log_initial))
-        assert np.all(np.isfinite(model.log_transition))
-        assert np.all(np.isfinite(model.log_emission))
+        for log in logs(model):
+            assert np.all(np.isfinite(log))
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
@@ -367,9 +378,8 @@ class TestForwardBackward:
             la = log_forward(model, symbols)
             lb = log_backward(model, symbols)
             from_alpha = np.logaddexp.reduce(la[-1])
-            from_beta = np.logaddexp.reduce(
-                model.log_initial + model.log_emission[:, symbols[0]] + lb[0]
-            )
+            log_pi, _, log_b = logs(model)
+            from_beta = np.logaddexp.reduce(log_pi + log_b[:, symbols[0]] + lb[0])
             assert from_alpha == pytest.approx(from_beta, abs=1e-9)
 
 
@@ -379,7 +389,8 @@ class TestViterbi:
         symbols = np.array([0, 1, 1])
         (path,), (lp,) = viterbi(model, symbols[None])
         np.testing.assert_array_equal(path, [0, 0, 0])
-        expected = float(np.sum(model.log_emission[0, symbols])) + model.log_initial[0]
+        log_pi, _, log_b = logs(model)
+        expected = float(np.sum(log_b[0, symbols])) + log_pi[0]
         assert lp == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force(self):
@@ -439,12 +450,7 @@ def zero_model(rng, n_states, n_symbols):
         p[..., 0] += p.sum(axis=-1) == 0  # no all-zero row
         return p / p.sum(axis=-1, keepdims=True)
 
-    with np.errstate(divide="ignore"):
-        return HmmModel(
-            np.log(rows(n_states)),
-            np.log(rows((n_states, n_states))),
-            np.log(rows((n_states, n_symbols))),
-        )
+    return HmmModel(rows(n_states), rows((n_states, n_states)), rows((n_states, n_symbols)))
 
 
 class TestViterbiThreads:
@@ -600,11 +606,9 @@ class TestRoundTrip:
         path = tmp_path / "model.ghmm"
         save_hmm(model, q, path)
         loaded, loaded_q = load_hmm(path)
-        # The file holds the probabilities, so the logs are those of np.log(model.initial) etc.
+        # The file holds the model's probabilities, and the loaded model holds them too.
         for name in ("initial", "transition", "emission"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
-            log = getattr(loaded, f"log_{name}")
-            assert log.tobytes() == np.log(getattr(model, name)).tobytes()
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
         assert loaded_q == q
         assert loaded.trained_iterations == model.trained_iterations
         assert loaded.final_log_likelihood == model.final_log_likelihood
@@ -688,6 +692,8 @@ class TestRoundTrip:
             ({"initial": [0.5, 0.6]}, "sum to 1"),
             ({"quantizer_hi": 10**400}, "too large"),
             ({"quantizer_lo": 2.0, "quantizer_hi": 0.0}, "lo < hi"),
+            # 1e-9 is an absolute bound, not a relative one of 1e-5
+            ({"initial": [0.5, 0.5 + 1e-7]}, "sum to 1"),
         ],
     )
     def test_inconsistent_model_is_format_error(self, tmp_path, changes):
@@ -765,7 +771,7 @@ def test_zero_probabilities_load_and_forecast(tmp_path):
         warnings.simplefilter("error")
         model, q = load_hmm(path)
         out = hmm_forecast(model, q, np.array([[0.5, 1.5, 0.5]]), horizon=4)
-    assert model.log_initial[1] == -np.inf
+    assert model.initial[1] == 0.0
     np.testing.assert_array_equal(out, [[1.5, 0.5, 1.5, 0.5]])
 
 

@@ -305,7 +305,7 @@ def ref_em_single(x, k, max_iter, tol, rng):
             diff = x - means[j]
             covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
             covs[j][np.diag_indices(d)] += 1e-6
-        if ll - prev_ll < tol and n_iter > 1:
+        if (ll - prev_ll) / n < tol and n_iter > 1:
             prev_ll = ll
             break
         prev_ll = ll

@@ -218,7 +218,7 @@ def test_evaluate_linreg_with_non_positive_forecast(tmp_path):
     for fold in range(2):
         prepared = one_window_prepared(
             [], np.concatenate([inputs, targets], axis=1), 132,
-            {"fold": fold, "train_step": 1, "test_step": 1},
+            {"fold": fold, "k_folds": 2, "train_step": 1, "test_step": 1},
         )
         save_prepared(prepared, prepared_path(tmp_path / "prep", fold))
     document = run_evaluate(
