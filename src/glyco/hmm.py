@@ -8,9 +8,12 @@ underflowing, and each step is one matrix product for the whole slice. A
 probability floor keeps every trained row distribution strictly positive so
 no state or symbol becomes absorbing-zero. A model holds the
 probabilities EM computes; Viterbi takes their logs once per call and
-decodes in log space over chunks of rows, one thread per usable core, with
-the same bytes for any number of cores. A loaded model may hold exact
-zeros, whose logs are -inf.
+decodes in log space over chunks of rows on plain threads, one per usable
+core, with the same bytes for any number of cores. Each max-plus step lays
+its scores out as (previous state, row, next state), so a chunk's step is
+one contiguous add of the transition logs tiled over its rows and one max
+over the leading axis. A loaded model may hold exact zeros, whose logs are
+-inf.
 
 A model file (``.ghmm``) is framed (see ``core.write_framed``): magic
 ``GLYF_HMM``, version 1. The header holds ``n_states``, ``n_symbols``,
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +43,11 @@ PROB_FLOOR = 1e-10
 E_STEP_CHUNK = 512
 # Gamma rows summed per block when the emission accumulator is updated: ~3.3 MB at N = 100.
 SYMBOL_SUM_BLOCK = 4096
-# Most rows per Viterbi chunk: the (rows, N, N) step scores stay ~1.3 MB, in cache, at
-# N = 100. Fewer rows per chunk when that leaves a chunk for every usable core; chunks
-# are decoded on separate threads, with the same output bytes for any core count.
+# Most rows per Viterbi chunk: each thread's (N, rows, N) step scores and the one
+# (N, rows, N) transition tile that every chunk of a call shares are ~1.3 MB each, in
+# cache, at N = 100 (4 and 8 rows measured slower at 24 and 128 rows). Fewer rows per
+# chunk when that leaves a chunk for every usable core; chunks are decoded on separate
+# threads, with the same output bytes for any core count.
 VITERBI_CHUNK = 16
 
 
@@ -266,13 +272,14 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     forward scores, with the same additions, so the result does not depend
     on how rows are batched.
 
-    Rows are split into chunks of min(VITERBI_CHUNK, ceil(n / cores)), and
-    with more than one usable core and more than one chunk the chunks are
-    decoded in a thread pool that lives only for this call (NumPy releases
-    the GIL inside the ufunc loops). A row's work does not depend on its
-    chunk or thread, and every score is a max over the same float64 sums,
-    which is exact in any order, so the output bytes do not depend on the
-    core count.
+    Rows are split into chunks of min(VITERBI_CHUNK, ceil(n / cores)). With
+    one usable core or one chunk, the chunks are decoded on the calling
+    thread; otherwise each of min(cores, chunks) plain threads decodes every
+    threads-th chunk (NumPy releases the GIL inside the ufunc loops), the
+    calling thread waits for all of them, and the lowest failing chunk's
+    error is raised. A row's work does not depend on its chunk or thread,
+    and every score is a max over the same float64 sums, which is exact in
+    any order, so the output bytes do not depend on the core count.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     if symbols.ndim != 2 or symbols.shape[1] == 0:
@@ -286,7 +293,10 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     size = max(1, min(VITERBI_CHUNK, -(-n_rows // workers)))
     chunks = [slice(lo, lo + size) for lo in range(0, n_rows, size)]
     with np.errstate(divide="ignore"):  # a loaded exact zero has a log of -inf
-        logs = (np.log(model.initial), np.log(model.transition), np.log(model.emission).T)
+        log_a = np.log(model.transition)
+        # (N, size, N): the transition logs once per row of a chunk, shared by every chunk
+        a_tiled = np.repeat(log_a[:, None, :], size, axis=1)
+        logs = (np.log(model.initial), log_a, np.log(model.emission).T, a_tiled)
 
     def decode(rows: slice) -> None:
         _viterbi_rows(logs, symbols[rows], paths[rows], log_probs[rows])
@@ -295,12 +305,24 @@ def viterbi(model: HmmModel, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if threads <= 1:
         for rows in chunks:
             decode(rows)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only where threads run
+        return paths, log_probs
+    errors: dict[int, BaseException] = {}
 
-        with ThreadPoolExecutor(threads) as pool:
-            for _ in pool.map(decode, chunks):  # re-raises a chunk's error
-                pass
+    def work(first: int) -> None:
+        for index in range(first, len(chunks), threads):
+            try:
+                decode(chunks[index])
+            except BaseException as error:  # raised on the calling thread below
+                errors[index] = error
+                return
+
+    pool = [threading.Thread(target=work, args=(first,)) for first in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
     return paths, log_probs
 
 
@@ -308,21 +330,27 @@ def _viterbi_rows(
     logs: tuple, rows: np.ndarray, paths_out: np.ndarray, log_probs_out: np.ndarray
 ) -> None:
     """Decode symbol rows (r, T) into paths_out (r, T) and log_probs_out (r,),
-    given the model's logs: initial (N,), transition (N, N) and emission by
-    symbol (M, N).
+    given the model's logs: initial (N,), transition (N, N), emission by
+    symbol (M, N) and the transition tiled over a chunk's rows (N, >= r, N).
 
-    One (r, N, N) score buffer is reused at every step.
+    A max-plus step lays its scores out as (previous state, row, next state)
+    in one (N, r, N) buffer reused at every step: the previous scores are
+    copied in, the tile is added in one contiguous pass, and the max runs
+    over the leading axis, so each inner loop is r * N items long.
     """
-    log_pi, log_a, emission_by_symbol = logs
-    deltas = np.empty((rows.shape[1], rows.shape[0], len(log_pi)))
-    scores = np.empty((rows.shape[0], *log_a.shape))
+    log_pi, log_a, emission_by_symbol, a_tiled = logs
+    n_rows, t_max = rows.shape
+    a_tiled = a_tiled[:, :n_rows]
+    deltas = np.empty((t_max, n_rows, len(log_pi)))
+    scores = np.empty(a_tiled.shape)
     deltas[0] = log_pi + emission_by_symbol[rows[:, 0]]
-    for t in range(1, rows.shape[1]):
-        np.add(deltas[t - 1][:, :, None], log_a, out=scores)
-        np.maximum.reduce(scores, axis=1, out=deltas[t])
+    for t in range(1, t_max):
+        np.copyto(scores, deltas[t - 1].T[:, :, None])
+        np.add(scores, a_tiled, out=scores)
+        np.maximum.reduce(scores, axis=0, out=deltas[t])
         deltas[t] += emission_by_symbol[rows[:, t]]
     paths_out[:, -1] = np.argmax(deltas[-1], axis=1)
-    for t in range(rows.shape[1] - 1, 0, -1):
+    for t in range(t_max - 1, 0, -1):
         paths_out[:, t - 1] = np.argmax(deltas[t - 1] + log_a[:, paths_out[:, t]].T, axis=1)
     log_probs_out[:] = deltas[-1].max(axis=1)
 

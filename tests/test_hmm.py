@@ -1,8 +1,12 @@
 import itertools
+import os
 import struct
+import subprocess
 import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,14 +461,28 @@ class TestViterbiThreads:
     """Rows are decoded in chunks on up to one thread per usable core; the
     core count is patched, so no test starts more than 7 threads."""
 
-    @pytest.mark.parametrize("n_rows", [1, 10, hmm.VITERBI_CHUNK + 9, 37])
+    @pytest.mark.parametrize(
+        "n_rows, n_states, n_symbols, t_max",
+        [
+            (1, 12, 6, 40),
+            (10, 12, 6, 40),
+            (hmm.VITERBI_CHUNK + 9, 12, 6, 40),
+            (37, 12, 6, 40),
+            # the paper's shape; on 2 cores the chunks are 7 and 6 rows, and the
+            # ragged one reads a slice of the shared transition tile
+            (13, 100, 100, 132),
+        ],
+        ids=["1", "10", str(hmm.VITERBI_CHUNK + 9), "37", "paper-13"],
+    )
     @pytest.mark.parametrize("kind", ["random", "zeros"])
-    def test_bytes_do_not_depend_on_the_core_count(self, monkeypatch, kind, n_rows):
+    def test_bytes_do_not_depend_on_the_core_count(
+        self, monkeypatch, kind, n_rows, n_states, n_symbols, t_max
+    ):
         rng = np.random.default_rng(n_rows)
-        model = (random_model if kind == "random" else zero_model)(rng, 12, 6)
-        symbols = rng.integers(0, 6, size=(n_rows, 40))
-        quantizer = Quantizer(6, 40.0, 400.0)
-        values = rng.uniform(30.0, 410.0, size=(n_rows, 40))
+        model = (random_model if kind == "random" else zero_model)(rng, n_states, n_symbols)
+        symbols = rng.integers(0, n_symbols, size=(n_rows, t_max))
+        quantizer = Quantizer(n_symbols, 40.0, 400.0)
+        values = rng.uniform(30.0, 410.0, size=(n_rows, t_max))
         outputs = set()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
@@ -532,6 +550,41 @@ class TestViterbiThreads:
         with pytest.raises(NumericError, match="decode failed"):
             hmm_forecast(model, Quantizer(2, 0.0, 2.0), np.full((10, 3), 0.5), horizon=3)
         assert threading.active_count() == threads
+
+        def fail_on_chunks_1_and_2(model, rows, paths_out, log_probs_out):
+            chunk = rows[0, 0]  # the first symbol of each row is its chunk's index
+            if chunk == 1:
+                time.sleep(0.05)  # so the higher chunk fails first
+                raise DataError("chunk 1 failed")
+            if chunk == 2:
+                raise NumericError("chunk 2 failed")
+            real(model, rows, paths_out, log_probs_out)
+
+        monkeypatch.setattr(hmm, "_viterbi_rows", fail_on_chunks_1_and_2)
+        symbols = np.zeros((10, 3), dtype=np.int64)
+        symbols[:, 0] = np.arange(10) // 4  # chunks of 4, 4 and 2 rows on 3 cores
+        with pytest.raises(DataError, match="chunk 1 failed"):
+            viterbi(random_model(np.random.default_rng(5), 4, 3), symbols)
+        assert threading.active_count() == threads
+
+    def test_no_pool_module_is_imported(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from glyco import hmm\n"
+            "hmm._usable_cores = lambda: 2\n"
+            "model = hmm._random_model(4, 3, np.random.default_rng(0))\n"
+            "hmm.viterbi(model, np.random.default_rng(1).integers(0, 3, size=(20, 6)))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('concurrent.futures')))\n"
+        )
+        src = str(Path(hmm.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
 
 
 def tie_heavy_model(rng, n):
